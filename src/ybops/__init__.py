@@ -11,8 +11,8 @@ from .compare import BraidFamily, compare_q1, okado_rhat, twisted_prop1_rhat
 from .frt import (NCPoly, RelationSet, SpanReport, claimed_relations,
                   exchange_closure, pq_limit_relations, rtt_residual,
                   span_membership, uv_symmetry_check)
-from .funceq import (CoeffTriple, catalogue, eval_colored_system,
-                     eval_onepar_system)
+from .funceq import (FAMILIES, CoeffTriple, Family, catalogue,
+                     eval_colored_system, eval_onepar_system)
 from .onepar import (OneParFamily, prop1_coalgebra_op, prop1_inv, prop1_op,
                      prop2_inv, prop2_op, remark_x_op)
 from .search import SearchResult, search

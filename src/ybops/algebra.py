@@ -183,6 +183,22 @@ def dual_coalgebra(A: Algebra) -> Coalgebra:
     return Coalgebra(dim=n, comult=_freeze3(comult), counit=tuple(A.unit))
 
 
+def opposite_algebra(A: Algebra) -> Algebra:
+    """A with the reversed product a*b := ba."""
+    c = A.structconst
+    return Algebra(dim=A.dim, unit=A.unit, structconst=tuple(
+        tuple(c[j][i] for j in range(A.dim)) for i in range(A.dim)))
+
+
+def dual_algebra(C: Coalgebra) -> Algebra:
+    """Algebra dual to C: the transposed comultiplication, unit the counit."""
+    n = C.dim
+    d = C.comult
+    struct = [[[d[k][i][j] for k in range(n)] for j in range(n)]
+              for i in range(n)]
+    return Algebra(dim=n, structconst=_freeze3(struct), unit=tuple(C.counit))
+
+
 # --- JSON interface ---------------------------------------------------------
 
 def algebra_to_json(A: Algebra, field: str = "rational") -> str:

@@ -9,7 +9,9 @@ metadata file so result payloads stay diffable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -21,51 +23,35 @@ from pathlib import Path
 from . import compare as compare_mod
 from . import frt as frt_mod
 from .algebra import cubic_algebra, dual_coalgebra, quadratic_algebra
-from .colored import ColoredFamily, matrix_form
+from .colored import ColoredFamily, matrix_form, thm1_op
 from .errors import YbopsError
+from .funceq import FAMILIES
 from .onepar import OneParFamily
 from .scalars import format_scalar, parse_scalar
 from .search import search as run_search
 from .tensorop import (braid_residual, colored_qybe_residual, max_abs_entry,
                        onepar_qybe_residual, op_to_csv, op_to_json,
-                       op_to_latex)
+                       op_to_latex, tensor_basis_labels)
 from .ybsystem import thm3_system, wxz_residuals
 
-COLORED_KINDS = ("thm1", "thm2", "remark2", "coalgebra_thm1")
-ONEPAR_KINDS = ("prop1", "prop1_coalgebra", "prop2", "remark_x")
-EXPONENTIAL_KINDS = ("thm2", "remark2")
+# What a command raises for bad input: exit 2 with a one-line message.
+_USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError)
 
 
 def _algebra(args):
-    if getattr(args, "eps", None) is not None or getattr(args, "rho", None) is not None:
-        eps = parse_scalar(args.eps or "0")
-        rho = parse_scalar(args.rho or "0")
-        return cubic_algebra(eps, rho)
-    return quadratic_algebra(parse_scalar(getattr(args, "sigma", None) or "1"))
-
-
-_PARAM_DEFAULTS = {"p": "1", "q": "2", "s": "3"}
+    if args.eps is not None or args.rho is not None:
+        return cubic_algebra(parse_scalar(args.eps or "0"),
+                             parse_scalar(args.rho or "0"))
+    return quadratic_algebra(parse_scalar(args.sigma))
 
 
 def _family(args):
-    kind = args.family
+    F = FAMILIES[args.family]
     A = _algebra(args)
-    needed = {"thm1": ("p", "q"), "thm2": ("p", "q", "s"),
-              "remark2": ("p", "q", "s"), "coalgebra_thm1": ("p", "q"),
-              "prop1": ("q",), "prop1_coalgebra": ("q",),
-              "prop2": (), "remark_x": ()}.get(kind, ())
-    params = {}
-    for name in needed:
-        val = getattr(args, name, None)
-        params[name] = parse_scalar(val if val is not None
-                                    else _PARAM_DEFAULTS[name])
-    if kind in COLORED_KINDS:
-        carrier = dual_coalgebra(A) if kind == "coalgebra_thm1" else A
-        return ColoredFamily(kind=kind, carrier=carrier, params=params)
-    if kind in ONEPAR_KINDS:
-        carrier = dual_coalgebra(A) if kind == "prop1_coalgebra" else A
-        return OneParFamily(kind=kind, carrier=carrier, params=params)
-    raise YbopsError(f"unknown family kind {args.family!r}")
+    params = {name: parse_scalar(getattr(args, name)) for name in F.params}
+    carrier = dual_coalgebra(A) if F.coalgebra else A
+    cls = ColoredFamily if F.phi is None else OneParFamily
+    return F, cls(kind=args.family, carrier=carrier, params=params)
 
 
 def _random_scalar(rng, integer=False):
@@ -75,14 +61,14 @@ def _random_scalar(rng, integer=False):
 
 
 def cmd_verify(args):
-    fam = _family(args)
+    F, fam = _family(args)
     rng = random.Random(args.seed)
-    integer_colours = args.family in EXPONENTIAL_KINDS
     failures = []
     samples = []
     for _ in range(args.samples):
-        if args.family in COLORED_KINDS:
-            u, v, w = (_random_scalar(rng, integer_colours) for _ in range(3))
+        if F.phi is None:
+            u, v, w = (_random_scalar(rng, F.integer_colours)
+                       for _ in range(3))
             res = colored_qybe_residual(fam, u, v, w)
             samples.append({"u": format_scalar(u), "v": format_scalar(v),
                             "w": format_scalar(w),
@@ -100,14 +86,13 @@ def cmd_verify(args):
 
 
 def cmd_matrix(args):
-    fam = _family(args)
-    if args.family in COLORED_KINDS:
+    F, fam = _family(args)
+    if F.phi is None:
         form = matrix_form(fam, parse_scalar(args.u), parse_scalar(args.v))
         op, basis = form.op, form.basis
         shorthand = {k: format_scalar(v) for k, v in form.shorthand.items()}
     else:
         op = fam.op(parse_scalar(args.x))
-        from .tensorop import tensor_basis_labels
         basis = tuple(tensor_basis_labels(op.n, 2))
         shorthand = {}
     if args.format == "json":
@@ -141,14 +126,14 @@ def cmd_search(args):
 
 
 def cmd_frt(args):
-    from .colored import thm1_op
     u, v, p, q, sigma = (parse_scalar(getattr(args, n))
                          for n in ("u", "v", "p", "q", "sigma"))
-    A = quadratic_algebra(sigma)
-    entries = frt_mod.rtt_residual(thm1_op(A, p, q, u, v))
     rels = frt_mod.claimed_relations(u, v, p, q, sigma)
-    rep = frt_mod.span_membership(entries, rels)
+    # first: it raises SingularParameterError on the singular locus
     sym = frt_mod.uv_symmetry_check(rels)
+    entries = frt_mod.rtt_residual(thm1_op(quadratic_algebra(sigma),
+                                           p, q, u, v))
+    rep = frt_mod.span_membership(entries, rels)
     report = {
         "command": "frt",
         "params": {n: format_scalar(parse_scalar(getattr(args, n)))
@@ -203,33 +188,59 @@ _HANDLERS = {
 }
 
 
-def cmd_campaign(args):
+def _parse_task(parser, task, seed):
+    """Parse one campaign task through the subcommand parsers.
+
+    ``args`` keys are the subcommand's option names (``lam``, not
+    ``lambda``).  A value must be a JSON integer where the option takes an
+    integer and a string otherwise.
+    """
+    command = task.get("command") if isinstance(task, dict) else None
+    if not isinstance(command, str) or command not in _HANDLERS:
+        raise ValueError(f"unknown command {command!r}")
+    args = task.get("args", {})
+    if not isinstance(args, dict):
+        raise ValueError("task args must be an object")
+    # '--key=value': a separate '-1/2' would be read as a flag
+    argv = [f"--seed={args.get('seed', seed)}", command]
+    argv += [f"--{k}={v}" for k, v in args.items() if k != "seed"]
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            ns = parser.parse_args(argv)
+    except SystemExit:
+        lines = err.getvalue().strip().splitlines() or ["invalid arguments"]
+        raise ValueError(lines[-1]) from None
+    for key, val in args.items():
+        if not hasattr(ns, key):  # an abbreviation argparse accepted
+            raise ValueError(f"unknown option {key!r}")
+        want = int if isinstance(getattr(ns, key), int) else str
+        if type(val) is not want:
+            raise ValueError(f"{key}: expected a JSON {want.__name__}, "
+                             f"got {val!r}")
+    return ns
+
+
+def cmd_campaign(args, parser):
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        tasks = config["tasks"]
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None, None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"config error: {exc}") from None
+    if not isinstance(config, dict) or not isinstance(config.get("tasks"),
+                                                      list):
+        raise ValueError("config error: expected an object with a task list")
+    tasks = config["tasks"]
     outdir = Path(args.outdir or os.environ.get("YBOPS_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     seed = config.get("seed", args.seed)
     overall_ok = True
     reports = []
     for i, task in enumerate(tasks):
-        command = task.get("command")
-        if command not in _HANDLERS:
-            print(f"config error: unknown command {command!r}", file=sys.stderr)
-            return None, None
-        task_args = argparse.Namespace(**_defaults_for(command))
-        for key, val in task.get("args", {}).items():
-            setattr(task_args, key, val)
-        if getattr(task_args, "seed", None) is None:
-            task_args.seed = seed
         try:
-            ok, report = _HANDLERS[command](task_args)
-        except YbopsError as exc:
-            print(f"config error in task {i}: {exc}", file=sys.stderr)
-            return None, None
+            task_args = _parse_task(parser, task, seed)
+            ok, report = _HANDLERS[task_args.command](task_args)
+        except _USAGE_ERRORS as exc:
+            raise ValueError(f"config error in task {i}: {exc}") from None
         expect = task.get("expect", "pass")
         matched = ok if expect == "pass" else not ok
         if not matched:
@@ -237,31 +248,25 @@ def cmd_campaign(args):
         report["expect"] = expect
         report["passed"] = matched
         reports.append(report)
-        (outdir / f"task-{i:03d}-{command}.json").write_text(
+        (outdir / f"task-{i:03d}-{task_args.command}.json").write_text(
             json.dumps(report, indent=2, ensure_ascii=False), encoding="utf-8")
     (outdir / "campaign-meta.json").write_text(json.dumps(
         {"timestamp": time.time(), "tasks": len(tasks)}), encoding="utf-8")
     return overall_ok, {"command": "campaign", "tasks": reports}
 
 
-def _defaults_for(command):
-    defaults = {"seed": None, "sigma": None, "eps": None, "rho": None,
-                "p": None, "q": None, "s": None}
-    if command == "verify":
-        defaults.update(family="thm1", samples=10)
-    elif command == "matrix":
-        defaults.update(family="thm1", u="3", v="1", x="3", format="json",
-                        out=None)
-    elif command == "search":
-        defaults.update(shape="linear", system="colored", phi="xz",
-                        restarts=10, out=None)
-    elif command == "frt":
-        defaults.update(p="1", q="3", u="2", v="1", sigma="0", report=None)
-    elif command == "ybsystem":
-        defaults.update(lam="3", mu="5", emit="json")
-    elif command == "compare":
-        defaults.update(q="2", x="3", y="5")
-    return defaults
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _family_args(p):
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    for name, default in (("p", "1"), ("q", "2"), ("s", "3"), ("sigma", "1"),
+                          ("eps", None), ("rho", None)):
+        p.add_argument(f"--{name}", default=default)
 
 
 def build_parser():
@@ -269,23 +274,14 @@ def build_parser():
         prog="ybops",
         description="Construct and verify Yang-Baxter operators from algebras")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--field", choices=("rational", "float64"),
-                        default="rational")
-    parser.add_argument("--tol", type=float, default=1e-9)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check QYBE residuals at random colours")
-    p.add_argument("--family", required=True,
-                   choices=COLORED_KINDS + ONEPAR_KINDS)
-    for name in ("p", "q", "s", "sigma", "eps", "rho"):
-        p.add_argument(f"--{name}")
-    p.add_argument("--samples", type=int, default=10)
+    _family_args(p)
+    p.add_argument("--samples", type=_positive_int, default=10)
 
     p = sub.add_parser("matrix", help="emit an operator matrix")
-    p.add_argument("--family", required=True,
-                   choices=COLORED_KINDS + ONEPAR_KINDS)
-    for name in ("p", "q", "s", "sigma", "eps", "rho"):
-        p.add_argument(f"--{name}")
+    _family_args(p)
     p.add_argument("--u", default="3")
     p.add_argument("--v", default="1")
     p.add_argument("--x", default="3")
@@ -299,7 +295,7 @@ def build_parser():
     p.add_argument("--system", choices=("colored", "onepar"),
                    default="colored")
     p.add_argument("--phi", choices=("xz", "z", "x"), default="xz")
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=_positive_int, default=50)
     p.add_argument("--out")
 
     p = sub.add_parser("frt", help="RTT residual span-membership report")
@@ -335,16 +331,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # subparser seed falls back to the global default
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
-    handler = cmd_campaign if args.command == "campaign" else _HANDLERS[args.command]
     try:
-        ok, _report = handler(args)
-    except YbopsError as exc:
+        if args.command == "campaign":
+            ok, _report = cmd_campaign(args, parser)
+        else:
+            ok, _report = _HANDLERS[args.command](args)
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if ok is None:
         return 2
     return 0 if ok else 1
 

@@ -4,10 +4,14 @@ Every operator here has the ansatz shape
 
     R(u,v)(a (x) b) = alpha * 1 (x) ab + beta * ab (x) 1 - gamma * b (x) a
 
-for an associative algebra A, or the transferred coalgebra version
+for an associative algebra A, with the coefficients of each family taken
+from :data:`ybops.funceq.FAMILIES`.  On a coalgebra C the transferred
+operator is the transpose of the ansatz on the algebra dual to C,
 
     R_C(u,v)(c (x) d) = alpha * eps(c) Delta(d) + beta * eps(d) Delta(c)
-                        - gamma * d (x) c.
+                        - gamma * d (x) c,
+
+and every inverse is the ansatz on the opposite algebra.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Algebra, Coalgebra
-from .errors import (NonIntegerExponentError, SingularParameterError,
-                     UnknownFamilyError)
-from .scalars import is_exact
+from .algebra import Algebra, Coalgebra, dual_algebra, opposite_algebra
+from .errors import UnknownFamilyError
+from .funceq import family
+from .scalars import scalar_pow  # noqa: F401  (re-exported)
 from .tensorop import Op2, freeze, tensor_basis_labels
 
 
@@ -39,106 +43,58 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
     return Op2(n=n, mat=freeze(mat))
 
 
-def inverse_ansatz_op(A: Algebra, c_ba1, c_1ba, c_flip) -> Op2:
-    """Operator a(x)b -> c_ba1 ba(x)1 + c_1ba 1(x)ba - c_flip b(x)a.
-
-    This is the shape of all the inverse formulas (note the reversed
-    product ba).
-    """
-    n = A.dim
-    unit = A.unit
-    mat = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            rev = A.structconst[j][i]
-            for a in range(n):
-                for b in range(n):
-                    mat[a * n + b][col] += (c_ba1 * rev[a] * unit[b]
-                                            + c_1ba * unit[a] * rev[b])
-            mat[j * n + i][col] -= c_flip
-    return Op2(n=n, mat=freeze(mat))
+def _build(F, carrier, coeffs, opposite: bool = False) -> Op2:
+    A = dual_algebra(carrier) if F.coalgebra else carrier
+    R = ansatz_op(opposite_algebra(A) if opposite else A, *coeffs)
+    return Op2(n=R.n, mat=tuple(zip(*R.mat))) if F.coalgebra else R
 
 
-def coalgebra_ansatz_op(C: Coalgebra, alpha, beta, gamma) -> Op2:
-    """Coalgebra version of the ansatz, using counit and comultiplication."""
-    n = C.dim
-    eps = C.counit
-    d = C.comult
-    mat = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for a in range(n):
-                for b in range(n):
-                    mat[a * n + b][col] += (alpha * eps[i] * d[j][a][b]
-                                            + beta * eps[j] * d[i][a][b])
-            mat[j * n + i][col] -= gamma
-    return Op2(n=n, mat=freeze(mat))
+def family_op(kind: str, carrier, params: dict, *colours) -> Op2:
+    """Operator of table family ``kind`` at the given colours."""
+    F = family(kind)
+    return _build(F, carrier, F.coeffs(*F.args(params), *colours))
 
 
-def scalar_pow(base, expo):
-    """base**expo; exact mode requires an integer exponent."""
-    if is_exact(base) and is_exact(expo):
-        e = Fraction(expo)
-        if e.denominator != 1:
-            raise NonIntegerExponentError(
-                f"exact mode needs integer colours, got exponent {expo}")
-        e = int(e)
-        if base == 0 and e < 0:
-            raise SingularParameterError("0 cannot be raised to a negative power")
-        return Fraction(base) ** e
-    return float(base) ** float(expo)
+def family_inv(kind: str, carrier, params: dict, *colours) -> Op2:
+    """Inverse of :func:`family_op`; SingularParameterError off its domain."""
+    F = family(kind)
+    if F.inverse is None:
+        raise UnknownFamilyError(f"no inverse formula for {kind!r}")
+    args = F.args(params) + colours
+    F.check_regular(*args)
+    return _build(F, carrier, F.inverse(*args), opposite=True)
 
 
 # --- the catalogue families -----------------------------------------------------
 
 def thm1_op(A: Algebra, p, q, u, v) -> Op2:
-    """Coloured operator with alpha=p(u-v), beta=q(u-v), gamma=pu-qv."""
-    return ansatz_op(A, p * (u - v), q * (u - v), p * u - q * v)
+    """The linear coloured family (Theorem 1)."""
+    return family_op("thm1", A, {"p": p, "q": q}, u, v)
 
 
 def thm1_inv(A: Algebra, p, q, u, v) -> Op2:
     """Inverse of thm1_op; needs pu != qv and qu != pv."""
-    w = q * u - p * v
-    wp = p * u - q * v
-    if wp == 0 or w == 0:
-        raise SingularParameterError(
-            f"thm1 operator is singular at p={p}, q={q}, u={u}, v={v}")
-    det = w * wp
-    return inverse_ansatz_op(A, p * (u - v) / det, q * (u - v) / det,
-                             Fraction(1) / wp if is_exact(wp) else 1.0 / wp)
+    return family_inv("thm1", A, {"p": p, "q": q}, u, v)
 
 
 def thm2_op(A: Algebra, p, q, s, u, v) -> Op2:
-    """Exponential family: p^u (q^v 1(x)ab + s^v ab(x)1 - s^v b(x)a)."""
-    pu = scalar_pow(p, u)
-    return ansatz_op(A, pu * scalar_pow(q, v), pu * scalar_pow(s, v),
-                     pu * scalar_pow(s, v))
+    """The exponential coloured family (Theorem 2)."""
+    return family_op("thm2", A, {"p": p, "q": q, "s": s}, u, v)
 
 
 def thm2_inv(A: Algebra, p, q, s, u, v) -> Op2:
     """Inverse of thm2_op; needs p, q, s all nonzero."""
-    if p == 0 or q == 0 or s == 0:
-        raise SingularParameterError("thm2 inverse needs p, q, s nonzero")
-    pu = scalar_pow(p, -u)
-    return inverse_ansatz_op(A, pu * scalar_pow(s, -v), pu * scalar_pow(q, -v),
-                             pu * scalar_pow(s, -v))
+    return family_inv("thm2", A, {"p": p, "q": q, "s": s}, u, v)
 
 
 def remark2_op(A: Algebra, p, q, s, u, v) -> Op2:
-    """Second exponential family: alpha=p^u q^v, beta=s^u q^v, gamma=p^u q^v."""
-    qv = scalar_pow(q, v)
-    return ansatz_op(A, scalar_pow(p, u) * qv, scalar_pow(s, u) * qv,
-                     scalar_pow(p, u) * qv)
+    """The second exponential coloured family (Remark 2)."""
+    return family_op("remark2", A, {"p": p, "q": q, "s": s}, u, v)
 
 
 def coalgebra_colored_op(C: Coalgebra, p, q, u, v) -> Op2:
     """Coalgebra transfer of thm1_op."""
-    return coalgebra_ansatz_op(C, p * (u - v), q * (u - v), p * u - q * v)
-
-
-_KINDS = ("thm1", "thm2", "remark2", "coalgebra_thm1")
+    return family_op("coalgebra_thm1", C, {"p": p, "q": q}, u, v)
 
 
 @dataclass(frozen=True)
@@ -150,26 +106,14 @@ class ColoredFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise UnknownFamilyError(f"unknown coloured family {self.kind!r}")
+        if family(self.kind).phi is not None:
+            raise UnknownFamilyError(f"{self.kind!r} is not a coloured family")
 
     def op(self, u, v) -> Op2:
-        p = self.params
-        if self.kind == "thm1":
-            return thm1_op(self.carrier, p["p"], p["q"], u, v)
-        if self.kind == "thm2":
-            return thm2_op(self.carrier, p["p"], p["q"], p["s"], u, v)
-        if self.kind == "remark2":
-            return remark2_op(self.carrier, p["p"], p["q"], p["s"], u, v)
-        return coalgebra_colored_op(self.carrier, p["p"], p["q"], u, v)
+        return family_op(self.kind, self.carrier, self.params, u, v)
 
     def inv(self, u, v) -> Op2:
-        p = self.params
-        if self.kind == "thm1":
-            return thm1_inv(self.carrier, p["p"], p["q"], u, v)
-        if self.kind == "thm2":
-            return thm2_inv(self.carrier, p["p"], p["q"], p["s"], u, v)
-        raise UnknownFamilyError(f"no inverse formula for {self.kind!r}")
+        return family_inv(self.kind, self.carrier, self.params, u, v)
 
 
 @dataclass(frozen=True)
@@ -182,14 +126,12 @@ class MatrixForm:
 def matrix_form(F: ColoredFamily, u, v) -> MatrixForm:
     """Evaluate a family and attach the tensor basis labels.
 
-    For the linear family the dimension-3 shorthand (lambda = u-v, t = q-p,
-    t' = q+p, w = qu-pv, w' = qv-pu) is reported alongside.
+    Families with a shorthand in the table report it alongside (for the
+    linear family the dimension-3 names lambda, t, t', w, w').
     """
     op = F.op(u, v)
     basis = tuple(tensor_basis_labels(op.n, 2))
-    shorthand = {}
-    if F.kind in ("thm1", "coalgebra_thm1"):
-        p, q = F.params["p"], F.params["q"]
-        shorthand = {"lambda": u - v, "t": q - p, "t'": q + p,
-                     "w": q * u - p * v, "w'": q * v - p * u}
+    spec = family(F.kind)
+    shorthand = ({} if spec.shorthand is None
+                 else spec.shorthand(*spec.args(F.params), u, v))
     return MatrixForm(op=op, basis=basis, shorthand=shorthand)

@@ -456,8 +456,10 @@ def uv_symmetry_check(rels: RelationSet) -> bool:
     """
     from .algebra import quadratic_algebra
     from .colored import thm1_op
+    from .funceq import FAMILIES
 
     p = rels.params
+    FAMILIES["thm1"].check_regular(p["p"], p["q"], p["u"], p["v"])
     R = thm1_op(quadratic_algebra(p["sigma"]), p["p"], p["q"], p["u"], p["v"])
     entries = rtt_residual(R.mat)
     closed = exchange_closure(rels).relations

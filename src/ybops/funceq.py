@@ -4,16 +4,17 @@ The coloured system (five equations in alpha, beta, gamma as functions of two
 colours) and its one-parameter counterpart (arguments x, z and phi(x,z)).
 Every catalogue family's coefficient triple solves the matching system
 identically; each equation is homogeneous of degree three in the triple.
+The family table :data:`FAMILIES` is the one place that lists the families
+and their coefficients; operators, inverses and the CLI read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .colored import scalar_pow
-from .errors import UnknownFamilyError
+from .errors import SingularParameterError, UnknownFamilyError
+from .scalars import reciprocal, scalar_pow
 
 
 @dataclass(frozen=True)
@@ -81,49 +82,132 @@ def eval_onepar_system(T: CoeffTriple, x, z, phi: Optional[Callable] = None) -> 
                    T.alpha(z), T.beta(z), T.gamma(z))
 
 
-# --- catalogue of known solutions ----------------------------------------------
+# --- the family table ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one catalogue family.
+
+    ``coeffs(*params, *colours)`` gives the ansatz coefficients
+    (alpha, beta, gamma); colours are (u, v) for coloured families and (x,)
+    for one-parameter families, which also fix their composition map
+    ``phi``.  ``inverse`` gives, in the same argument order, the ansatz
+    coefficients of the inverse operator built on the opposite algebra; it
+    is valid wherever ``singular`` is false.  ``coalgebra`` families act on
+    a coalgebra carrier by the transposed operator.  ``integer_colours``
+    marks families whose colours are exponents, so exact checks sample
+    integers.  ``shorthand`` names parameter combinations reported beside
+    the matrix form.
+    """
+
+    name: str
+    params: tuple
+    coeffs: Callable
+    phi: Optional[Callable] = None
+    inverse: Optional[Callable] = None
+    singular: Optional[Callable] = None
+    coalgebra: bool = False
+    integer_colours: bool = False
+    shorthand: Optional[Callable] = None
+
+    @property
+    def colours(self) -> tuple:
+        return ("u", "v") if self.phi is None else ("x",)
+
+    def args(self, params: dict) -> tuple:
+        """The parameter values in table order, from a name -> value dict."""
+        return tuple(params[n] for n in self.params)
+
+    def triple(self, *args) -> CoeffTriple:
+        """The coefficients at fixed parameters, as functions of the colours."""
+        c = self.coeffs
+        label = ",".join(f"{n}={a}" for n, a in zip(self.params, args))
+        return CoeffTriple(lambda *x: c(*args, *x)[0],
+                           lambda *x: c(*args, *x)[1],
+                           lambda *x: c(*args, *x)[2],
+                           arity=len(self.colours), phi=self.phi,
+                           label=f"{self.name}({label})")
+
+    def check_regular(self, *args) -> None:
+        """Raise SingularParameterError where the operator is not invertible."""
+        if self.singular is not None and self.singular(*args):
+            values = ", ".join(f"{n}={a}" for n, a in
+                               zip(self.params + self.colours, args))
+            raise SingularParameterError(
+                f"{self.name} operator is singular at {values}")
+
+
+def _thm2(p, q, s, u, v):
+    pu, sv = scalar_pow(p, u), scalar_pow(s, v)
+    return pu * scalar_pow(q, v), pu * sv, pu * sv
+
+
+def _remark2(p, q, s, u, v):
+    pu, qv = scalar_pow(p, u), scalar_pow(q, v)
+    return pu * qv, scalar_pow(s, u) * qv, pu * qv
+
+
+def _thm1_inverse(p, q, u, v):
+    r = reciprocal((q * u - p * v) * (p * u - q * v))
+    return q * (u - v) * r, p * (u - v) * r, reciprocal(p * u - q * v)
+
+
+def _prop1_inverse(q, x):
+    r = reciprocal((q * x - 1) * (x - q))
+    return q * (x - 1) * r, (x - 1) * r, reciprocal(x - q)
+
+
+_THM1 = Family(
+    "thm1", ("p", "q"),
+    coeffs=lambda p, q, u, v: (p * (u - v), q * (u - v), p * u - q * v),
+    inverse=_thm1_inverse,
+    singular=lambda p, q, u, v: p * u == q * v or q * u == p * v,
+    shorthand=lambda p, q, u, v: {"lambda": u - v, "t": q - p, "t'": q + p,
+                                  "w": q * u - p * v, "w'": q * v - p * u})
+_PROP1 = Family(
+    "prop1", ("q",),
+    coeffs=lambda q, x: (x - 1, q * (x - 1), x - q),
+    phi=lambda x, z: x * z,
+    inverse=_prop1_inverse,
+    singular=lambda q, x: x == q or q * x == 1)
+
+FAMILIES = {f.name: f for f in (
+    _THM1,
+    # exponential families: colours are exponents; thm2's inverse
+    # coefficients are its own at the negated colours
+    Family("thm2", ("p", "q", "s"), coeffs=_thm2,
+           inverse=lambda p, q, s, u, v: _thm2(p, q, s, -u, -v),
+           singular=lambda p, q, s, u, v: p == 0 or q == 0 or s == 0,
+           integer_colours=True),
+    Family("remark2", ("p", "q", "s"), coeffs=_remark2,
+           integer_colours=True),
+    replace(_THM1, name="coalgebra_thm1", coalgebra=True),
+    _PROP1,
+    replace(_PROP1, name="prop1_coalgebra", coalgebra=True),
+    Family("prop2", (), coeffs=lambda x: (x, 1, 1), phi=lambda x, z: z,
+           inverse=lambda x: (reciprocal(x), 1, 1),
+           singular=lambda x: x == 0),
+    Family("remark_x", (), coeffs=lambda x: (1, x, 1), phi=lambda x, z: x),
+)}
+
+
+def family(kind: str) -> Family:
+    """The table entry of ``kind``; UnknownFamilyError if there is none."""
+    if kind not in FAMILIES:
+        raise UnknownFamilyError(f"unknown family {kind!r}")
+    return FAMILIES[kind]
+
 
 def catalogue(kind: str, **params) -> CoeffTriple:
-    """Coefficient triples of the known solution families.
+    """Coefficient triple of a known solution family, from :data:`FAMILIES`.
 
-    Coloured kinds: thm1(p,q), thm2(p,q,s), remark2(p,q,s).
-    One-parameter kinds: prop1(q) with phi=x*z, prop2 with phi=z,
-    remark_x with phi=x.
+    Coloured kinds: thm1(p,q), thm2(p,q,s), remark2(p,q,s) and the
+    coalgebra transfer coalgebra_thm1(p,q).  One-parameter kinds: prop1(q)
+    and prop1_coalgebra(q) with phi=x*z, prop2 with phi=z, remark_x with
+    phi=x.
     """
-    if kind == "thm1":
-        p, q = params["p"], params["q"]
-        return CoeffTriple(lambda u, v: p * (u - v),
-                           lambda u, v: q * (u - v),
-                           lambda u, v: p * u - q * v,
-                           arity=2, label=f"thm1(p={p},q={q})")
-    if kind == "thm2":
-        p, q, s = params["p"], params["q"], params["s"]
-        return CoeffTriple(lambda u, v: scalar_pow(p, u) * scalar_pow(q, v),
-                           lambda u, v: scalar_pow(p, u) * scalar_pow(s, v),
-                           lambda u, v: scalar_pow(p, u) * scalar_pow(s, v),
-                           arity=2, label=f"thm2(p={p},q={q},s={s})")
-    if kind == "remark2":
-        p, q, s = params["p"], params["q"], params["s"]
-        return CoeffTriple(lambda u, v: scalar_pow(p, u) * scalar_pow(q, v),
-                           lambda u, v: scalar_pow(s, u) * scalar_pow(q, v),
-                           lambda u, v: scalar_pow(p, u) * scalar_pow(q, v),
-                           arity=2, label=f"remark2(p={p},q={q},s={s})")
-    if kind == "prop1":
-        q = params["q"]
-        return CoeffTriple(lambda x: x - 1,
-                           lambda x: q * (x - 1),
-                           lambda x: x - q,
-                           arity=1, phi=lambda x, z: x * z,
-                           label=f"prop1(q={q})")
-    if kind == "prop2":
-        one = Fraction(1)
-        return CoeffTriple(lambda x: x, lambda x: one, lambda x: one,
-                           arity=1, phi=lambda x, z: z, label="prop2")
-    if kind == "remark_x":
-        one = Fraction(1)
-        return CoeffTriple(lambda x: one, lambda x: x, lambda x: one,
-                           arity=1, phi=lambda x, z: x, label="remark_x")
-    raise UnknownFamilyError(f"unknown catalogue kind {kind!r}")
+    F = family(kind)
+    return F.triple(*F.args(params))
 
 
 # --- parametric ansatz triples for the search -----------------------------------

@@ -1,61 +1,49 @@
 """One-parameter Yang-Baxter operator families with composition map phi.
 
-Each family fixes its own phi (prop1: x*z, prop2: z, remark_x: x) so residual
-checks cannot pair an operator with the wrong composition map.
+Each family fixes its own phi (prop1: x*z, prop2: z, remark_x: x) in
+:data:`ybops.funceq.FAMILIES`, so residual checks cannot pair an operator
+with the wrong composition map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import Algebra, Coalgebra
-from .colored import ansatz_op, coalgebra_ansatz_op, inverse_ansatz_op
-from .errors import SingularParameterError, UnknownFamilyError
-from .scalars import is_exact
+from .colored import family_inv, family_op
+from .errors import UnknownFamilyError
+from .funceq import family
 from .tensorop import Op2
 
 
 def prop1_op(A: Algebra, q, x) -> Op2:
-    """R(x)(a(x)b) = (x-1) 1(x)ab + q(x-1) ab(x)1 - (x-q) b(x)a; phi = x*z."""
-    return ansatz_op(A, x - 1, q * (x - 1), x - q)
+    """The one-parameter family of Proposition 1; phi = x*z."""
+    return family_op("prop1", A, {"q": q}, x)
 
 
 def prop1_inv(A: Algebra, q, x) -> Op2:
     """Inverse of prop1_op; needs x != q and qx != 1."""
-    if x == q or q * x == 1:
-        raise SingularParameterError(
-            f"prop1 operator is singular at q={q}, x={x}")
-    det = (q * x - 1) * (x - q)
-    one = Fraction(1) if is_exact(det) else 1.0
-    return inverse_ansatz_op(A, (x - 1) / det, q * (x - 1) / det,
-                             one / (x - q))
+    return family_inv("prop1", A, {"q": q}, x)
 
 
 def prop1_coalgebra_op(C: Coalgebra, q, x) -> Op2:
-    """Coalgebra transfer of prop1_op; same coefficients, phi = x*z."""
-    return coalgebra_ansatz_op(C, x - 1, q * (x - 1), x - q)
+    """Coalgebra transfer of prop1_op; phi = x*z."""
+    return family_op("prop1_coalgebra", C, {"q": q}, x)
 
 
 def prop2_op(A: Algebra, x) -> Op2:
-    """R'(x)(a(x)b) = x 1(x)ab + ab(x)1 - b(x)a; phi = z."""
-    return ansatz_op(A, x, 1, 1)
+    """The one-parameter family of Proposition 2; phi = z."""
+    return family_op("prop2", A, {}, x)
 
 
 def prop2_inv(A: Algebra, x) -> Op2:
-    """Inverse of prop2_op: ba(x)1 + (1/x) 1(x)ba - b(x)a; needs x != 0."""
-    if x == 0:
-        raise SingularParameterError("prop2 operator is singular at x=0")
-    one = Fraction(1) if is_exact(x) else 1.0
-    return inverse_ansatz_op(A, one, one / x, one)
+    """Inverse of prop2_op; needs x != 0."""
+    return family_inv("prop2", A, {}, x)
 
 
 def remark_x_op(A: Algebra, x) -> Op2:
-    """Coefficients alpha=1, beta=x, gamma=1; phi = x."""
-    return ansatz_op(A, 1, x, 1)
-
-
-_KINDS = ("prop1", "prop1_coalgebra", "prop2", "remark_x")
+    """The one-parameter family with phi = x."""
+    return family_op("remark_x", A, {}, x)
 
 
 @dataclass(frozen=True)
@@ -72,28 +60,15 @@ class OneParFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise UnknownFamilyError(f"unknown one-parameter family {self.kind!r}")
+        if family(self.kind).phi is None:
+            raise UnknownFamilyError(
+                f"{self.kind!r} is not a one-parameter family")
 
     def op(self, x) -> Op2:
-        if self.kind == "prop1":
-            return prop1_op(self.carrier, self.params["q"], x)
-        if self.kind == "prop1_coalgebra":
-            return prop1_coalgebra_op(self.carrier, self.params["q"], x)
-        if self.kind == "prop2":
-            return prop2_op(self.carrier, x)
-        return remark_x_op(self.carrier, x)
+        return family_op(self.kind, self.carrier, self.params, x)
 
     def inv(self, x) -> Op2:
-        if self.kind == "prop1":
-            return prop1_inv(self.carrier, self.params["q"], x)
-        if self.kind == "prop2":
-            return prop2_inv(self.carrier, x)
-        raise UnknownFamilyError(f"no inverse formula for {self.kind!r}")
+        return family_inv(self.kind, self.carrier, self.params, x)
 
     def phi(self, x, z):
-        if self.kind in ("prop1", "prop1_coalgebra"):
-            return x * z
-        if self.kind == "prop2":
-            return z
-        return x
+        return family(self.kind).phi(x, z)

@@ -1,8 +1,8 @@
 """Scalar field helpers.
 
 Exact mode works over the rationals (``fractions.Fraction``); float mode uses
-Python floats with a configurable absolute tolerance.  All identity checks in
-the library default to exact mode, floats only appear in the numerical search.
+Python floats.  All identity checks in the library default to exact mode,
+floats only appear in the numerical search.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Scalar = Union[Fraction, int, float]
+from .errors import NonIntegerExponentError, SingularParameterError
 
-DEFAULT_TOL = 1e-9
+Scalar = Union[Fraction, int, float]
 
 
 def rational(x) -> Fraction:
@@ -32,11 +32,23 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def is_zero(x: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    """Exact zero test for rationals, tolerance test for floats."""
-    if is_exact(x):
-        return x == 0
-    return abs(x) < tol
+def scalar_pow(base, expo):
+    """base**expo; exact mode requires an integer exponent."""
+    if is_exact(base) and is_exact(expo):
+        e = Fraction(expo)
+        if e.denominator != 1:
+            raise NonIntegerExponentError(
+                f"exact mode needs integer colours, got exponent {expo}")
+        e = int(e)
+        if base == 0 and e < 0:
+            raise SingularParameterError("0 cannot be raised to a negative power")
+        return Fraction(base) ** e
+    return float(base) ** float(expo)
+
+
+def reciprocal(x):
+    """1/x, exact for ints and Fractions."""
+    return Fraction(1) / x if is_exact(x) else 1.0 / x
 
 
 def format_scalar(x: Scalar) -> str:

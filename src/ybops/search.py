@@ -74,8 +74,10 @@ def _make_objective(shape: str, system: str, phi_shape: str, grid):
                 for (u, v, w) in fgrid:
                     for r in eval_colored_system(T, u, v, w):
                         total += r * r
-            except OverflowError:
-                return math.inf  # exponential ansatz blew up; reject the point
+            except ArithmeticError:
+                # exponential ansatz overflowed, or underflowed to 0.0 and
+                # was raised to a negative power; reject the point
+                return math.inf
             return total
         return objective
     if system == "onepar":

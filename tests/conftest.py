@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ybops.algebra import cubic_algebra, quadratic_algebra
+from ybops.algebra import Algebra, cubic_algebra, quadratic_algebra, validate
 
 
 @pytest.fixture
@@ -26,6 +26,22 @@ def Aq(request):
 def Bc(request):
     eps, rho = request.param
     return cubic_algebra(eps, rho)
+
+
+@pytest.fixture
+def M2():
+    """The 2x2 matrices, basis E11, E12, E21, E22: a non-commutative carrier,
+    so an inverse built on A instead of its opposite algebra shows."""
+    def prod(i, j):  # E_ab E_cd = [b == c] E_ad, with E_ab at index 2a + b
+        (a, b), (c, d) = divmod(i, 2), divmod(j, 2)
+        return tuple(Fraction(int(b == c and k == 2 * a + d))
+                     for k in range(4))
+    A = Algebra(dim=4, unit=(Fraction(1), Fraction(0), Fraction(0),
+                             Fraction(1)),
+                structconst=tuple(tuple(prod(i, j) for j in range(4))
+                                  for i in range(4)))
+    assert validate(A).ok
+    return A
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=5, nonzero=False):

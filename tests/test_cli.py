@@ -134,6 +134,45 @@ class TestCampaign:
                 == (d2 / "task-000-search.json").read_bytes())
 
 
+# Bad input exits 2 with a one-line message, never a traceback or a vacuous
+# pass.  Rows: argv, campaign config (appended as a file) or None, exit code.
+EXIT_CODES = [
+    pytest.param(["--field", "float64", "verify", "--family", "thm1"], None,
+                 2, id="unknown-field-flag"),
+    pytest.param(["verify", "--family", "thm1", "--samples", "0"], None, 2,
+                 id="samples-zero"),
+    pytest.param(["verify", "--family", "thm1", "--samples", "-3"], None, 2,
+                 id="samples-negative"),
+    pytest.param(["search", "--restarts", "0"], None, 2, id="restarts-zero"),
+    pytest.param(["verify", "--family", "thm1", "--p", "1/0"], None, 2,
+                 id="zero-denominator"),
+    pytest.param(["verify", "--family", "thm1", "--sigma", "abc"], None, 2,
+                 id="bad-rational"),
+    pytest.param(["campaign"], [1, 2], 2, id="campaign-list"),
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
+        "family": "thm1", "samples": "3"}}]}, 2, id="campaign-samples-str"),
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
+        "family": "thm1", "sampels": 3}}]}, 2, id="campaign-misspelt-key"),
+    pytest.param(["frt", "--u", "1", "--v", "3", "--p", "1", "--q", "3"],
+                 None, 2, id="frt-singular"),
+    pytest.param(["--seed", "3", "search", "--shape", "exponential",
+                  "--restarts", "1"], None, 0, id="search-exp-underflow"),
+]
+
+
+@pytest.mark.parametrize("argv,config,code", EXIT_CODES)
+def test_exit_codes(argv, config, code, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + [str(cfg), "--outdir", str(tmp_path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error:" in err.strip().splitlines()[-1]
+
+
 class TestUsage:
     def test_missing_subcommand(self):
         assert main([]) == 2

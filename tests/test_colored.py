@@ -38,6 +38,13 @@ class TestThm1:
             u, v, w = (rand_fraction(rng) for _ in range(3))
             assert colored_qybe_residual(fam, u, v, w) == 0
 
+    def test_residual_zero_on_matrix_algebra(self, M2, rng):
+        fam = ColoredFamily(kind="thm1", carrier=M2,
+                            params={"p": Fraction(2), "q": Fraction(-1, 3)})
+        for _ in range(2):
+            u, v, w = (rand_fraction(rng) for _ in range(3))
+            assert colored_qybe_residual(fam, u, v, w) == 0
+
     def test_wrong_beta_breaks_qybe(self, A1):
         # oracle guard: perturbing beta must produce a nonzero residual
         class Fake:
@@ -46,8 +53,8 @@ class TestThm1:
                 return ansatz_op(A1, u - v, 3 * (u - v) + 1, u - 3 * v)
         assert colored_qybe_residual(Fake(), 2, 1, 4) != 0
 
-    def test_inverse_two_sided(self, Aq, Bc, rng):
-        for A in (Aq, Bc):
+    def test_inverse_two_sided(self, Aq, Bc, M2, rng):
+        for A in (Aq, Bc, M2):
             for _ in range(5):
                 p, q, u, v = _admissible(rng)
                 R = thm1_op(A, p, q, u, v)
@@ -72,12 +79,13 @@ class TestThm2:
             u, v, w = (rng.randint(-3, 3) for _ in range(3))
             assert colored_qybe_residual(fam, u, v, w) == 0
 
-    def test_inverse_two_sided(self, A1):
-        R = thm2_op(A1, 2, 3, 5, 2, -1)
-        S = thm2_inv(A1, 2, 3, 5, 2, -1)
-        I = identity_mat(4)
-        assert mat_mul(R.mat, S.mat) == I
-        assert mat_mul(S.mat, R.mat) == I
+    def test_inverse_two_sided(self, A1, M2):
+        for A in (A1, M2):
+            R = thm2_op(A, 2, 3, 5, 2, -1)
+            S = thm2_inv(A, 2, 3, 5, 2, -1)
+            I = identity_mat(A.dim ** 2)
+            assert mat_mul(R.mat, S.mat) == I
+            assert mat_mul(S.mat, R.mat) == I
 
     def test_zero_base_raises(self, A1):
         with pytest.raises(SingularParameterError):
@@ -118,16 +126,25 @@ class TestRemark2:
 
 
 class TestCoalgebraTransfer:
-    def test_duality_transpose(self, Aq, Bc, rng):
+    def test_duality_transpose(self, Aq, Bc, M2, rng):
         # coalgebra operator on the dual equals the transpose of the algebra
         # operator, in the same flattening
-        for A in (Aq, Bc):
+        for A in (Aq, Bc, M2):
             C = dual_coalgebra(A)
             for _ in range(3):
                 p, q, u, v = (rand_fraction(rng) for _ in range(4))
                 R = thm1_op(A, p, q, u, v)
                 Rc = coalgebra_colored_op(C, p, q, u, v)
                 assert Rc.mat == tuple(map(tuple, mat_transpose(R.mat)))
+
+    def test_coalgebra_inverse_two_sided(self, M2):
+        fam = ColoredFamily(kind="coalgebra_thm1", carrier=dual_coalgebra(M2),
+                            params={"p": Fraction(1), "q": Fraction(2)})
+        u, v = Fraction(3), Fraction(5, 2)
+        R, S = fam.op(u, v), fam.inv(u, v)
+        I = identity_mat(16)
+        assert mat_mul(R.mat, S.mat) == I
+        assert mat_mul(S.mat, R.mat) == I
 
     def test_coalgebra_family_solves_qybe(self, A1, rng):
         fam = ColoredFamily(kind="coalgebra_thm1", carrier=dual_coalgebra(A1),

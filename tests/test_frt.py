@@ -7,7 +7,7 @@ import pytest
 from ybops import frt
 from ybops.algebra import quadratic_algebra
 from ybops.colored import thm1_op
-from ybops.errors import DimensionMismatchError
+from ybops.errors import DimensionMismatchError, SingularParameterError
 from ybops.frt import (NCPoly, claimed_relations, exchange_closure, in_span,
                        pq_limit_relations, rtt_residual, span_dimension,
                        span_membership, subset, swap_colours,
@@ -176,6 +176,11 @@ class TestUvSymmetry:
         for sigma in (0, 1):
             u, v, p, q = sample_params(rng)
             assert uv_symmetry_check(claimed_relations(u, v, p, q, sigma))
+
+    def test_singular_locus_raises(self):
+        # qu = pv: the R-matrix degenerates, which is no mathematical failure
+        with pytest.raises(SingularParameterError):
+            uv_symmetry_check(claimed_relations(1, 3, 1, 3, 0))
 
 
 class TestExchangeClosure:

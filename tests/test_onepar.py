@@ -22,6 +22,13 @@ class TestProp1:
                 x, z = (rand_fraction(rng) for _ in range(2))
                 assert onepar_qybe_residual(fam, x, z) == 0
 
+    def test_residual_zero_on_matrix_algebra(self, M2, rng):
+        fam = OneParFamily(kind="prop1", carrier=M2,
+                           params={"q": Fraction(-2, 3)})
+        for _ in range(2):
+            x, z = (rand_fraction(rng) for _ in range(2))
+            assert onepar_qybe_residual(fam, x, z) == 0
+
     def test_wrong_phi_breaks_residual(self, A1):
         fam = OneParFamily(kind="prop1", carrier=A1, params={"q": Fraction(3)})
         # prop1 requires phi = x*z; using z instead must fail somewhere
@@ -36,17 +43,18 @@ class TestProp1:
                     embed_leg(fam.op(x), 12).mat)
         assert max_abs_entry(mat_sub(l, r)) != 0
 
-    def test_inverse_two_sided(self, Aq, rng):
+    def test_inverse_two_sided(self, Aq, M2, rng):
         q = Fraction(3)
-        for _ in range(5):
-            x = rand_fraction(rng)
-            if x == q or q * x == 1:
-                continue
-            R = prop1_op(Aq, q, x)
-            S = prop1_inv(Aq, q, x)
-            I = identity_mat(Aq.dim ** 2)
-            assert mat_mul(R.mat, S.mat) == I
-            assert mat_mul(S.mat, R.mat) == I
+        for A in (Aq, M2):
+            for _ in range(5):
+                x = rand_fraction(rng)
+                if x == q or q * x == 1:
+                    continue
+                R = prop1_op(A, q, x)
+                S = prop1_inv(A, q, x)
+                I = identity_mat(A.dim ** 2)
+                assert mat_mul(R.mat, S.mat) == I
+                assert mat_mul(S.mat, R.mat) == I
 
     def test_singularities(self, A1):
         with pytest.raises(SingularParameterError):
@@ -62,13 +70,14 @@ class TestProp2:
             x, z = (rand_fraction(rng) for _ in range(2))
             assert onepar_qybe_residual(fam, x, z) == 0
 
-    def test_inverse(self, A0):
+    def test_inverse(self, A0, M2):
         x = Fraction(7, 2)
-        R = prop2_op(A0, x)
-        S = prop2_inv(A0, x)
-        I = identity_mat(4)
-        assert mat_mul(R.mat, S.mat) == I
-        assert mat_mul(S.mat, R.mat) == I
+        for A in (A0, M2):
+            R = prop2_op(A, x)
+            S = prop2_inv(A, x)
+            I = identity_mat(A.dim ** 2)
+            assert mat_mul(R.mat, S.mat) == I
+            assert mat_mul(S.mat, R.mat) == I
 
     def test_zero_raises(self, A0):
         with pytest.raises(SingularParameterError):

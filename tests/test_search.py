@@ -66,6 +66,13 @@ class TestSearch:
                          restarts=3)
         assert len(results) == 3
 
+    def test_exponential_underflow_rejected(self):
+        # exp(t) underflows to 0.0 and is raised to a negative power on this
+        # restart; the objective must reject the point, not raise
+        results = search(shape="exponential", system="colored", seed=3,
+                         restarts=1)
+        assert len(results) == 1
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             search(seed=0, restarts=1, grid=[(1, 1, 2)])
