@@ -124,108 +124,92 @@ def _anti(x, y):
 
 
 def _relation_templates():
-    """Builders for (r1)-(r12) and the p=q limit list, keyed by label."""
-    def r1(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    """Builders for (r1)-(r12) and the p=q limit list, keyed by label.
+
+    Each takes the generator dicts ``g`` (colour u) and ``h`` (colour v) and
+    the scalars; calling it at ``(h, g, v, u, ...)`` gives its u <-> v
+    exchange, since the tag swap is a ring automorphism.
+    """
+    def r1(g, h, u, v, p, q, s):
         return p * (u - v) * _comm(g["a"], h["d"]) \
             - (q - p) * (u * (h["c"] * g["b"]) - v * (g["c"] * h["b"]))
 
-    def r2(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r2(g, h, u, v, p, q, s):
         return p * (u - v) * (g["a"] * h["c"]) \
             - (q * u - p * v) * (h["c"] * g["a"]) \
             + (q - p) * v * (g["c"] * h["a"])
 
-    def r3(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r3(g, h, u, v, p, q, s):
         return (q * u - p * v) * (g["a"] * h["b"]) \
             - p * (u - v) * (h["b"] * g["a"]) \
             - (q - p) * u * (h["a"] * g["b"]) \
             + s * (q + p) * (u - v) * (g["c"] * h["d"])
 
-    def r4(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r4(g, h, u, v, p, q, s):
         return p * (u - v) * (h["b"] * g["c"]) \
             - q * (u - v) * (g["c"] * h["b"]) \
             - (q - p) * u * (g["a"] * h["d"] - h["a"] * g["d"])
 
-    def r5(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r5(g, h, u, v, p, q, s):
         return (q * v - p * u) * (g["c"] * h["d"]) \
             - p * (u - v) * (h["d"] * g["c"]) \
             - (q - p) * u * (h["c"] * g["d"])
 
-    def r6(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r6(g, h, u, v, p, q, s):
         return p * (u - v) * (g["b"] * h["d"]) \
             - (q * v - p * u) * (h["d"] * g["b"]) \
             + (q - p) * v * (g["d"] * h["b"]) \
             - s * (q + p) * (u - v) * (h["c"] * g["a"])
 
-    def r7(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r7(g, h, u, v, p, q, s):
         return (q * u - p * v) * _comm(g["a"], h["a"]) \
             + s * (q + p) * (u - v) * (g["c"] * h["c"])
 
-    def r8(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r8(g, h, u, v, p, q, s):
         return (q * u - p * v) * (g["b"] * h["b"]) \
             - (q * v - p * u) * (h["b"] * g["b"]) \
             - s * (q + p) * (u - v) * (h["a"] * g["a"] - g["d"] * h["d"])
 
-    def r9(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r9(g, h, u, v, p, q, s):
         return (q * v - p * u) * (g["c"] * h["c"]) \
             - (q * u - p * v) * (h["c"] * g["c"])
 
-    def r10(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r10(g, h, u, v, p, q, s):
         return _comm(g["d"], h["d"]) + _comm(g["a"], h["a"])
 
-    def r11(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r11(g, h, u, v, p, q, s):
         return _comm(g["a"], h["d"]) - _comm(h["a"], g["d"])
 
-    def r12(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def r12(g, h, u, v, p, q, s):
         return q * (v * (g["c"] * h["b"]) - u * (h["c"] * g["b"])) \
             - p * (v * (h["b"] * g["c"]) - u * (g["b"] * h["c"]))
 
     # p = q limit list (coefficients no longer involve p, q, u, v)
-    def pq1(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq1(g, h, u, v, p, q, s):
         return _comm(g["a"], h["d"])
 
-    def pq2(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq2(g, h, u, v, p, q, s):
         return _comm(g["a"], h["c"])
 
-    def pq3(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq3(g, h, u, v, p, q, s):
         return _comm(h["b"], g["c"])
 
-    def pq4(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq4(g, h, u, v, p, q, s):
         return _anti(g["c"], h["d"])
 
-    def pq5(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq5(g, h, u, v, p, q, s):
         return _anti(g["c"], h["c"])
 
-    def pq6(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq6(g, h, u, v, p, q, s):
         return _comm(g["a"], h["b"]) + 2 * s * (g["c"] * h["d"])
 
-    def pq7(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq7(g, h, u, v, p, q, s):
         return _anti(g["b"], h["d"]) - 2 * s * (h["c"] * g["a"])
 
-    def pq8(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq8(g, h, u, v, p, q, s):
         return _comm(g["a"], h["a"]) + 2 * s * (g["c"] * h["c"])
 
-    def pq9(u, v, p, q, s):
-        g, h = _gens("u"), _gens("v")
+    def pq9(g, h, u, v, p, q, s):
         return _anti(g["b"], h["b"]) - 2 * s * (h["a"] * g["a"] - g["d"] * h["d"])
 
     return {
@@ -241,7 +225,8 @@ _TEMPLATES = _relation_templates()
 
 def _instantiate(labels: Iterable[str], u, v, p, q, sigma) -> RelationSet:
     u, v, p, q, sigma = (rational(x) for x in (u, v, p, q, sigma))
-    rels = tuple(_TEMPLATES[l](u, v, p, q, sigma) for l in labels)
+    g, h = _gens("u"), _gens("v")
+    rels = tuple(_TEMPLATES[l](g, h, u, v, p, q, sigma) for l in labels)
     return RelationSet(relations=rels, labels=tuple(labels),
                        params={"u": u, "v": v, "p": p, "q": q, "sigma": sigma})
 
@@ -268,17 +253,17 @@ def exchange_closure(rels: RelationSet) -> RelationSet:
     against the closure agree with the plain list on the first entries.
     """
     p = rels.params
+    scalars = (p["p"], p["q"], p["sigma"])
+    g, h = _gens("u"), _gens("v")
     have = set(rels.labels)
     extra_rels, extra_labels = [], []
     for label in rels.labels:
         if label.endswith("~"):
             partner_label = label[:-1]
-            partner = _TEMPLATES[partner_label](p["u"], p["v"], p["p"],
-                                                p["q"], p["sigma"])
+            partner = _TEMPLATES[partner_label](g, h, p["u"], p["v"], *scalars)
         else:
             partner_label = label + "~"
-            partner = swap_colours(_TEMPLATES[label](p["v"], p["u"], p["p"],
-                                                     p["q"], p["sigma"]))
+            partner = _TEMPLATES[label](h, g, p["v"], p["u"], *scalars)
         if partner_label not in have:
             have.add(partner_label)
             extra_rels.append(partner)
@@ -298,8 +283,6 @@ def subset(rels: RelationSet, labels: Iterable[str]) -> RelationSet:
 def rtt_residual(Rm, u_tag: str = "u", v_tag: str = "v") -> list:
     """Entries of R T1u T2v - T2v T1u R as 16 noncommutative polynomials."""
     if isinstance(Rm, Op2):
-        if Rm.n != 2:
-            raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
         Rm = Rm.mat
     if len(Rm) != 4 or any(len(row) != 4 for row in Rm):
         raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
@@ -325,70 +308,74 @@ def rtt_residual(Rm, u_tag: str = "u", v_tag: str = "v") -> list:
 
 # --- exact span arithmetic ------------------------------------------------------
 
-def _word_basis(polys) -> list:
-    words = set()
-    for p in polys:
-        words.update(p.terms)
-    return sorted(words)
+def _sub_scaled(acc: dict, f, row: dict) -> None:
+    """acc -= f * row, in place, dropping the entries that cancel."""
+    for key, x in row.items():
+        c = acc.get(key, 0) - f * x
+        if c:
+            acc[key] = c
+        else:
+            acc.pop(key, None)
 
 
-def _coords(poly: NCPoly, words) -> list:
-    return [poly.terms.get(w, Fraction(0)) for w in words]
+class _Echelon:
+    """Reduced row echelon form of a polynomial list, eliminated once.
 
+    A row is a word -> coefficient dict with coefficient 1 on its least word,
+    its pivot, which no other row contains; it carries its combination of the
+    inputs.  Only inputs independent of the ones before them enter, so a
+    member is written on the leftmost independent inputs, where it is unique.
+    """
 
-def _rref(rows):
-    """Reduced row echelon form over the rationals; returns (rows, pivots)."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+    def __init__(self, polys):
+        self.rows = {}  # pivot word -> (terms, {input index: coefficient})
+        self.size = 0
+        for poly in polys:
+            rest, comb = self._reduce(poly)
+            if rest:
+                pivot = min(rest)
+                inv = 1 / rest[pivot]
+                row = {w: c * inv for w, c in rest.items()}
+                comb = {j: -c * inv for j, c in comb.items()}
+                comb[self.size] = inv
+                for other, other_comb in self.rows.values():
+                    f = other.get(pivot)
+                    if f:
+                        _sub_scaled(other, f, row)
+                        _sub_scaled(other_comb, f, comb)
+                self.rows[pivot] = (row, comb)
+            self.size += 1
+
+    def _reduce(self, poly: NCPoly):
+        """``poly`` less its part along the rows; that part on the inputs."""
+        rest, comb = dict(poly.terms), {}
+        for pivot, (row, row_comb) in self.rows.items():
+            f = rest.get(pivot)
+            if f:
+                _sub_scaled(rest, f, row)
+                _sub_scaled(comb, -f, row_comb)
+        return rest, comb
+
+    def solve(self, poly: NCPoly):
+        """``(coefficients, None)`` for a member, else ``(None, residue)``:
+        the canonical normal form of ``poly``, free of pivot words."""
+        rest, comb = self._reduce(poly)
+        if rest:
+            return None, NCPoly(rest)
+        return [comb.get(j, Fraction(0)) for j in range(self.size)], None
 
 
 def span_dimension(polys) -> int:
-    polys = list(polys)
-    if not polys:
-        return 0
-    words = _word_basis(polys)
-    _, pivots = _rref([_coords(p, words) for p in polys])
-    return len(pivots)
+    return len(_Echelon(polys).rows)
 
 
 def in_span(poly: NCPoly, basis) -> Optional[list]:
     """Coefficients writing ``poly`` as a combination of ``basis``, or None.
 
-    Solved exactly over the word coordinate space by Gaussian elimination.
+    Solved exactly by one elimination; the coefficients sit on the
+    leftmost independent basis polynomials and are zero elsewhere.
     """
-    basis = list(basis)
-    if poly.is_zero:
-        return [Fraction(0)] * len(basis)
-    words = _word_basis(list(basis) + [poly])
-    # columns are basis polynomials, last column the target
-    cols = [_coords(b, words) for b in basis] + [_coords(poly, words)]
-    rows = [list(col) for col in zip(*cols)]
-    rows, pivots = _rref(rows)
-    if len(basis) in pivots:
-        return None  # target contributes a new pivot: not in the span
-    coeffs = [Fraction(0)] * len(basis)
-    for rank, c in enumerate(pivots):
-        coeffs[c] = rows[rank][len(basis)]
-    return coeffs
+    return _Echelon(basis).solve(poly)[0]
 
 
 @dataclass(frozen=True)
@@ -403,17 +390,6 @@ class SpanReport:
         return all(m is not None for m in self.members)
 
 
-def _residue_mod(poly: NCPoly, basis, words) -> NCPoly:
-    """Reduce ``poly`` modulo the row space of ``basis``; zero iff member."""
-    rows, pivots = _rref([_coords(b, words) for b in basis])
-    vec = _coords(poly, words)
-    for rank, c in enumerate(pivots):
-        if vec[c] != 0:
-            f = vec[c]
-            vec = [x - f * y for x, y in zip(vec, rows[rank])]
-    return NCPoly({w: x for w, x in zip(words, vec)})
-
-
 def span_membership(entries, rels: RelationSet,
                     symmetric: bool = True) -> SpanReport:
     """Express each polynomial in the span of the relations, or certify failure.
@@ -422,22 +398,16 @@ def span_membership(entries, rels: RelationSet,
     (see exchange_closure), since the list gives one representative
     per u <-> v exchange orbit; coefficient positions for the original
     relations are unchanged by the closure.  Pass ``symmetric=False`` to
-    check against the bare list.
+    check against the bare list.  The relations are eliminated once.
     """
-    basis = list((exchange_closure(rels) if symmetric else rels).relations)
-    words = _word_basis(basis + list(entries))
-    members, residues = [], []
-    for e in entries:
-        coeffs = in_span(e, basis)
-        if coeffs is None:
-            members.append(None)
-            residues.append(_residue_mod(e, basis, words))
-        else:
-            members.append(tuple(coeffs))
-            residues.append(None)
-    return SpanReport(members=tuple(members), residues=tuple(residues),
-                      entry_span_dim=span_dimension(entries),
-                      relation_span_dim=span_dimension(basis))
+    entries = list(entries)
+    basis = _Echelon((exchange_closure(rels) if symmetric else rels).relations)
+    solved = [basis.solve(e) for e in entries]
+    return SpanReport(
+        members=tuple(None if m is None else tuple(m) for m, _ in solved),
+        residues=tuple(r for _, r in solved),
+        entry_span_dim=span_dimension(entries),
+        relation_span_dim=len(basis.rows))
 
 
 def uv_symmetry_check(rels: RelationSet) -> bool:
@@ -447,9 +417,10 @@ def uv_symmetry_check(rels: RelationSet) -> bool:
     The exchange swaps generator colour tags and the colour values in the
     coefficients.  Checked: the exchange-closed span (exchange_closure) and
     the span of the 16 RTT residual entries of the dimension-2 linear
-    R-matrix at ``rels.params`` coincide, by mutual exact span membership.
-    A set that is too small to imply the swapped relations fails, because
-    its closure then falls short of the residual span.
+    R-matrix at ``rels.params`` coincide: every entry lies in the closed
+    span and both spans have the same dimension.  A set that is too small to
+    imply the swapped relations fails, because its closure then falls short
+    of the residual span.
 
     Raises SingularParameterError when the R-matrix itself degenerates at
     the stored parameters (pu = qv or qu = pv).
@@ -461,7 +432,5 @@ def uv_symmetry_check(rels: RelationSet) -> bool:
     p = rels.params
     FAMILIES["thm1"].check_regular(p["p"], p["q"], p["u"], p["v"])
     R = thm1_op(quadratic_algebra(p["sigma"]), p["p"], p["q"], p["u"], p["v"])
-    entries = rtt_residual(R.mat)
-    closed = exchange_closure(rels).relations
-    return (all(in_span(e, closed) is not None for e in entries)
-            and all(in_span(r, entries) is not None for r in closed))
+    rep = span_membership(rtt_residual(R.mat), rels)
+    return rep.all_members and rep.entry_span_dim == rep.relation_span_dim

@@ -8,11 +8,11 @@ from ybops import frt
 from ybops.algebra import quadratic_algebra
 from ybops.colored import thm1_op
 from ybops.errors import DimensionMismatchError, SingularParameterError
-from ybops.frt import (NCPoly, claimed_relations, exchange_closure, in_span,
-                       pq_limit_relations, rtt_residual, span_dimension,
-                       span_membership, subset, swap_colours,
-                       uv_symmetry_check)
-from ybops.tensorop import identity_mat
+from ybops.frt import (NCPoly, RelationSet, claimed_relations,
+                       exchange_closure, in_span, pq_limit_relations,
+                       rtt_residual, span_dimension, span_membership, subset,
+                       swap_colours, uv_symmetry_check)
+from ybops.tensorop import Op2, freeze, identity_mat
 from conftest import rand_fraction
 
 
@@ -53,6 +53,8 @@ class TestRttResidual:
     def test_wrong_size_rejected(self):
         with pytest.raises(DimensionMismatchError):
             rtt_residual(identity_mat(3))
+        with pytest.raises(DimensionMismatchError):  # 3-dim carrier
+            rtt_residual(Op2(n=3, mat=freeze(identity_mat(9))))
 
     def test_entries_quadratic(self, rng):
         u, v, p, q = sample_params(rng)
@@ -176,6 +178,19 @@ class TestUvSymmetry:
         for sigma in (0, 1):
             u, v, p, q = sample_params(rng)
             assert uv_symmetry_check(claimed_relations(u, v, p, q, sigma))
+
+    def test_extra_relation_fails(self):
+        # a relation from other colours: every RTT entry is still a member,
+        # so only the larger relation span (17 vs 16) shows the mismatch
+        full = claimed_relations(5, 1, 1, 3, 0)
+        alien = claimed_relations(2, 1, 1, 3, 0).relations[0]
+        rels = RelationSet(full.relations + (alien,), full.labels + ("r1",),
+                           full.params)
+        R = thm1_op(quadratic_algebra(0), 1, 3, 5, 1)
+        rep = span_membership(rtt_residual(R.mat), rels)
+        assert rep.all_members
+        assert (rep.entry_span_dim, rep.relation_span_dim) == (16, 17)
+        assert not uv_symmetry_check(rels)
 
     def test_singular_locus_raises(self):
         # qu = pv: the R-matrix degenerates, which is no mathematical failure

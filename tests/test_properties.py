@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from ybops.algebra import dual_coalgebra, quadratic_algebra
 from ybops.colored import coalgebra_colored_op, thm1_op
+from ybops.frt import (NCPoly, RelationSet, in_span, rtt_residual,
+                       span_dimension, span_membership)
 from ybops.funceq import catalogue, eval_colored_system, scale_triple
 from ybops.onepar import prop1_op
 from ybops.tensorop import (Op2, colored_qybe_residual, freeze, mat_scale,
@@ -78,3 +80,99 @@ class TestBilinearity:
         diff = mat_sub(Rsum.mat, [[x + y for x, y in zip(r1, r2)]
                                   for r1, r2 in zip(R1.mat, R2.mat)])
         assert max_abs_entry(diff) == 0
+
+
+def _dense_rref(rows):
+    """Dense reduced row echelon form over Fraction: (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _span_oracle(basis, targets):
+    """Per target: (coefficients on the leftmost independent basis
+    polynomials or None, residue terms); then both span dimensions."""
+    words = sorted({w for p in basis + targets for w in p.terms})
+
+    def vec(p):
+        return [p.terms.get(w, Fraction(0)) for w in words]
+
+    # columns: basis, then targets; a target is a member iff the rows
+    # without a basis pivot vanish in its column
+    cols, k = [vec(p) for p in basis + targets], len(basis)
+    rows, pivots = _dense_rref(list(zip(*cols)))
+    bpiv = [c for c in pivots if c < k]
+    brows, wpiv = _dense_rref([vec(p) for p in basis])
+    out = []
+    for j, t in enumerate(targets, start=k):
+        if any(row[j] != 0 for row in rows[len(bpiv):]):
+            coeffs = None
+        else:
+            coeffs = [Fraction(0)] * k
+            for r, c in enumerate(bpiv):
+                coeffs[c] = rows[r][j]
+        rest = vec(t)
+        for row, c in zip(brows, wpiv):
+            f = rest[c]
+            rest = [x - f * y for x, y in zip(rest, row)]
+        out.append((coeffs, {w: x for w, x in zip(words, rest) if x != 0}))
+    entry_dim = len(_dense_rref([vec(t) for t in targets])[1])
+    return out, entry_dim, len(wpiv)
+
+
+# RTT entries plus two words outside their span, so targets fall both
+# inside and outside a drawn basis
+_POOL = rtt_residual(thm1_op(A1, 1, 3, 2, 1)) + [
+    NCPoly.gen("b", "u") * NCPoly.gen("b", "u"),
+    NCPoly.gen("a", "v") * NCPoly.gen("d", "u")]
+_combos = st.lists(st.tuples(st.integers(0, len(_POOL) - 1), fractions),
+                   max_size=3).map(
+    lambda terms: sum((c * _POOL[i] for i, c in terms), NCPoly()))
+
+
+@st.composite
+def _span_cases(draw):
+    basis = draw(st.lists(_combos, max_size=6))
+    if basis and draw(st.booleans()):  # a repeat, rescaled
+        basis.append(draw(fractions) * draw(st.sampled_from(basis)))
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(fractions, min_size=len(basis),
+                               max_size=len(basis)))
+        inside = sum((c * b for c, b in zip(coeffs, basis)), NCPoly())
+        targets.append(inside + draw(_combos) if draw(st.booleans())
+                       else inside)
+    return basis, targets
+
+
+class TestSpanElimination:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_span_cases())
+    def test_matches_dense_oracle(self, case):
+        basis, targets = case
+        want, entry_dim, rel_dim = _span_oracle(basis, targets)
+        rels = RelationSet(tuple(basis),
+                           tuple(f"x{i}" for i in range(len(basis))), {})
+        rep = span_membership(targets, rels, symmetric=False)
+        assert (rep.entry_span_dim, rep.relation_span_dim) == (entry_dim,
+                                                               rel_dim)
+        assert span_dimension(basis) == rel_dim
+        for t, (coeffs, residue), member, got in zip(
+                targets, want, rep.members, rep.residues):
+            assert in_span(t, basis) == coeffs
+            assert member == (None if coeffs is None else tuple(coeffs))
+            assert (got is None) == (coeffs is not None)
+            if got is not None:
+                assert got.terms == residue
