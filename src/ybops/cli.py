@@ -193,7 +193,7 @@ def _parse_task(parser, task, seed):
 
     ``args`` keys are the subcommand's option names (``lam``, not
     ``lambda``).  A value must be a JSON integer where the option takes an
-    integer and a string otherwise.
+    integer and a string otherwise.  ``expect`` must be "pass" or "fail".
     """
     command = task.get("command") if isinstance(task, dict) else None
     if not isinstance(command, str) or command not in _HANDLERS:
@@ -201,6 +201,9 @@ def _parse_task(parser, task, seed):
     args = task.get("args", {})
     if not isinstance(args, dict):
         raise ValueError("task args must be an object")
+    if task.get("expect", "pass") not in ("pass", "fail"):
+        raise ValueError(f"expect must be 'pass' or 'fail', "
+                         f"got {task['expect']!r}")
     # '--key=value': a separate '-1/2' would be read as a flag
     argv = [f"--seed={args.get('seed', seed)}", command]
     argv += [f"--{k}={v}" for k, v in args.items() if k != "seed"]

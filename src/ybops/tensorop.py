@@ -1,4 +1,5 @@
-"""Dense operators on V(x)V and V(x)V(x)V, leg embeddings and YB residuals.
+"""Operators on V(x)V and V(x)V(x)V: dense leg embeddings, exact matrix-free
+Yang-Baxter residuals and matrix emitters.
 
 Matrix convention: ``mat[i][j]`` is the coefficient of basis element ``i`` in
 the image of basis element ``j``.  The tensor basis is lexicographic, so
@@ -10,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import lcm, prod
 
 from .errors import DimensionMismatchError
 from .scalars import format_scalar
@@ -22,7 +24,8 @@ class Op2:
     mat: tuple
 
     def __post_init__(self):
-        if len(self.mat) != self.n ** 2:
+        m = self.n ** 2
+        if len(self.mat) != m or any(len(row) != m for row in self.mat):
             raise DimensionMismatchError("Op2 matrix must be n^2 x n^2")
 
 
@@ -32,7 +35,8 @@ class Op3:
     mat: tuple
 
     def __post_init__(self):
-        if len(self.mat) != self.n ** 3:
+        m = self.n ** 3
+        if len(self.mat) != m or any(len(row) != m for row in self.mat):
             raise DimensionMismatchError("Op3 matrix must be n^3 x n^3")
 
 
@@ -128,46 +132,94 @@ def embed_leg(R: Op2, legs: int) -> Op3:
     return Op3(n=n, mat=freeze(mat))
 
 
-# --- fast exact triple products ----------------------------------------------
+# --- the residual kernel -----------------------------------------------------
 #
-# Residual checks multiply three n^3 x n^3 rational matrices.  Clearing the
-# denominator of each factor turns this into integer arithmetic (much faster
-# than Fraction matmul); the common scale divides out of the difference.
+# Every residual is P - Q for two products P, Q of leg operators on V^(x)3.
+# Both are applied to each basis vector e_a(x)e_b(x)e_c through the sparse
+# columns of the two-site operators, never as dense n^3 x n^3 matrices: an
+# ansatz column has at most 2n+1 non-zeros, so a column of P costs about
+# (2n+1)^3 products instead of the n^6 of a dense triple product.  Exact
+# operators are first scaled to integers, one denominator per operator; the
+# chains' common denominator divides out of the difference at the end.
 
-def _int_scaled(mat):
-    entries = [x for row in mat for x in row]
-    if not all(isinstance(x, (int, Fraction)) for x in entries):
-        return None, None  # float mode: no fast path
-    den = lcm(*(Fraction(x).denominator for x in entries)) if entries else 1
-    imat = [[int(x * den) for x in row] for row in mat]
-    return imat, den
+def _leg_columns(cols: list, n: int, legs: int) -> list:
+    """Sparse columns of a two-site operator on legs 12, 13 or 23 of V^(x)3,
+    from its own sparse columns ``[(row, entry), ...]``."""
+    stride = {1: n * n, 2: n, 3: 1}
+    s, t = divmod(legs, 10)
+    r = 6 - s - t  # the site the operator does not act on
+    rows = [(i // n) * stride[s] + (i % n) * stride[t] for i in range(n * n)]
+    return [[(rows[i] + site[r - 1] * stride[r], x)
+             for i, x in cols[site[s - 1] * n + site[t - 1]]]
+            for site in product(range(n), repeat=3)]
 
 
-def _triple_difference(M12, M13, M23):
-    """M12 M13 M23 - M23 M13 M12, exact, with an integer fast path."""
-    i12, d12 = _int_scaled(M12)
-    if i12 is not None:
-        i13, d13 = _int_scaled(M13)
-        i23, d23 = _int_scaled(M23)
-        if i13 is not None and i23 is not None:
-            lhs = mat_mul(mat_mul(i12, i13), i23)
-            rhs = mat_mul(mat_mul(i23, i13), i12)
-            scale = Fraction(1, d12 * d13 * d23)
-            return [[(a - b) * scale for a, b in zip(ra, rb)]
-                    for ra, rb in zip(lhs, rhs)]
-    lhs = mat_mul(mat_mul(M12, M13), M23)
-    rhs = mat_mul(mat_mul(M23, M13), M12)
-    return mat_sub(lhs, rhs)
+def _apply(cols, vec: dict, out: dict) -> dict:
+    """out += (the operator with sparse columns ``cols``) vec."""
+    for k, c in vec.items():
+        for i, m in cols[k]:
+            out[i] = out.get(i, 0) + c * m
+    return out
+
+
+def _chain_difference(lhs, rhs):
+    """P - Q, where P and Q are the products of the leg operators in ``lhs``
+    and ``rhs``: sequences of ``(Op2, legs)`` read as written, so the last
+    factor acts first.
+
+    Returns ``(cols, zero)``: ``cols[j]`` maps each row i with a non-zero
+    (P - Q)[i][j] to that entry, and ``zero`` is the value of the others.
+    When every entry is an int or Fraction the result is exact Fractions;
+    otherwise the entries are combined as they are (float mode).
+    """
+    ops = list({id(R): R for R, _ in (*lhs, *rhs)}.values())
+    n = ops[0].n
+    if any(R.n != n for R in ops):
+        raise DimensionMismatchError("operators live on different base spaces")
+    exact = all(isinstance(x, (int, Fraction))
+                for R in ops for row in R.mat for x in row)
+    den, sparse = {}, {}
+    for R in ops:
+        d = den[id(R)] = (lcm(*(x.denominator for row in R.mat for x in row))
+                          if exact else 1)
+        sparse[id(R)] = [[(i, x.numerator * (d // x.denominator) if exact
+                           else x) for i, x in enumerate(col) if x]
+                         for col in zip(*R.mat)]
+    embedded = {(id(R), l): _leg_columns(sparse[id(R)], n, l)
+                for R, l in (*lhs, *rhs)}
+    chains = [[embedded[id(R), l] for R, l in reversed(chain)]
+              for chain in (lhs, rhs)]
+    dl, dr = (prod(den[id(R)] for R, _ in chain) for chain in (lhs, rhs))
+    common = lcm(dl, dr)
+    out = []
+    for j in range(n ** 3):
+        acc = {}
+        for chain, f in zip(chains, (common // dl, -(common // dr))):
+            vec = {j: f}
+            for cols in chain[:-1]:
+                vec = _apply(cols, vec, {})
+            _apply(chain[-1], vec, acc)
+        out.append({i: Fraction(x, common) if exact else x
+                    for i, x in acc.items() if x})
+    return out, Fraction(0) if exact else 0.0
+
+
+def _qybe_difference(R12: Op2, R13: Op2, R23: Op2):
+    return _chain_difference(((R12, 12), (R13, 13), (R23, 23)),
+                             ((R23, 23), (R13, 13), (R12, 12)))
+
+
+def _max_abs(diff):
+    cols, zero = diff
+    return max((abs(x) for col in cols for x in col.values()), default=zero)
 
 
 def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
     """Yang-Baxter commutator [R,S,T] = R12 S13 T23 - T23 S13 R12."""
-    if not (R.n == S.n == T.n):
-        raise DimensionMismatchError("operators live on different base spaces")
-    diff = _triple_difference(embed_leg(R, 12).mat,
-                              embed_leg(S, 13).mat,
-                              embed_leg(T, 23).mat)
-    return Op3(n=R.n, mat=freeze(diff))
+    cols, zero = _qybe_difference(R, S, T)
+    m = R.n ** 3
+    return Op3(n=R.n, mat=tuple(tuple(col.get(i, zero) for col in cols)
+                                for i in range(m)))
 
 
 def colored_qybe_residual(family, u, v, w):
@@ -176,10 +228,8 @@ def colored_qybe_residual(family, u, v, w):
     ``family`` must expose ``op(u, v) -> Op2``.  Zero exactly for genuine
     coloured Yang-Baxter operators.
     """
-    diff = _triple_difference(embed_leg(family.op(u, v), 12).mat,
-                              embed_leg(family.op(u, w), 13).mat,
-                              embed_leg(family.op(v, w), 23).mat)
-    return max_abs_entry(diff)
+    return _max_abs(_qybe_difference(family.op(u, v), family.op(u, w),
+                                     family.op(v, w)))
 
 
 def onepar_qybe_residual(family, x, z):
@@ -189,11 +239,8 @@ def onepar_qybe_residual(family, x, z):
     composition map is attached to the family so checks cannot mix a family
     with the wrong phi.
     """
-    mid = family.phi(x, z)
-    diff = _triple_difference(embed_leg(family.op(x), 12).mat,
-                              embed_leg(family.op(mid), 13).mat,
-                              embed_leg(family.op(z), 23).mat)
-    return max_abs_entry(diff)
+    return _max_abs(_qybe_difference(family.op(x), family.op(family.phi(x, z)),
+                                     family.op(z)))
 
 
 def twist_compose(R: Op2) -> Op2:
@@ -210,12 +257,8 @@ def braid_residual(rhat, x, y):
     the one-parameter families and is confirmed by the brute-force oracle.
     """
     Rx, Rxy, Ry = rhat(x), rhat(x * y), rhat(y)
-    n = Rx.n
-    e12 = lambda R: embed_leg(R, 12).mat
-    e23 = lambda R: embed_leg(R, 23).mat
-    lhs = mat_mul(mat_mul(e12(Rx), e23(Rxy)), e12(Ry))
-    rhs = mat_mul(mat_mul(e23(Ry), e12(Rxy)), e23(Rx))
-    return max_abs_entry(mat_sub(lhs, rhs))
+    return _max_abs(_chain_difference(((Rx, 12), (Rxy, 23), (Ry, 12)),
+                                      ((Ry, 23), (Rxy, 12), (Rx, 23))))
 
 
 # --- basis labels and emitters ------------------------------------------------

@@ -153,6 +153,9 @@ EXIT_CODES = [
         "family": "thm1", "samples": "3"}}]}, 2, id="campaign-samples-str"),
     pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
         "family": "thm1", "sampels": 3}}]}, 2, id="campaign-misspelt-key"),
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
+        "family": "thm1", "samples": 2}, "expect": "pas"}]}, 2,
+        id="campaign-misspelt-expect"),
     pytest.param(["frt", "--u", "1", "--v", "3", "--p", "1", "--q", "3"],
                  None, 2, id="frt-singular"),
     pytest.param(["--seed", "3", "search", "--shape", "exponential",

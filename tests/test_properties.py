@@ -1,8 +1,9 @@
 """Cross-module invariants, partly driven by hypothesis."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ybops.algebra import dual_coalgebra, quadratic_algebra
@@ -11,8 +12,10 @@ from ybops.frt import (NCPoly, RelationSet, in_span, rtt_residual,
                        span_dimension, span_membership)
 from ybops.funceq import catalogue, eval_colored_system, scale_triple
 from ybops.onepar import prop1_op
-from ybops.tensorop import (Op2, colored_qybe_residual, freeze, mat_scale,
-                            mat_transpose)
+from ybops.tensorop import (Op2, _chain_difference, braid_residual,
+                            colored_qybe_residual, embed_leg, freeze,
+                            identity_op2, mat_mul, mat_scale, mat_sub,
+                            mat_transpose, max_abs_entry, yb_commutator)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 nonzero_fractions = fractions.filter(lambda f: f != 0)
@@ -176,3 +179,87 @@ class TestSpanElimination:
             assert (got is None) == (coeffs is not None)
             if got is not None:
                 assert got.terms == residue
+
+
+# --- the residual kernel against dense leg embeddings ------------------------
+
+_entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+# The dense reference takes ~0.4 s at n = 3, so shrinking a failure entry by
+# entry would run for minutes; a failure is reported as drawn.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@st.composite
+def _dense_ops(draw, count=3):
+    """``count`` dense operators on one carrier dimension, n = 2 or 3, with
+    rational entries of mixed denominators, zeros included."""
+    n = draw(st.sampled_from([2, 3]))
+    row = st.lists(_entries, min_size=n * n, max_size=n * n)
+    mat = st.lists(row, min_size=n * n, max_size=n * n)
+    return [Op2(n=n, mat=freeze(draw(mat))) for _ in range(count)]
+
+
+def _dense(chain):
+    """The product of the dense ``embed_leg`` matrices of a leg chain."""
+    out = embed_leg(*chain[0]).mat
+    for R, legs in chain[1:]:
+        out = mat_mul(out, embed_leg(R, legs).mat)
+    return out
+
+
+def _dense_difference(lhs, rhs):
+    return mat_sub(_dense(lhs), _dense(rhs))
+
+
+def _qybe_chains(R, S, T):
+    return ([(R, 12), (S, 13), (T, 23)], [(T, 23), (S, 13), (R, 12)])
+
+
+def _braid_chains(Rx, Rxy, Ry):
+    return ([(Rx, 12), (Rxy, 23), (Ry, 12)], [(Ry, 23), (Rxy, 12), (Rx, 23)])
+
+
+def _all_fractions(mat):
+    return all(type(x) is Fraction for row in mat for x in row)
+
+
+class TestResidualKernel:
+    @settings(max_examples=8, deadline=None, phases=_NO_SHRINK)
+    @given(ops=_dense_ops())
+    def test_qybe_chain_matches_dense(self, ops):
+        R, S, T = ops
+        want = _dense_difference(*_qybe_chains(R, S, T))
+        got = yb_commutator(R, S, T).mat
+        assert got == freeze(want) and _all_fractions(got)
+        table = {(0, 1): R, (0, 2): S, (1, 2): T}
+        fam = SimpleNamespace(op=lambda u, v: table[u, v])
+        res = colored_qybe_residual(fam, 0, 1, 2)
+        assert res == max_abs_entry(want) and type(res) is Fraction
+
+    @settings(max_examples=6, deadline=None, phases=_NO_SHRINK)
+    @given(ops=_dense_ops())
+    def test_braid_chain_matches_dense(self, ops):
+        want = _dense_difference(*_braid_chains(*ops))
+        cols, zero = _chain_difference(*_braid_chains(*ops))
+        m = len(cols)
+        assert [[cols[j].get(i, zero) for j in range(m)]
+                for i in range(m)] == want
+        table = dict(zip((2, 6, 3), ops))  # x = 2, y = 3, x*y = 6
+        res = braid_residual(table.__getitem__, 2, 3)
+        assert res == max_abs_entry(want) and type(res) is Fraction
+
+    def test_vanishing_residual_is_exact_zero(self):
+        I = identity_op2(2)
+        res = braid_residual(lambda x: I, 2, 3)
+        assert res == 0 and type(res) is Fraction
+
+    @settings(max_examples=3, deadline=None, phases=_NO_SHRINK)
+    @given(ops=_dense_ops())
+    def test_float_entries_agree_within_tolerance(self, ops):
+        # summation order differs from the dense product, so float results
+        # agree to rounding, not bit for bit; entries are below 5 in size
+        fl = [Op2(n=R.n, mat=freeze([[float(x) for x in row]
+                                     for row in R.mat])) for R in ops]
+        got = yb_commutator(*fl).mat
+        want = _dense_difference(*_qybe_chains(*fl))
+        assert max_abs_entry(mat_sub(got, want)) <= 1e-9

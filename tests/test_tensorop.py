@@ -2,17 +2,20 @@
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from ybops.algebra import quadratic_algebra
-from ybops.colored import ansatz_op
+from ybops.algebra import poly_quotient, quadratic_algebra
+from ybops.colored import ColoredFamily, ansatz_op
 from ybops.errors import DimensionMismatchError
-from ybops.tensorop import (Op2, _perm23, embed_leg, flip_op2, freeze,
-                            identity_mat, identity_op2, kron, mat_mul,
-                            max_abs_entry, op_to_csv, op_to_json, op_to_latex,
-                            power_basis_labels, tensor_basis_labels,
-                            twist_compose, yb_commutator)
+from ybops.onepar import OneParFamily
+from ybops.tensorop import (Op2, Op3, _perm23, colored_qybe_residual,
+                            embed_leg, flip_op2, freeze, identity_mat,
+                            identity_op2, kron, mat_mul, mat_sub,
+                            max_abs_entry, onepar_qybe_residual, op_to_csv,
+                            op_to_json, op_to_latex, power_basis_labels,
+                            tensor_basis_labels, twist_compose, yb_commutator)
 
 
 def random_op2(rng, n):
@@ -87,9 +90,58 @@ class TestSizeChecks:
         with pytest.raises(DimensionMismatchError):
             Op2(n=2, mat=freeze(identity_mat(3)))
 
+    def test_ragged_rows(self):
+        with pytest.raises(DimensionMismatchError):
+            Op2(n=2, mat=freeze([[Fraction(1)] * 3] * 4))
+        with pytest.raises(DimensionMismatchError):
+            Op3(n=2, mat=freeze([[Fraction(1)] * 8] * 7
+                                + [[Fraction(1)] * 9]))
+
     def test_op3_via_commutator_shape(self):
         out = yb_commutator(identity_op2(2), identity_op2(2), identity_op2(2))
         assert len(out.mat) == 8 and all(len(r) == 8 for r in out.mat)
+
+
+def sparse_left_product(*mats):
+    """Dense matrix product, right to left, skipping the zero entries of each
+    left factor: the dense reference at sizes where mat_mul takes seconds."""
+    out = mats[-1]
+    for A in reversed(mats[:-1]):
+        out = [[sum((x * out[k][j] for k, x in row), Fraction(0))
+                for j in range(len(out[0]))]
+               for row in ([(k, x) for k, x in enumerate(r) if x] for r in A)]
+    return out
+
+
+class TestHigherCarriers:
+    """Carriers k[X]/(f) of dimension 6 and 4, for a sextic and a quartic f."""
+
+    A6 = poly_quotient([Fraction(1, 2), -1, 0, Fraction(2, 3), 1, -2, 1])
+
+    def test_thm1_residual_exactly_zero_n6(self):
+        fam = ColoredFamily("thm1", self.A6, {"p": Fraction(3, 2), "q": -2})
+        res = colored_qybe_residual(fam, Fraction(1, 3), Fraction(-2),
+                                    Fraction(5, 4))
+        assert res == 0 and type(res) is Fraction
+
+    def test_prop1_residual_exactly_zero_n6(self):
+        fam = OneParFamily("prop1", self.A6, {"q": Fraction(-3, 2)})
+        res = onepar_qybe_residual(fam, Fraction(2, 5), Fraction(-3))
+        assert res == 0 and type(res) is Fraction
+
+    def test_broken_ansatz_matches_dense_n4(self):
+        A4 = poly_quotient([Fraction(1, 2), -1, Fraction(2, 3), 0, 1])
+        # alpha, beta, gamma solve no functional system
+        fam = SimpleNamespace(op=lambda u, v: ansatz_op(
+            A4, u + 2 * v, u * v - 1, Fraction(3)))
+        u, v, w = Fraction(1, 2), Fraction(-2, 3), Fraction(3)
+        R12 = embed_leg(fam.op(u, v), 12).mat
+        R13 = embed_leg(fam.op(u, w), 13).mat
+        R23 = embed_leg(fam.op(v, w), 23).mat
+        want = max_abs_entry(mat_sub(sparse_left_product(R12, R13, R23),
+                                     sparse_left_product(R23, R13, R12)))
+        assert want != 0
+        assert colored_qybe_residual(fam, u, v, w) == want
 
 
 class TestLabelsAndEmitters:
