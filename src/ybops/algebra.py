@@ -201,13 +201,13 @@ def dual_algebra(C: Coalgebra) -> Algebra:
 
 # --- JSON interface ---------------------------------------------------------
 
-def algebra_to_json(A: Algebra, field: str = "rational") -> str:
+def algebra_to_json(A: Algebra) -> str:
     return json.dumps({
         "dim": A.dim,
         "structconst": [[[format_scalar(x) for x in row] for row in plane]
                         for plane in A.structconst],
         "unit": [format_scalar(x) for x in A.unit],
-        "field": field,
+        "field": "rational",
     })
 
 
@@ -220,13 +220,13 @@ def algebra_from_json(text: str) -> Algebra:
     return Algebra(dim=data["dim"], structconst=_freeze3(struct), unit=unit)
 
 
-def coalgebra_to_json(C: Coalgebra, field: str = "rational") -> str:
+def coalgebra_to_json(C: Coalgebra) -> str:
     return json.dumps({
         "dim": C.dim,
         "comult": [[[format_scalar(x) for x in row] for row in plane]
                    for plane in C.comult],
         "counit": [format_scalar(x) for x in C.counit],
-        "field": field,
+        "field": "rational",
     })
 
 

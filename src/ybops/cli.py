@@ -23,19 +23,19 @@ from pathlib import Path
 from . import compare as compare_mod
 from . import frt as frt_mod
 from .algebra import cubic_algebra, dual_coalgebra, quadratic_algebra
-from .colored import ColoredFamily, matrix_form, thm1_op
+from .colored import ColoredFamily
 from .errors import YbopsError
 from .funceq import FAMILIES
 from .onepar import OneParFamily
 from .scalars import format_scalar, parse_scalar
 from .search import search as run_search
-from .tensorop import (braid_residual, colored_qybe_residual, max_abs_entry,
+from .tensorop import (braid_residual, colored_qybe_residual,
                        onepar_qybe_residual, op_to_csv, op_to_json,
                        op_to_latex, tensor_basis_labels)
 from .ybsystem import thm3_system, wxz_residuals
 
 # What a command raises for bad input: exit 2 with a one-line message.
-_USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError)
+_USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError, OSError)
 
 
 def _algebra(args):
@@ -87,22 +87,20 @@ def cmd_verify(args):
 
 def cmd_matrix(args):
     F, fam = _family(args)
-    if F.phi is None:
-        form = matrix_form(fam, parse_scalar(args.u), parse_scalar(args.v))
-        op, basis = form.op, form.basis
-        shorthand = {k: format_scalar(v) for k, v in form.shorthand.items()}
-    else:
-        op = fam.op(parse_scalar(args.x))
-        basis = tuple(tensor_basis_labels(op.n, 2))
-        shorthand = {}
+    colours = [parse_scalar(getattr(args, c)) for c in F.colours]
+    op = fam.op(*colours)
+    basis = tensor_basis_labels(op.n, 2)
+    shorthand = ({} if F.shorthand is None else
+                 {k: format_scalar(v) for k, v in
+                  F.shorthand(*F.args(fam.params), *colours).items()})
     if args.format == "json":
-        text = op_to_json(op, basis=list(basis))
+        text = op_to_json(op)
     elif args.format == "csv":
         text = op_to_csv(op)
     else:
         text = op_to_latex(op)
     report = {"command": "matrix", "family": args.family, "format": args.format,
-              "basis": list(basis), "shorthand": shorthand, "text": text}
+              "basis": basis, "shorthand": shorthand, "text": text}
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -126,29 +124,25 @@ def cmd_search(args):
 
 
 def cmd_frt(args):
-    u, v, p, q, sigma = (parse_scalar(getattr(args, n))
-                         for n in ("u", "v", "p", "q", "sigma"))
-    rels = frt_mod.claimed_relations(u, v, p, q, sigma)
-    # first: it raises SingularParameterError on the singular locus
-    sym = frt_mod.uv_symmetry_check(rels)
-    entries = frt_mod.rtt_residual(thm1_op(quadratic_algebra(sigma),
-                                           p, q, u, v))
-    rep = frt_mod.span_membership(entries, rels)
+    names = ("u", "v", "p", "q", "sigma")
+    values = [parse_scalar(getattr(args, n)) for n in names]
+    rels = frt_mod.claimed_relations(*values)
+    # raises SingularParameterError on the singular locus
+    rep = frt_mod.rtt_span_report(rels)
     report = {
         "command": "frt",
-        "params": {n: format_scalar(parse_scalar(getattr(args, n)))
-                   for n in ("u", "v", "p", "q", "sigma")},
+        "params": {n: format_scalar(x) for n, x in zip(names, values)},
         "all_members": rep.all_members,
         "entry_span_dim": rep.entry_span_dim,
         "relation_span_dim": rep.relation_span_dim,
-        "uv_symmetric": sym,
+        "uv_symmetric": rep.same_span,
         "membership": [list(map(format_scalar, m)) if m is not None else None
                        for m in rep.members],
     }
     if args.report:
         Path(args.report).write_text(json.dumps(report, indent=2),
                                      encoding="utf-8")
-    return rep.all_members and sym, report
+    return rep.same_span, report
 
 
 def cmd_ybsystem(args):
@@ -233,6 +227,8 @@ def cmd_campaign(args, parser):
                                                       list):
         raise ValueError("config error: expected an object with a task list")
     tasks = config["tasks"]
+    if not tasks:
+        raise ValueError("config error: the task list is empty")
     outdir = Path(args.outdir or os.environ.get("YBOPS_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     seed = config.get("seed", args.seed)

@@ -23,7 +23,7 @@ from .algebra import Algebra, Coalgebra, dual_algebra, opposite_algebra
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import scalar_pow  # noqa: F401  (re-exported)
-from .tensorop import Op2, freeze, tensor_basis_labels
+from .tensorop import Op2, freeze
 
 
 def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
@@ -114,24 +114,3 @@ class ColoredFamily:
 
     def inv(self, u, v) -> Op2:
         return family_inv(self.kind, self.carrier, self.params, u, v)
-
-
-@dataclass(frozen=True)
-class MatrixForm:
-    op: Op2
-    basis: tuple
-    shorthand: dict  # named parameter combinations, empty when not applicable
-
-
-def matrix_form(F: ColoredFamily, u, v) -> MatrixForm:
-    """Evaluate a family and attach the tensor basis labels.
-
-    Families with a shorthand in the table report it alongside (for the
-    linear family the dimension-3 names lambda, t, t', w, w').
-    """
-    op = F.op(u, v)
-    basis = tuple(tensor_basis_labels(op.n, 2))
-    spec = family(F.kind)
-    shorthand = ({} if spec.shorthand is None
-                 else spec.shorthand(*spec.args(F.params), u, v))
-    return MatrixForm(op=op, basis=basis, shorthand=shorthand)

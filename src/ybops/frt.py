@@ -280,16 +280,14 @@ def subset(rels: RelationSet, labels: Iterable[str]) -> RelationSet:
                        labels=keep, params=dict(rels.params))
 
 
-def rtt_residual(Rm, u_tag: str = "u", v_tag: str = "v") -> list:
+def rtt_residual(Rm) -> list:
     """Entries of R T1u T2v - T2v T1u R as 16 noncommutative polynomials."""
     if isinstance(Rm, Op2):
         Rm = Rm.mat
     if len(Rm) != 4 or any(len(row) != 4 for row in Rm):
         raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
-    Tu = [[NCPoly.gen("a", u_tag), NCPoly.gen("b", u_tag)],
-          [NCPoly.gen("c", u_tag), NCPoly.gen("d", u_tag)]]
-    Tv = [[NCPoly.gen("a", v_tag), NCPoly.gen("b", v_tag)],
-          [NCPoly.gen("c", v_tag), NCPoly.gen("d", v_tag)]]
+    Tu, Tv = ([[g["a"], g["b"]], [g["c"], g["d"]]]
+              for g in (_gens("u"), _gens("v")))
     # (T1u T2v)_{(i1 i2),(j1 j2)} = Tu[i1][j1] Tv[i2][j2], and reversed order
     # for T2v T1u; word order encodes noncommutativity.
     t12 = [[Tu[i // 2][j // 2] * Tv[i % 2][j % 2] for j in range(4)]
@@ -389,6 +387,12 @@ class SpanReport:
     def all_members(self) -> bool:
         return all(m is not None for m in self.members)
 
+    @property
+    def same_span(self) -> bool:
+        """Every entry is a member and both spans have the same dimension,
+        so the relations span exactly the entries' space."""
+        return self.all_members and self.entry_span_dim == self.relation_span_dim
+
 
 def span_membership(entries, rels: RelationSet,
                     symmetric: bool = True) -> SpanReport:
@@ -410,17 +414,9 @@ def span_membership(entries, rels: RelationSet,
         relation_span_dim=len(basis.rows))
 
 
-def uv_symmetry_check(rels: RelationSet) -> bool:
-    """True iff the relation set, read symmetrically in u <-> v, presents
-    exactly the RTT residual at its own parameters.
-
-    The exchange swaps generator colour tags and the colour values in the
-    coefficients.  Checked: the exchange-closed span (exchange_closure) and
-    the span of the 16 RTT residual entries of the dimension-2 linear
-    R-matrix at ``rels.params`` coincide: every entry lies in the closed
-    span and both spans have the same dimension.  A set that is too small to
-    imply the swapped relations fails, because its closure then falls short
-    of the residual span.
+def rtt_span_report(rels: RelationSet) -> SpanReport:
+    """:func:`span_membership` of the 16 RTT residual entries of the
+    dimension-2 linear R-matrix at ``rels.params``, read symmetrically.
 
     Raises SingularParameterError when the R-matrix itself degenerates at
     the stored parameters (pu = qv or qu = pv).
@@ -432,5 +428,18 @@ def uv_symmetry_check(rels: RelationSet) -> bool:
     p = rels.params
     FAMILIES["thm1"].check_regular(p["p"], p["q"], p["u"], p["v"])
     R = thm1_op(quadratic_algebra(p["sigma"]), p["p"], p["q"], p["u"], p["v"])
-    rep = span_membership(rtt_residual(R.mat), rels)
-    return rep.all_members and rep.entry_span_dim == rep.relation_span_dim
+    return span_membership(rtt_residual(R), rels)
+
+
+def uv_symmetry_check(rels: RelationSet) -> bool:
+    """True iff the relation set, read symmetrically in u <-> v, presents
+    exactly the RTT residual at its own parameters.
+
+    The exchange swaps generator colour tags and the colour values in the
+    coefficients.  Checked: the exchange-closed span (exchange_closure) and
+    the span of the RTT residual entries (:func:`rtt_span_report`)
+    coincide.  A set that is too small to imply the swapped relations
+    fails, because its closure then falls short of the residual span.
+    SingularParameterError on the singular locus, as for the report.
+    """
+    return rtt_span_report(rels).same_span

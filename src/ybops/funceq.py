@@ -11,6 +11,7 @@ and their coefficients; operators, inverses and the CLI read it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .errors import SingularParameterError, UnknownFamilyError
@@ -19,34 +20,33 @@ from .scalars import reciprocal, scalar_pow
 
 @dataclass(frozen=True)
 class CoeffTriple:
-    """The scalar coefficient functions of an ansatz operator.
+    """The coefficients of an ansatz operator as one function of the colours.
 
-    ``arity`` is 2 for coloured triples (functions of two colours) and 1 for
-    one-parameter triples, which also carry their composition map ``phi``.
+    ``coeffs(*colours)`` gives (alpha, beta, gamma), the shape
+    :attr:`Family.coeffs` has at fixed parameters.  ``arity`` is 2 for
+    coloured triples (functions of two colours) and 1 for one-parameter
+    triples, which also carry their composition map ``phi``.
     """
 
-    alpha: Callable
-    beta: Callable
-    gamma: Callable
+    coeffs: Callable
     arity: int = 2
     phi: Optional[Callable] = None
-    label: str = ""
 
 
 def scale_triple(T: CoeffTriple, c) -> CoeffTriple:
-    return CoeffTriple(alpha=lambda *a: c * T.alpha(*a),
-                       beta=lambda *a: c * T.beta(*a),
-                       gamma=lambda *a: c * T.gamma(*a),
-                       arity=T.arity, phi=T.phi,
-                       label=f"{c}*({T.label})")
+    return replace(T, coeffs=lambda *a: tuple(c * x for x in T.coeffs(*a)))
 
 
-def _system(a_uv, b_uv, g_uv, a_uw, b_uw, g_uw, a_vw, b_vw, g_vw):
+def _system(uv, uw, vw):
     """The five cubic equations shared by both systems.
 
-    The one-parameter system is the same polynomial system with the argument
+    Each argument is a triple (alpha, beta, gamma) at one colour pair.  The
+    one-parameter system is the same polynomial system with the argument
     substitution (u,v) -> x, (u,w) -> phi(x,z), (v,w) -> z.
     """
+    a_uv, b_uv, g_uv = uv
+    a_uw, b_uw, g_uw = uw
+    a_vw, b_vw, g_vw = vw
     e1 = ((b_vw - g_vw) * (a_uv * b_uw - a_uw * b_uv)
           + (a_uv - g_uv) * (a_vw * b_uw - a_uw * b_vw))
     e2 = (b_vw * (b_uv - g_uv) * (a_uw - g_uw)
@@ -64,9 +64,8 @@ def eval_colored_system(T: CoeffTriple, u, v, w) -> tuple:
     """The five coloured-system residuals at colours (u, v, w)."""
     if T.arity != 2:
         raise ValueError("coloured system needs a two-colour triple")
-    return _system(T.alpha(u, v), T.beta(u, v), T.gamma(u, v),
-                   T.alpha(u, w), T.beta(u, w), T.gamma(u, w),
-                   T.alpha(v, w), T.beta(v, w), T.gamma(v, w))
+    c = T.coeffs
+    return _system(c(u, v), c(u, w), c(v, w))
 
 
 def eval_onepar_system(T: CoeffTriple, x, z, phi: Optional[Callable] = None) -> tuple:
@@ -76,10 +75,8 @@ def eval_onepar_system(T: CoeffTriple, x, z, phi: Optional[Callable] = None) -> 
     phi = phi if phi is not None else T.phi
     if phi is None:
         raise ValueError("no composition map phi given")
-    m = phi(x, z)
-    return _system(T.alpha(x), T.beta(x), T.gamma(x),
-                   T.alpha(m), T.beta(m), T.gamma(m),
-                   T.alpha(z), T.beta(z), T.gamma(z))
+    c = T.coeffs
+    return _system(c(x), c(phi(x, z)), c(z))
 
 
 # --- the family table ------------------------------------------------------------
@@ -117,16 +114,6 @@ class Family:
     def args(self, params: dict) -> tuple:
         """The parameter values in table order, from a name -> value dict."""
         return tuple(params[n] for n in self.params)
-
-    def triple(self, *args) -> CoeffTriple:
-        """The coefficients at fixed parameters, as functions of the colours."""
-        c = self.coeffs
-        label = ",".join(f"{n}={a}" for n, a in zip(self.params, args))
-        return CoeffTriple(lambda *x: c(*args, *x)[0],
-                           lambda *x: c(*args, *x)[1],
-                           lambda *x: c(*args, *x)[2],
-                           arity=len(self.colours), phi=self.phi,
-                           label=f"{self.name}({label})")
 
     def check_regular(self, *args) -> None:
         """Raise SingularParameterError where the operator is not invertible."""
@@ -207,7 +194,8 @@ def catalogue(kind: str, **params) -> CoeffTriple:
     phi=x.
     """
     F = family(kind)
-    return F.triple(*F.args(params))
+    return CoeffTriple(partial(F.coeffs, *F.args(params)),
+                       arity=len(F.colours), phi=F.phi)
 
 
 # --- parametric ansatz triples for the search -----------------------------------
@@ -215,26 +203,20 @@ def catalogue(kind: str, **params) -> CoeffTriple:
 def linear_colored_triple(params) -> CoeffTriple:
     """alpha = p*u - p'*v, beta = q*u - q'*v, gamma = r*u - r'*v."""
     p, pp, q, qp, r, rp = params
-    return CoeffTriple(lambda u, v: p * u - pp * v,
-                       lambda u, v: q * u - qp * v,
-                       lambda u, v: r * u - rp * v,
-                       arity=2, label="linear")
+    return CoeffTriple(lambda u, v: (p * u - pp * v, q * u - qp * v,
+                                     r * u - rp * v))
 
 
 def exp_colored_triple(params) -> CoeffTriple:
     """alpha = p^u q^v, beta = a^u b^v, gamma = c^u d^v (positive bases)."""
     p, q, a, b, c, d = params
-    return CoeffTriple(lambda u, v: scalar_pow(p, u) * scalar_pow(q, v),
-                       lambda u, v: scalar_pow(a, u) * scalar_pow(b, v),
-                       lambda u, v: scalar_pow(c, u) * scalar_pow(d, v),
-                       arity=2, label="exponential")
+    return CoeffTriple(lambda u, v: (scalar_pow(p, u) * scalar_pow(q, v),
+                                     scalar_pow(a, u) * scalar_pow(b, v),
+                                     scalar_pow(c, u) * scalar_pow(d, v)))
 
 
-_PHI_SHAPES = {
-    "xz": lambda x, z: x * z,
-    "z": lambda x, z: z,
-    "x": lambda x, z: x,
-}
+# phi shape of the one-parameter search -> the table family with that phi
+_PHI_SHAPES = {"xz": "prop1", "z": "prop2", "x": "remark_x"}
 
 
 def linear_onepar_triple(params, phi_shape: str = "xz") -> CoeffTriple:
@@ -242,8 +224,5 @@ def linear_onepar_triple(params, phi_shape: str = "xz") -> CoeffTriple:
     p, pp, q, qp, r, rp = params
     if phi_shape not in _PHI_SHAPES:
         raise UnknownFamilyError(f"unknown phi shape {phi_shape!r}")
-    return CoeffTriple(lambda x: p * x - pp,
-                       lambda x: q * x - qp,
-                       lambda x: r * x - rp,
-                       arity=1, phi=_PHI_SHAPES[phi_shape],
-                       label=f"linear/phi={phi_shape}")
+    return CoeffTriple(lambda x: (p * x - pp, q * x - qp, r * x - rp),
+                       arity=1, phi=FAMILIES[_PHI_SHAPES[phi_shape]].phi)

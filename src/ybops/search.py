@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -66,34 +67,29 @@ def _make_objective(shape: str, system: str, phi_shape: str, grid):
                    "exponential": _exp_triple_from_logs}.get(shape)
         if builder is None:
             raise UnknownFamilyError(f"unknown ansatz shape {shape!r}")
-
-        def objective(params):
-            try:
-                T = builder(params)
-                total = 0.0
-                for (u, v, w) in fgrid:
-                    for r in eval_colored_system(T, u, v, w):
-                        total += r * r
-            except ArithmeticError:
-                # exponential ansatz overflowed, or underflowed to 0.0 and
-                # was raised to a negative power; reject the point
-                return math.inf
-            return total
-        return objective
-    if system == "onepar":
+        evaluate = eval_colored_system
+    elif system == "onepar":
         if shape != "linear":
             raise UnknownFamilyError(
                 "one-parameter search supports the linear shape only")
+        builder = partial(linear_onepar_triple, phi_shape=phi_shape)
+        evaluate = eval_onepar_system
+    else:
+        raise UnknownFamilyError(f"unknown system {system!r}")
 
-        def objective(params):
-            T = linear_onepar_triple(params, phi_shape)
+    def objective(params):
+        try:
+            T = builder(params)
             total = 0.0
-            for (x, z) in fgrid:
-                for r in eval_onepar_system(T, x, z):
+            for pt in fgrid:
+                for r in evaluate(T, *pt):
                     total += r * r
-            return total
-        return objective
-    raise UnknownFamilyError(f"unknown system {system!r}")
+        except ArithmeticError:
+            # exponential ansatz overflowed, or underflowed to 0.0 and
+            # was raised to a negative power; reject the point
+            return math.inf
+        return total
+    return objective
 
 
 def _exp_triple_from_logs(params):

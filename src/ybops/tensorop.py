@@ -287,16 +287,13 @@ def tensor_basis_labels(n: int, factors: int = 2) -> list:
     return labels
 
 
-def op_to_json(op, basis=None, field: str = "rational") -> str:
+def op_to_json(op) -> str:
     n = op.n
-    if basis is None:
-        factors = 3 if isinstance(op, Op3) else 2
-        basis = tensor_basis_labels(n, factors)
     return json.dumps({
         "n": n,
-        "basis": basis,
+        "basis": tensor_basis_labels(n, 3 if isinstance(op, Op3) else 2),
         "entries": [[format_scalar(x) for x in row] for row in op.mat],
-        "field": field,
+        "field": "rational",
     }, ensure_ascii=False)
 
 

@@ -1,9 +1,11 @@
 """CLI surface: subcommands, exit codes, campaign runner."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from ybops import frt
 from ybops.cli import main
 
 
@@ -57,6 +59,24 @@ class TestFrt:
         assert data["all_members"] and data["uv_symmetric"]
         assert data["entry_span_dim"] == data["relation_span_dim"] == 16
         assert len(data["membership"]) == 16
+
+    def test_single_pass(self, monkeypatch):
+        # the report and uv_symmetric come from one RTT expansion and one
+        # elimination of the relations
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(frt, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("rtt_residual", "span_membership"):
+            monkeypatch.setattr(frt, name, counting(name))
+        assert main(["frt"]) == 0
+        assert calls == {"rtt_residual": 1, "span_membership": 1}
 
 
 class TestYbsystemAndCompare:
@@ -136,6 +156,7 @@ class TestCampaign:
 
 # Bad input exits 2 with a one-line message, never a traceback or a vacuous
 # pass.  Rows: argv, campaign config (appended as a file) or None, exit code.
+# In argv, {tmp} is the test's temporary directory and {cfg} the config file.
 EXIT_CODES = [
     pytest.param(["--field", "float64", "verify", "--family", "thm1"], None,
                  2, id="unknown-field-flag"),
@@ -160,15 +181,32 @@ EXIT_CODES = [
                  None, 2, id="frt-singular"),
     pytest.param(["--seed", "3", "search", "--shape", "exponential",
                   "--restarts", "1"], None, 0, id="search-exp-underflow"),
+    pytest.param(["matrix", "--family", "thm1", "--out", "{tmp}/no/x.json"],
+                 None, 2, id="matrix-out-unwritable"),
+    pytest.param(["frt", "--report", "{tmp}/no/r.json"], None, 2,
+                 id="frt-report-unwritable"),
+    pytest.param(["search", "--restarts", "1", "--out", "{tmp}/no/s.json"],
+                 None, 2, id="search-out-unwritable"),
+    pytest.param(["campaign", "--outdir", "{cfg}"],
+                 {"tasks": [{"command": "compare"}]}, 2,
+                 id="campaign-outdir-is-file"),
+    pytest.param(["campaign"], {"tasks": [{"command": "matrix", "args": {
+        "family": "thm1", "out": "{tmp}/no/x.json"}}]}, 2,
+        id="campaign-task-out-unwritable"),
+    pytest.param(["campaign"], {"tasks": []}, 2, id="campaign-empty"),
 ]
 
 
 @pytest.mark.parametrize("argv,config,code", EXIT_CODES)
 def test_exit_codes(argv, config, code, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    argv = [a.format(tmp=tmp_path, cfg=cfg) for a in argv]
     if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config), encoding="utf-8")
-        argv = argv + [str(cfg), "--outdir", str(tmp_path)]
+        cfg.write_text(json.dumps(config).replace("{tmp}", str(tmp_path)),
+                       encoding="utf-8")
+        argv.append(str(cfg))
+        if "--outdir" not in argv:
+            argv += ["--outdir", str(tmp_path)]
     assert main(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err

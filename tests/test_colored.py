@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from ybops.algebra import dual_coalgebra, quadratic_algebra
-from ybops.colored import (ColoredFamily, coalgebra_colored_op, matrix_form,
-                           remark2_op, scalar_pow, thm1_inv, thm1_op,
-                           thm2_inv, thm2_op)
+from ybops.colored import (ColoredFamily, coalgebra_colored_op, remark2_op,
+                           scalar_pow, thm1_inv, thm1_op, thm2_inv, thm2_op)
 from ybops.errors import (NonIntegerExponentError, SingularParameterError,
                           UnknownFamilyError)
+from ybops.funceq import FAMILIES, catalogue
 from ybops.tensorop import (colored_qybe_residual, identity_mat, mat_mul,
-                            mat_transpose)
+                            mat_transpose, tensor_basis_labels)
 from conftest import rand_fraction
 
 
@@ -119,10 +119,9 @@ class TestRemark2:
             assert colored_qybe_residual(fam, u, v, w) == 0
 
     def test_alpha_equals_gamma(self):
-        from ybops.funceq import catalogue
-        T = catalogue("remark2", p=2, q=3, s=7)
-        assert T.alpha(1, 2) == T.gamma(1, 2)
-        assert T.beta(1, 2) == Fraction(7 * 9)
+        alpha, beta, gamma = catalogue("remark2", p=2, q=3, s=7).coeffs(1, 2)
+        assert alpha == gamma
+        assert beta == Fraction(7 * 9)
 
 
 class TestCoalgebraTransfer:
@@ -168,7 +167,9 @@ class TestFamilyAndMatrixForm:
     def test_shorthand_values(self, A1):
         fam = ColoredFamily(kind="thm1", carrier=A1,
                             params={"p": Fraction(1), "q": Fraction(2)})
-        form = matrix_form(fam, Fraction(3), Fraction(1))
-        assert form.shorthand == {"lambda": 2, "t": 1, "t'": 3, "w": 5,
-                                  "w'": -1}
-        assert form.basis == ("1⊗1", "1⊗x", "x⊗1", "x⊗x")
+        F = FAMILIES[fam.kind]
+        u, v = Fraction(3), Fraction(1)
+        assert F.shorthand(*F.args(fam.params), u, v) == {
+            "lambda": 2, "t": 1, "t'": 3, "w": 5, "w'": -1}
+        assert tensor_basis_labels(fam.op(u, v).n, 2) == [
+            "1⊗1", "1⊗x", "x⊗1", "x⊗x"]

@@ -57,7 +57,7 @@ class TestPhiDiscipline:
         assert any(r != 0 for r in res)
 
     def test_missing_phi_raises(self):
-        T = CoeffTriple(lambda x: x, lambda x: 1, lambda x: 1, arity=1)
+        T = CoeffTriple(lambda x: (x, 1, 1), arity=1)
         with pytest.raises(ValueError):
             eval_onepar_system(T, 1, 2)
 
@@ -103,9 +103,7 @@ class TestAnsatzBuilders:
         T = linear_colored_triple([p, p, q, q, p, q])
         C = catalogue("thm1", p=p, q=q)
         for (u, v) in ((1, 2), (3, -1), (Fraction(1, 2), 5)):
-            assert T.alpha(u, v) == C.alpha(u, v)
-            assert T.beta(u, v) == C.beta(u, v)
-            assert T.gamma(u, v) == C.gamma(u, v)
+            assert T.coeffs(u, v) == C.coeffs(u, v)
 
     def test_exp_triple_solves_at_integers(self):
         T = exp_colored_triple([2.0, 3.0, 2.0, 5.0, 2.0, 5.0])

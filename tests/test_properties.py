@@ -10,7 +10,8 @@ from ybops.algebra import dual_coalgebra, quadratic_algebra
 from ybops.colored import coalgebra_colored_op, thm1_op
 from ybops.frt import (NCPoly, RelationSet, in_span, rtt_residual,
                        span_dimension, span_membership)
-from ybops.funceq import catalogue, eval_colored_system, scale_triple
+from ybops.funceq import (FAMILIES, catalogue, eval_colored_system,
+                          eval_onepar_system, scale_triple)
 from ybops.onepar import prop1_op
 from ybops.tensorop import (Op2, _chain_difference, braid_residual,
                             colored_qybe_residual, embed_leg, freeze,
@@ -50,6 +51,33 @@ class TestGaugeInvariance:
         # constant rescaling of a solution triple stays a solution
         T = scale_triple(catalogue("thm1", p=Fraction(2), q=Fraction(5)), c)
         assert eval_colored_system(T, u, v, w) == (0, 0, 0, 0, 0)
+
+
+@st.composite
+def _family_points(draw):
+    """A table family, parameters and colours: nonzero parameters and
+    integer colours for the exponential (integer-colour) families."""
+    kind = draw(st.sampled_from(sorted(FAMILIES)))
+    F = FAMILIES[kind]
+    param = nonzero_fractions if F.integer_colours else fractions
+    colour = st.integers(-3, 3) if F.integer_colours else fractions
+    params = {name: draw(param) for name in F.params}
+    colours = [draw(colour) for _ in range(3 if F.phi is None else 2)]
+    return kind, params, colours
+
+
+class TestCatalogueFamilies:
+    @settings(max_examples=80, deadline=None)
+    @given(case=_family_points())
+    def test_solves_its_system(self, case):
+        # every table family, the coalgebra kinds included, through catalogue
+        kind, params, colours = case
+        F = FAMILIES[kind]
+        T = catalogue(kind, **params)
+        evaluate = eval_colored_system if T.arity == 2 else eval_onepar_system
+        assert evaluate(T, *colours) == (0, 0, 0, 0, 0)
+        at = colours[:T.arity]
+        assert T.coeffs(*at) == F.coeffs(*F.args(params), *at)
 
 
 class TestScalingRelation:
