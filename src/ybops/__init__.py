@@ -3,7 +3,7 @@ derived from finite-dimensional associative algebras."""
 
 from .algebra import (Algebra, Coalgebra, ValidationReport, cubic_algebra,
                       dual_coalgebra, multiply, poly_quotient,
-                      quadratic_algebra, validate, validate_coalgebra)
+                      quadratic_algebra, validate)
 from .colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                       remark2_op, thm1_inv, thm1_op, thm2_inv, thm2_op)
 from .compare import BraidFamily, compare_q1, okado_rhat, twisted_prop1_rhat

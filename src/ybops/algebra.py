@@ -7,8 +7,10 @@ Conventions (shared by every module):
 * For polynomial quotients the basis is the power basis ``{1, x, x^2, ...}``
   and index 0 is the unit.
 
-A coalgebra is the transpose structure: ``comult[i][j][k]`` is the coefficient
-of ``e_j (x) e_k`` in ``Delta(e_i)``.
+A coalgebra is stored as the algebra it is dual to: ``comult[i][j][k]``, the
+coefficient of ``e_j (x) e_k`` in ``Delta(e_i)``, is ``structconst[j][k][i]``
+and the counit is the unit.  Coassociativity and the counit laws of C are
+then the associativity and unit laws of ``C.algebra``.
 """
 
 from __future__ import annotations
@@ -22,21 +24,45 @@ from .errors import DimensionMismatchError, InvalidStructureError
 from .scalars import Scalar, format_scalar, parse_scalar, rational
 
 
+def _check_shape(n: int, cube, vector) -> None:
+    if len(vector) != n or len(cube) != n or any(
+            len(plane) != n or any(len(row) != n for row in plane)
+            for plane in cube):
+        raise DimensionMismatchError(
+            f"structure tensor must be {n}x{n}x{n} and the (co)unit of "
+            f"length {n}")
+
+
 @dataclass(frozen=True)
 class Algebra:
     dim: int
     structconst: tuple  # n x n x n nested tuples
     unit: tuple  # coordinates of 1
 
-    def multiply(self, a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple:
-        return multiply(self, a, b)
+    def __post_init__(self):
+        _check_shape(self.dim, self.structconst, self.unit)
 
 
 @dataclass(frozen=True)
 class Coalgebra:
-    dim: int
-    comult: tuple  # n x n x n nested tuples
-    counit: tuple
+    """The coalgebra dual to ``algebra``."""
+
+    algebra: Algebra
+
+    @property
+    def dim(self) -> int:
+        return self.algebra.dim
+
+    @property
+    def comult(self) -> tuple:
+        """``comult[i][j][k]``: the coefficient of e_j (x) e_k in Delta(e_i)."""
+        c, n = self.algebra.structconst, self.algebra.dim
+        return tuple(tuple(tuple(c[j][k][i] for k in range(n))
+                           for j in range(n)) for i in range(n))
+
+    @property
+    def counit(self) -> tuple:
+        return self.algebra.unit
 
 
 @dataclass(frozen=True)
@@ -48,10 +74,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _freeze3(c):
-    return tuple(tuple(tuple(x for x in row) for row in plane) for plane in c)
 
 
 def poly_quotient(coeffs: Sequence[Scalar]) -> Algebra:
@@ -75,11 +97,11 @@ def poly_quotient(coeffs: Sequence[Scalar]) -> Algebra:
         shifted = [Fraction(0)] + prev[: n - 1]
         overflow = prev[n - 1]
         reps.append([shifted[i] + overflow * top[i] for i in range(n)])
-    struct = [[[reps[i + j][k] for k in range(n)] for j in range(n)]
-              for i in range(n)]
     # structconst orientation: c[i][j][k] = coeff of e_k in e_i * e_j
+    struct = tuple(tuple(tuple(reps[i + j]) for j in range(n))
+                   for i in range(n))
     unit = tuple(Fraction(int(i == 0)) for i in range(n))
-    return Algebra(dim=n, structconst=_freeze3(struct), unit=unit)
+    return Algebra(dim=n, structconst=struct, unit=unit)
 
 
 def quadratic_algebra(sigma: Scalar) -> Algebra:
@@ -140,47 +162,18 @@ def validate(A: Algebra) -> ValidationReport:
     return ValidationReport(violations=tuple(bad))
 
 
-def validate_coalgebra(C: Coalgebra) -> ValidationReport:
-    """Coassociativity and the counit law, as 3-index identities."""
-    n = C.dim
-    d = C.comult
-    eps = C.counit
-    bad = []
-    # (Delta (x) id) Delta = (id (x) Delta) Delta on e_i, component (j,k,l)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    lhs = sum(d[i][m][l] * d[m][j][k] for m in range(n))
-                    rhs = sum(d[i][j][m] * d[m][k][l] for m in range(n))
-                    if lhs != rhs:
-                        bad.append(("coassociativity", (i, j, k, l), lhs - rhs))
-    for i in range(n):
-        for k in range(n):
-            want = Fraction(int(k == i))
-            left = sum(eps[j] * d[i][j][k] for j in range(n))
-            right = sum(d[i][k][j] * eps[j] for j in range(n))
-            if left != want:
-                bad.append(("left-counit", (i, k), left - want))
-            if right != want:
-                bad.append(("right-counit", (i, k), right - want))
-    return ValidationReport(violations=tuple(bad))
-
-
-def dual_coalgebra(A: Algebra) -> Coalgebra:
-    """Dual coalgebra of A: comult is the transposed product, counit the unit.
-
-    Raises if A itself is not a valid algebra.
-    """
+def require_valid(A: Algebra) -> Algebra:
+    """A itself; InvalidStructureError if A is not associative and unital."""
     report = validate(A)
     if not report.ok:
         raise InvalidStructureError(
             f"not an associative unital algebra: {report.violations[0]}")
-    n = A.dim
-    c = A.structconst
-    comult = [[[c[j][k][i] for k in range(n)] for j in range(n)]
-              for i in range(n)]
-    return Coalgebra(dim=n, comult=_freeze3(comult), counit=tuple(A.unit))
+    return A
+
+
+def dual_coalgebra(A: Algebra) -> Coalgebra:
+    """Dual coalgebra of A; raises if A itself is not a valid algebra."""
+    return Coalgebra(require_valid(A))
 
 
 def opposite_algebra(A: Algebra) -> Algebra:
@@ -190,50 +183,53 @@ def opposite_algebra(A: Algebra) -> Algebra:
         tuple(c[j][i] for j in range(A.dim)) for i in range(A.dim)))
 
 
-def dual_algebra(C: Coalgebra) -> Algebra:
-    """Algebra dual to C: the transposed comultiplication, unit the counit."""
-    n = C.dim
-    d = C.comult
-    struct = [[[d[k][i][j] for k in range(n)] for j in range(n)]
-              for i in range(n)]
-    return Algebra(dim=n, structconst=_freeze3(struct), unit=tuple(C.counit))
-
-
 # --- JSON interface ---------------------------------------------------------
 
-def algebra_to_json(A: Algebra) -> str:
+def _to_json(n, cube_key, cube, vector_key, vector) -> str:
     return json.dumps({
-        "dim": A.dim,
-        "structconst": [[[format_scalar(x) for x in row] for row in plane]
-                        for plane in A.structconst],
-        "unit": [format_scalar(x) for x in A.unit],
+        "dim": n,
+        cube_key: [[[format_scalar(x) for x in row] for row in plane]
+                   for plane in cube],
+        vector_key: [format_scalar(x) for x in vector],
         "field": "rational",
     })
+
+
+def _array(x) -> list:
+    # a string would otherwise be read as one scalar per character
+    if not isinstance(x, list):
+        raise DimensionMismatchError(f"expected a JSON array, got {x!r}")
+    return x
+
+
+def _from_json(text, cube_key, vector_key):
+    """(dim, n x n x n tensor, length-n vector), shape-checked."""
+    data = json.loads(text)
+    field = data.get("field", "rational")
+    cube = tuple(tuple(tuple(parse_scalar(x, field) for x in _array(row))
+                       for row in _array(plane))
+                 for plane in _array(data[cube_key]))
+    vector = tuple(parse_scalar(x, field) for x in _array(data[vector_key]))
+    _check_shape(data["dim"], cube, vector)
+    return data["dim"], cube, vector
+
+
+def algebra_to_json(A: Algebra) -> str:
+    return _to_json(A.dim, "structconst", A.structconst, "unit", A.unit)
 
 
 def algebra_from_json(text: str) -> Algebra:
-    data = json.loads(text)
-    field = data.get("field", "rational")
-    struct = [[[parse_scalar(x, field) for x in row] for row in plane]
-              for plane in data["structconst"]]
-    unit = tuple(parse_scalar(x, field) for x in data["unit"])
-    return Algebra(dim=data["dim"], structconst=_freeze3(struct), unit=unit)
+    n, c, unit = _from_json(text, "structconst", "unit")
+    return Algebra(dim=n, structconst=c, unit=unit)
 
 
 def coalgebra_to_json(C: Coalgebra) -> str:
-    return json.dumps({
-        "dim": C.dim,
-        "comult": [[[format_scalar(x) for x in row] for row in plane]
-                   for plane in C.comult],
-        "counit": [format_scalar(x) for x in C.counit],
-        "field": "rational",
-    })
+    return _to_json(C.dim, "comult", C.comult, "counit", C.counit)
 
 
 def coalgebra_from_json(text: str) -> Coalgebra:
-    data = json.loads(text)
-    field = data.get("field", "rational")
-    comult = [[[parse_scalar(x, field) for x in row] for row in plane]
-              for plane in data["comult"]]
-    counit = tuple(parse_scalar(x, field) for x in data["counit"])
-    return Coalgebra(dim=data["dim"], comult=_freeze3(comult), counit=counit)
+    n, d, counit = _from_json(text, "comult", "counit")
+    # the dual algebra: e_i * e_j has coefficient comult[k][i][j] at e_k
+    struct = tuple(tuple(tuple(d[k][i][j] for k in range(n))
+                         for j in range(n)) for i in range(n))
+    return Coalgebra(Algebra(dim=n, structconst=struct, unit=counit))

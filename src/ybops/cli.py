@@ -60,26 +60,27 @@ def _random_scalar(rng, integer=False):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
 
+def _emitter(fmt):
+    # looked up per call, so a rebound module attribute is the one used
+    return {"json": op_to_json, "csv": op_to_csv, "latex": op_to_latex}[fmt]
+
+
 def cmd_verify(args):
     F, fam = _family(args)
+    names, residual = ((("u", "v", "w"), colored_qybe_residual)
+                       if F.phi is None else
+                       (("x", "z"), onepar_qybe_residual))
     rng = random.Random(args.seed)
     failures = []
     samples = []
     for _ in range(args.samples):
-        if F.phi is None:
-            u, v, w = (_random_scalar(rng, F.integer_colours)
-                       for _ in range(3))
-            res = colored_qybe_residual(fam, u, v, w)
-            samples.append({"u": format_scalar(u), "v": format_scalar(v),
-                            "w": format_scalar(w),
-                            "residual": format_scalar(res)})
-        else:
-            x, z = (_random_scalar(rng) for _ in range(2))
-            res = onepar_qybe_residual(fam, x, z)
-            samples.append({"x": format_scalar(x), "z": format_scalar(z),
-                            "residual": format_scalar(res)})
+        colours = [_random_scalar(rng, F.integer_colours) for _ in names]
+        res = residual(fam, *colours)
+        sample = {n: format_scalar(c) for n, c in zip(names, colours)}
+        sample["residual"] = format_scalar(res)
+        samples.append(sample)
         if res != 0:
-            failures.append(samples[-1])
+            failures.append(sample)
     report = {"command": "verify", "family": args.family,
               "samples": samples, "failures": failures}
     return not failures, report
@@ -93,12 +94,7 @@ def cmd_matrix(args):
     shorthand = ({} if F.shorthand is None else
                  {k: format_scalar(v) for k, v in
                   F.shorthand(*F.args(fam.params), *colours).items()})
-    if args.format == "json":
-        text = op_to_json(op)
-    elif args.format == "csv":
-        text = op_to_csv(op)
-    else:
-        text = op_to_latex(op)
+    text = _emitter(args.format)(op)
     report = {"command": "matrix", "family": args.family, "format": args.format,
               "basis": basis, "shorthand": shorthand, "text": text}
     if args.out:
@@ -149,7 +145,7 @@ def cmd_ybsystem(args):
     A = _algebra(args)
     S = thm3_system(A, parse_scalar(args.lam), parse_scalar(args.mu))
     residuals = wxz_residuals(S)
-    emit = op_to_latex if args.emit == "latex" else op_to_json
+    emit = _emitter(args.emit)
     report = {"command": "ybsystem",
               "lambda": args.lam, "mu": args.mu,
               "residuals": [format_scalar(r) for r in residuals],

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Algebra, Coalgebra, dual_algebra, opposite_algebra
+from .algebra import Algebra, Coalgebra, opposite_algebra
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import scalar_pow  # noqa: F401  (re-exported)
@@ -44,7 +44,7 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
 
 
 def _build(F, carrier, coeffs, opposite: bool = False) -> Op2:
-    A = dual_algebra(carrier) if F.coalgebra else carrier
+    A = carrier.algebra if F.coalgebra else carrier
     R = ansatz_op(opposite_algebra(A) if opposite else A, *coeffs)
     return Op2(n=R.n, mat=tuple(zip(*R.mat))) if F.coalgebra else R
 

@@ -16,16 +16,9 @@ Scalar = Union[Fraction, int, float]
 
 
 def rational(x) -> Fraction:
-    """Coerce ints, Fractions and 'num/den' strings to an exact rational."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    raise TypeError(f"cannot coerce {type(x).__name__} to rational")
+    """The exact rational value of an int, Fraction, float or 'num/den'
+    string; a float converts exactly, unrounded."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def is_exact(x: Scalar) -> bool:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra, validate
+from .algebra import Algebra, require_valid
 from .colored import ansatz_op
-from .errors import DimensionMismatchError, InvalidStructureError
+from .errors import DimensionMismatchError
 from .tensorop import Op2, max_abs_entry, yb_commutator
 
 
@@ -34,10 +34,7 @@ class WXZSystem:
 
 def thm3_system(A: Algebra, lam, mu) -> WXZSystem:
     """W(a(x)b) = lam 1(x)ab + ab(x)1 - b(x)a, Z = (1, mu, 1), X = (1, 1, 1)."""
-    report = validate(A)
-    if not report.ok:
-        raise InvalidStructureError(
-            f"not an associative unital algebra: {report.violations[0]}")
+    require_valid(A)
     return WXZSystem(W=ansatz_op(A, lam, 1, 1),
                      X=ansatz_op(A, 1, 1, 1),
                      Z=ansatz_op(A, 1, mu, 1),

@@ -1,5 +1,6 @@
 """Structure-constant algebras, coalgebras and their validation."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from ybops.algebra import (Algebra, algebra_from_json, algebra_to_json,
                            coalgebra_from_json, coalgebra_to_json,
                            cubic_algebra, dual_coalgebra, multiply,
-                           poly_quotient, quadratic_algebra, validate,
-                           validate_coalgebra)
+                           poly_quotient, quadratic_algebra, validate)
 from ybops.errors import (DimensionMismatchError, InvalidStructureError)
+from ybops.scalars import rational
 
 
 def e(n, i):
@@ -42,6 +43,11 @@ class TestPolyQuotient:
         with pytest.raises(InvalidStructureError):
             poly_quotient([1])
 
+    def test_small_float_parameter_is_exact(self):
+        # a float converts exactly: 1e-13 must not round to 0
+        assert rational(1e-13) == Fraction(1e-13)
+        assert quadratic_algebra(1e-13) != quadratic_algebra(0)
+
 
 class TestValidate:
     def test_valid_families(self, Aq, Bc):
@@ -67,8 +73,8 @@ class TestValidate:
 
 class TestDualCoalgebra:
     def test_dual_is_valid_coalgebra(self, Aq, Bc):
-        assert validate_coalgebra(dual_coalgebra(Aq)).ok
-        assert validate_coalgebra(dual_coalgebra(Bc)).ok
+        assert validate(dual_coalgebra(Aq).algebra).ok
+        assert validate(dual_coalgebra(Bc).algebra).ok
 
     def test_comult_transposes_product(self, Bc):
         C = dual_coalgebra(Bc)
@@ -95,10 +101,52 @@ class TestJson:
     def test_algebra_roundtrip(self, Bc):
         assert algebra_from_json(algebra_to_json(Bc)) == Bc
 
-    def test_coalgebra_roundtrip(self, A1):
-        C = dual_coalgebra(A1)
-        assert coalgebra_from_json(coalgebra_to_json(C)) == C
+    def test_coalgebra_roundtrip(self, A1, M2):
+        # M2 is not commutative, so a reader that swaps i and j fails on it
+        for A in (A1, M2):
+            C = dual_coalgebra(A)
+            assert coalgebra_from_json(coalgebra_to_json(C)) == C
 
     def test_fractions_survive(self):
         A = quadratic_algebra(Fraction(-3, 7))
         assert algebra_from_json(algebra_to_json(A)) == A
+
+
+def _misshape(data, tensor, vector, how):
+    """Damage one field of a structure's JSON dict."""
+    if how == "short-unit":
+        data[vector] = data[vector][:-1]
+    elif how == "missing-plane":
+        data[tensor] = data[tensor][:-1]
+    elif how == "ragged-row":
+        data[tensor][1][0] = data[tensor][1][0][:-1]
+    elif how == "string-row":  # "01" is not the row ["0", "1"]
+        data[tensor][1][0] = "".join(data[tensor][1][0])
+    elif how == "string-unit":
+        data[vector] = "".join(data[vector])
+    else:  # a scalar where a plane belongs
+        data[tensor][1] = data[tensor][1][0][0]
+    return json.dumps(data)
+
+
+class TestShapeChecks:
+    HOWS = ["short-unit", "missing-plane", "ragged-row", "string-row",
+            "string-unit", "scalar-plane"]
+
+    @pytest.mark.parametrize("how", HOWS)
+    def test_algebra_reader_rejects(self, how, A1):
+        text = _misshape(json.loads(algebra_to_json(A1)),
+                         "structconst", "unit", how)
+        with pytest.raises(DimensionMismatchError):
+            algebra_from_json(text)
+
+    @pytest.mark.parametrize("how", HOWS)
+    def test_coalgebra_reader_rejects(self, how, A1):
+        text = _misshape(json.loads(coalgebra_to_json(dual_coalgebra(A1))),
+                         "comult", "counit", how)
+        with pytest.raises(DimensionMismatchError):
+            coalgebra_from_json(text)
+
+    def test_constructor_rejects(self, A1):
+        with pytest.raises(DimensionMismatchError):
+            Algebra(dim=2, structconst=A1.structconst, unit=A1.unit[:1])

@@ -1,12 +1,14 @@
 """Cross-module invariants, partly driven by hypothesis."""
 
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ybops.algebra import dual_coalgebra, quadratic_algebra
+from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra, poly_quotient,
+                           quadratic_algebra, validate)
 from ybops.colored import coalgebra_colored_op, thm1_op
 from ybops.frt import (NCPoly, RelationSet, in_span, rtt_residual,
                        span_dimension, span_membership)
@@ -97,6 +99,64 @@ class TestDuality:
         R = thm1_op(A1, p, q, u, v)
         Rc = coalgebra_colored_op(C, p, q, u, v)
         assert Rc.mat == freeze(mat_transpose(R.mat))
+
+
+def _coalgebra_law_counts(C):
+    """Violated coassociativity and left/right counit identities of C, read
+    off ``comult`` and ``counit`` directly: the reference for validating
+    the dual algebra."""
+    n, d, eps = C.dim, C.comult, C.counit
+    counts = dict.fromkeys(("coassociativity", "left-counit",
+                            "right-counit"), 0)
+    # (Delta (x) id) Delta = (id (x) Delta) Delta on e_i, component (j,k,l)
+    for i, j, k, l in product(range(n), repeat=4):
+        lhs = sum(d[i][m][l] * d[m][j][k] for m in range(n))
+        rhs = sum(d[i][j][m] * d[m][k][l] for m in range(n))
+        counts["coassociativity"] += lhs != rhs
+    for i, k in product(range(n), repeat=2):
+        want = int(k == i)
+        counts["left-counit"] += sum(eps[j] * d[i][j][k]
+                                     for j in range(n)) != want
+        counts["right-counit"] += sum(d[i][k][j] * eps[j]
+                                      for j in range(n)) != want
+    return counts
+
+
+@st.composite
+def _coalgebras(draw):
+    """A 1-3-dimensional Coalgebra(Algebra(...)): a polynomial quotient
+    (valid) or a random integer tensor and unit, perhaps with one entry
+    changed."""
+    n = draw(st.integers(1, 3))
+    small = st.integers(-1, 1)
+    if draw(st.booleans()):
+        A = poly_quotient(draw(st.lists(st.integers(-2, 2), min_size=n,
+                                        max_size=n)) + [1])
+        c = [[list(row) for row in plane] for plane in A.structconst]
+        unit = list(A.unit)
+    else:
+        c = draw(st.lists(st.lists(st.lists(small, min_size=n, max_size=n),
+                                   min_size=n, max_size=n),
+                          min_size=n, max_size=n))
+        unit = draw(st.lists(small, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        c[i][j][k] += draw(st.sampled_from((-1, 1)))
+    return Coalgebra(Algebra(dim=n, unit=tuple(unit), structconst=tuple(
+        tuple(map(tuple, plane)) for plane in c)))
+
+
+class TestCoalgebraLaws:
+    @settings(max_examples=150, deadline=None)
+    @given(C=_coalgebras())
+    def test_dual_algebra_laws_are_coalgebra_laws(self, C):
+        # coassociativity <-> associativity, counit <-> unit laws
+        law = {"associativity": "coassociativity",
+               "left-unit": "left-counit", "right-unit": "right-counit"}
+        counts = dict.fromkeys(law.values(), 0)
+        for name, _, _ in validate(C.algebra).violations:
+            counts[law[name]] += 1
+        assert counts == _coalgebra_law_counts(C)
 
 
 class TestBilinearity:
