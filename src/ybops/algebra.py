@@ -25,6 +25,8 @@ from .scalars import Scalar, format_scalar, parse_scalar, rational
 
 
 def _check_shape(n: int, cube, vector) -> None:
+    if type(n) is not int:  # a bool or a float is no dimension
+        raise DimensionMismatchError(f"dim must be an integer, got {n!r}")
     if len(vector) != n or len(cube) != n or any(
             len(plane) != n or any(len(row) != n for row in plane)
             for plane in cube):
@@ -205,6 +207,11 @@ def _array(x) -> list:
 def _from_json(text, cube_key, vector_key):
     """(dim, n x n x n tensor, length-n vector), shape-checked."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InvalidStructureError("the document must be a JSON object")
+    missing = [k for k in ("dim", cube_key, vector_key) if k not in data]
+    if missing:
+        raise InvalidStructureError(f"missing key(s): {', '.join(missing)}")
     field = data.get("field", "rational")
     cube = tuple(tuple(tuple(parse_scalar(x, field) for x in _array(row))
                        for row in _array(plane))

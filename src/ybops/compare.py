@@ -14,7 +14,7 @@ from .errors import UnknownFamilyError
 from .onepar import prop1_op
 from .algebra import quadratic_algebra
 from .scalars import format_scalar, rational
-from .tensorop import Op2, freeze, mat_sub, max_abs_entry, twist_compose
+from .tensorop import Op2, freeze, mat_sub, twist_compose
 
 
 def okado_rhat(q, x) -> Op2:
@@ -65,7 +65,7 @@ def compare_q1(xs=(1, 2, 3)) -> dict:
         ok = okado_rhat(1, x)
         tw = twisted_prop1_rhat(1, 0, x)
         diff = mat_sub(ok.mat, tw.mat)
-        if max_abs_entry(diff) == 0:
+        if ok.mat == tw.mat:
             verdict = "identical"
         elif _proportional(ok.mat, tw.mat):
             verdict = "proportional"
@@ -82,16 +82,7 @@ def compare_q1(xs=(1, 2, 3)) -> dict:
 
 
 def _proportional(A, B):
-    ratio = None
-    for ra, rb in zip(A, B):
-        for a, b in zip(ra, rb):
-            if a == 0 and b == 0:
-                continue
-            if a == 0 or b == 0:
-                return False
-            r = Fraction(a) / Fraction(b)
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-    return True
+    # A = cB with c != 0: the same zero pattern (no None) and one ratio
+    ratios = {Fraction(a) / b if a and b else None
+              for ra, rb in zip(A, B) for a, b in zip(ra, rb) if a or b}
+    return None not in ratios and len(ratios) <= 1

@@ -97,9 +97,9 @@ class NCPoly:
         return " + ".join(bits)
 
 
-def swap_colours(poly: NCPoly, tag1: str = "u", tag2: str = "v") -> NCPoly:
-    """Swap the colour tags of every generator (coefficients untouched)."""
-    flip = {tag1: tag2, tag2: tag1}
+def swap_colours(poly: NCPoly) -> NCPoly:
+    """Swap colours u and v in every generator; coefficients are untouched."""
+    flip = {"u": "v", "v": "u"}
     return NCPoly({tuple((flip.get(t, t), l) for t, l in w): c
                    for w, c in poly.terms.items()})
 

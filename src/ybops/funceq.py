@@ -23,13 +23,12 @@ class CoeffTriple:
     """The coefficients of an ansatz operator as one function of the colours.
 
     ``coeffs(*colours)`` gives (alpha, beta, gamma), the shape
-    :attr:`Family.coeffs` has at fixed parameters.  ``arity`` is 2 for
-    coloured triples (functions of two colours) and 1 for one-parameter
-    triples, which also carry their composition map ``phi``.
+    :attr:`Family.coeffs` has at fixed parameters.  A triple carrying a
+    composition map ``phi`` is one-parameter (a function of one colour);
+    one without is coloured (a function of two colours).
     """
 
     coeffs: Callable
-    arity: int = 2
     phi: Optional[Callable] = None
 
 
@@ -62,21 +61,18 @@ def _system(uv, uw, vw):
 
 def eval_colored_system(T: CoeffTriple, u, v, w) -> tuple:
     """The five coloured-system residuals at colours (u, v, w)."""
-    if T.arity != 2:
+    if T.phi is not None:
         raise ValueError("coloured system needs a two-colour triple")
     c = T.coeffs
     return _system(c(u, v), c(u, w), c(v, w))
 
 
-def eval_onepar_system(T: CoeffTriple, x, z, phi: Optional[Callable] = None) -> tuple:
+def eval_onepar_system(T: CoeffTriple, x, z) -> tuple:
     """The five one-parameter residuals at (x, z) with middle argument phi(x,z)."""
-    if T.arity != 1:
-        raise ValueError("one-parameter system needs a one-colour triple")
-    phi = phi if phi is not None else T.phi
-    if phi is None:
-        raise ValueError("no composition map phi given")
+    if T.phi is None:
+        raise ValueError("one-parameter system needs a triple carrying phi")
     c = T.coeffs
-    return _system(c(x), c(phi(x, z)), c(z))
+    return _system(c(x), c(T.phi(x, z)), c(z))
 
 
 # --- the family table ------------------------------------------------------------
@@ -194,8 +190,7 @@ def catalogue(kind: str, **params) -> CoeffTriple:
     phi=x.
     """
     F = family(kind)
-    return CoeffTriple(partial(F.coeffs, *F.args(params)),
-                       arity=len(F.colours), phi=F.phi)
+    return CoeffTriple(partial(F.coeffs, *F.args(params)), phi=F.phi)
 
 
 # --- parametric ansatz triples for the search -----------------------------------
@@ -225,4 +220,4 @@ def linear_onepar_triple(params, phi_shape: str = "xz") -> CoeffTriple:
     if phi_shape not in _PHI_SHAPES:
         raise UnknownFamilyError(f"unknown phi shape {phi_shape!r}")
     return CoeffTriple(lambda x: (p * x - pp, q * x - qp, r * x - rp),
-                       arity=1, phi=FAMILIES[_PHI_SHAPES[phi_shape]].phi)
+                       phi=FAMILIES[_PHI_SHAPES[phi_shape]].phi)

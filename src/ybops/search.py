@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -60,7 +60,8 @@ class SearchResult:
     iterations: int
 
 
-def _make_objective(shape: str, system: str, phi_shape: str, grid):
+def _make_objective(shape: str, system: str, phi_shape: str):
+    grid = DEFAULT_COLORED_GRID if system == "colored" else DEFAULT_ONEPAR_GRID
     fgrid = [tuple(float(c) for c in pt) for pt in grid]
     if system == "colored":
         builder = {"linear": linear_colored_triple,
@@ -159,25 +160,16 @@ def classify(shape: str, system: str, phi_shape: str, params,
 
 
 def search(shape: str = "linear", system: str = "colored", seed: int = 0,
-           restarts: int = 1, grid: Optional[Sequence] = None,
-           phi_shape: str = "xz") -> list:
+           restarts: int = 1, phi_shape: str = "xz") -> list:
     """Minimize the summed squared residuals from random starting points.
 
-    Each restart runs Nelder-Mead (restarted once from its own minimum to
-    tighten convergence) from a uniform start in [-3, 3]^6.  Results come
-    back in restart order.
+    Residuals are summed over the system's default grid.  Each restart runs
+    Nelder-Mead (restarted once from its own minimum to tighten convergence)
+    from a uniform start in [-3, 3]^6.  Results come back in restart order.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if grid is None:
-        grid = DEFAULT_COLORED_GRID if system == "colored" else DEFAULT_ONEPAR_GRID
-    grid = tuple(tuple(pt) for pt in grid)
-    if not grid:
-        raise ValueError("grid must not be empty")
-    for pt in grid:
-        if len(set(pt)) != len(pt):
-            raise ValueError(f"grid colours must be pairwise distinct: {pt}")
-    objective = _make_objective(shape, system, phi_shape, grid)
+    objective = _make_objective(shape, system, phi_shape)
     results = []
     options = {"maxiter": MAX_ITER, "xatol": 1e-12, "fatol": 1e-16}
     for i in range(restarts):

@@ -1,5 +1,5 @@
-"""Operators on V(x)V and V(x)V(x)V: dense leg embeddings, exact matrix-free
-Yang-Baxter residuals and matrix emitters.
+"""Operators on V(x)V and V(x)V(x)V: exact matrix-free Yang-Baxter residuals,
+matrix emitters, and dense products kept only as the tests' references.
 
 Matrix convention: ``mat[i][j]`` is the coefficient of basis element ``i`` in
 the image of basis element ``j``.  The tensor basis is lexicographic, so
@@ -45,8 +45,7 @@ def freeze(mat) -> tuple:
 
 
 def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    if len(A[0]) != inner:
+    if len(A[0]) != len(B):
         raise DimensionMismatchError("inner dimensions differ")
     Bt = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
@@ -244,9 +243,12 @@ def onepar_qybe_residual(family, x, z):
 
 
 def twist_compose(R: Op2) -> Op2:
-    """Rhat = tau . R, turning QYBE solutions into braid-equation solutions."""
-    tau = flip_op2(R.n)
-    return Op2(n=R.n, mat=freeze(mat_mul(tau.mat, R.mat)))
+    """Rhat = tau . R, turning QYBE solutions into braid-equation solutions.
+
+    tau permutes the rows: row b*n+a of tau R is row a*n+b of R."""
+    n = R.n
+    return Op2(n=n, mat=tuple(R.mat[a * n + b]
+                              for b in range(n) for a in range(n)))
 
 
 def braid_residual(rhat, x, y):

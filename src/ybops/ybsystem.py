@@ -9,12 +9,11 @@ operator (1, 1, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import Algebra, require_valid
 from .colored import ansatz_op
 from .errors import DimensionMismatchError
-from .tensorop import Op2, max_abs_entry, yb_commutator
+from .tensorop import Op2, _max_abs, _qybe_difference
 
 
 @dataclass(frozen=True)
@@ -22,8 +21,6 @@ class WXZSystem:
     W: Op2
     X: Op2
     Z: Op2
-    lam: Optional[object] = None  # provenance when built by thm3_system
-    mu: Optional[object] = None
 
     def __post_init__(self):
         # the defining commutators only pair W with X and X with Z, but the
@@ -37,14 +34,11 @@ def thm3_system(A: Algebra, lam, mu) -> WXZSystem:
     require_valid(A)
     return WXZSystem(W=ansatz_op(A, lam, 1, 1),
                      X=ansatz_op(A, 1, 1, 1),
-                     Z=ansatz_op(A, 1, mu, 1),
-                     lam=lam, mu=mu)
+                     Z=ansatz_op(A, 1, mu, 1))
 
 
 def wxz_residuals(S: WXZSystem) -> tuple:
     """Max-abs entries of [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z]; all zero for
     genuine systems."""
-    return (max_abs_entry(yb_commutator(S.W, S.W, S.W).mat),
-            max_abs_entry(yb_commutator(S.Z, S.Z, S.Z).mat),
-            max_abs_entry(yb_commutator(S.W, S.X, S.X).mat),
-            max_abs_entry(yb_commutator(S.X, S.X, S.Z).mat))
+    return tuple(_max_abs(_qybe_difference(*ops)) for ops in (
+        (S.W, S.W, S.W), (S.Z, S.Z, S.Z), (S.W, S.X, S.X), (S.X, S.X, S.Z)))

@@ -124,27 +124,41 @@ def _misshape(data, tensor, vector, how):
         data[tensor][1][0] = "".join(data[tensor][1][0])
     elif how == "string-unit":
         data[vector] = "".join(data[vector])
-    else:  # a scalar where a plane belongs
+    elif how == "scalar-plane":  # a scalar where a plane belongs
         data[tensor][1] = data[tensor][1][0][0]
+    elif how == "missing-key":
+        del data[tensor]
+    elif how == "top-array":
+        data = list(data.values())
+    elif how == "top-string":
+        data = json.dumps(data)
+    else:  # float-dim: 2.0 is no dimension, though 2.0 == 2
+        data["dim"] = float(data["dim"])
     return json.dumps(data)
 
 
 class TestShapeChecks:
     HOWS = ["short-unit", "missing-plane", "ragged-row", "string-row",
-            "string-unit", "scalar-plane"]
+            "string-unit", "scalar-plane", "missing-key", "top-array",
+            "top-string", "float-dim"]
+    # a document that is not an object with every key is malformed, not
+    # mis-shaped
+    ERROR = {"missing-key": InvalidStructureError,
+             "top-array": InvalidStructureError,
+             "top-string": InvalidStructureError}
 
     @pytest.mark.parametrize("how", HOWS)
     def test_algebra_reader_rejects(self, how, A1):
         text = _misshape(json.loads(algebra_to_json(A1)),
                          "structconst", "unit", how)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(self.ERROR.get(how, DimensionMismatchError)):
             algebra_from_json(text)
 
     @pytest.mark.parametrize("how", HOWS)
     def test_coalgebra_reader_rejects(self, how, A1):
         text = _misshape(json.loads(coalgebra_to_json(dual_coalgebra(A1))),
                          "comult", "counit", how)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(self.ERROR.get(how, DimensionMismatchError)):
             coalgebra_from_json(text)
 
     def test_constructor_rejects(self, A1):

@@ -1,12 +1,19 @@
 """CLI surface: subcommands, exit codes, campaign runner."""
 
 import json
+import sys
 from collections import Counter
 
 import pytest
 
-from ybops import frt
+from ybops import frt, tensorop
 from ybops.cli import main
+
+# The dense products and leg embeddings: test references, never called by a
+# subcommand.
+DENSE_HELPERS = ("mat_mul", "flip_op2", "max_abs_entry", "yb_commutator",
+                 "embed_leg", "kron", "_perm23", "mat_scale", "mat_transpose",
+                 "identity_mat")
 
 
 class TestVerify:
@@ -86,6 +93,34 @@ class TestYbsystemAndCompare:
 
     def test_compare_passes(self):
         assert main(["compare", "--q", "2", "--x", "3", "--y", "5"]) == 0
+
+
+class TestNoDenseHelpers:
+    @pytest.fixture
+    def trapped(self, monkeypatch):
+        """Every binding of a dense helper, in tensorop and in each ybops
+        module that imported it, replaced by a function that fails."""
+        originals = {id(getattr(tensorop, n)): n for n in DENSE_HELPERS}
+        for name, module in list(sys.modules.items()):
+            if name != "ybops" and not name.startswith("ybops."):
+                continue
+            for attr, value in list(vars(module).items()):
+                if id(value) in originals:
+                    def trap(*args, _helper=originals[id(value)], **kwargs):
+                        raise AssertionError(f"{_helper} called")
+                    monkeypatch.setattr(module, attr, trap)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "thm1", "--p", "1", "--q", "3", "--sigma", "1"],
+        ["matrix", "--family", "thm1", "--p", "1", "--q", "2", "--u", "3",
+         "--v", "1", "--sigma", "1", "--format", "json"],
+        ["frt", "--p", "1", "--q", "3", "--u", "2", "--v", "1",
+         "--sigma", "0"],
+        ["ybsystem", "--lam", "3", "--mu", "5"],
+        ["compare", "--q", "2", "--x", "3", "--y", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_subcommands_run_without_them(self, trapped, argv):
+        assert main(argv) == 0
 
 
 class TestSearchCommand:

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ybops.compare import (BraidFamily, compare_q1, okado_rhat,
-                           twisted_prop1_rhat)
+from ybops.compare import (BraidFamily, _proportional, compare_q1,
+                           okado_rhat, twisted_prop1_rhat)
 from ybops.errors import UnknownFamilyError
 from ybops.tensorop import braid_residual
 
@@ -73,3 +73,20 @@ class TestCompareQ1:
         nonzero = [(i, j) for i in range(4) for j in range(4)
                    if diff[i][j] != "0"]
         assert nonzero == [(3, 3)]
+
+
+class TestProportional:
+    F = Fraction
+
+    @pytest.mark.parametrize("A,B,expect", [
+        ([[F(2), F(0)], [F(-4), F(6)]], [[F(1), F(0)], [F(-2), F(3)]], True),
+        ([[F(-3), F(0)], [F(0), F(3, 2)]], [[F(2), F(0)], [F(0), F(-1)]],
+         True),
+        ([[F(1), F(0)], [F(0), F(1)]], [[F(1), F(1)], [F(0), F(1)]], False),
+        ([[F(1), F(0)], [F(0), F(1)]], [[F(1), F(0)], [F(0), F(0)]], False),
+        ([[F(1), F(2)], [F(0), F(1)]], [[F(1), F(1)], [F(0), F(1)]], False),
+        ([[F(0), F(0)], [F(0), F(0)]], [[F(0), F(0)], [F(0), F(0)]], True),
+    ], ids=["multiple", "negative-multiple", "extra-nonzero", "extra-zero",
+            "two-ratios", "both-zero"])
+    def test_verdict(self, A, B, expect):
+        assert _proportional(A, B) is expect

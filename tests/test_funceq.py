@@ -1,5 +1,6 @@
 """The five-equation functional systems and the solution catalogue."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -51,13 +52,12 @@ class TestPhiDiscipline:
     def test_mismatched_phi_is_nonzero(self):
         # prop1 coefficients with the wrong composition map must not solve
         # the system (guards against a vacuous implementation)
-        T = catalogue("prop1", q=Fraction(3))
-        res = eval_onepar_system(T, Fraction(2), Fraction(5),
-                                 phi=lambda x, z: z)
+        T = replace(catalogue("prop1", q=Fraction(3)), phi=lambda x, z: z)
+        res = eval_onepar_system(T, Fraction(2), Fraction(5))
         assert any(r != 0 for r in res)
 
     def test_missing_phi_raises(self):
-        T = CoeffTriple(lambda x: (x, 1, 1), arity=1)
+        T = CoeffTriple(lambda x: (x, 1, 1))
         with pytest.raises(ValueError):
             eval_onepar_system(T, 1, 2)
 

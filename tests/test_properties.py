@@ -76,9 +76,9 @@ class TestCatalogueFamilies:
         kind, params, colours = case
         F = FAMILIES[kind]
         T = catalogue(kind, **params)
-        evaluate = eval_colored_system if T.arity == 2 else eval_onepar_system
+        evaluate = eval_colored_system if T.phi is None else eval_onepar_system
         assert evaluate(T, *colours) == (0, 0, 0, 0, 0)
-        at = colours[:T.arity]
+        at = colours[:2 if T.phi is None else 1]
         assert T.coeffs(*at) == F.coeffs(*F.args(params), *at)
 
 

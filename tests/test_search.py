@@ -73,12 +73,6 @@ class TestSearch:
                          restarts=1)
         assert len(results) == 1
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ValueError):
-            search(seed=0, restarts=1, grid=[(1, 1, 2)])
-        with pytest.raises(ValueError):
-            search(seed=0, restarts=1, grid=[])
-
     def test_bad_restarts(self):
         with pytest.raises(ValueError):
             search(seed=0, restarts=0)

@@ -54,9 +54,10 @@ class TestFlip:
             assert mat_mul(tau.mat, tau.mat) == identity_mat(n * n)
 
     def test_twist_compose_is_tau_then_op(self, rng):
-        R = random_op2(rng, 2)
-        tau = flip_op2(2)
-        assert twist_compose(R).mat == freeze(mat_mul(tau.mat, R.mat))
+        for n in (2, 3):
+            R = random_op2(rng, n)
+            tau = flip_op2(n)
+            assert twist_compose(R).mat == freeze(mat_mul(tau.mat, R.mat))
 
 
 class TestCommutator:

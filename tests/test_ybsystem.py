@@ -21,10 +21,6 @@ class TestThm3System:
         S = thm3_system(Bc, 3, 5)
         assert wxz_residuals(S) == (0, 0, 0, 0)
 
-    def test_params_recorded(self, A1):
-        S = thm3_system(A1, 3, 5)
-        assert (S.lam, S.mu) == (3, 5)
-
     def test_invalid_algebra_rejected(self, A1):
         c = [[[x for x in row] for row in plane] for plane in A1.structconst]
         c[1][0] = [Fraction(1), Fraction(0)]  # x*1 = 1 breaks unitality
