@@ -1,7 +1,8 @@
 """Command-line surface: verification campaigns, matrix emission, FRT reports,
 numerical searches and braid-matrix comparisons.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage/config error.
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage/config error,
+141 stdout was closed by its reader.
 Reports are deterministic given the seed; timestamps live in a separate
 metadata file so result payloads stay diffable.
 """
@@ -234,6 +235,8 @@ def cmd_campaign(args, parser):
         try:
             task_args = _parse_task(parser, task, seed)
             ok, report = _HANDLERS[task_args.command](task_args)
+        except BrokenPipeError:
+            raise
         except _USAGE_ERRORS as exc:
             raise ValueError(f"config error in task {i}: {exc}") from None
         expect = task.get("expect", "pass")
@@ -331,6 +334,12 @@ def main(argv=None) -> int:
             ok, _report = cmd_campaign(args, parser)
         else:
             ok, _report = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader went away (`ybops ... | head -1`): not a usage error;
+        # point stdout at devnull so the final flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a killed writer
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,35 +18,86 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import Algebra, Coalgebra, opposite_algebra
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import scalar_pow  # noqa: F401  (re-exported)
-from .tensorop import Op2, freeze
+from .tensorop import Op2
 
 
 def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
-    """Operator a(x)b -> alpha 1(x)ab + beta ab(x)1 - gamma b(x)a on A(x)A."""
+    """Operator a(x)b -> alpha 1(x)ab + beta ab(x)1 - gamma b(x)a on A(x)A.
+
+    Column i*n+j is written straight from the non-zeros of the unit and of
+    e_i e_j, at most 2n+1 entries for a unit basis element, and exact zeros
+    are left out.  Each entry is the sum ``0 + alpha*unit[a]*prod[b] +
+    beta*prod[a]*unit[b] (- gamma)`` of the dense definition, its terms taken
+    in that order, so value and type agree cell by cell: a float alpha or
+    beta makes every entry a float; otherwise an entry is a float, kept even
+    when it is 0.0, exactly when a float enters its own sum.
+    """
     n = A.dim
     unit = A.unit
-    mat = [[Fraction(0)] * (n * n) for _ in range(n * n)]
+    uniform = isinstance(alpha, float) or isinstance(beta, float)
+    zero = 0.0 if uniform else Fraction(0)
+    units = [(b, x) for b, x in enumerate(unit) if x]
+    alpha_units = [(a * n, alpha * x) for a, x in units]
+    # an exact unit coordinate 1 needs no product: x * 1 == x, and an int x
+    # still ends as a Fraction, as x * Fraction(1) would be
+    beta_units = [(b, None if x == 1 and not isinstance(x, float) else x)
+                  for b, x in units]
+    # a float in the algebra makes floats of the entries its terms reach
+    floats = not uniform and any(isinstance(x, float) for x in chain(
+        unit, *chain(*A.structconst)))
+    cols = []
     for i in range(n):
         for j in range(n):
-            col = i * n + j
             prod = A.structconst[i][j]
-            for a in range(n):
-                for b in range(n):
-                    mat[a * n + b][col] += (alpha * unit[a] * prod[b]
-                                            + beta * prod[a] * unit[b])
-            mat[j * n + i][col] -= gamma
-    return Op2(n=n, mat=freeze(mat))
+            nonzero = [(k, x) for k, x in enumerate(prod) if x]
+            acc = {}
+            for r, x in alpha_units:
+                for b, y in nonzero:
+                    acc[r + b] = x * y
+            for a, x in nonzero:
+                x = beta * x
+                for b, y in beta_units:
+                    t = x if y is None else x * y
+                    r = a * n + b
+                    acc[r] = acc[r] + t if r in acc else t
+            # the dense sum adds a float zero term to some cells: to all of
+            # them with a float alpha or beta, else to the rows and columns
+            # of a float unit or product entry
+            if uniform:
+                for r in acc:
+                    acc[r] += 0.0
+            elif floats:
+                hit = [k for k in range(n) if isinstance(unit[k], float)
+                       or isinstance(prod[k], float)]
+                for r in ({a * n + b for a in hit for b in range(n)}
+                          | {a * n + b for b in hit for a in range(n)}):
+                    acc[r] = acc.get(r, 0) + 0.0
+            r = j * n + i
+            acc[r] = acc.get(r, zero) - gamma
+            cols.append([(r, Fraction(x) if type(x) is int else x)
+                         for r, x in sorted(acc.items())
+                         if x or (isinstance(x, float) and not uniform)])
+    return Op2(n=n, cols=cols, zero=zero)
+
+
+def _transpose(R: Op2) -> Op2:
+    cols = [[] for _ in R.cols]
+    for j, col in enumerate(R.cols):
+        for i, x in col:
+            cols[i].append((j, x))
+    return Op2(n=R.n, cols=cols, zero=R.zero)
 
 
 def _build(F, carrier, coeffs, opposite: bool = False) -> Op2:
     A = carrier.algebra if F.coalgebra else carrier
     R = ansatz_op(opposite_algebra(A) if opposite else A, *coeffs)
-    return Op2(n=R.n, mat=tuple(zip(*R.mat))) if F.coalgebra else R
+    return _transpose(R) if F.coalgebra else R
 
 
 def family_op(kind: str, carrier, params: dict, *colours) -> Op2:

@@ -15,9 +15,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-import numpy as np
-from scipy.optimize import minimize
-
 from .errors import UnknownFamilyError
 from .funceq import (eval_colored_system, eval_onepar_system,
                      exp_colored_triple, linear_colored_triple,
@@ -79,6 +76,9 @@ def _make_objective(shape: str, system: str, phi_shape: str):
         raise UnknownFamilyError(f"unknown system {system!r}")
 
     def objective(params):
+        # Nelder-Mead passes a numpy array; Python floats give the same
+        # bits and are about twice as fast to combine
+        params = list(map(float, params))
         try:
             T = builder(params)
             total = 0.0
@@ -170,6 +170,10 @@ def search(shape: str = "linear", system: str = "colored", seed: int = 0,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     objective = _make_objective(shape, system, phi_shape)
+    # imported here, so that importing ybops does not load them
+    import numpy as np
+    from scipy.optimize import minimize
+
     results = []
     options = {"maxiter": MAX_ITER, "xatol": 1e-12, "fatol": 1e-16}
     for i in range(restarts):

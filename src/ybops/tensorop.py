@@ -18,15 +18,64 @@ from .errors import DimensionMismatchError
 from .scalars import format_scalar
 
 
-@dataclass(frozen=True)
 class Op2:
-    n: int  # base dimension; matrix is n^2 x n^2
-    mat: tuple
+    """An operator on V(x)V, n = dim V, held as its sparse columns.
 
-    def __post_init__(self):
-        m = self.n ** 2
-        if len(self.mat) != m or any(len(row) != m for row in self.mat):
-            raise DimensionMismatchError("Op2 matrix must be n^2 x n^2")
+    ``cols[j]`` lists the ``(row, entry)`` pairs of column j in increasing
+    row order, and every entry it does not list is ``zero``.  A listed entry
+    may be a zero of another type than ``zero`` (a float 0.0 among
+    Fractions), so the dense view keeps the type of every entry.
+    ``Op2(n=..., mat=...)`` derives the columns from an n^2 x n^2 matrix;
+    ``mat`` is otherwise built on first read and cached.  Two operators are
+    equal when ``n`` and ``mat`` are.
+    """
+
+    __slots__ = ("n", "cols", "zero", "_mat")
+
+    def __init__(self, n: int, mat=None, *, cols=None, zero=Fraction(0)):
+        m = n * n
+        if mat is not None:
+            if len(mat) != m or any(len(row) != m for row in mat):
+                raise DimensionMismatchError("Op2 matrix must be n^2 x n^2")
+            zero = Fraction(0)
+            cols = [[(i, x) for i, x in enumerate(col)
+                     if x or type(x) is not Fraction] for col in zip(*mat)]
+        elif cols is None or len(cols) != m:
+            raise DimensionMismatchError("Op2 needs n^2 columns")
+        for name, value in (("n", n), ("cols", cols), ("zero", zero),
+                            ("_mat", mat)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Op2 is immutable")
+
+    @property
+    def mat(self) -> tuple:
+        if self._mat is None:
+            m = self.n * self.n
+            rows = [[self.zero] * m for _ in range(m)]
+            for j, col in enumerate(self.cols):
+                for i, x in col:
+                    rows[i][j] = x
+            object.__setattr__(self, "_mat", freeze(rows))
+        return self._mat
+
+    def __eq__(self, other):
+        if other.__class__ is not Op2:
+            return NotImplemented
+        return self.n == other.n and self.mat == other.mat
+
+    def __hash__(self):
+        return hash((self.n, self.mat))
+
+    def __repr__(self):
+        return f"Op2(n={self.n!r}, mat={self.mat!r})"
+
+
+def _is_exact(R: Op2) -> bool:
+    """Whether every entry of ``R.mat`` is an int or a Fraction."""
+    return isinstance(R.zero, (int, Fraction)) and all(
+        isinstance(x, (int, Fraction)) for col in R.cols for _, x in col)
 
 
 @dataclass(frozen=True)
@@ -175,15 +224,16 @@ def _chain_difference(lhs, rhs):
     n = ops[0].n
     if any(R.n != n for R in ops):
         raise DimensionMismatchError("operators live on different base spaces")
-    exact = all(isinstance(x, (int, Fraction))
-                for R in ops for row in R.mat for x in row)
+    exact = all(_is_exact(R) for R in ops)
     den, sparse = {}, {}
     for R in ops:
-        d = den[id(R)] = (lcm(*(x.denominator for row in R.mat for x in row))
+        # a listed zero only carries its type into the dense view
+        cols = [[(i, x) for i, x in col if x] for col in R.cols]
+        d = den[id(R)] = (lcm(*(x.denominator for col in cols for _, x in col))
                           if exact else 1)
-        sparse[id(R)] = [[(i, x.numerator * (d // x.denominator) if exact
-                           else x) for i, x in enumerate(col) if x]
-                         for col in zip(*R.mat)]
+        sparse[id(R)] = ([[(i, x.numerator * (d // x.denominator))
+                           for i, x in col] for col in cols] if exact
+                         else cols)
     embedded = {(id(R), l): _leg_columns(sparse[id(R)], n, l)
                 for R, l in (*lhs, *rhs)}
     chains = [[embedded[id(R), l] for R, l in reversed(chain)]
@@ -247,8 +297,9 @@ def twist_compose(R: Op2) -> Op2:
 
     tau permutes the rows: row b*n+a of tau R is row a*n+b of R."""
     n = R.n
-    return Op2(n=n, mat=tuple(R.mat[a * n + b]
-                              for b in range(n) for a in range(n)))
+    return Op2(n=n, zero=R.zero,
+               cols=[sorted(((i % n) * n + i // n, x) for i, x in col)
+                     for col in R.cols])
 
 
 def braid_residual(rhat, x, y):

@@ -1,8 +1,11 @@
 """CLI surface: subcommands, exit codes, campaign runner."""
 
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +263,57 @@ class TestUsage:
             {"command": "compare", "args": {}}]}), encoding="utf-8")
         assert main(["campaign", str(cfg)]) == 0
         assert (tmp_path / "envout" / "task-000-compare.json").exists()
+
+
+# --- the CLI in a fresh interpreter -------------------------------------------
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+
+
+def _ybops(argv, stdout):
+    return subprocess.run([sys.executable, "-m", "ybops.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=_ENV,
+                          timeout=120)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--q", "2", "--x", "3", "--y", "5"],
+        ["matrix", "--family", "thm1", "--format", "csv"],
+        ["campaign", "{cfg}", "--outdir", "{tmp}"],
+    ])
+    def test_closed_pipe_exits_141_quietly(self, argv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tasks": [
+            {"command": "matrix", "args": {"family": "thm1"}}]}),
+            encoding="utf-8")
+        argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first write
+        try:
+            proc = _ybops(argv, write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 141 and proc.stderr == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--family", "thm1", "--out", "{tmp}/missing/m.json"],
+        ["frt", "--report", "{tmp}/missing/frt.json"],
+    ])
+    def test_unwritable_output_still_exits_2(self, argv, tmp_path):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        proc = _ybops(argv, subprocess.DEVNULL)
+        err = proc.stderr.decode().strip().splitlines()
+        assert proc.returncode == 2 and len(err) == 1
+        assert err[0].startswith("error:")
+
+
+def test_import_loads_no_numerics():
+    # numpy and scipy are the search's alone
+    code = ("import sys, ybops, ybops.cli; print(sorted({m.split('.')[0] "
+            "for m in sys.modules} & {'numpy', 'scipy'}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_ENV, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -7,18 +7,20 @@ from types import SimpleNamespace
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra, poly_quotient,
-                           quadratic_algebra, validate)
-from ybops.colored import coalgebra_colored_op, thm1_op
+from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
+                           opposite_algebra, poly_quotient, quadratic_algebra,
+                           validate)
+from ybops.colored import ansatz_op, coalgebra_colored_op, thm1_op
 from ybops.frt import (NCPoly, RelationSet, in_span, rtt_residual,
                        span_dimension, span_membership)
 from ybops.funceq import (FAMILIES, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import prop1_op
-from ybops.tensorop import (Op2, _chain_difference, braid_residual,
-                            colored_qybe_residual, embed_leg, freeze,
-                            identity_op2, mat_mul, mat_scale, mat_sub,
-                            mat_transpose, max_abs_entry, yb_commutator)
+from ybops.tensorop import (Op2, _chain_difference, _qybe_difference,
+                            braid_residual, colored_qybe_residual, embed_leg,
+                            freeze, identity_op2, mat_mul, mat_scale,
+                            mat_sub, mat_transpose, max_abs_entry,
+                            yb_commutator)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 nonzero_fractions = fractions.filter(lambda f: f != 0)
@@ -351,3 +353,137 @@ class TestResidualKernel:
         got = yb_commutator(*fl).mat
         want = _dense_difference(*_qybe_chains(*fl))
         assert max_abs_entry(mat_sub(got, want)) <= 1e-9
+
+
+# --- the sparse ansatz build against the dense n^4 definition ----------------
+
+def _dense_ansatz(A, alpha, beta, gamma):
+    """``ansatz_op`` as the dense n^4 loop over every cell, the reference
+    for the sparse build: values and types cell by cell."""
+    n = A.dim
+    unit = A.unit
+    mat = [[Fraction(0)] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            col = i * n + j
+            prod = A.structconst[i][j]
+            for a in range(n):
+                for b in range(n):
+                    mat[a * n + b][col] += (alpha * unit[a] * prod[b]
+                                            + beta * prod[a] * unit[b])
+            mat[j * n + i][col] -= gamma
+    return Op2(n=n, mat=freeze(mat))
+
+
+def _upper_triangular():
+    """The 2x2 upper triangular matrices, basis E11, E12, E22, with int
+    entries: not commutative, and the unit E11 + E22 is not a basis
+    element."""
+    table = {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}  # E_ab E_bc = E_ac
+    return Algebra(dim=3, unit=(1, 0, 1), structconst=tuple(
+        tuple(tuple(int(table.get((i, j)) == k) for k in range(3))
+              for j in range(3)) for i in range(3)))
+
+
+def _change_basis(A, s, t):
+    """A in the basis f_i = P e_i, P = (I + s E_01)(I + t E_10) C with C a
+    cyclic permutation: the unit is no longer e_0."""
+    n = A.dim
+
+    def elementary(i, j, x):  # I + x E_ij
+        return [[Fraction(int(r == c)) + (x if (r, c) == (i, j) else 0)
+                 for c in range(n)] for r in range(n)]
+
+    cycle = [[Fraction(int(r == (c + 1) % n)) for c in range(n)]
+             for r in range(n)]
+    P = mat_mul(mat_mul(elementary(0, 1, s), elementary(1, 0, t)), cycle)
+    Q = mat_mul(mat_mul(mat_transpose(cycle), elementary(1, 0, -t)),
+                elementary(0, 1, -s))
+    c = A.structconst
+    sc = tuple(tuple(tuple(
+        sum(P[a][i] * P[b][j] * c[a][b][k] * Q[l][k]
+            for a in range(n) for b in range(n) for k in range(n))
+        for l in range(n)) for j in range(n)) for i in range(n))
+    unit = tuple(sum(Q[l][k] * A.unit[k] for k in range(n)) for l in range(n))
+    return Algebra(dim=n, structconst=sc, unit=unit)
+
+
+@st.composite
+def _carriers(draw):
+    """A valid 2-3-dimensional algebra: a polynomial quotient or the upper
+    triangular matrices, perhaps in a basis whose unit is not e_0, perhaps
+    opposite; sometimes with some of its entries turned into floats."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        A = poly_quotient(draw(st.lists(fractions, min_size=n, max_size=n))
+                          + [1])
+    else:
+        A = _upper_triangular()
+    if draw(st.booleans()):
+        A = _change_basis(A, draw(st.integers(-2, 2)),
+                          draw(st.integers(-2, 2)))
+    if draw(st.booleans()):
+        A = opposite_algebra(A)
+    assert validate(A).ok
+    if draw(st.integers(0, 3)) == 0:
+        # some unit coordinates and the products e_i e_j as floats: no
+        # longer exact, and the float entries of the operator follow them
+        i = draw(st.integers(0, A.dim - 1))
+        A = Algebra(dim=A.dim, unit=tuple(
+            float(x) if draw(st.booleans()) else x for x in A.unit),
+            structconst=(
+            *A.structconst[:i],
+            tuple(tuple(map(float, row)) for row in A.structconst[i]),
+            *A.structconst[i + 1:]))
+    return A
+
+
+# mixed denominators, ints and floats
+_coefficients = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.integers(-3, 3),
+    st.floats(min_value=-4, max_value=4, allow_nan=False, width=64))
+
+
+def _same(x, y):
+    """Equal values of equal types, -0.0 told apart from 0.0."""
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+def _same_mat(got, want):
+    return got == want and all(_same(x, y) for gr, wr in zip(got, want)
+                               for x, y in zip(gr, wr))
+
+
+class TestSparseBuild:
+    @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+    @given(A=_carriers(), coeffs=st.lists(st.tuples(
+        _coefficients, _coefficients, _coefficients), min_size=3,
+        max_size=3))
+    def test_matches_dense_build(self, A, coeffs):
+        sparse = [ansatz_op(A, *c) for c in coeffs]
+        dense = [_dense_ansatz(A, *c) for c in coeffs]
+        for R, D in zip(sparse, dense):
+            assert _same_mat(R.mat, D.mat)
+        # the kernel takes the same exact/float mode on both builds and
+        # returns the same entries of the same types
+        got, want = _qybe_difference(*sparse), _qybe_difference(*dense)
+        assert _same(got[1], want[1]) and got[0] == want[0]
+        assert all(_same(col[i], want[0][j][i])
+                   for j, col in enumerate(got[0]) for i in col)
+        table = dict(zip(((0, 1), (0, 2), (1, 2)), sparse))
+        res = colored_qybe_residual(
+            SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
+        assert _same(res, max((abs(x) for col in want[0]
+                               for x in col.values()), default=want[1]))
+
+    @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+    @given(A=_carriers(), args=st.lists(_coefficients, min_size=4,
+                                        max_size=4))
+    def test_coalgebra_transfer_is_dense_transpose(self, A, args):
+        # the transfer transposes the sparse columns of the build on C's
+        # dual algebra
+        want = mat_transpose(_dense_ansatz(
+            A, *FAMILIES["thm1"].coeffs(*args)).mat)
+        got = coalgebra_colored_op(Coalgebra(A), *args).mat
+        assert _same_mat(got, freeze(want))

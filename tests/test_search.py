@@ -4,7 +4,7 @@ import pytest
 
 from ybops.errors import UnknownFamilyError
 from ybops.search import (DEFAULT_COLORED_GRID, OBJECTIVE_TOL, SearchResult,
-                          classify, search)
+                          _make_objective, classify, search)
 
 
 class TestClassify:
@@ -84,3 +84,19 @@ class TestSearch:
     def test_default_grid_distinct(self):
         for pt in DEFAULT_COLORED_GRID:
             assert len(set(pt)) == len(pt)
+
+
+class TestObjective:
+    @pytest.mark.parametrize("shape,system,phi", [
+        ("linear", "colored", "xz"), ("exponential", "colored", "xz"),
+        ("linear", "onepar", "xz"), ("linear", "onepar", "z"),
+        ("linear", "onepar", "x")])
+    def test_array_and_list_agree(self, shape, system, phi):
+        # Nelder-Mead passes numpy arrays; the value must not depend on it
+        np = pytest.importorskip("numpy")
+        objective = _make_objective(shape, system, phi)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = rng.uniform(-3.0, 3.0, size=6)
+            got = objective(x)
+            assert type(got) is float and got == objective(x.tolist())

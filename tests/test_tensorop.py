@@ -6,9 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from ybops.algebra import poly_quotient, quadratic_algebra
+from ybops.algebra import dual_coalgebra, poly_quotient, quadratic_algebra
 from ybops.colored import ColoredFamily, ansatz_op
 from ybops.errors import DimensionMismatchError
+from ybops.funceq import FAMILIES
 from ybops.onepar import OneParFamily
 from ybops.tensorop import (Op2, Op3, _perm23, colored_qybe_residual,
                             embed_leg, flip_op2, freeze, identity_mat,
@@ -143,6 +144,34 @@ class TestHigherCarriers:
                                      sparse_left_product(R23, R13, R12)))
         assert want != 0
         assert colored_qybe_residual(fam, u, v, w) == want
+
+
+# k[X]/(X^8 + X^5/2 - X^2 + 3X - 2/3): dense structure constants with mixed
+# denominators, n = 8 and n^2 = 64 columns per operator
+A8 = poly_quotient([Fraction(-2, 3), 3, -1, 0, 0, Fraction(1, 2), 0, 0, 1])
+
+
+@pytest.fixture(scope="module")
+def C8():
+    return dual_coalgebra(A8)  # validates A8 once: ~0.4 s
+
+
+class TestLargeCarrier:
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_qybe_exact_at_n8(self, kind, C8):
+        F = FAMILIES[kind]
+        params = dict(zip(F.params, (Fraction(2), Fraction(-1, 3),
+                                     Fraction(3))))
+        carrier = C8 if F.coalgebra else A8
+        if F.phi is not None:
+            res = onepar_qybe_residual(OneParFamily(kind, carrier, params),
+                                       Fraction(2, 3), Fraction(-3, 2))
+        else:
+            colours = ((2, -1, 3) if F.integer_colours else
+                       (Fraction(1, 2), Fraction(-2), Fraction(3, 5)))
+            res = colored_qybe_residual(ColoredFamily(kind, carrier, params),
+                                        *colours)
+        assert res == 0 and type(res) is Fraction
 
 
 class TestLabelsAndEmitters:
