@@ -18,10 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from .errors import DimensionMismatchError, InvalidStructureError
-from .scalars import Scalar, format_scalar, parse_scalar, rational
+from .scalars import (Scalar, format_scalar, is_exact, over_one_denominator,
+                      parse_scalar, rational)
 
 
 def _check_shape(n: int, cube, vector) -> None:
@@ -43,6 +46,27 @@ class Algebra:
 
     def __post_init__(self):
         _check_shape(self.dim, self.structconst, self.unit)
+
+    @cached_property
+    def cleared(self):
+        """The structure constants and the unit over integers, or None when
+        one of them is a float.
+
+        ``(den, products, unit_den, unit)``: ``products[i][j]`` lists the
+        ``(k, m)`` such that e_i e_j has the non-zero coefficient m / den at
+        e_k, and ``unit`` lists the ``(k, m)`` such that 1 has the non-zero
+        coordinate m / unit_den at e_k.
+        """
+        n = self.dim
+        rows = [row for plane in self.structconst for row in plane]
+        if not all(map(is_exact, chain(self.unit, *rows))):
+            return None
+        den, rows = over_one_denominator(
+            [[(k, x) for k, x in enumerate(row) if x] for row in rows])
+        unit_den, (unit,) = over_one_denominator(
+            [[(k, x) for k, x in enumerate(self.unit) if x]])
+        return (den, [rows[i * n:(i + 1) * n] for i in range(n)],
+                unit_den, unit)
 
 
 @dataclass(frozen=True)

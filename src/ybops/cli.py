@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -267,8 +269,17 @@ def _family_args(p):
         p.add_argument(f"--{name}", default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative rational such as ``-2/3`` as a value, the way
+    argparse reads ``-2``, so ``--u -2/3`` means ``--u=-2/3``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ybops",
         description="Construct and verify Yang-Baxter operators from algebras")
     parser.add_argument("--seed", type=int, default=0)
@@ -323,8 +334,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built once per process: a campaign runner calls main once per task
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

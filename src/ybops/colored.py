@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from .algebra import Algebra, Coalgebra, opposite_algebra
 from .errors import UnknownFamilyError
 from .funceq import family
+from .scalars import is_exact
 from .scalars import scalar_pow  # noqa: F401  (re-exported)
 from .tensorop import Op2
 
@@ -32,22 +34,22 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
 
     Column i*n+j is written straight from the non-zeros of the unit and of
     e_i e_j, at most 2n+1 entries for a unit basis element, and exact zeros
-    are left out.  Each entry is the sum ``0 + alpha*unit[a]*prod[b] +
-    beta*prod[a]*unit[b] (- gamma)`` of the dense definition, its terms taken
-    in that order, so value and type agree cell by cell: a float alpha or
-    beta makes every entry a float; otherwise an entry is a float, kept even
-    when it is 0.0, exactly when a float enters its own sum.
+    are left out.  When the algebra and the coefficients are exact, every
+    entry is a Fraction and the columns are integer numerators over one
+    denominator.  Otherwise each entry is the sum ``0 + alpha*unit[a]*prod[b]
+    + beta*prod[a]*unit[b] (- gamma)`` of the dense definition, its terms
+    taken in that order, so value and type agree cell by cell: a float alpha
+    or beta makes every entry a float; otherwise an entry is a float, kept
+    even when it is 0.0, exactly when a float enters its own sum.
     """
+    if A.cleared is not None and all(map(is_exact, (alpha, beta, gamma))):
+        return _integer_ansatz(A, alpha, beta, gamma)
     n = A.dim
     unit = A.unit
     uniform = isinstance(alpha, float) or isinstance(beta, float)
     zero = 0.0 if uniform else Fraction(0)
     units = [(b, x) for b, x in enumerate(unit) if x]
     alpha_units = [(a * n, alpha * x) for a, x in units]
-    # an exact unit coordinate 1 needs no product: x * 1 == x, and an int x
-    # still ends as a Fraction, as x * Fraction(1) would be
-    beta_units = [(b, None if x == 1 and not isinstance(x, float) else x)
-                  for b, x in units]
     # a float in the algebra makes floats of the entries its terms reach
     floats = not uniform and any(isinstance(x, float) for x in chain(
         unit, *chain(*A.structconst)))
@@ -62,8 +64,8 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
                     acc[r + b] = x * y
             for a, x in nonzero:
                 x = beta * x
-                for b, y in beta_units:
-                    t = x if y is None else x * y
+                for b, y in units:
+                    t = x * y
                     r = a * n + b
                     acc[r] = acc[r] + t if r in acc else t
             # the dense sum adds a float zero term to some cells: to all of
@@ -86,12 +88,43 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
     return Op2(n=n, cols=cols, zero=zero)
 
 
+def _integer_ansatz(A: Algebra, alpha, beta, gamma) -> Op2:
+    """``ansatz_op`` of an exact algebra at exact coefficients, written with
+    integer multiply-adds over the denominator
+    lcm(den alpha, den beta, den gamma) * d_A * d_U of the coefficients, the
+    structure constants and the unit."""
+    n = A.dim
+    d_A, products, d_U, units = A.cleared
+    d = lcm(alpha.denominator, beta.denominator, gamma.denominator)
+    a, b, g = (x.numerator * (d // x.denominator)
+               for x in (alpha, beta, gamma))
+    g *= d_A * d_U
+    alpha_units = [(k * n, a * x) for k, x in units]
+    beta_units = [(k, b * x) for k, x in units]
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            nonzero = products[i][j]
+            acc = {}
+            for r, x in alpha_units:
+                for k, y in nonzero:
+                    acc[r + k] = x * y
+            for k, y in nonzero:
+                for c, x in beta_units:
+                    r = k * n + c
+                    acc[r] = acc.get(r, 0) + y * x
+            r = j * n + i
+            acc[r] = acc.get(r, 0) - g
+            cols.append([(r, x) for r, x in sorted(acc.items()) if x])
+    return Op2(n=n, cols=cols, den=d * d_A * d_U)
+
+
 def _transpose(R: Op2) -> Op2:
     cols = [[] for _ in R.cols]
     for j, col in enumerate(R.cols):
         for i, x in col:
             cols[i].append((j, x))
-    return Op2(n=R.n, cols=cols, zero=R.zero)
+    return Op2(n=R.n, cols=cols, den=R.den, zero=R.zero)
 
 
 def _build(F, carrier, coeffs, opposite: bool = False) -> Op2:

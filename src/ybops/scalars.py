@@ -8,6 +8,7 @@ floats only appear in the numerical search.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .errors import NonIntegerExponentError, SingularParameterError
@@ -23,6 +24,15 @@ def rational(x) -> Fraction:
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+def over_one_denominator(cols) -> tuple:
+    """``(den, integer cols)`` for lists ``cols`` of ``(index, x)`` pairs
+    with exact x: each x becomes the integer numerator of x over den, the
+    lcm of all their denominators."""
+    den = lcm(*(x.denominator for col in cols for _, x in col))
+    return den, [[(i, x.numerator * (den // x.denominator)) for i, x in col]
+                 for col in cols]
 
 
 def scalar_pow(base, expo):

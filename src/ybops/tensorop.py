@@ -15,24 +15,29 @@ from itertools import product
 from math import lcm, prod
 
 from .errors import DimensionMismatchError
-from .scalars import format_scalar
+from .scalars import format_scalar, is_exact, over_one_denominator
 
 
 class Op2:
     """An operator on V(x)V, n = dim V, held as its sparse columns.
 
-    ``cols[j]`` lists the ``(row, entry)`` pairs of column j in increasing
-    row order, and every entry it does not list is ``zero``.  A listed entry
-    may be a zero of another type than ``zero`` (a float 0.0 among
-    Fractions), so the dense view keeps the type of every entry.
-    ``Op2(n=..., mat=...)`` derives the columns from an n^2 x n^2 matrix;
-    ``mat`` is otherwise built on first read and cached.  Two operators are
-    equal when ``n`` and ``mat`` are.
+    An exact operator has an integer denominator ``den``: ``cols[j]`` lists
+    the ``(row, numerator)`` pairs of the non-zero entries of column j in
+    increasing row order, each entry being ``Fraction(numerator, den)``, and
+    every other entry is ``Fraction(0)``.  An operator with a float entry has
+    ``den`` None: ``cols[j]`` lists ``(row, entry)`` pairs as they are, and
+    every entry it does not list is ``zero``.  A listed entry may be a zero
+    of another type than ``zero`` (a float 0.0 among Fractions), so the
+    dense view keeps the type of every entry.  ``Op2(n=..., mat=...)``
+    derives the columns from an n^2 x n^2 matrix, over one denominator when
+    every entry is an int or a Fraction; ``mat`` is otherwise built on first
+    read and cached.  Two operators are equal when ``n`` and ``mat`` are.
     """
 
-    __slots__ = ("n", "cols", "zero", "_mat")
+    __slots__ = ("n", "cols", "den", "zero", "_mat")
 
-    def __init__(self, n: int, mat=None, *, cols=None, zero=Fraction(0)):
+    def __init__(self, n: int, mat=None, *, cols=None, den=None,
+                 zero=Fraction(0)):
         m = n * n
         if mat is not None:
             if len(mat) != m or any(len(row) != m for row in mat):
@@ -40,21 +45,31 @@ class Op2:
             zero = Fraction(0)
             cols = [[(i, x) for i, x in enumerate(col)
                      if x or type(x) is not Fraction] for col in zip(*mat)]
+            if all(is_exact(x) for col in cols for _, x in col):
+                den, cols = over_one_denominator(
+                    [[(i, x) for i, x in col if x] for col in cols])
         elif cols is None or len(cols) != m:
             raise DimensionMismatchError("Op2 needs n^2 columns")
-        for name, value in (("n", n), ("cols", cols), ("zero", zero),
-                            ("_mat", mat)):
+        for name, value in (("n", n), ("cols", cols), ("den", den),
+                            ("zero", zero), ("_mat", mat)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Op2 is immutable")
+
+    def entries(self) -> list:
+        """``cols`` with each exact numerator as its Fraction."""
+        den = self.den
+        if den is None:
+            return self.cols
+        return [[(i, Fraction(x, den)) for i, x in col] for col in self.cols]
 
     @property
     def mat(self) -> tuple:
         if self._mat is None:
             m = self.n * self.n
             rows = [[self.zero] * m for _ in range(m)]
-            for j, col in enumerate(self.cols):
+            for j, col in enumerate(self.entries()):
                 for i, x in col:
                     rows[i][j] = x
             object.__setattr__(self, "_mat", freeze(rows))
@@ -70,12 +85,6 @@ class Op2:
 
     def __repr__(self):
         return f"Op2(n={self.n!r}, mat={self.mat!r})"
-
-
-def _is_exact(R: Op2) -> bool:
-    """Whether every entry of ``R.mat`` is an int or a Fraction."""
-    return isinstance(R.zero, (int, Fraction)) and all(
-        isinstance(x, (int, Fraction)) for col in R.cols for _, x in col)
 
 
 @dataclass(frozen=True)
@@ -187,8 +196,9 @@ def embed_leg(R: Op2, legs: int) -> Op3:
 # columns of the two-site operators, never as dense n^3 x n^3 matrices: an
 # ansatz column has at most 2n+1 non-zeros, so a column of P costs about
 # (2n+1)^3 products instead of the n^6 of a dense triple product.  Exact
-# operators are first scaled to integers, one denominator per operator; the
-# chains' common denominator divides out of the difference at the end.
+# operators enter as their integer numerators; the product of a chain's
+# denominators, made common to both chains, divides out of the difference at
+# the end.
 
 def _leg_columns(cols: list, n: int, legs: int) -> list:
     """Sparse columns of a two-site operator on legs 12, 13 or 23 of V^(x)3,
@@ -217,28 +227,25 @@ def _chain_difference(lhs, rhs):
 
     Returns ``(cols, zero)``: ``cols[j]`` maps each row i with a non-zero
     (P - Q)[i][j] to that entry, and ``zero`` is the value of the others.
-    When every entry is an int or Fraction the result is exact Fractions;
-    otherwise the entries are combined as they are (float mode).
+    When every operator is exact the result is exact Fractions; otherwise
+    the entries are combined as they are (float mode).
     """
     ops = list({id(R): R for R, _ in (*lhs, *rhs)}.values())
     n = ops[0].n
     if any(R.n != n for R in ops):
         raise DimensionMismatchError("operators live on different base spaces")
-    exact = all(_is_exact(R) for R in ops)
-    den, sparse = {}, {}
-    for R in ops:
-        # a listed zero only carries its type into the dense view
-        cols = [[(i, x) for i, x in col if x] for col in R.cols]
-        d = den[id(R)] = (lcm(*(x.denominator for col in cols for _, x in col))
-                          if exact else 1)
-        sparse[id(R)] = ([[(i, x.numerator * (d // x.denominator))
-                           for i, x in col] for col in cols] if exact
-                         else cols)
+    exact = all(R.den is not None for R in ops)
+    # in float mode an exact operator enters with its Fraction entries, and
+    # a listed zero only carries its type into the dense view
+    sparse = {id(R): R.cols if exact else
+              [[(i, x) for i, x in col if x] for col in R.entries()]
+              for R in ops}
     embedded = {(id(R), l): _leg_columns(sparse[id(R)], n, l)
                 for R, l in (*lhs, *rhs)}
     chains = [[embedded[id(R), l] for R, l in reversed(chain)]
               for chain in (lhs, rhs)]
-    dl, dr = (prod(den[id(R)] for R, _ in chain) for chain in (lhs, rhs))
+    dl, dr = (prod(R.den for R, _ in chain) if exact else 1
+              for chain in (lhs, rhs))
     common = lcm(dl, dr)
     out = []
     for j in range(n ** 3):
@@ -297,7 +304,7 @@ def twist_compose(R: Op2) -> Op2:
 
     tau permutes the rows: row b*n+a of tau R is row a*n+b of R."""
     n = R.n
-    return Op2(n=n, zero=R.zero,
+    return Op2(n=n, den=R.den, zero=R.zero,
                cols=[sorted(((i % n) * n + i // n, x) for i, x in col)
                      for col in R.cols])
 

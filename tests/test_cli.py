@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ybops import frt, tensorop
+from ybops import cli, frt, tensorop
 from ybops.cli import main
 
 # The dense products and leg embeddings: test references, never called by a
@@ -263,6 +263,45 @@ class TestUsage:
             {"command": "compare", "args": {}}]}), encoding="utf-8")
         assert main(["campaign", str(cfg)]) == 0
         assert (tmp_path / "envout" / "task-000-compare.json").exists()
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        builds = Counter()
+        build = cli.build_parser
+
+        def counting():
+            builds["parser"] += 1
+            return build()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert main(["compare"]) == 0
+            assert main(["matrix", "--family", "prop2", "--format", "csv"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds["parser"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--family", "thm1", "--u", "-2/3", "--v", "1/2",
+         "--format", "csv"],
+        ["matrix", "--family", "prop1", "--q", "-5/2", "--x", "-1/3"],
+        ["ybsystem", "--lam", "-1/2", "--mu", "-3"],
+        ["compare", "--q", "-1/2", "--x", "-7/3", "--y", "2"],
+    ])
+    def test_negative_rational_as_separate_word(self, argv, capsys):
+        # '--u -2/3' reads -2/3 as the value, as '--u=-2/3' does
+        joined = []
+        for word in argv:
+            if word.startswith("-") and not word.startswith("--"):
+                joined[-1] += "=" + word
+            else:
+                joined.append(word)
+        outputs = []
+        for words in (argv, joined):
+            code = main(words)
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][2] == ""
 
 
 # --- the CLI in a fresh interpreter -------------------------------------------

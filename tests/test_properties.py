@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
@@ -385,19 +385,27 @@ def _upper_triangular():
               for j in range(3)) for i in range(3)))
 
 
-def _change_basis(A, s, t):
-    """A in the basis f_i = P e_i, P = (I + s E_01)(I + t E_10) C with C a
-    cyclic permutation: the unit is no longer e_0."""
+def _change_basis(A, s, t, scale):
+    """A in the basis f_i = P e_i, P = (I + s E_01)(I + t E_10) C D with C
+    a cyclic permutation and D the diagonal matrix ``scale``: the unit is no
+    longer e_0, and with fractional s, t or scale its coordinates and the
+    structure constants have several denominators."""
     n = A.dim
 
     def elementary(i, j, x):  # I + x E_ij
         return [[Fraction(int(r == c)) + (x if (r, c) == (i, j) else 0)
                  for c in range(n)] for r in range(n)]
 
+    def diagonal(xs):
+        return [[xs[r] if r == c else Fraction(0) for c in range(n)]
+                for r in range(n)]
+
     cycle = [[Fraction(int(r == (c + 1) % n)) for c in range(n)]
              for r in range(n)]
-    P = mat_mul(mat_mul(elementary(0, 1, s), elementary(1, 0, t)), cycle)
-    Q = mat_mul(mat_mul(mat_transpose(cycle), elementary(1, 0, -t)),
+    P = mat_mul(mat_mul(mat_mul(elementary(0, 1, s), elementary(1, 0, t)),
+                        cycle), diagonal(scale))
+    Q = mat_mul(mat_mul(mat_mul(diagonal([1 / x for x in scale]),
+                                mat_transpose(cycle)), elementary(1, 0, -t)),
                 elementary(0, 1, -s))
     c = A.structconst
     sc = tuple(tuple(tuple(
@@ -411,8 +419,9 @@ def _change_basis(A, s, t):
 @st.composite
 def _carriers(draw):
     """A valid 2-3-dimensional algebra: a polynomial quotient or the upper
-    triangular matrices, perhaps in a basis whose unit is not e_0, perhaps
-    opposite; sometimes with some of its entries turned into floats."""
+    triangular matrices, perhaps in a basis whose unit is not e_0 and has
+    coordinates of several denominators, perhaps opposite; sometimes with
+    some of its entries turned into floats."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 3))
         A = poly_quotient(draw(st.lists(fractions, min_size=n, max_size=n))
@@ -420,21 +429,24 @@ def _carriers(draw):
     else:
         A = _upper_triangular()
     if draw(st.booleans()):
-        A = _change_basis(A, draw(st.integers(-2, 2)),
-                          draw(st.integers(-2, 2)))
+        small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        scale = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        A = _change_basis(A, draw(small), draw(small), draw(st.lists(
+            scale.filter(bool), min_size=A.dim, max_size=A.dim)))
     if draw(st.booleans()):
         A = opposite_algebra(A)
     assert validate(A).ok
     if draw(st.integers(0, 3)) == 0:
-        # some unit coordinates and the products e_i e_j as floats: no
-        # longer exact, and the float entries of the operator follow them
+        # some unit coordinates and perhaps the products e_i e_j as floats:
+        # no longer exact (even when the only float is a unit coordinate
+        # 0.0), and the float entries of the operator follow them
         i = draw(st.integers(0, A.dim - 1))
+        plane = A.structconst[i]
+        if draw(st.booleans()):
+            plane = tuple(tuple(map(float, row)) for row in plane)
         A = Algebra(dim=A.dim, unit=tuple(
             float(x) if draw(st.booleans()) else x for x in A.unit),
-            structconst=(
-            *A.structconst[:i],
-            tuple(tuple(map(float, row)) for row in A.structconst[i]),
-            *A.structconst[i + 1:]))
+            structconst=(*A.structconst[:i], plane, *A.structconst[i + 1:]))
     return A
 
 
@@ -455,22 +467,46 @@ def _same_mat(got, want):
                                for x, y in zip(gr, wr))
 
 
+def _same_difference(got, want):
+    """Two kernel results, entry by entry in value and type."""
+    return (_same(got[1], want[1]) and got[0] == want[0]
+            and all(_same(col[i], want[0][j][i])
+                    for j, col in enumerate(got[0]) for i in col))
+
+
 class TestSparseBuild:
     @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
     @given(A=_carriers(), coeffs=st.lists(st.tuples(
         _coefficients, _coefficients, _coefficients), min_size=3,
         max_size=3))
+    # a float zero is the one float of the carrier
+    @example(A=Algebra(dim=2, structconst=quadratic_algebra(2).structconst,
+                       unit=(Fraction(1), 0.0)),
+             coeffs=[(Fraction(1, 2), 3, Fraction(-2, 3))] * 3)
     def test_matches_dense_build(self, A, coeffs):
-        sparse = [ansatz_op(A, *c) for c in coeffs]
-        dense = [_dense_ansatz(A, *c) for c in coeffs]
+        # the coefficients as drawn, all made exact, and each triple made
+        # exact in turn with the other two made floats: on an exact carrier,
+        # one operator of integer columns in a float-mode chain
+        exact = [tuple(map(Fraction, c)) for c in coeffs]
+        floats = [tuple(map(float, c)) for c in coeffs]
+        mixes = [[exact[i] if i == k else floats[i] for i in range(3)]
+                 for k in range(3)]
+        for triples in (coeffs, exact, *mixes):
+            self._check_kernel(A, triples)
+
+    @staticmethod
+    def _check_kernel(A, triples):
+        sparse = [ansatz_op(A, *c) for c in triples]
+        dense = [_dense_ansatz(A, *c) for c in triples]
         for R, D in zip(sparse, dense):
             assert _same_mat(R.mat, D.mat)
         # the kernel takes the same exact/float mode on both builds and
-        # returns the same entries of the same types
+        # returns the same entries of the same types, and so it does on an
+        # operator rebuilt from the dense view of the integer build
         got, want = _qybe_difference(*sparse), _qybe_difference(*dense)
-        assert _same(got[1], want[1]) and got[0] == want[0]
-        assert all(_same(col[i], want[0][j][i])
-                   for j, col in enumerate(got[0]) for i in col)
+        assert _same_difference(got, want)
+        rebuilt = [Op2(n=R.n, mat=R.mat) for R in sparse]
+        assert _same_difference(_qybe_difference(*rebuilt), got)
         table = dict(zip(((0, 1), (0, 2), (1, 2)), sparse))
         res = colored_qybe_residual(
             SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
