@@ -68,6 +68,13 @@ class Algebra:
         return (den, [rows[i * n:(i + 1) * n] for i in range(n)],
                 unit_den, unit)
 
+    @cached_property
+    def opposite(self) -> Algebra:
+        """This algebra with the reversed product a*b := ba."""
+        c = self.structconst
+        return Algebra(dim=self.dim, unit=self.unit, structconst=tuple(
+            tuple(c[j][i] for j in range(self.dim)) for i in range(self.dim)))
+
 
 @dataclass(frozen=True)
 class Coalgebra:
@@ -203,10 +210,8 @@ def dual_coalgebra(A: Algebra) -> Coalgebra:
 
 
 def opposite_algebra(A: Algebra) -> Algebra:
-    """A with the reversed product a*b := ba."""
-    c = A.structconst
-    return Algebra(dim=A.dim, unit=A.unit, structconst=tuple(
-        tuple(c[j][i] for j in range(A.dim)) for i in range(A.dim)))
+    """A with the reversed product a*b := ba, built once per algebra."""
+    return A.opposite
 
 
 # --- JSON interface ---------------------------------------------------------

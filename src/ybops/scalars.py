@@ -37,6 +37,9 @@ def over_one_denominator(cols) -> tuple:
 
 def scalar_pow(base, expo):
     """base**expo; exact mode requires an integer exponent."""
+    if isinstance(base, float) or isinstance(expo, float):
+        # the search's path: is_exact's Fraction check is an ABC check
+        return float(base) ** float(expo)
     if is_exact(base) and is_exact(expo):
         e = Fraction(expo)
         if e.denominator != 1:

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import starmap
 from typing import Optional
 
 from .errors import UnknownFamilyError
-from .funceq import (eval_colored_system, eval_onepar_system,
-                     exp_colored_triple, linear_colored_triple,
+from .funceq import (_system, exp_colored_triple, linear_colored_triple,
                      linear_onepar_triple)
 
 # Small distinct rationals; avoid accidental degeneracies like equal colours.
@@ -45,6 +45,12 @@ DEFAULT_ONEPAR_GRID = (
 OBJECTIVE_TOL = 1e-8  # below this a result is classified
 PARAM_TOL = 1e-6  # catalogue match distance after gauge normalization
 MAX_ITER = 2000
+XATOL = 1e-12  # Nelder-Mead stops when the simplex is this small in x
+FATOL = 1e-16  # ... and its values are this close
+
+# scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
 
 
 @dataclass(frozen=True)
@@ -65,25 +71,33 @@ def _make_objective(shape: str, system: str, phi_shape: str):
                    "exponential": _exp_triple_from_logs}.get(shape)
         if builder is None:
             raise UnknownFamilyError(f"unknown ansatz shape {shape!r}")
-        evaluate = eval_colored_system
+        # the colour pairs of eval_colored_system at each grid point
+        calls = [((u, v), (u, w), (v, w)) for u, v, w in fgrid]
     elif system == "onepar":
         if shape != "linear":
             raise UnknownFamilyError(
                 "one-parameter search supports the linear shape only")
         builder = partial(linear_onepar_triple, phi_shape=phi_shape)
-        evaluate = eval_onepar_system
+        phi = builder([0.0] * 6).phi  # raises on an unknown phi_shape
+        # the arguments of eval_onepar_system at each grid point
+        calls = [((x,), (phi(x, z),), (z,)) for x, z in fgrid]
     else:
         raise UnknownFamilyError(f"unknown system {system!r}")
+    # each distinct argument is evaluated once per parameter vector; the
+    # grids hold no signed zero, so equal keys are equal bits
+    args = list(dict.fromkeys(a for call in calls for a in call))
+    slots = [tuple(args.index(a) for a in call) for call in calls]
 
     def objective(params):
-        # Nelder-Mead passes a numpy array; Python floats give the same
-        # bits and are about twice as fast to combine
+        # a numpy array gives the same bits; Python floats are about twice
+        # as fast to combine
         params = list(map(float, params))
         try:
-            T = builder(params)
+            coeffs = builder(params).coeffs
+            values = list(starmap(coeffs, args))
             total = 0.0
-            for pt in fgrid:
-                for r in evaluate(T, *pt):
+            for i, j, k in slots:
+                for r in _system(values[i], values[j], values[k]):
                     total += r * r
         except ArithmeticError:
             # exponential ansatz overflowed, or underflowed to 0.0 and
@@ -91,6 +105,87 @@ def _make_objective(shape: str, system: str, phi_shape: str):
             return math.inf
         return total
     return objective
+
+
+def _sorted_simplex(sim, fsim):
+    """The vertices and values in ascending value order, as scipy sorts
+    them with ``np.argsort``: nan last, and ties in numpy's order, which
+    is not the stable one on every CPU."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    values = [fsim[i] for i in order]
+    if not all(a < b for a, b in zip(values, values[1:])):
+        # a tie or a nan: only numpy knows its own order
+        import numpy as np
+        order = np.argsort(fsim).tolist()
+        values = [fsim[i] for i in order]
+    return [sim[i] for i in order], values
+
+
+def _nelder_mead(func, x0):
+    """Minimize ``func`` by Nelder-Mead from ``x0``: ``(x, fun, nit)``.
+
+    Runs on lists of Python floats, with the float operations, in the same
+    order, and the ordering of ties and nan of
+    ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+    options={"maxiter": MAX_ITER, "xatol": XATOL, "fatol": FATOL})``, so
+    x, fun and nit equal scipy's bit for bit for any ``func`` that never
+    returns -0.0.
+    """
+    n = len(x0)
+    x0 = [float(x) for x in x0]
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim.append(y)
+    sim, fsim = _sorted_simplex(sim, [func(x) for x in sim])
+    # scipy sorts twice, and np.argsort need not leave ties in place
+    sim, fsim = _sorted_simplex(sim, fsim)
+    nit = 1
+    while nit < MAX_ITER:
+        best = sim[0]
+        # all(<=) is false on a nan difference, as numpy's max(...) <= is
+        if (all(abs(a - b) <= XATOL for x in sim[1:] for a, b in zip(x, best))
+                and all(abs(fsim[0] - f) <= FATOL for f in fsim[1:])):
+            break
+        worst = sim[-1]
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [s + a for s, a in zip(xbar, x)]
+        xbar = [s / n for s in xbar]
+        xr = [(1 + _RHO) * b - _RHO * w for b, w in zip(xbar, worst)]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = [(1 + _RHO * _CHI) * b - _RHO * _CHI * w
+                  for b, w in zip(xbar, worst)]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contraction outside
+                xc = [(1 + _PSI * _RHO) * b - _PSI * _RHO * w
+                      for b, w in zip(xbar, worst)]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:  # contraction inside
+                xcc = [(1 - _PSI) * b + _PSI * w for b, w in zip(xbar, worst)]
+                fxcc = func(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = [a + _SIGMA * (x - a)
+                              for a, x in zip(best, sim[j])]
+                    fsim[j] = func(sim[j])
+        nit += 1
+        sim, fsim = _sorted_simplex(sim, fsim)
+    # scipy's fun is np.min(fsim): nan when any vertex is nan
+    fun = fsim[0] if all(f == f for f in fsim) else math.nan
+    return sim[0], fun, nit
 
 
 def _exp_triple_from_logs(params):
@@ -170,26 +265,20 @@ def search(shape: str = "linear", system: str = "colored", seed: int = 0,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     objective = _make_objective(shape, system, phi_shape)
-    # imported here, so that importing ybops does not load them
+    # imported here, so that importing ybops does not load it
     import numpy as np
-    from scipy.optimize import minimize
 
     results = []
-    options = {"maxiter": MAX_ITER, "xatol": 1e-12, "fatol": 1e-16}
     for i in range(restarts):
         rng = np.random.default_rng((seed, i))
-        x0 = rng.uniform(-3.0, 3.0, size=6)
-        res = minimize(objective, x0, method="Nelder-Mead", options=options)
-        res2 = minimize(objective, res.x, method="Nelder-Mead", options=options)
-        if res2.fun <= res.fun:
-            res, iters = res2, res.nit + res2.nit
-        else:
-            iters = res.nit
-        params = tuple(float(x) for x in res.x)
+        x0 = rng.uniform(-3.0, 3.0, size=6).tolist()
+        x, fun, iters = _nelder_mead(objective, x0)
+        x2, fun2, nit2 = _nelder_mead(objective, x)
+        if fun2 <= fun:
+            x, fun, iters = x2, fun2, iters + nit2
+        params = tuple(x)
         results.append(SearchResult(
-            params=params,
-            objective=float(res.fun),
-            classification=classify(shape, system, phi_shape, params,
-                                    float(res.fun)),
-            seed=seed, restart=i, iterations=int(iters)))
+            params=params, objective=fun,
+            classification=classify(shape, system, phi_shape, params, fun),
+            seed=seed, restart=i, iterations=iters))
     return results

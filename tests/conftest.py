@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ybops.algebra import Algebra, cubic_algebra, quadratic_algebra, validate
+from ybops.search import MAX_ITER
 
 
 @pytest.fixture
@@ -54,3 +55,22 @@ def rand_fraction(rng, lo=-9, hi=9, den=5, nonzero=False):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# (shape, system, phi shape) of the five search modes
+SEARCH_MODES = (("linear", "colored", "xz"), ("exponential", "colored", "xz"),
+                ("linear", "onepar", "xz"), ("linear", "onepar", "z"),
+                ("linear", "onepar", "x"))
+
+
+def scipy_nelder_mead(func, x0):
+    """scipy's Nelder-Mead with the search's options: ``(x, fun, nit)``.
+
+    The reference the search's own Nelder-Mead must equal bit for bit.
+    """
+    np = pytest.importorskip("numpy")
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    with np.errstate(all="ignore"):  # inf - inf next to the synthetic walls
+        res = minimize(func, x0, method="Nelder-Mead", options={
+            "maxiter": MAX_ITER, "xatol": 1e-12, "fatol": 1e-16})
+    return res.x.tolist(), float(res.fun), res.nit

@@ -350,9 +350,18 @@ class TestClosedStdout:
 
 
 def test_import_loads_no_numerics():
-    # numpy and scipy are the search's alone
+    # numpy is the search's alone; scipy is a test reference only
     code = ("import sys, ybops, ybops.cli; print(sorted({m.split('.')[0] "
             "for m in sys.modules} & {'numpy', 'scipy'}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_ENV, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_search_loads_no_scipy():
+    # the search's Nelder-Mead is its own; scipy is a test reference only
+    code = ("import sys, ybops; ybops.search(restarts=1); "
+            "print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_ENV, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ybops.algebra import dual_coalgebra, quadratic_algebra
+from ybops.algebra import (dual_coalgebra, opposite_algebra,
+                           quadratic_algebra)
 from ybops.colored import (ColoredFamily, coalgebra_colored_op, remark2_op,
                            scalar_pow, thm1_inv, thm1_op, thm2_inv, thm2_op)
 from ybops.errors import (NonIntegerExponentError, SingularParameterError,
@@ -62,6 +63,26 @@ class TestThm1:
                 I = identity_mat(A.dim ** 2)
                 assert mat_mul(R.mat, S.mat) == I
                 assert mat_mul(S.mat, R.mat) == I
+
+    def test_inverse_reuses_one_opposite(self, Bc, monkeypatch):
+        # the opposite algebra is built once per algebra, not per inverse
+        import ybops.colored as colored
+        built_on = []
+        real = colored.ansatz_op
+
+        def spy(A, *coeffs):
+            built_on.append(A)
+            return real(A, *coeffs)
+        monkeypatch.setattr(colored, "ansatz_op", spy)
+        S1 = thm1_inv(Bc, 1, 3, 2, 5)
+        S2 = thm1_inv(Bc, 1, 3, 2, 5)
+        assert built_on[0] is built_on[1] is opposite_algebra(Bc)
+        n = Bc.dim
+        assert all(built_on[0].structconst[i][j] == Bc.structconst[j][i]
+                   for i in range(n) for j in range(n))
+        assert S1.mat == S2.mat
+        assert mat_mul(thm1_op(Bc, 1, 3, 2, 5).mat, S1.mat) == identity_mat(
+            Bc.dim ** 2)
 
     def test_singular_loci_raise(self, A1):
         with pytest.raises(SingularParameterError):

@@ -1,5 +1,6 @@
 """Cross-module invariants, partly driven by hypothesis."""
 
+import math
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import SEARCH_MODES, scipy_nelder_mead
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            opposite_algebra, poly_quotient, quadratic_algebra,
                            validate)
@@ -16,6 +18,7 @@ from ybops.frt import (NCPoly, RelationSet, in_span, rtt_residual,
 from ybops.funceq import (FAMILIES, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import prop1_op
+from ybops.search import MAX_ITER, _make_objective, _nelder_mead
 from ybops.tensorop import (Op2, _chain_difference, _qybe_difference,
                             braid_residual, colored_qybe_residual, embed_leg,
                             freeze, identity_op2, mat_mul, mat_scale,
@@ -523,3 +526,80 @@ class TestSparseBuild:
             A, *FAMILIES["thm1"].coeffs(*args)).mat)
         got = coalgebra_colored_op(Coalgebra(A), *args).mat
         assert _same_mat(got, freeze(want))
+
+
+# --- Nelder-Mead on Python floats against scipy ------------------------------
+
+def _bits(x, fun, nit):
+    return [v.hex() for v in x], fun.hex(), nit
+
+
+def _bowl(x):
+    total = 0.0
+    for t in map(float, x):  # the same bits from an array and a list
+        total += (t - 0.5) * (t - 0.5)
+    return total
+
+
+def _plateau(x):
+    """A 0.0 floor around the minimum: many tied vertices."""
+    return max(0.0, _bowl(x) - 1.0)
+
+
+def _steps(x):
+    """Integer levels: ties away from zero too."""
+    return float(math.floor(_bowl(x)))
+
+
+def _walls(x):
+    """An inf region and a nan region beside a bowl."""
+    if x[0] > 1.5:
+        return math.inf
+    if x[-1] < -1.5:
+        return math.nan
+    return _bowl(x)
+
+
+def _flaky():
+    """A bowl that reads nan on every second call."""
+    calls = []
+
+    def objective(x):
+        calls.append(None)
+        return math.nan if len(calls) % 2 == 0 else _bowl(x)
+    return objective
+
+
+_coordinates = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+class TestNelderMead:
+    @settings(max_examples=8, deadline=None)
+    @given(mode=st.sampled_from(SEARCH_MODES),
+           x0=st.lists(_coordinates, min_size=6, max_size=6))
+    def test_search_objectives_match_scipy(self, mode, x0):
+        # both passes of a restart; the second one starts at a minimum,
+        # where the exponential shape meets its 0.0 plateau
+        objective = _make_objective(*mode)
+        for _ in range(2):
+            got = _nelder_mead(objective, x0)
+            assert _bits(*got) == _bits(*scipy_nelder_mead(objective, x0))
+            x0 = got[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(func=st.sampled_from((_plateau, _steps, _walls)),
+           x0=st.lists(_coordinates, min_size=1, max_size=6))
+    @example(func=_walls, x0=[1.45, 0.0, 0.0])  # a start vertex in inf
+    @example(func=_walls, x0=[0.0, 0.0, -1.45])  # a start vertex in nan
+    @example(func=_walls, x0=[0.0, -2.0])  # all nan: fun nan at MAX_ITER
+    @example(func=_plateau, x0=[0.0, 0.0, 0.0])  # every vertex 0.0
+    def test_synthetic_objectives_match_scipy(self, func, x0):
+        got = _nelder_mead(func, x0)
+        assert _bits(*got) == _bits(*scipy_nelder_mead(func, x0))
+
+    def test_nan_vertex_until_max_iter(self):
+        # a nan vertex is still in the simplex at MAX_ITER, beside finite
+        # ones: fun is nan, as numpy's min gives it
+        got = _nelder_mead(_flaky(), [1.0, 0.0])
+        assert _bits(*got) == _bits(*scipy_nelder_mead(_flaky(), [1.0, 0.0]))
+        assert math.isnan(got[1]) and got[2] == MAX_ITER
