@@ -14,7 +14,7 @@ from .funceq import (FAMILIES, CoeffTriple, Family, catalogue,
                      eval_colored_system, eval_onepar_system)
 from .onepar import (OneParFamily, prop1_coalgebra_op, prop1_inv, prop1_op,
                      prop2_inv, prop2_op, remark_x_op)
-from .search import SearchResult, search
+from .search import SearchResult
 from .tensorop import (Op2, Op3, braid_residual, colored_qybe_residual,
                        embed_leg, flip_op2, identity_op2, max_abs_entry,
                        onepar_qybe_residual, twist_compose, yb_commutator)

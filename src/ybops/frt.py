@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatchError
-from .scalars import rational
+from .scalars import over_one_denominator, rational
 from .tensorop import Op2
 
 LETTERS = ("a", "b", "c", "d")
@@ -40,8 +42,15 @@ class NCPoly:
                     self.terms[word] = c
 
     @classmethod
+    def _of(cls, terms: dict) -> "NCPoly":
+        """``terms`` taken as they are: non-zero ``Fraction`` coefficients."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def gen(cls, letter: str, tag: str) -> "NCPoly":
-        return cls({((tag, letter),): Fraction(1)})
+        return cls._of({((tag, letter),): Fraction(1)})
 
     @property
     def is_zero(self) -> bool:
@@ -52,29 +61,25 @@ class NCPoly:
             if other == 0:
                 return self
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return NCPoly(out)
+        return _collect(chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return NCPoly._of({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    out[w] = out.get(w, Fraction(0)) + c1 * c2
-            return NCPoly(out)
+            return _collect((w1 + w2, c1 * c2)
+                            for w1, c1 in self.terms.items()
+                            for w2, c2 in other.terms.items())
         c = rational(other)
-        return NCPoly({w: c * x for w, x in self.terms.items()})
+        if not c:
+            return NCPoly()
+        return NCPoly._of({w: c * x for w, x in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -97,6 +102,14 @@ class NCPoly:
         return " + ".join(bits)
 
 
+def _collect(pairs) -> NCPoly:
+    """The sum of the (word, coefficient) pairs, dropping what cancels."""
+    out = {}
+    for w, c in pairs:
+        out[w] = out[w] + c if w in out else c
+    return NCPoly._of({w: c for w, c in out.items() if c})
+
+
 def swap_colours(poly: NCPoly) -> NCPoly:
     """Swap colours u and v in every generator; coefficients are untouched."""
     flip = {"u": "v", "v": "u"}
@@ -113,6 +126,9 @@ class RelationSet:
 
 def _gens(tag):
     return {l: NCPoly.gen(l, tag) for l in LETTERS}
+
+
+_U, _V = _gens("u"), _gens("v")  # the eight generators, built once
 
 
 def _comm(x, y):
@@ -225,8 +241,7 @@ _TEMPLATES = _relation_templates()
 
 def _instantiate(labels: Iterable[str], u, v, p, q, sigma) -> RelationSet:
     u, v, p, q, sigma = (rational(x) for x in (u, v, p, q, sigma))
-    g, h = _gens("u"), _gens("v")
-    rels = tuple(_TEMPLATES[l](g, h, u, v, p, q, sigma) for l in labels)
+    rels = tuple(_TEMPLATES[l](_U, _V, u, v, p, q, sigma) for l in labels)
     return RelationSet(relations=rels, labels=tuple(labels),
                        params={"u": u, "v": v, "p": p, "q": q, "sigma": sigma})
 
@@ -254,7 +269,7 @@ def exchange_closure(rels: RelationSet) -> RelationSet:
     """
     p = rels.params
     scalars = (p["p"], p["q"], p["sigma"])
-    g, h = _gens("u"), _gens("v")
+    g, h = _U, _V
     have = set(rels.labels)
     extra_rels, extra_labels = [], []
     for label in rels.labels:
@@ -280,87 +295,126 @@ def subset(rels: RelationSet, labels: Iterable[str]) -> RelationSet:
                        labels=keep, params=dict(rels.params))
 
 
+# the words of (T1u T2v)[k][j] and (T2v T1u)[i][k], T = [[a, b], [c, d]] in
+# either colour: (T1u T2v)_{(k1 k2),(j1 j2)} = Tu[k1][j1] Tv[k2][j2], and
+# reversed order for T2v T1u; word order encodes noncommutativity.
+_T12 = [[(("u", LETTERS[k // 2 * 2 + j // 2]),
+          ("v", LETTERS[k % 2 * 2 + j % 2])) for j in range(4)]
+        for k in range(4)]
+_T21 = [[(("v", LETTERS[i % 2 * 2 + k % 2]),
+          ("u", LETTERS[i // 2 * 2 + k // 2])) for k in range(4)]
+        for i in range(4)]
+
+
 def rtt_residual(Rm) -> list:
-    """Entries of R T1u T2v - T2v T1u R as 16 noncommutative polynomials."""
+    """Entries of R T1u T2v - T2v T1u R as 16 noncommutative polynomials.
+
+    Entry (i, j) is the sum over k of R[i][k] (T1u T2v)[k][j] and
+    -(T2v T1u)[i][k] R[k][j].  Each product is one word with an entry of R
+    for coefficient and no two of them share a word, so the entries are
+    read off the sparse columns of R; a float entry enters as its exact
+    rational.
+    """
     if isinstance(Rm, Op2):
-        Rm = Rm.mat
-    if len(Rm) != 4 or any(len(row) != 4 for row in Rm):
+        if Rm.n != 2:
+            raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
+        cols = Rm.entries()
+    elif len(Rm) != 4 or any(len(row) != 4 for row in Rm):
         raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
-    Tu, Tv = ([[g["a"], g["b"]], [g["c"], g["d"]]]
-              for g in (_gens("u"), _gens("v")))
-    # (T1u T2v)_{(i1 i2),(j1 j2)} = Tu[i1][j1] Tv[i2][j2], and reversed order
-    # for T2v T1u; word order encodes noncommutativity.
-    t12 = [[Tu[i // 2][j // 2] * Tv[i % 2][j % 2] for j in range(4)]
-           for i in range(4)]
-    t21 = [[Tv[i % 2][j % 2] * Tu[i // 2][j // 2] for j in range(4)]
-           for i in range(4)]
+    else:
+        cols = [enumerate(col) for col in zip(*Rm)]
+    cols = [[(i, c) for i, x in col if (c := rational(x))] for col in cols]
+    rows = [[] for _ in range(4)]
+    for k, col in enumerate(cols):
+        for i, c in col:
+            rows[i].append((k, c))
     out = []
     for i in range(4):
         for j in range(4):
-            acc = NCPoly()
-            for k in range(4):
-                acc = acc + Rm[i][k] * t12[k][j] - t21[i][k] * Rm[k][j]
-            out.append(acc)
+            terms = {_T12[k][j]: c for k, c in rows[i]}
+            terms.update((_T21[i][k], -c) for k, c in cols[j])
+            out.append(NCPoly._of(terms))
     return out
 
 
 # --- exact span arithmetic ------------------------------------------------------
 
-def _sub_scaled(acc: dict, f, row: dict) -> None:
-    """acc -= f * row, in place, dropping the entries that cancel."""
-    for key, x in row.items():
-        c = acc.get(key, 0) - f * x
+def _combine(a: int, x: dict, f: int, y: dict) -> dict:
+    """a*x - f*y for integer dicts, dropping the entries that cancel."""
+    out = {key: a * c for key, c in x.items()}
+    for key, c in y.items():
+        c = out.get(key, 0) - f * c
         if c:
-            acc[key] = c
+            out[key] = c
         else:
-            acc.pop(key, None)
+            del out[key]
+    return out
+
+
+def _primitive(row: dict, comb: dict) -> tuple:
+    """``row`` and ``comb`` divided by the gcd of all their entries."""
+    g = gcd(*row.values(), *comb.values())
+    return ({key: c // g for key, c in row.items()},
+            {key: c // g for key, c in comb.items()})
 
 
 class _Echelon:
-    """Reduced row echelon form of a polynomial list, eliminated once.
+    """Reduced row echelon form of a polynomial list, eliminated once over
+    the integers.
 
-    A row is a word -> coefficient dict with coefficient 1 on its least word,
-    its pivot, which no other row contains; it carries its combination of the
-    inputs.  Only inputs independent of the ones before them enter, so a
-    member is written on the leftmost independent inputs, where it is unique.
+    A row is a primitive word -> integer dict whose least word, its pivot,
+    no other row contains; it carries its combination of the inputs, in
+    integers too.  An input enters cleared of its denominators, and rows
+    combine fraction-free, a*x - f*row, so a remainder is an integer
+    multiple of the one a Fraction elimination leaves and has the same
+    least word.  Only inputs independent of the ones before them enter, so
+    a member is written on the leftmost independent inputs, where it is
+    unique.  Fractions are built only for what :meth:`solve` returns.
     """
 
     def __init__(self, polys):
         self.rows = {}  # pivot word -> (terms, {input index: coefficient})
         self.size = 0
         for poly in polys:
-            rest, comb = self._reduce(poly)
+            scale, rest, comb = self._reduce(poly)
             if rest:
-                pivot = min(rest)
-                inv = 1 / rest[pivot]
-                row = {w: c * inv for w, c in rest.items()}
-                comb = {j: -c * inv for j, c in comb.items()}
-                comb[self.size] = inv
-                for other, other_comb in self.rows.values():
+                comb[self.size] = scale
+                row, comb = _primitive(rest, comb)
+                pivot = min(row)
+                a = row[pivot]
+                for other_pivot, (other, other_comb) in self.rows.items():
                     f = other.get(pivot)
                     if f:
-                        _sub_scaled(other, f, row)
-                        _sub_scaled(other_comb, f, comb)
+                        self.rows[other_pivot] = _primitive(
+                            _combine(a, other, f, row),
+                            _combine(a, other_comb, f, comb))
                 self.rows[pivot] = (row, comb)
             self.size += 1
 
     def _reduce(self, poly: NCPoly):
-        """``poly`` less its part along the rows; that part on the inputs."""
-        rest, comb = dict(poly.terms), {}
+        """``(s, s*poly + y, y on the inputs)`` for an integer s: s*poly + y
+        has integer coefficients and no pivot word, y lies in the span."""
+        scale, (terms,) = over_one_denominator([poly.terms.items()])
+        rest, comb = dict(terms), {}
         for pivot, (row, row_comb) in self.rows.items():
             f = rest.get(pivot)
             if f:
-                _sub_scaled(rest, f, row)
-                _sub_scaled(comb, -f, row_comb)
-        return rest, comb
+                a = row[pivot]
+                rest = _combine(a, rest, f, row)
+                comb = _combine(a, comb, f, row_comb)
+                scale *= a
+        return scale, rest, comb
 
     def solve(self, poly: NCPoly):
         """``(coefficients, None)`` for a member, else ``(None, residue)``:
         the canonical normal form of ``poly``, free of pivot words."""
-        rest, comb = self._reduce(poly)
+        scale, rest, comb = self._reduce(poly)
         if rest:
-            return None, NCPoly(rest)
-        return [comb.get(j, Fraction(0)) for j in range(self.size)], None
+            return None, NCPoly._of({w: Fraction(c, scale)
+                                     for w, c in rest.items()})
+        zero = Fraction(0)
+        return [Fraction(-comb[j], scale) if j in comb else zero
+                for j in range(self.size)], None
 
 
 def span_dimension(polys) -> int:

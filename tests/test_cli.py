@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, campaign runner."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,32 @@ class TestFrt:
             monkeypatch.setattr(frt, name, counting(name))
         assert main(["frt"]) == 0
         assert calls == {"rtt_residual": 1, "span_membership": 1}
+
+    @pytest.mark.parametrize("argv,code,digest", [
+        (["--sigma", "0"], 0,
+         "8e2ef0217a9da5e519dc88597e1f7328fb4cf0f5da706efdcae190ad35d5dfc0"),
+        (["--sigma", "2"], 0,
+         "034eb54531af8361803de7583e25a9a6857392b795983fb291a4e3eda023090b"),
+        (["--p", "-2/3", "--q", "5/7", "--u", "-1/2", "--v", "3/4",
+          "--sigma", "-5/3"], 0,
+         "c45e7c78c6feaabb1929520b570e0e0f8d98f5e4128e8f705382ce75d6d3e181"),
+        (["--p", "2", "--q", "2", "--u", "3", "--v", "1", "--sigma", "1"], 0,
+         "6b1de6a945ccf5ea3f29f2323d6a1b2c6337e8e4d96318cbd1fd36d7a10f65dd"),
+        (["--u", "2", "--v", "2"], 1,
+         "7651134df0587568ed0c779b4d0b7c2a335e44bc321e31739f3242d1e5aedf25"),
+        (["--p", "0", "--q", "1", "--sigma", "1/2"], 1,
+         "197936dacdc95da5c257fb3feefe1b798ff451647f5e29266de42cfeb1150ded"),
+        (["--p", "1", "--q", "3", "--u", "1", "--v", "3"], 2, None),
+    ], ids=["sigma0", "sigma2", "negative", "p=q", "u=v", "p=0",
+            "singular"])
+    def test_report_bytes_pinned(self, tmp_path, argv, code, digest):
+        # sha256 of the report file; exit 2 on the singular locus writes none
+        report = tmp_path / "frt.json"
+        assert main(["frt", *argv, "--report", str(report)]) == code
+        if digest is None:
+            assert not report.exists()
+        else:
+            assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 class TestYbsystemAndCompare:
@@ -360,8 +387,18 @@ def test_import_loads_no_numerics():
 
 def test_search_loads_no_scipy():
     # the search's Nelder-Mead is its own; scipy is a test reference only
-    code = ("import sys, ybops; ybops.search(restarts=1); "
+    code = ("import sys, ybops; ybops.search.search(restarts=1); "
             "print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_ENV, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_search_attribute_is_the_module():
+    # the package exports SearchResult, not the function, so the submodule
+    # and its module-level names stay reachable as attributes
+    code = ("import sys, ybops; assert ybops.search is "
+            "sys.modules['ybops.search']; print(ybops.search.MAX_ITER)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_ENV, timeout=120, check=True)
+    assert int(proc.stdout) > 0

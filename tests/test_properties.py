@@ -9,12 +9,14 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SEARCH_MODES, scipy_nelder_mead
+from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            opposite_algebra, poly_quotient, quadratic_algebra,
                            validate)
 from ybops.colored import ansatz_op, coalgebra_colored_op, thm1_op
-from ybops.frt import (NCPoly, RelationSet, in_span, rtt_residual,
-                       span_dimension, span_membership)
+from ybops.frt import (LETTERS, NCPoly, RelationSet, _Echelon,
+                       claimed_relations, exchange_closure, in_span,
+                       rtt_residual, span_dimension, span_membership)
 from ybops.funceq import (FAMILIES, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import prop1_op
@@ -274,6 +276,68 @@ class TestSpanElimination:
                 assert got.terms == residue
 
 
+# the 32 words of one generator of each colour, either colour first
+_MIXED_WORDS = [((s, x), (t, y)) for s, t in (("u", "v"), ("v", "u"))
+                for x in LETTERS for y in LETTERS]
+_small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_mixed_polys = st.dictionaries(st.sampled_from(_MIXED_WORDS), _small,
+                               max_size=5).map(NCPoly)
+
+
+def _combination(draw, polys):
+    """A combination of at most two of ``polys``, zero when there are none."""
+    picks = draw(st.lists(st.sampled_from(polys), max_size=2)) if polys else []
+    return sum((draw(_small) * p for p in picks), NCPoly())
+
+
+@st.composite
+def _echelon_cases(draw):
+    """Inputs with zero, repeated and dependent polynomials among them;
+    targets inside their span and, plus a fresh polynomial, mostly not."""
+    inputs = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 6))
+        if kind < 4:
+            inputs.append(draw(_mixed_polys))
+        elif kind == 4:
+            inputs.append(NCPoly())
+        elif kind == 5 and inputs:  # a repeat, perhaps rescaled
+            inputs.append(draw(_small) * draw(st.sampled_from(inputs)))
+        else:
+            inputs.append(_combination(draw, inputs))
+    targets = []
+    for _ in range(draw(st.integers(1, 4))):
+        inside = _combination(draw, inputs)
+        targets.append(inside + draw(_mixed_polys) if draw(st.booleans())
+                       else inside)
+    return inputs, targets
+
+
+class TestFractionFreeEchelon:
+    # ~1.5 s: the 150 draws and the rank-16 example
+    @settings(max_examples=150, deadline=None)
+    @given(case=_echelon_cases())
+    # the closed relation list, rank 16, against RTT entries at its own
+    # parameters and at others
+    @example(case=(list(exchange_closure(claimed_relations(
+        2, 1, 1, 3, Fraction(1, 2))).relations), rtt_residual(thm1_op(
+            A1, 1, 3, 2, 1)) + rtt_residual(thm1_op(A1, 2, 5, -1, 3))))
+    def test_matches_fraction_elimination(self, case):
+        inputs, targets = case
+        got, want = _Echelon(inputs), FractionEchelon(inputs)
+        assert set(got.rows) == set(want.rows)
+        assert span_dimension(inputs) == len(want.rows)
+        for t in inputs + targets:
+            (coeffs, residue), (want_coeffs, want_residue) = (
+                got.solve(t), want.solve(t))
+            assert coeffs == want_coeffs
+            assert (residue is None) == (want_residue is None)
+            if residue is not None:
+                assert residue.terms == want_residue.terms
+            exact = (coeffs or []) + list((residue or NCPoly()).terms.values())
+            assert all(type(x) is Fraction for x in exact)
+
+
 # --- the residual kernel against dense leg embeddings ------------------------
 
 _entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -453,6 +517,18 @@ def _carriers(draw):
     return A
 
 
+@st.composite
+def _quadratic_carriers(draw):
+    """k[x]/(x^2 + b x + c), perhaps in a basis whose unit is not e_0."""
+    A = poly_quotient(draw(st.lists(fractions, min_size=2, max_size=2))
+                      + [1])
+    if draw(st.booleans()):
+        small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        A = _change_basis(A, draw(small), draw(small), draw(st.lists(
+            small.filter(bool), min_size=2, max_size=2)))
+    return A
+
+
 # mixed denominators, ints and floats
 _coefficients = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=12),
@@ -571,6 +647,51 @@ def _flaky():
 
 
 _coordinates = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+_rtt_entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+_rtt_mats = st.lists(st.lists(_rtt_entries, min_size=4, max_size=4),
+                     min_size=4, max_size=4)
+
+
+class TestRttColumns:
+    """The RTT expansion read off the sparse columns against the dense one:
+    every coefficient equal and a Fraction (~2 s for the three)."""
+
+    @staticmethod
+    def _check(R):
+        got, want = rtt_residual(R), dense_rtt_residual(R)
+        assert [p.terms for p in got] == [p.terms for p in want]
+        assert all(type(c) is Fraction for p in got for c in p.terms.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(mat=_rtt_mats)
+    def test_exact_matrices(self, mat):
+        self._check(mat)
+        self._check(Op2(n=2, mat=freeze(mat)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(A=_quadratic_carriers(),
+           args=st.lists(_coefficients, min_size=4, max_size=4))
+    def test_thm1_on_quadratic_carriers(self, A, args):
+        # a float argument gives an operator with float entries, den None
+        self._check(thm1_op(A, *args))
+
+    @settings(max_examples=30, deadline=None)
+    @given(mat=_rtt_mats, floats=st.lists(st.tuples(
+        st.integers(0, 3), st.integers(0, 3),
+        st.floats(allow_nan=False, allow_infinity=False)), min_size=1,
+        max_size=6))
+    @example(mat=[[Fraction(1)] * 4] * 4, floats=[(0, 0, 0.0), (1, 2, -0.0),
+                                                 (3, 3, 0.1)])
+    def test_float_entries(self, mat, floats):
+        mat = [list(row) for row in mat]
+        for i, j, x in floats:
+            mat[i][j] = x
+        R = Op2(n=2, mat=freeze(mat))
+        assert R.den is None
+        self._check(mat)
+        self._check(R)
 
 
 class TestNelderMead:
