@@ -233,6 +233,16 @@ def _array(x) -> list:
     return x
 
 
+def _scalar(x, field):
+    # a string or a number; JSON true and false would read as 1 and 0
+    if isinstance(x, (str, int, float)) and not isinstance(x, bool):
+        try:
+            return parse_scalar(x, field)
+        except (ValueError, ArithmeticError):
+            pass
+    raise InvalidStructureError(f"not a {field} scalar: {json.dumps(x)}")
+
+
 def _from_json(text, cube_key, vector_key):
     """(dim, n x n x n tensor, length-n vector), shape-checked."""
     data = json.loads(text)
@@ -242,10 +252,10 @@ def _from_json(text, cube_key, vector_key):
     if missing:
         raise InvalidStructureError(f"missing key(s): {', '.join(missing)}")
     field = data.get("field", "rational")
-    cube = tuple(tuple(tuple(parse_scalar(x, field) for x in _array(row))
+    cube = tuple(tuple(tuple(_scalar(x, field) for x in _array(row))
                        for row in _array(plane))
                  for plane in _array(data[cube_key]))
-    vector = tuple(parse_scalar(x, field) for x in _array(data[vector_key]))
+    vector = tuple(_scalar(x, field) for x in _array(data[vector_key]))
     _check_shape(data["dim"], cube, vector)
     return data["dim"], cube, vector
 

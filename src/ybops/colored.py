@@ -18,74 +18,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import product
 from math import lcm
 
 from .algebra import Algebra, Coalgebra, opposite_algebra
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import is_exact
-from .scalars import scalar_pow  # noqa: F401  (re-exported)
-from .tensorop import Op2
+from .tensorop import Op2, freeze
 
 
 def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
     """Operator a(x)b -> alpha 1(x)ab + beta ab(x)1 - gamma b(x)a on A(x)A.
 
-    Column i*n+j is written straight from the non-zeros of the unit and of
-    e_i e_j, at most 2n+1 entries for a unit basis element, and exact zeros
-    are left out.  When the algebra and the coefficients are exact, every
-    entry is a Fraction and the columns are integer numerators over one
-    denominator.  Otherwise each entry is the sum ``0 + alpha*unit[a]*prod[b]
-    + beta*prod[a]*unit[b] (- gamma)`` of the dense definition, its terms
-    taken in that order, so value and type agree cell by cell: a float alpha
-    or beta makes every entry a float; otherwise an entry is a float, kept
-    even when it is 0.0, exactly when a float enters its own sum.
+    When the algebra and the coefficients are exact, column i*n+j is written
+    straight from the non-zeros of the unit and of e_i e_j, at most 2n+1
+    entries for a unit basis element, as integer numerators over one
+    denominator.  Any other build is the dense n^4 definition: each cell is
+    ``Fraction(0) + (alpha*unit[a]*prod[b] + beta*prod[a]*unit[b])``, less
+    gamma at the flip cell, so a float entering a cell's sum makes that
+    entry a float, kept even when it is 0.0.
     """
     if A.cleared is not None and all(map(is_exact, (alpha, beta, gamma))):
         return _integer_ansatz(A, alpha, beta, gamma)
     n = A.dim
     unit = A.unit
-    uniform = isinstance(alpha, float) or isinstance(beta, float)
-    zero = 0.0 if uniform else Fraction(0)
-    units = [(b, x) for b, x in enumerate(unit) if x]
-    alpha_units = [(a * n, alpha * x) for a, x in units]
-    # a float in the algebra makes floats of the entries its terms reach
-    floats = not uniform and any(isinstance(x, float) for x in chain(
-        unit, *chain(*A.structconst)))
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            prod = A.structconst[i][j]
-            nonzero = [(k, x) for k, x in enumerate(prod) if x]
-            acc = {}
-            for r, x in alpha_units:
-                for b, y in nonzero:
-                    acc[r + b] = x * y
-            for a, x in nonzero:
-                x = beta * x
-                for b, y in units:
-                    t = x * y
-                    r = a * n + b
-                    acc[r] = acc[r] + t if r in acc else t
-            # the dense sum adds a float zero term to some cells: to all of
-            # them with a float alpha or beta, else to the rows and columns
-            # of a float unit or product entry
-            if uniform:
-                for r in acc:
-                    acc[r] += 0.0
-            elif floats:
-                hit = [k for k in range(n) if isinstance(unit[k], float)
-                       or isinstance(prod[k], float)]
-                for r in ({a * n + b for a in hit for b in range(n)}
-                          | {a * n + b for b in hit for a in range(n)}):
-                    acc[r] = acc.get(r, 0) + 0.0
-            r = j * n + i
-            acc[r] = acc.get(r, zero) - gamma
-            cols.append([(r, Fraction(x) if type(x) is int else x)
-                         for r, x in sorted(acc.items())
-                         if x or (isinstance(x, float) and not uniform)])
-    return Op2(n=n, cols=cols, zero=zero)
+    mat = [[Fraction(0)] * (n * n) for _ in range(n * n)]
+    for i, j, a, b in product(range(n), repeat=4):
+        prod = A.structconst[i][j]
+        mat[a * n + b][i * n + j] += (alpha * unit[a] * prod[b]
+                                      + beta * prod[a] * unit[b])
+    for i, j in product(range(n), repeat=2):
+        mat[j * n + i][i * n + j] -= gamma
+    return Op2(n=n, mat=freeze(mat))
 
 
 def _integer_ansatz(A: Algebra, alpha, beta, gamma) -> Op2:
@@ -124,7 +89,7 @@ def _transpose(R: Op2) -> Op2:
     for j, col in enumerate(R.cols):
         for i, x in col:
             cols[i].append((j, x))
-    return Op2(n=R.n, cols=cols, den=R.den, zero=R.zero)
+    return Op2(n=R.n, cols=cols, den=R.den)
 
 
 def _build(F, carrier, coeffs, opposite: bool = False) -> Op2:

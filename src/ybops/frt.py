@@ -315,15 +315,12 @@ def rtt_residual(Rm) -> list:
     read off the sparse columns of R; a float entry enters as its exact
     rational.
     """
-    if isinstance(Rm, Op2):
-        if Rm.n != 2:
-            raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
-        cols = Rm.entries()
-    elif len(Rm) != 4 or any(len(row) != 4 for row in Rm):
+    if not isinstance(Rm, Op2):
+        Rm = Op2(n=2, mat=Rm)
+    if Rm.n != 2:
         raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
-    else:
-        cols = [enumerate(col) for col in zip(*Rm)]
-    cols = [[(i, c) for i, x in col if (c := rational(x))] for col in cols]
+    cols = [[(i, c) for i, x in col if (c := rational(x))]
+            for col in Rm.entries()]
     rows = [[] for _ in range(4)]
     for k, col in enumerate(cols):
         for i, c in col:

@@ -66,10 +66,11 @@ def format_scalar(x: Scalar) -> str:
     return repr(x)
 
 
-def parse_scalar(s: str, field: str = "rational") -> Scalar:
-    """Inverse of :func:`format_scalar` for the given field tag."""
+def parse_scalar(s, field: str = "rational") -> Scalar:
+    """Inverse of :func:`format_scalar` for the given field tag; a number
+    reads as ``Fraction(s)`` or ``float(s)``."""
     if field == "rational":
         return Fraction(s)
     if field == "float64":
-        return float(Fraction(s)) if "/" in s else float(s)
+        return float(Fraction(s)) if "/" in str(s) else float(s)
     raise ValueError(f"unknown field {field!r}")

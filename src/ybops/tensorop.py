@@ -21,28 +21,24 @@ from .scalars import format_scalar, is_exact, over_one_denominator
 class Op2:
     """An operator on V(x)V, n = dim V, held as its sparse columns.
 
-    An exact operator has an integer denominator ``den``: ``cols[j]`` lists
-    the ``(row, numerator)`` pairs of the non-zero entries of column j in
-    increasing row order, each entry being ``Fraction(numerator, den)``, and
-    every other entry is ``Fraction(0)``.  An operator with a float entry has
-    ``den`` None: ``cols[j]`` lists ``(row, entry)`` pairs as they are, and
-    every entry it does not list is ``zero``.  A listed entry may be a zero
-    of another type than ``zero`` (a float 0.0 among Fractions), so the
-    dense view keeps the type of every entry.  ``Op2(n=..., mat=...)``
-    derives the columns from an n^2 x n^2 matrix, over one denominator when
-    every entry is an int or a Fraction; ``mat`` is otherwise built on first
-    read and cached.  Two operators are equal when ``n`` and ``mat`` are.
+    ``Op2(n=..., mat=...)`` is the one place where an n^2 x n^2 matrix
+    becomes columns.  If every entry is an int or a Fraction, ``den`` is an
+    integer and ``cols[j]`` lists the ``(row, numerator)`` pairs of the
+    non-zero entries of column j in row order, each entry being
+    ``Fraction(numerator, den)``.  Otherwise ``den`` is None and ``cols[j]``
+    lists, as they are, the ``(row, entry)`` pairs of every entry that is
+    not a Fraction zero, so a float 0.0 keeps its type.  Every entry not
+    listed is ``Fraction(0)``.  ``mat`` is kept when given, else built on
+    first read and cached.  Operators are equal when ``n`` and ``mat`` are.
     """
 
-    __slots__ = ("n", "cols", "den", "zero", "_mat")
+    __slots__ = ("n", "cols", "den", "_mat")
 
-    def __init__(self, n: int, mat=None, *, cols=None, den=None,
-                 zero=Fraction(0)):
+    def __init__(self, n: int, mat=None, *, cols=None, den=None):
         m = n * n
         if mat is not None:
             if len(mat) != m or any(len(row) != m for row in mat):
                 raise DimensionMismatchError("Op2 matrix must be n^2 x n^2")
-            zero = Fraction(0)
             cols = [[(i, x) for i, x in enumerate(col)
                      if x or type(x) is not Fraction] for col in zip(*mat)]
             if all(is_exact(x) for col in cols for _, x in col):
@@ -51,7 +47,7 @@ class Op2:
         elif cols is None or len(cols) != m:
             raise DimensionMismatchError("Op2 needs n^2 columns")
         for name, value in (("n", n), ("cols", cols), ("den", den),
-                            ("zero", zero), ("_mat", mat)):
+                            ("_mat", mat)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -68,7 +64,7 @@ class Op2:
     def mat(self) -> tuple:
         if self._mat is None:
             m = self.n * self.n
-            rows = [[self.zero] * m for _ in range(m)]
+            rows = [[Fraction(0)] * m for _ in range(m)]
             for j, col in enumerate(self.entries()):
                 for i, x in col:
                     rows[i][j] = x
@@ -304,7 +300,7 @@ def twist_compose(R: Op2) -> Op2:
 
     tau permutes the rows: row b*n+a of tau R is row a*n+b of R."""
     n = R.n
-    return Op2(n=n, den=R.den, zero=R.zero,
+    return Op2(n=n, den=R.den,
                cols=[sorted(((i % n) * n + i // n, x) for i, x in col)
                      for col in R.cols])
 

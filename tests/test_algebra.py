@@ -111,6 +111,27 @@ class TestJson:
         A = quadratic_algebra(Fraction(-3, 7))
         assert algebra_from_json(algebra_to_json(A)) == A
 
+    def test_numbers_read_in_their_field(self):
+        # JSON numbers in place of strings: floats under float64, and
+        # exact values under rational
+        data = json.loads(algebra_to_json(quadratic_algebra(Fraction(-3, 4))))
+        data["structconst"] = [[[float(Fraction(x)) for x in row]
+                                for row in plane]
+                               for plane in data["structconst"]]
+        data["unit"] = [int(x) for x in data["unit"]]
+        for field, kind in (("float64", float), ("rational", Fraction)):
+            data["field"] = field
+            A = algebra_from_json(json.dumps(data))
+            assert A == quadratic_algebra(Fraction(-3, 4))
+            assert all(type(x) is kind for x in A.unit) and all(
+                type(x) is kind for plane in A.structconst
+                for row in plane for x in row)
+
+
+_BAD_SCALARS = {"null-entry": None, "array-entry": ["1"],
+                "object-entry": {"num": 1}, "word-entry": "one",
+                "zero-den-entry": "1/0"}
+
 
 def _misshape(data, tensor, vector, how):
     """Damage one field of a structure's JSON dict."""
@@ -132,6 +153,10 @@ def _misshape(data, tensor, vector, how):
         data = list(data.values())
     elif how == "top-string":
         data = json.dumps(data)
+    elif how in _BAD_SCALARS:  # one scalar slot holds no scalar
+        data[tensor][1][0][0] = _BAD_SCALARS[how]
+    elif how == "bool-unit":  # true is no 1, though True == 1
+        data[vector][0] = True
     else:  # float-dim: 2.0 is no dimension, though 2.0 == 2
         data["dim"] = float(data["dim"])
     return json.dumps(data)
@@ -140,12 +165,13 @@ def _misshape(data, tensor, vector, how):
 class TestShapeChecks:
     HOWS = ["short-unit", "missing-plane", "ragged-row", "string-row",
             "string-unit", "scalar-plane", "missing-key", "top-array",
-            "top-string", "float-dim"]
-    # a document that is not an object with every key is malformed, not
-    # mis-shaped
-    ERROR = {"missing-key": InvalidStructureError,
-             "top-array": InvalidStructureError,
-             "top-string": InvalidStructureError}
+            "top-string", "float-dim", *_BAD_SCALARS, "bool-unit"]
+    # a document that is not an object with every key, or that holds
+    # something other than a number or a string where a scalar belongs, is
+    # malformed, not mis-shaped
+    ERROR = {how: InvalidStructureError for how in (
+        "missing-key", "top-array", "top-string", *_BAD_SCALARS,
+        "bool-unit")}
 
     @pytest.mark.parametrize("how", HOWS)
     def test_algebra_reader_rejects(self, how, A1):

@@ -7,10 +7,11 @@ import pytest
 from ybops.algebra import (dual_coalgebra, opposite_algebra,
                            quadratic_algebra)
 from ybops.colored import (ColoredFamily, coalgebra_colored_op, remark2_op,
-                           scalar_pow, thm1_inv, thm1_op, thm2_inv, thm2_op)
+                           thm1_inv, thm1_op, thm2_inv, thm2_op)
 from ybops.errors import (NonIntegerExponentError, SingularParameterError,
                           UnknownFamilyError)
 from ybops.funceq import FAMILIES, catalogue
+from ybops.scalars import scalar_pow
 from ybops.tensorop import (colored_qybe_residual, identity_mat, mat_mul,
                             mat_transpose, tensor_basis_labels)
 from conftest import rand_fraction

@@ -562,6 +562,11 @@ class TestSparseBuild:
     @example(A=Algebra(dim=2, structconst=quadratic_algebra(2).structconst,
                        unit=(Fraction(1), 0.0)),
              coeffs=[(Fraction(1, 2), 3, Fraction(-2, 3))] * 3)
+    # signed zeros on an exact carrier: each cell starts at Fraction(0), so
+    # a sum of -0.0 terms reads 0.0
+    @example(A=quadratic_algebra(2),
+             coeffs=[(-0.0, -0.0, 0.0), (-0.0, Fraction(1, 2), -0.0),
+                     (1, -0.0, 2)])
     def test_matches_dense_build(self, A, coeffs):
         # the coefficients as drawn, all made exact, and each triple made
         # exact in turn with the other two made floats: on an exact carrier,
