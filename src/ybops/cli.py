@@ -171,17 +171,7 @@ def cmd_compare(args):
     return res_ok == 0 and res_tw == 0, report
 
 
-_HANDLERS = {
-    "verify": cmd_verify,
-    "matrix": cmd_matrix,
-    "search": cmd_search,
-    "frt": cmd_frt,
-    "ybsystem": cmd_ybsystem,
-    "compare": cmd_compare,
-}
-
-
-def _parse_task(parser, task, seed):
+def _parse_task(task, seed):
     """Parse one campaign task through the subcommand parsers.
 
     ``args`` keys are the subcommand's option names (``lam``, not
@@ -189,7 +179,8 @@ def _parse_task(parser, task, seed):
     integer and a string otherwise.  ``expect`` must be "pass" or "fail".
     """
     command = task.get("command") if isinstance(task, dict) else None
-    if not isinstance(command, str) or command not in _HANDLERS:
+    if (not isinstance(command, str) or command not in _HANDLERS
+            or command == "campaign"):
         raise ValueError(f"unknown command {command!r}")
     args = task.get("args", {})
     if not isinstance(args, dict):
@@ -203,7 +194,7 @@ def _parse_task(parser, task, seed):
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
-            ns = parser.parse_args(argv)
+            ns = _parser().parse_args(argv)
     except SystemExit:
         lines = err.getvalue().strip().splitlines() or ["invalid arguments"]
         raise ValueError(lines[-1]) from None
@@ -217,7 +208,7 @@ def _parse_task(parser, task, seed):
     return ns
 
 
-def cmd_campaign(args, parser):
+def cmd_campaign(args):
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -235,7 +226,7 @@ def cmd_campaign(args, parser):
     reports = []
     for i, task in enumerate(tasks):
         try:
-            task_args = _parse_task(parser, task, seed)
+            task_args = _parse_task(task, seed)
             ok, report = _HANDLERS[task_args.command](task_args)
         except BrokenPipeError:
             raise
@@ -253,6 +244,17 @@ def cmd_campaign(args, parser):
     (outdir / "campaign-meta.json").write_text(json.dumps(
         {"timestamp": time.time(), "tasks": len(tasks)}), encoding="utf-8")
     return overall_ok, {"command": "campaign", "tasks": reports}
+
+
+_HANDLERS = {
+    "verify": cmd_verify,
+    "matrix": cmd_matrix,
+    "search": cmd_search,
+    "frt": cmd_frt,
+    "ybsystem": cmd_ybsystem,
+    "compare": cmd_compare,
+    "campaign": cmd_campaign,
+}
 
 
 def _positive_int(text):
@@ -341,16 +343,12 @@ def _parser():
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "campaign":
-            ok, _report = cmd_campaign(args, parser)
-        else:
-            ok, _report = _HANDLERS[args.command](args)
+        ok, _report = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed stdout pipe shows here, not at exit
     except BrokenPipeError:
         # the reader went away (`ybops ... | head -1`): not a usage error;

@@ -25,7 +25,7 @@ from .algebra import Algebra, Coalgebra, opposite_algebra
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import is_exact
-from .tensorop import Op2, freeze
+from .tensorop import Op2
 
 
 def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
@@ -50,7 +50,7 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
                                       + beta * prod[a] * unit[b])
     for i, j in product(range(n), repeat=2):
         mat[j * n + i][i * n + j] -= gamma
-    return Op2(n=n, mat=freeze(mat))
+    return Op2(n=n, mat=mat)
 
 
 def _integer_ansatz(A: Algebra, alpha, beta, gamma) -> Op2:

@@ -14,7 +14,7 @@ from .errors import UnknownFamilyError
 from .onepar import prop1_op
 from .algebra import quadratic_algebra
 from .scalars import format_scalar, rational
-from .tensorop import Op2, freeze, mat_sub, twist_compose
+from .tensorop import Op2, mat_sub, twist_compose
 
 
 def okado_rhat(q, x) -> Op2:
@@ -26,7 +26,7 @@ def okado_rhat(q, x) -> Op2:
         [0, q * (x - 1), (q * q - 1) * x, 0],
         [0, 0, 0, q * q * x - 1],
     ]
-    return Op2(n=2, mat=freeze([[Fraction(e) for e in row] for row in mat]))
+    return Op2(n=2, mat=[[Fraction(e) for e in row] for row in mat])
 
 
 def twisted_prop1_rhat(q, sigma, x) -> Op2:

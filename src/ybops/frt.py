@@ -228,20 +228,24 @@ def _relation_templates():
     def pq9(g, h, u, v, p, q, s):
         return _anti(g["b"], h["b"]) - 2 * s * (h["a"] * g["a"] - g["d"] * h["d"])
 
-    return {
-        "r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6,
-        "r7": r7, "r8": r8, "r9": r9, "r10": r10, "r11": r11, "r12": r12,
-        "pq1": pq1, "pq2": pq2, "pq3": pq3, "pq4": pq4, "pq5": pq5,
-        "pq6": pq6, "pq7": pq7, "pq8": pq8, "pq9": pq9,
-    }
+    return dict(locals())  # every local is a template
 
 
 _TEMPLATES = _relation_templates()
 
 
+def _relation(label: str, u, v, p, q, sigma) -> NCPoly:
+    """The relation a label names at the given scalars.  ``rN~`` names the
+    u <-> v exchange of ``rN``: its template at (v, u) with the generator
+    tags swapped back."""
+    if label.endswith("~"):
+        return _TEMPLATES[label[:-1]](_V, _U, v, u, p, q, sigma)
+    return _TEMPLATES[label](_U, _V, u, v, p, q, sigma)
+
+
 def _instantiate(labels: Iterable[str], u, v, p, q, sigma) -> RelationSet:
     u, v, p, q, sigma = (rational(x) for x in (u, v, p, q, sigma))
-    rels = tuple(_TEMPLATES[l](_U, _V, u, v, p, q, sigma) for l in labels)
+    rels = tuple(_relation(l, u, v, p, q, sigma) for l in labels)
     return RelationSet(relations=rels, labels=tuple(labels),
                        params={"u": u, "v": v, "p": p, "q": q, "sigma": sigma})
 
@@ -261,31 +265,25 @@ def exchange_closure(rels: RelationSet) -> RelationSet:
     """Close a relation set under the colour exchange u <-> v.
 
     A relation list written for a generic colour pair is read symmetrically:
-    each relation is imposed at both colour orders.  The closure appends, for
-    every template, its instantiation at (v, u) with the generator tags
-    swapped back; appended relations carry a trailing ``~`` in their label.
+    each relation is imposed at both colour orders.  The closure appends the
+    exchange partner of every label it lacks, ``rN~`` for ``rN`` and ``rN``
+    for ``rN~``, in the order of the labels, at ``rels.params`` as they are.
     Original relations keep their positions, so coefficient vectors reported
     against the closure agree with the plain list on the first entries.
     """
     p = rels.params
-    scalars = (p["p"], p["q"], p["sigma"])
-    g, h = _U, _V
     have = set(rels.labels)
-    extra_rels, extra_labels = [], []
+    extra = []
     for label in rels.labels:
-        if label.endswith("~"):
-            partner_label = label[:-1]
-            partner = _TEMPLATES[partner_label](g, h, p["u"], p["v"], *scalars)
-        else:
-            partner_label = label + "~"
-            partner = _TEMPLATES[label](h, g, p["v"], p["u"], *scalars)
-        if partner_label not in have:
-            have.add(partner_label)
-            extra_rels.append(partner)
-            extra_labels.append(partner_label)
-    return RelationSet(relations=rels.relations + tuple(extra_rels),
-                       labels=rels.labels + tuple(extra_labels),
-                       params=dict(p))
+        partner = label[:-1] if label.endswith("~") else label + "~"
+        if partner not in have:
+            have.add(partner)
+            extra.append(partner)
+    return RelationSet(
+        relations=rels.relations + tuple(
+            _relation(l, p["u"], p["v"], p["p"], p["q"], p["sigma"])
+            for l in extra),
+        labels=rels.labels + tuple(extra), params=dict(p))
 
 
 def subset(rels: RelationSet, labels: Iterable[str]) -> RelationSet:

@@ -36,20 +36,24 @@ def over_one_denominator(cols) -> tuple:
 
 
 def scalar_pow(base, expo):
-    """base**expo; exact mode requires an integer exponent."""
-    if isinstance(base, float) or isinstance(expo, float):
-        # the search's path: is_exact's Fraction check is an ABC check
-        return float(base) ** float(expo)
-    if is_exact(base) and is_exact(expo):
-        e = Fraction(expo)
-        if e.denominator != 1:
+    """Real base**expo: exact mode or a negative base needs an integer expo."""
+    # floats first, the search's path: is_exact's Fraction check is slow
+    if (isinstance(base, float) or isinstance(expo, float)
+            or not (is_exact(base) and is_exact(expo))):
+        power = float(base) ** float(expo)
+        # the sign first: one float compare on the search's positive bases
+        if base < 0.0 and isinstance(power, complex):
             raise NonIntegerExponentError(
-                f"exact mode needs integer colours, got exponent {expo}")
-        e = int(e)
-        if base == 0 and e < 0:
-            raise SingularParameterError("0 cannot be raised to a negative power")
-        return Fraction(base) ** e
-    return float(base) ** float(expo)
+                f"a negative base needs an integer exponent, got {expo}")
+        return power
+    e = Fraction(expo)
+    if e.denominator != 1:
+        raise NonIntegerExponentError(
+            f"exact mode needs integer colours, got exponent {expo}")
+    e = int(e)
+    if base == 0 and e < 0:
+        raise SingularParameterError("0 cannot be raised to a negative power")
+    return Fraction(base) ** e
 
 
 def reciprocal(x):

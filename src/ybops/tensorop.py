@@ -27,8 +27,8 @@ class Op2:
     non-zero entries of column j in row order, each entry being
     ``Fraction(numerator, den)``.  Otherwise ``den`` is None and ``cols[j]``
     lists, as they are, the ``(row, entry)`` pairs of every entry that is
-    not a Fraction zero, so a float 0.0 keeps its type.  Every entry not
-    listed is ``Fraction(0)``.  ``mat`` is kept when given, else built on
+    not a Fraction zero, so a float 0.0 keeps its type.  An unlisted entry
+    is ``Fraction(0)``.  ``mat`` is kept frozen when given, else built on
     first read and cached.  Operators are equal when ``n`` and ``mat`` are.
     """
 
@@ -37,6 +37,7 @@ class Op2:
     def __init__(self, n: int, mat=None, *, cols=None, den=None):
         m = n * n
         if mat is not None:
+            mat = freeze(mat)
             if len(mat) != m or any(len(row) != m for row in mat):
                 raise DimensionMismatchError("Op2 matrix must be n^2 x n^2")
             cols = [[(i, x) for i, x in enumerate(col)
@@ -126,7 +127,7 @@ def identity_mat(m):
 
 
 def identity_op2(n: int) -> Op2:
-    return Op2(n=n, mat=freeze(identity_mat(n * n)))
+    return Op2(n=n, mat=identity_mat(n * n))
 
 
 def flip_op2(n: int) -> Op2:
@@ -136,7 +137,7 @@ def flip_op2(n: int) -> Op2:
     for a in range(n):
         for b in range(n):
             mat[b * n + a][a * n + b] = Fraction(1)
-    return Op2(n=n, mat=freeze(mat))
+    return Op2(n=n, mat=mat)
 
 
 def _perm23(n):

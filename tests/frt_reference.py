@@ -1,11 +1,12 @@
-"""Fraction references for the FRT layer: the RTT expansion by dense
-``NCPoly`` products and the elimination over ``Fraction`` rows, as the
-library computed them before it moved to integer rows.  Tests only."""
+"""References for the FRT layer: the RTT expansion by dense ``NCPoly``
+products and the elimination over ``Fraction`` rows, as the library
+computed them before it moved to integer rows, and the exchange closure
+that built each partner relation itself.  Tests only."""
 
 from fractions import Fraction
 
 from ybops.errors import DimensionMismatchError
-from ybops.frt import NCPoly, _gens
+from ybops.frt import _TEMPLATES, _U, _V, NCPoly, RelationSet, _gens
 from ybops.tensorop import Op2
 
 
@@ -89,3 +90,34 @@ class _Echelon:
         if rest:
             return None, NCPoly(rest)
         return [comb.get(j, Fraction(0)) for j in range(self.size)], None
+
+
+def exchange_closure(rels: RelationSet) -> RelationSet:
+    """Close a relation set under the colour exchange u <-> v.
+
+    A relation list written for a generic colour pair is read symmetrically:
+    each relation is imposed at both colour orders.  The closure appends, for
+    every template, its instantiation at (v, u) with the generator tags
+    swapped back; appended relations carry a trailing ``~`` in their label.
+    Original relations keep their positions, so coefficient vectors reported
+    against the closure agree with the plain list on the first entries.
+    """
+    p = rels.params
+    scalars = (p["p"], p["q"], p["sigma"])
+    g, h = _U, _V
+    have = set(rels.labels)
+    extra_rels, extra_labels = [], []
+    for label in rels.labels:
+        if label.endswith("~"):
+            partner_label = label[:-1]
+            partner = _TEMPLATES[partner_label](g, h, p["u"], p["v"], *scalars)
+        else:
+            partner_label = label + "~"
+            partner = _TEMPLATES[label](h, g, p["v"], p["u"], *scalars)
+        if partner_label not in have:
+            have.add(partner_label)
+            extra_rels.append(partner)
+            extra_labels.append(partner_label)
+    return RelationSet(relations=rels.relations + tuple(extra_rels),
+                       labels=rels.labels + tuple(extra_labels),
+                       params=dict(p))

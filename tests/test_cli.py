@@ -259,6 +259,8 @@ EXIT_CODES = [
         "family": "thm1", "out": "{tmp}/no/x.json"}}]}, 2,
         id="campaign-task-out-unwritable"),
     pytest.param(["campaign"], {"tasks": []}, 2, id="campaign-empty"),
+    pytest.param(["campaign"], {"tasks": [{"command": "campaign"}]}, 2,
+                 id="campaign-nested"),
 ]
 
 
@@ -395,10 +397,15 @@ def test_search_loads_no_scipy():
 
 
 def test_search_attribute_is_the_module():
-    # the package exports SearchResult, not the function, so the submodule
-    # and its module-level names stay reachable as attributes
-    code = ("import sys, ybops; assert ybops.search is "
-            "sys.modules['ybops.search']; print(ybops.search.MAX_ITER)")
+    # the package exports its submodules, not their names, so after a bare
+    # import every one of them but the CLI is an attribute, with its
+    # module-level names reachable
+    code = ("import pkgutil, sys, ybops; names = [m.name for m in "
+            "pkgutil.iter_modules(ybops.__path__) if m.name != 'cli']; "
+            "assert all(getattr(ybops, n) is sys.modules['ybops.' + n] "
+            "for n in names), names; print(len(names), "
+            "ybops.search.MAX_ITER)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_ENV, timeout=120, check=True)
-    assert int(proc.stdout) > 0
+    count, max_iter = map(int, proc.stdout.split())
+    assert count == 11 and max_iter > 0

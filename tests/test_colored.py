@@ -6,8 +6,8 @@ import pytest
 
 from ybops.algebra import (dual_coalgebra, opposite_algebra,
                            quadratic_algebra)
-from ybops.colored import (ColoredFamily, coalgebra_colored_op, remark2_op,
-                           thm1_inv, thm1_op, thm2_inv, thm2_op)
+from ybops.colored import (ColoredFamily, coalgebra_colored_op, family_op,
+                           remark2_op, thm1_inv, thm1_op, thm2_inv, thm2_op)
 from ybops.errors import (NonIntegerExponentError, SingularParameterError,
                           UnknownFamilyError)
 from ybops.funceq import FAMILIES, catalogue
@@ -129,6 +129,15 @@ class TestScalarPow:
     def test_zero_negative_raises(self):
         with pytest.raises(SingularParameterError):
             scalar_pow(Fraction(0), -1)
+
+    def test_negative_float_base(self):
+        # an integral exponent stays real; any other would give a complex
+        assert scalar_pow(-2.0, 3) == scalar_pow(-2, 3.0) == -8.0
+        with pytest.raises(NonIntegerExponentError):
+            scalar_pow(-2.0, 0.5)
+        with pytest.raises(NonIntegerExponentError):
+            family_op("thm2", quadratic_algebra(1),
+                      {"p": -2.0, "q": 1, "s": 1}, 0.5, 1)
 
 
 class TestRemark2:

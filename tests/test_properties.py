@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import SEARCH_MODES, scipy_nelder_mead
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
+from frt_reference import exchange_closure as reference_closure
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            opposite_algebra, poly_quotient, quadratic_algebra,
                            validate)
 from ybops.colored import ansatz_op, coalgebra_colored_op, thm1_op
 from ybops.frt import (LETTERS, NCPoly, RelationSet, _Echelon,
                        claimed_relations, exchange_closure, in_span,
-                       rtt_residual, span_dimension, span_membership)
+                       pq_limit_relations, rtt_residual, span_dimension,
+                       span_membership, subset)
 from ybops.funceq import (FAMILIES, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import prop1_op
@@ -274,6 +276,32 @@ class TestSpanElimination:
             assert (got is None) == (coeffs is not None)
             if got is not None:
                 assert got.terms == residue
+
+
+@st.composite
+def _label_sets(draw):
+    """A relation set of the claimed or the p=q list: some of the labels of
+    its reference closure, repeats allowed, in any order, or the whole
+    closure, which is already closed."""
+    u, v, p, q, s = (draw(st.one_of(fractions, st.integers(-3, 3)))
+                     for _ in range(5))
+    rels = (claimed_relations(u, v, p, q, s) if draw(st.booleans())
+            else pq_limit_relations(s, u, v))
+    pool = reference_closure(rels)
+    if draw(st.booleans()):
+        return pool
+    return subset(pool, draw(st.lists(st.sampled_from(pool.labels),
+                                      max_size=16)))
+
+
+class TestExchangeClosure:
+    @settings(max_examples=60, deadline=None)
+    @given(rels=_label_sets())
+    def test_matches_reference(self, rels):
+        got, want = exchange_closure(rels), reference_closure(rels)
+        assert got.labels == want.labels
+        assert got.relations == want.relations
+        assert got.params == want.params
 
 
 # the 32 words of one generator of each colour, either colour first

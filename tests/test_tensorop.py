@@ -9,6 +9,7 @@ import pytest
 from ybops.algebra import dual_coalgebra, poly_quotient, quadratic_algebra
 from ybops.colored import ColoredFamily, ansatz_op
 from ybops.errors import DimensionMismatchError
+from ybops.frt import rtt_residual
 from ybops.funceq import FAMILIES
 from ybops.onepar import OneParFamily
 from ybops.tensorop import (Op2, Op3, _perm23, colored_qybe_residual,
@@ -98,6 +99,12 @@ class TestSizeChecks:
         with pytest.raises(DimensionMismatchError):
             Op3(n=2, mat=freeze([[Fraction(1)] * 8] * 7
                                 + [[Fraction(1)] * 9]))
+
+    def test_list_matrix_is_frozen(self):
+        mat = [[Fraction(i - 2 * j, 1 + i) for j in range(4)] for i in range(4)]
+        listed, frozen = Op2(n=2, mat=mat), Op2(n=2, mat=freeze(mat))
+        assert listed == frozen and hash(listed) == hash(frozen)
+        assert rtt_residual(listed) == rtt_residual(frozen)
 
     def test_op3_via_commutator_shape(self):
         out = yb_commutator(identity_op2(2), identity_op2(2), identity_op2(2))
