@@ -10,15 +10,15 @@ Determinism contract: every restart derives its own RNG stream from
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import starmap
+from functools import reduce
+from operator import add
 from typing import Optional
 
 from .errors import UnknownFamilyError
-from .funceq import (_system, exp_colored_triple, linear_colored_triple,
-                     linear_onepar_triple)
+from .funceq import _system, linear_onepar_triple
 
 # Small distinct rationals; avoid accidental degeneracies like equal colours.
 DEFAULT_COLORED_GRID = (
@@ -64,12 +64,15 @@ class SearchResult:
 
 
 def _make_objective(shape: str, system: str, phi_shape: str):
+    """The summed squared residuals over the system's default grid, as a
+    function of the six ansatz parameters: each distinct colour argument is
+    evaluated once, with :mod:`ybops.funceq`'s expressions, and the
+    exponential shape raises each base to each distinct colour once.  A
+    power that overflows, or 0.0 to a negative power, gives ``math.inf``."""
     grid = DEFAULT_COLORED_GRID if system == "colored" else DEFAULT_ONEPAR_GRID
     fgrid = [tuple(float(c) for c in pt) for pt in grid]
     if system == "colored":
-        builder = {"linear": linear_colored_triple,
-                   "exponential": _exp_triple_from_logs}.get(shape)
-        if builder is None:
+        if shape not in ("linear", "exponential"):
             raise UnknownFamilyError(f"unknown ansatz shape {shape!r}")
         # the colour pairs of eval_colored_system at each grid point
         calls = [((u, v), (u, w), (v, w)) for u, v, w in fgrid]
@@ -77,32 +80,50 @@ def _make_objective(shape: str, system: str, phi_shape: str):
         if shape != "linear":
             raise UnknownFamilyError(
                 "one-parameter search supports the linear shape only")
-        builder = partial(linear_onepar_triple, phi_shape=phi_shape)
-        phi = builder([0.0] * 6).phi  # raises on an unknown phi_shape
+        # raises on an unknown phi_shape
+        phi = linear_onepar_triple([0.0] * 6, phi_shape).phi
         # the arguments of eval_onepar_system at each grid point
         calls = [((x,), (phi(x, z),), (z,)) for x, z in fgrid]
     else:
         raise UnknownFamilyError(f"unknown system {system!r}")
-    # each distinct argument is evaluated once per parameter vector; the
-    # grids hold no signed zero, so equal keys are equal bits
+    # the grids hold no signed zero, so equal keys are equal bits
     args = list(dict.fromkeys(a for call in calls for a in call))
     slots = [tuple(args.index(a) for a in call) for call in calls]
 
+    if system == "onepar":
+        xs = [x for x, in args]
+
+        def values(p, pp, q, qp, r, rp):
+            return [(p * x - pp, q * x - qp, r * x - rp) for x in xs]
+    elif shape == "linear":
+        def values(p, pp, q, qp, r, rp):
+            return [(p * u - pp * v, q * u - qp * v, r * u - rp * v)
+                    for u, v in args]
+    else:
+        us = list(dict.fromkeys(u for u, _ in args))
+        vs = list(dict.fromkeys(v for _, v in args))
+        ui = [us.index(u) for u, _ in args]
+        vi = [vs.index(v) for _, v in args]
+
+        def values(*logs):
+            # positive bases via exp keep the ansatz defined at non-integer
+            # colours; alpha = p^u q^v, beta = a^u b^v, gamma = c^u d^v
+            p, q, a, b, c, d = map(math.exp, logs)
+            left = [(p ** u, a ** u, c ** u) for u in us]
+            right = [(q ** v, b ** v, d ** v) for v in vs]
+            return [(pu * qv, au * bv, cu * dv) for (pu, au, cu), (qv, bv, dv)
+                    in zip([left[i] for i in ui], [right[j] for j in vi])]
+
     def objective(params):
-        # a numpy array gives the same bits; Python floats are about twice
-        # as fast to combine
-        params = list(map(float, params))
+        # Python floats: a numpy array gives the same bits, more slowly
         try:
-            coeffs = builder(params).coeffs
-            values = list(starmap(coeffs, args))
-            total = 0.0
-            for i, j, k in slots:
-                for r in _system(values[i], values[j], values[k]):
-                    total += r * r
+            vals = values(*map(float, params))
         except ArithmeticError:
-            # exponential ansatz overflowed, or underflowed to 0.0 and
-            # was raised to a negative power; reject the point
             return math.inf
+        total = 0.0
+        for i, j, k in slots:
+            for r in _system(vals[i], vals[j], vals[k]):
+                total += r * r
         return total
     return objective
 
@@ -129,7 +150,10 @@ def _nelder_mead(func, x0):
     ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
     options={"maxiter": MAX_ITER, "xatol": XATOL, "fatol": FATOL})``, so
     x, fun and nit equal scipy's bit for bit for any ``func`` that never
-    returns -0.0.
+    returns -0.0.  The simplex stays ordered by insertion: a new vertex
+    whose value differs from every other, none of them nan, has one place,
+    the one ``np.argsort`` gives it; a tie, a nan or a shrink goes through
+    :func:`_sorted_simplex`.
     """
     n = len(x0)
     x0 = [float(x) for x in x0]
@@ -141,6 +165,12 @@ def _nelder_mead(func, x0):
     sim, fsim = _sorted_simplex(sim, [func(x) for x in sim])
     # scipy sorts twice, and np.argsort need not leave ties in place
     sim, fsim = _sorted_simplex(sim, fsim)
+    # reflection, expansion and outside contraction are c * b - d * w for
+    # the centroid b and the worst vertex w; inside contraction is
+    # ic * b + _PSI * w
+    rc, ec, oc, ic = 1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI
+    rd, ed, od = _RHO, _RHO * _CHI, _PSI * _RHO
+    ordered = all(a < b for a, b in zip(fsim, fsim[1:n]))
     nit = 1
     while nit < MAX_ITER:
         best = sim[0]
@@ -149,49 +179,45 @@ def _nelder_mead(func, x0):
                 and all(abs(fsim[0] - f) <= FATOL for f in fsim[1:])):
             break
         worst = sim[-1]
-        xbar = best
-        for x in sim[1:-1]:
-            xbar = [s + a for s, a in zip(xbar, x)]
-        xbar = [s / n for s in xbar]
-        xr = [(1 + _RHO) * b - _RHO * w for b, w in zip(xbar, worst)]
+        # a left fold, as numpy's reduce over rows; builtin sum is
+        # compensated from Python 3.12 on
+        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+        xr = [rc * b - rd * w for b, w in zip(xbar, worst)]
         fxr = func(xr)
+        shrink = False
         if fxr < fsim[0]:
-            xe = [(1 + _RHO * _CHI) * b - _RHO * _CHI * w
-                  for b, w in zip(xbar, worst)]
+            xe = [ec * b - ed * w for b, w in zip(xbar, worst)]
             fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            x, f = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # contraction outside
-                xc = [(1 + _PSI * _RHO) * b - _PSI * _RHO * w
-                      for b, w in zip(xbar, worst)]
-                fxc = func(xc)
-                shrink = not fxc <= fxr
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-            else:  # contraction inside
-                xcc = [(1 - _PSI) * b + _PSI * w for b, w in zip(xbar, worst)]
-                fxcc = func(xcc)
-                shrink = not fxcc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xcc, fxcc
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = [a + _SIGMA * (x - a)
-                              for a, x in zip(best, sim[j])]
-                    fsim[j] = func(sim[j])
+            x, f = xr, fxr
+        elif fxr < fsim[-1]:  # contraction outside
+            x = [oc * b - od * w for b, w in zip(xbar, worst)]
+            f = func(x)
+            shrink = not f <= fxr
+        else:  # contraction inside
+            x = [ic * b + _PSI * w for b, w in zip(xbar, worst)]
+            f = func(x)
+            shrink = not f < fsim[-1]
         nit += 1
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = [a + _SIGMA * (y - a) for a, y in zip(best, sim[j])]
+                fsim[j] = func(sim[j])
+        else:
+            i = bisect_left(fsim, f, 0, n)
+            if ordered and f == f and (i == n or fsim[i] != f):
+                # n + 1 distinct values, no nan: one order, numpy's too
+                del sim[-1], fsim[-1]
+                sim.insert(i, x)
+                fsim.insert(i, f)
+                continue
+            sim[-1], fsim[-1] = x, f
         sim, fsim = _sorted_simplex(sim, fsim)
+        ordered = all(a < b for a, b in zip(fsim, fsim[1:n]))
     # scipy's fun is np.min(fsim): nan when any vertex is nan
     fun = fsim[0] if all(f == f for f in fsim) else math.nan
     return sim[0], fun, nit
-
-
-def _exp_triple_from_logs(params):
-    # positive bases via exp keeps the exponential ansatz well defined at
-    # non-integer colours
-    return exp_colored_triple([math.exp(t) for t in params])
 
 
 def _normalize(params):
@@ -207,12 +233,13 @@ def classify(shape: str, system: str, phi_shape: str, params,
              objective: float) -> Optional[str]:
     """Match a converged parameter vector against the catalogue.
 
-    Returns None when the objective is above the classification threshold.
+    Returns None unless the objective is below the classification
+    threshold, so a nan objective is not classified.
     Triples with alpha = beta = 0 always solve the systems (the operator is a
     scalar multiple of the flip) and are labelled degenerate, as is the zero
     operator.
     """
-    if objective >= OBJECTIVE_TOL:
+    if not objective < OBJECTIVE_TOL:
         return None
     v = list(params)
     scale = max(abs(x) for x in v)

@@ -1,16 +1,19 @@
 """Cross-module invariants, partly driven by hypothesis."""
 
 import math
+import struct
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SEARCH_MODES, scipy_nelder_mead
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
 from frt_reference import exchange_closure as reference_closure
+from search_reference import reference_objective
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            opposite_algebra, poly_quotient, quadratic_algebra,
                            validate)
@@ -757,3 +760,35 @@ class TestNelderMead:
         got = _nelder_mead(_flaky(), [1.0, 0.0])
         assert _bits(*got) == _bits(*scipy_nelder_mead(_flaky(), [1.0, 0.0]))
         assert math.isnan(got[1]) and got[2] == MAX_ITER
+
+
+def _float_bits(x):
+    return struct.pack("<d", x)
+
+
+_EXP = ("exponential", "colored", "xz")
+
+
+class TestSearchObjective:
+    """The search's objective against the one built from funceq's triples
+    (``search_reference``): equal bits, on lists and on numpy arrays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(SEARCH_MODES),
+           params=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                     st.floats(-800.0, 800.0), st.floats()),
+                           min_size=6, max_size=6))
+    @example(mode=_EXP, params=[-800.0] * 6)  # 0.0 to a negative power
+    @example(mode=_EXP, params=[800.0] + [0.0] * 5)  # exp overflows
+    @example(mode=_EXP, params=[300.0] * 6)  # a power overflows
+    def test_equals_reference(self, mode, params):
+        np = pytest.importorskip("numpy")
+        want = _float_bits(reference_objective(*mode)(params))
+        objective = _make_objective(*mode)
+        assert _float_bits(objective(params)) == want
+        assert _float_bits(objective(np.array(params))) == want
+
+    @pytest.mark.parametrize("params", [[-800.0] * 6, [800.0] + [0.0] * 5,
+                                        [300.0] * 6])
+    def test_exponential_rejects_overflow_and_underflow(self, params):
+        assert _make_objective(*_EXP)(params) == math.inf

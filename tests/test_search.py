@@ -1,6 +1,7 @@
 """Derivative-free search over the functional systems."""
 
 import importlib
+import math
 
 import pytest
 
@@ -30,6 +31,10 @@ class TestClassify:
     def test_above_tolerance_unclassified(self):
         params = (2.0, 2.0, 5.0, 5.0, 2.0, 5.0)
         assert classify("linear", "colored", "xz", params, 1e-3) is None
+
+    def test_nan_objective_unclassified(self):
+        params = (2.0, 2.0, 5.0, 5.0, 2.0, 5.0)
+        assert classify("linear", "colored", "xz", params, math.nan) is None
 
     def test_prop2_shape(self):
         # alpha = x, beta = gamma = 1 -> (1, 0, 0, -1, 0, -1)
@@ -110,8 +115,11 @@ class TestScipyReference:
     def test_search_equals_scipy_driven(self, shape, system, phi,
                                         monkeypatch):
         # every SearchResult field equals the one a scipy-driven search
-        # gives; exponential seed 3 ends on its 0.0 plateau
-        ours = [search(shape, system, seed, 1, phi) for seed in (3, 8)]
+        # gives; exponential seed 3 ends on its 0.0 plateau, and the second
+        # pass of linear onepar z seed 7 keeps a tie among the old vertices,
+        # which only np.argsort may order
+        seeds = (3, 7, 8)
+        ours = [search(shape, system, seed, 1, phi) for seed in seeds]
         monkeypatch.setattr(importlib.import_module("ybops.search"),
                             "_nelder_mead", scipy_nelder_mead)
-        assert ours == [search(shape, system, seed, 1, phi) for seed in (3, 8)]
+        assert ours == [search(shape, system, seed, 1, phi) for seed in seeds]
