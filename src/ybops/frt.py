@@ -110,13 +110,6 @@ def _collect(pairs) -> NCPoly:
     return NCPoly._of({w: c for w, c in out.items() if c})
 
 
-def swap_colours(poly: NCPoly) -> NCPoly:
-    """Swap colours u and v in every generator; coefficients are untouched."""
-    flip = {"u": "v", "v": "u"}
-    return NCPoly({tuple((flip.get(t, t), l) for t, l in w): c
-                   for w, c in poly.terms.items()})
-
-
 @dataclass(frozen=True)
 class RelationSet:
     relations: tuple  # NCPoly, quadratic in the generators
@@ -286,13 +279,6 @@ def exchange_closure(rels: RelationSet) -> RelationSet:
         labels=rels.labels + tuple(extra), params=dict(p))
 
 
-def subset(rels: RelationSet, labels: Iterable[str]) -> RelationSet:
-    keep = tuple(labels)
-    idx = {l: i for i, l in enumerate(rels.labels)}
-    return RelationSet(relations=tuple(rels.relations[idx[l]] for l in keep),
-                       labels=keep, params=dict(rels.params))
-
-
 # the words of (T1u T2v)[k][j] and (T2v T1u)[i][k], T = [[a, b], [c, d]] in
 # either colour: (T1u T2v)_{(k1 k2),(j1 j2)} = Tu[k1][j1] Tv[k2][j2], and
 # reversed order for T2v T1u; word order encodes noncommutativity.
@@ -354,17 +340,17 @@ def _primitive(row: dict, comb: dict) -> tuple:
 
 
 class _Echelon:
-    """Reduced row echelon form of a polynomial list, eliminated once over
-    the integers.
+    """Row echelon form of a polynomial list, eliminated over the integers.
 
-    A row is a primitive word -> integer dict whose least word, its pivot,
-    no other row contains; it carries its combination of the inputs, in
-    integers too.  An input enters cleared of its denominators, and rows
-    combine fraction-free, a*x - f*row, so a remainder is an integer
-    multiple of the one a Fraction elimination leaves and has the same
-    least word.  Only inputs independent of the ones before them enter, so
-    a member is written on the leftmost independent inputs, where it is
-    unique.  Fractions are built only for what :meth:`solve` returns.
+    A row is a primitive word -> integer dict whose least word is its pivot
+    and which holds no pivot of an earlier row, so reducing by the rows in
+    insertion order leaves no pivot word; it carries its combination of the
+    inputs, in integers too.  Rows combine fraction-free, a*x - f*row, from
+    inputs cleared of their denominators, so a remainder is an integer
+    multiple of the one a Fraction elimination leaves, with the same least
+    word.  Only inputs independent of the ones before them enter, so a
+    member is written on the leftmost independent inputs, where it is
+    unique; Fractions are built only for what :meth:`solve` returns.
     """
 
     def __init__(self, polys):
@@ -375,15 +361,7 @@ class _Echelon:
             if rest:
                 comb[self.size] = scale
                 row, comb = _primitive(rest, comb)
-                pivot = min(row)
-                a = row[pivot]
-                for other_pivot, (other, other_comb) in self.rows.items():
-                    f = other.get(pivot)
-                    if f:
-                        self.rows[other_pivot] = _primitive(
-                            _combine(a, other, f, row),
-                            _combine(a, other_comb, f, comb))
-                self.rows[pivot] = (row, comb)
+                self.rows[min(row)] = (row, comb)
             self.size += 1
 
     def _reduce(self, poly: NCPoly):

@@ -193,31 +193,10 @@ def catalogue(kind: str, **params) -> CoeffTriple:
     return CoeffTriple(partial(F.coeffs, *F.args(params)), phi=F.phi)
 
 
-# --- parametric ansatz triples for the search -----------------------------------
+# --- the search's linear coloured ansatz as a triple ------------------------------
 
 def linear_colored_triple(params) -> CoeffTriple:
     """alpha = p*u - p'*v, beta = q*u - q'*v, gamma = r*u - r'*v."""
     p, pp, q, qp, r, rp = params
     return CoeffTriple(lambda u, v: (p * u - pp * v, q * u - qp * v,
                                      r * u - rp * v))
-
-
-def exp_colored_triple(params) -> CoeffTriple:
-    """alpha = p^u q^v, beta = a^u b^v, gamma = c^u d^v (positive bases)."""
-    p, q, a, b, c, d = params
-    return CoeffTriple(lambda u, v: (scalar_pow(p, u) * scalar_pow(q, v),
-                                     scalar_pow(a, u) * scalar_pow(b, v),
-                                     scalar_pow(c, u) * scalar_pow(d, v)))
-
-
-# phi shape of the one-parameter search -> the table family with that phi
-_PHI_SHAPES = {"xz": "prop1", "z": "prop2", "x": "remark_x"}
-
-
-def linear_onepar_triple(params, phi_shape: str = "xz") -> CoeffTriple:
-    """alpha = p*x - p', beta = q*x - q', gamma = r*x - r'."""
-    p, pp, q, qp, r, rp = params
-    if phi_shape not in _PHI_SHAPES:
-        raise UnknownFamilyError(f"unknown phi shape {phi_shape!r}")
-    return CoeffTriple(lambda x: (p * x - pp, q * x - qp, r * x - rp),
-                       phi=FAMILIES[_PHI_SHAPES[phi_shape]].phi)

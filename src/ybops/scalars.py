@@ -37,12 +37,9 @@ def over_one_denominator(cols) -> tuple:
 
 def scalar_pow(base, expo):
     """Real base**expo: exact mode or a negative base needs an integer expo."""
-    # floats first, the search's path: is_exact's Fraction check is slow
-    if (isinstance(base, float) or isinstance(expo, float)
-            or not (is_exact(base) and is_exact(expo))):
+    if not (is_exact(base) and is_exact(expo)):
         power = float(base) ** float(expo)
-        # the sign first: one float compare on the search's positive bases
-        if base < 0.0 and isinstance(power, complex):
+        if isinstance(power, complex):
             raise NonIntegerExponentError(
                 f"a negative base needs an integer exponent, got {expo}")
         return power

@@ -18,7 +18,7 @@ from operator import add
 from typing import Optional
 
 from .errors import UnknownFamilyError
-from .funceq import _system, linear_onepar_triple
+from .funceq import FAMILIES, _system
 
 # Small distinct rationals; avoid accidental degeneracies like equal colours.
 DEFAULT_COLORED_GRID = (
@@ -41,6 +41,9 @@ DEFAULT_ONEPAR_GRID = (
     (Fraction(-1), Fraction(3)),
     (Fraction(1, 2), Fraction(2)),
 )
+
+# phi shape of the one-parameter search -> the table family with that phi
+_PHI_SHAPES = {"xz": "prop1", "z": "prop2", "x": "remark_x"}
 
 OBJECTIVE_TOL = 1e-8  # below this a result is classified
 PARAM_TOL = 1e-6  # catalogue match distance after gauge normalization
@@ -80,8 +83,9 @@ def _make_objective(shape: str, system: str, phi_shape: str):
         if shape != "linear":
             raise UnknownFamilyError(
                 "one-parameter search supports the linear shape only")
-        # raises on an unknown phi_shape
-        phi = linear_onepar_triple([0.0] * 6, phi_shape).phi
+        if phi_shape not in _PHI_SHAPES:
+            raise UnknownFamilyError(f"unknown phi shape {phi_shape!r}")
+        phi = FAMILIES[_PHI_SHAPES[phi_shape]].phi
         # the arguments of eval_onepar_system at each grid point
         calls = [((x,), (phi(x, z),), (z,)) for x, z in fgrid]
     else:
@@ -242,7 +246,6 @@ def classify(shape: str, system: str, phi_shape: str, params,
     if not objective < OBJECTIVE_TOL:
         return None
     v = list(params)
-    scale = max(abs(x) for x in v)
     if shape == "exponential":
         b = [math.exp(t) for t in v]
         close = lambda i, j: abs(b[i] - b[j]) < PARAM_TOL * max(1.0, b[i])
@@ -252,10 +255,11 @@ def classify(shape: str, system: str, phi_shape: str, params,
             return "remark2-family"  # alpha == gamma with shared v-base
         return "unclassified"
     # linear shapes: (p, p', q, q', r, r')
-    if scale < 1e-7:
-        return "degenerate"  # operator identically zero
+    scale = max(abs(x) for x in v)
     if max(abs(x) for x in v[:4]) < PARAM_TOL * max(scale, 1.0):
-        return "degenerate"  # alpha = beta = 0: scalar multiple of the flip
+        # alpha = beta = 0: a scalar multiple of the flip, the zero
+        # operator included
+        return "degenerate"
     p, pp, q, qp, r, rp = _normalize(v)
     if (abs(p - pp) < PARAM_TOL and abs(q - qp) < PARAM_TOL
             and abs(r - p) < PARAM_TOL and abs(rp - q) < PARAM_TOL):

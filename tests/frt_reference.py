@@ -1,9 +1,11 @@
 """References for the FRT layer: the RTT expansion by dense ``NCPoly``
 products and the elimination over ``Fraction`` rows, as the library
 computed them before it moved to integer rows, and the exchange closure
-that built each partner relation itself.  Tests only."""
+that built each partner relation itself; and two helpers only the tests
+use, a colour swap and a relation subset.  Tests only."""
 
 from fractions import Fraction
+from typing import Iterable
 
 from ybops.errors import DimensionMismatchError
 from ybops.frt import _TEMPLATES, _U, _V, NCPoly, RelationSet, _gens
@@ -121,3 +123,17 @@ def exchange_closure(rels: RelationSet) -> RelationSet:
     return RelationSet(relations=rels.relations + tuple(extra_rels),
                        labels=rels.labels + tuple(extra_labels),
                        params=dict(p))
+
+
+def swap_colours(poly: NCPoly) -> NCPoly:
+    """Swap colours u and v in every generator; coefficients are untouched."""
+    flip = {"u": "v", "v": "u"}
+    return NCPoly({tuple((flip.get(t, t), l) for t, l in w): c
+                   for w, c in poly.terms.items()})
+
+
+def subset(rels: RelationSet, labels: Iterable[str]) -> RelationSet:
+    keep = tuple(labels)
+    idx = {l: i for i, l in enumerate(rels.labels)}
+    return RelationSet(relations=tuple(rels.relations[idx[l]] for l in keep),
+                       labels=keep, params=dict(rels.params))

@@ -1,15 +1,35 @@
 """Reference for the search objective: the summed squared residuals built
-from ``funceq``'s coefficient triples, one ``CoeffTriple`` per parameter
-vector and every grid point through ``eval_colored_system`` or
+from coefficient triples, one ``CoeffTriple`` per parameter vector and
+every grid point through ``eval_colored_system`` or
 ``eval_onepar_system``, as the library computed it before it evaluated the
-ansatz values itself.  Tests only."""
+ansatz values itself; with the exponential and one-parameter ansatz
+triples, which only this reference builds.  Tests only."""
 
 import math
 
-from ybops.funceq import (eval_colored_system, eval_onepar_system,
-                          exp_colored_triple, linear_colored_triple,
-                          linear_onepar_triple)
-from ybops.search import DEFAULT_COLORED_GRID, DEFAULT_ONEPAR_GRID
+from ybops.errors import UnknownFamilyError
+from ybops.funceq import (FAMILIES, CoeffTriple, eval_colored_system,
+                          eval_onepar_system, linear_colored_triple)
+from ybops.scalars import scalar_pow
+from ybops.search import (_PHI_SHAPES, DEFAULT_COLORED_GRID,
+                          DEFAULT_ONEPAR_GRID)
+
+
+def exp_colored_triple(params) -> CoeffTriple:
+    """alpha = p^u q^v, beta = a^u b^v, gamma = c^u d^v (positive bases)."""
+    p, q, a, b, c, d = params
+    return CoeffTriple(lambda u, v: (scalar_pow(p, u) * scalar_pow(q, v),
+                                     scalar_pow(a, u) * scalar_pow(b, v),
+                                     scalar_pow(c, u) * scalar_pow(d, v)))
+
+
+def linear_onepar_triple(params, phi_shape: str = "xz") -> CoeffTriple:
+    """alpha = p*x - p', beta = q*x - q', gamma = r*x - r'."""
+    p, pp, q, qp, r, rp = params
+    if phi_shape not in _PHI_SHAPES:
+        raise UnknownFamilyError(f"unknown phi shape {phi_shape!r}")
+    return CoeffTriple(lambda x: (p * x - pp, q * x - qp, r * x - rp),
+                       phi=FAMILIES[_PHI_SHAPES[phi_shape]].phi)
 
 
 def reference_objective(shape: str, system: str, phi_shape: str):

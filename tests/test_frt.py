@@ -10,10 +10,11 @@ from ybops.colored import thm1_op
 from ybops.errors import DimensionMismatchError, SingularParameterError
 from ybops.frt import (NCPoly, RelationSet, claimed_relations,
                        exchange_closure, in_span, pq_limit_relations,
-                       rtt_residual, span_dimension, span_membership, subset,
-                       swap_colours, uv_symmetry_check)
+                       rtt_residual, span_dimension, span_membership,
+                       uv_symmetry_check)
 from ybops.tensorop import Op2, freeze, identity_mat
 from conftest import rand_fraction
+from frt_reference import subset, swap_colours
 
 
 def sample_params(rng):

@@ -7,12 +7,12 @@ import pytest
 
 from ybops.errors import UnknownFamilyError
 from ybops.funceq import (CoeffTriple, catalogue, eval_colored_system,
-                          eval_onepar_system, exp_colored_triple,
-                          linear_colored_triple, linear_onepar_triple,
+                          eval_onepar_system, linear_colored_triple,
                           scale_triple)
 from ybops.search import (DEFAULT_COLORED_GRID, DEFAULT_EXP_COLORED_GRID,
                           DEFAULT_ONEPAR_GRID)
 from conftest import rand_fraction
+from search_reference import exp_colored_triple, linear_onepar_triple
 
 COLORED_KINDS = [("thm1", {"p": Fraction(2), "q": Fraction(5)}),
                  ("thm2", {"p": Fraction(2), "q": Fraction(3), "s": Fraction(5)}),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SEARCH_MODES, scipy_nelder_mead
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
-from frt_reference import exchange_closure as reference_closure
+from frt_reference import exchange_closure as reference_closure, subset
 from search_reference import reference_objective
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            opposite_algebra, poly_quotient, quadratic_algebra,
@@ -21,7 +21,7 @@ from ybops.colored import ansatz_op, coalgebra_colored_op, thm1_op
 from ybops.frt import (LETTERS, NCPoly, RelationSet, _Echelon,
                        claimed_relations, exchange_closure, in_span,
                        pq_limit_relations, rtt_residual, span_dimension,
-                       span_membership, subset)
+                       span_membership)
 from ybops.funceq import (FAMILIES, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import prop1_op
@@ -344,6 +344,11 @@ def _echelon_cases(draw):
     return inputs, targets
 
 
+# a_u b_v + c_u d_v enters first, with pivot a_u b_v, and holds the pivot of
+# c_u d_v, which enters next; a_u b_v is their combination (1, -1)
+_AB, _CD = (NCPoly.gen(x, "u") * NCPoly.gen(y, "v") for x, y in ("ab", "cd"))
+
+
 class TestFractionFreeEchelon:
     # ~1.5 s: the 150 draws and the rank-16 example
     @settings(max_examples=150, deadline=None)
@@ -353,6 +358,7 @@ class TestFractionFreeEchelon:
     @example(case=(list(exchange_closure(claimed_relations(
         2, 1, 1, 3, Fraction(1, 2))).relations), rtt_residual(thm1_op(
             A1, 1, 3, 2, 1)) + rtt_residual(thm1_op(A1, 2, 5, -1, 3))))
+    @example(case=([_AB + _CD, _CD], [_AB]))
     def test_matches_fraction_elimination(self, case):
         inputs, targets = case
         got, want = _Echelon(inputs), FractionEchelon(inputs)

@@ -21,8 +21,11 @@ class TestClassify:
         params = (1.5, 1.5, 1.5, 1.5, 1.5, 1.5)
         assert classify("linear", "colored", "xz", params, 0.0) == "thm1-family"
 
-    def test_zero_is_degenerate(self):
-        assert classify("linear", "colored", "xz", (0.0,) * 6, 0.0) == "degenerate"
+    # the zero operator, and one under 1e-7 that is not zero
+    @pytest.mark.parametrize("params", [(0.0,) * 6, (1e-9,) * 6],
+                             ids=["zero", "tiny"])
+    def test_zero_is_degenerate(self, params):
+        assert classify("linear", "colored", "xz", params, 0.0) == "degenerate"
 
     def test_flip_multiple_is_degenerate(self):
         params = (0.0, 0.0, 0.0, 0.0, 3.0, 1.0)
@@ -88,6 +91,10 @@ class TestSearch:
     def test_unknown_shape(self):
         with pytest.raises(UnknownFamilyError):
             search(shape="cubic", seed=0, restarts=1)
+
+    def test_unknown_phi_shape(self):
+        with pytest.raises(UnknownFamilyError):
+            search(system="onepar", phi_shape="zz", restarts=1)
 
     def test_default_grid_distinct(self):
         for pt in DEFAULT_COLORED_GRID:
