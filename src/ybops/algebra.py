@@ -69,6 +69,12 @@ class Algebra:
                 unit_den, unit)
 
     @cached_property
+    def valid(self) -> bool:
+        """``validate(self).ok``, computed once per algebra;
+        :func:`poly_quotient` sets it at build."""
+        return validate(self).ok
+
+    @cached_property
     def opposite(self) -> Algebra:
         """This algebra with the reversed product a*b := ba."""
         c = self.structconst
@@ -134,7 +140,10 @@ def poly_quotient(coeffs: Sequence[Scalar]) -> Algebra:
     struct = tuple(tuple(tuple(reps[i + j]) for j in range(n))
                    for i in range(n))
     unit = tuple(Fraction(int(i == 0)) for i in range(n))
-    return Algebra(dim=n, structconst=struct, unit=unit)
+    A = Algebra(dim=n, structconst=struct, unit=unit)
+    # k[X]/(f) is associative and unital by construction
+    object.__setattr__(A, "valid", True)
+    return A
 
 
 def quadratic_algebra(sigma: Scalar) -> Algebra:
@@ -197,11 +206,19 @@ def validate(A: Algebra) -> ValidationReport:
 
 def require_valid(A: Algebra) -> Algebra:
     """A itself; InvalidStructureError if A is not associative and unital."""
-    report = validate(A)
-    if not report.ok:
+    if not A.valid:
         raise InvalidStructureError(
-            f"not an associative unital algebra: {report.violations[0]}")
+            f"not an associative unital algebra: {validate(A).violations[0]}")
     return A
+
+
+def known_valid(A) -> bool:
+    """True when A is an exact :class:`Algebra` already known to be
+    associative and unital: built by :func:`poly_quotient`, or passed
+    through :func:`require_valid` (or read ``A.valid``) before.  Never
+    validates."""
+    return (isinstance(A, Algebra) and A.__dict__.get("valid", False)
+            and A.cleared is not None)
 
 
 def dual_coalgebra(A: Algebra) -> Coalgebra:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .algebra import Algebra, Coalgebra, opposite_algebra
+from .algebra import Algebra, Coalgebra, known_valid, opposite_algebra
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import is_exact
@@ -104,6 +104,21 @@ def family_op(kind: str, carrier, params: dict, *colours) -> Op2:
     return _build(F, carrier, F.coeffs(*F.args(params), *colours))
 
 
+def family_triple(kind: str, carrier, params: dict, *colours):
+    """The ansatz coefficients (alpha, beta, gamma) that
+    :func:`family_op` builds at these colours, when they are exact and the
+    carrier's algebra is known to be exact, associative and unital
+    (:func:`ybops.algebra.known_valid`); None otherwise.  The coefficients
+    are evaluated first, as :func:`family_op` does, so they raise the same
+    errors."""
+    F = family(kind)
+    coeffs = F.coeffs(*F.args(params), *colours)
+    A = getattr(carrier, "algebra", None) if F.coalgebra else carrier
+    if all(map(is_exact, coeffs)) and known_valid(A):
+        return coeffs
+    return None
+
+
 def family_inv(kind: str, carrier, params: dict, *colours) -> Op2:
     """Inverse of :func:`family_op`; SingularParameterError off its domain."""
     F = family(kind)
@@ -160,6 +175,11 @@ class ColoredFamily:
 
     def op(self, u, v) -> Op2:
         return family_op(self.kind, self.carrier, self.params, u, v)
+
+    def exact_triple(self, u, v):
+        """The coefficients of ``op(u, v)`` when they decide its residual
+        exactly (see :func:`family_triple`), else None."""
+        return family_triple(self.kind, self.carrier, self.params, u, v)
 
     def inv(self, u, v) -> Op2:
         return family_inv(self.kind, self.carrier, self.params, u, v)

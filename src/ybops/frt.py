@@ -353,13 +353,14 @@ class _Echelon:
     unique; Fractions are built only for what :meth:`solve` returns.
     """
 
-    def __init__(self, polys):
+    def __init__(self, polys, combinations=True):
         self.rows = {}  # pivot word -> (terms, {input index: coefficient})
         self.size = 0
         for poly in polys:
             scale, rest, comb = self._reduce(poly)
             if rest:
-                comb[self.size] = scale
+                if combinations:  # else every combination stays empty
+                    comb[self.size] = scale
                 row, comb = _primitive(rest, comb)
                 self.rows[min(row)] = (row, comb)
             self.size += 1
@@ -391,7 +392,9 @@ class _Echelon:
 
 
 def span_dimension(polys) -> int:
-    return len(_Echelon(polys).rows)
+    """Dimension of the span of ``polys``: an elimination that tracks no
+    combinations."""
+    return len(_Echelon(polys, combinations=False).rows)
 
 
 def in_span(poly: NCPoly, basis) -> Optional[list]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import Algebra, Coalgebra
-from .colored import family_inv, family_op
+from .colored import family_inv, family_op, family_triple
 from .errors import UnknownFamilyError
 from .funceq import family
 from .tensorop import Op2
@@ -66,6 +66,11 @@ class OneParFamily:
 
     def op(self, x) -> Op2:
         return family_op(self.kind, self.carrier, self.params, x)
+
+    def exact_triple(self, x):
+        """The coefficients of ``op(x)`` when they decide its residual
+        exactly (see :func:`ybops.colored.family_triple`), else None."""
+        return family_triple(self.kind, self.carrier, self.params, x)
 
     def inv(self, x) -> Op2:
         return family_inv(self.kind, self.carrier, self.params, x)

@@ -15,6 +15,7 @@ from itertools import product
 from math import lcm, prod
 
 from .errors import DimensionMismatchError
+from .funceq import _system
 from .scalars import format_scalar, is_exact, over_one_denominator
 
 
@@ -275,14 +276,60 @@ def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
                                 for i in range(m)))
 
 
+# --- the five-equation system as a proof --------------------------------------
+#
+# Over the free algebra F<a,b,c>, with one ansatz triple t12, t13, t23 per leg
+# pair, R12 R13 R23 - R23 R13 R12 maps a(x)b(x)c to
+#
+#   e1 1(x)abc(x)1 + e2 bc(x)1(x)a + e3 1(x)bc(x)a - e4 c(x)ab(x)1 - e5 c(x)1(x)ab
+#
+# with (e1, ..., e5) = funceq._system(t12, t13, t23) (tests/test_identity.py).
+# The ansatz uses only the product and the unit, so it commutes with every
+# unital algebra map, and F<a,b,c> maps onto e_a, e_b, e_c of any associative
+# unital algebra: where all five e_k vanish, every residual entry is 0.  On
+# the coalgebra transfer the residual is minus the transpose of the algebra's.
+
+def _solves_system(triples) -> bool:
+    """True when each of the three triples, drawn in turn from the iterable
+    ``triples``, is not None and together they solve the five equations.
+    Stops at the first None, so a lazy iterable evaluates no further."""
+    drawn = []
+    for t in triples:
+        if t is None:
+            return False
+        drawn.append(t)
+    return not any(_system(*drawn))
+
+
 def colored_qybe_residual(family, u, v, w):
     """Max-abs-entry of R12(u,v) R13(u,w) R23(v,w) - R23(v,w) R13(u,w) R12(u,v).
 
     ``family`` must expose ``op(u, v) -> Op2``.  Zero exactly for genuine
     coloured Yang-Baxter operators.
+
+    A table family (:class:`ybops.colored.ColoredFamily`) also exposes
+    ``exact_triple(u, v)``, the exact coefficients of ``op(u, v)`` on an
+    algebra known to be exact and valid, else None.  When the three triples
+    solve the five-equation system the residual is ``Fraction(0)`` by the
+    identity above, and no operator is built.  Every other input (a float
+    coefficient or carrier, an unvalidated or invalid carrier, a family
+    exposing only ``op``) goes to the sparse kernel, and so does a non-zero
+    equation: a non-zero residual keeps its value and type.
     """
+    triple = getattr(family, "exact_triple", None)
+    if triple is not None and _solves_system(
+            triple(*c) for c in ((u, v), (u, w), (v, w))):
+        return Fraction(0)
     return _max_abs(_qybe_difference(family.op(u, v), family.op(u, w),
                                      family.op(v, w)))
+
+
+def _onepar_colours(family, x, z):
+    """x, phi(x, z), z, in the order the operators are built; phi is called
+    only once x has been drawn."""
+    yield x
+    yield family.phi(x, z)
+    yield z
 
 
 def onepar_qybe_residual(family, x, z):
@@ -290,8 +337,14 @@ def onepar_qybe_residual(family, x, z):
 
     ``family`` must expose ``op(x) -> Op2`` and ``phi(x, z) -> scalar``; the
     composition map is attached to the family so checks cannot mix a family
-    with the wrong phi.
+    with the wrong phi.  A family that also exposes ``exact_triple(x)``
+    (:class:`ybops.onepar.OneParFamily`) is decided by the five-equation
+    system at x, phi(x,z), z, as in :func:`colored_qybe_residual`.
     """
+    triple = getattr(family, "exact_triple", None)
+    if triple is not None and _solves_system(
+            map(triple, _onepar_colours(family, x, z))):
+        return Fraction(0)
     return _max_abs(_qybe_difference(family.op(x), family.op(family.phi(x, z)),
                                      family.op(z)))
 

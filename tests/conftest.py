@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from ybops.algebra import Algebra, cubic_algebra, quadratic_algebra, validate
+from ybops.onepar import OneParFamily
 from ybops.search import MAX_ITER
 
 
@@ -29,10 +31,9 @@ def Bc(request):
     return cubic_algebra(eps, rho)
 
 
-@pytest.fixture
-def M2():
-    """The 2x2 matrices, basis E11, E12, E21, E22: a non-commutative carrier,
-    so an inverse built on A instead of its opposite algebra shows."""
+def matrix_algebra():
+    """The 2x2 matrices, basis E11, E12, E21, E22, built by hand, so its
+    validity is not yet known to the library."""
     def prod(i, j):  # E_ab E_cd = [b == c] E_ad, with E_ab at index 2a + b
         (a, b), (c, d) = divmod(i, 2), divmod(j, 2)
         return tuple(Fraction(int(b == c and k == 2 * a + d))
@@ -43,6 +44,35 @@ def M2():
                                   for i in range(4)))
     assert validate(A).ok
     return A
+
+
+@pytest.fixture
+def M2():
+    """The 2x2 matrices: a non-commutative carrier, so an inverse built on A
+    instead of its opposite algebra shows."""
+    return matrix_algebra()
+
+
+def bad_unit_algebra():
+    """k[X]/(X^2 - 1) with x*1 = 1: exact, but neither unital nor
+    associative."""
+    c = [[list(row) for row in plane]
+         for plane in quadratic_algebra(1).structconst]
+    c[1][0] = [Fraction(1), Fraction(0)]
+    return Algebra(dim=2, unit=(Fraction(1), Fraction(0)),
+                   structconst=tuple(tuple(map(tuple, p)) for p in c))
+
+
+def both_routes(fam):
+    """``fam`` and a view of it that exposes only ``op`` (and ``phi``).
+
+    A table family on a carrier known to be valid has its exact residual
+    decided by the five-equation system; the view's residual always comes
+    from the sparse kernel, so a check run on both covers both."""
+    view = SimpleNamespace(op=fam.op)
+    if isinstance(fam, OneParFamily):
+        view.phi = fam.phi
+    return fam, view
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=5, nonzero=False):

@@ -5,12 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import bad_unit_algebra, both_routes
+from ybops import algebra
 from ybops.algebra import (Algebra, algebra_from_json, algebra_to_json,
                            coalgebra_from_json, coalgebra_to_json,
-                           cubic_algebra, dual_coalgebra, multiply,
-                           poly_quotient, quadratic_algebra, validate)
+                           cubic_algebra, dual_coalgebra, known_valid,
+                           multiply, poly_quotient, quadratic_algebra,
+                           require_valid, validate)
+from ybops.colored import ColoredFamily
 from ybops.errors import (DimensionMismatchError, InvalidStructureError)
 from ybops.scalars import rational
+from ybops.tensorop import colored_qybe_residual
+from ybops.ybsystem import thm3_system
 
 
 def e(n, i):
@@ -95,6 +101,42 @@ class TestDualCoalgebra:
                       unit=A1.unit)
         with pytest.raises(InvalidStructureError):
             dual_coalgebra(bad)
+
+
+class TestKnownValidity:
+    def test_valid_is_validate_ok(self, Bc, M2):
+        for A in (Bc, M2, bad_unit_algebra()):
+            assert A.valid == validate(A).ok
+
+    def test_poly_quotient_is_valid_without_validating(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("validate called")
+        monkeypatch.setattr(algebra, "validate", refuse)
+        A = poly_quotient([Fraction(1, 2), -1, 0, 1])
+        assert A.valid and known_valid(A)
+        assert require_valid(A) is A and dual_coalgebra(A).algebra is A
+
+    def test_known_valid_reads_but_never_validates(self, M2):
+        assert not known_valid(M2)  # built by hand: validity unknown
+        assert require_valid(M2) is M2
+        assert known_valid(M2)
+        floats = Algebra(dim=2, structconst=quadratic_algebra(2).structconst,
+                         unit=(1.0, Fraction(0)))
+        assert floats.valid and not known_valid(floats)
+
+    def test_invalid_algebra_still_rejected(self):
+        bad = bad_unit_algebra()
+        assert not bad.valid and not known_valid(bad)
+        for build in (require_valid, dual_coalgebra,
+                      lambda A: thm3_system(A, 1, 1)):
+            with pytest.raises(InvalidStructureError):
+                build(bad)
+        # a family on it gets the kernel's non-zero value, not a system 0
+        fam = ColoredFamily("thm1", bad, {"p": Fraction(1), "q": Fraction(3)})
+        uvw = (Fraction(1, 2), Fraction(-2), Fraction(3))
+        res = colored_qybe_residual(fam, *uvw)
+        assert res != 0
+        assert res == colored_qybe_residual(both_routes(fam)[1], *uvw)
 
 
 class TestJson:

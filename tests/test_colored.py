@@ -14,7 +14,7 @@ from ybops.funceq import FAMILIES, catalogue
 from ybops.scalars import scalar_pow
 from ybops.tensorop import (colored_qybe_residual, identity_mat, mat_mul,
                             mat_transpose, tensor_basis_labels)
-from conftest import rand_fraction
+from conftest import both_routes, rand_fraction
 
 
 def _admissible(rng):
@@ -31,21 +31,24 @@ class TestThm1:
                             params={"p": Fraction(1), "q": Fraction(3)})
         for _ in range(5):
             u, v, w = (rand_fraction(rng) for _ in range(3))
-            assert colored_qybe_residual(fam, u, v, w) == 0
+            for f in both_routes(fam):
+                assert colored_qybe_residual(f, u, v, w) == 0
 
     def test_residual_zero_on_cubic(self, Bc, rng):
         fam = ColoredFamily(kind="thm1", carrier=Bc,
                             params={"p": Fraction(2), "q": Fraction(5, 3)})
         for _ in range(3):
             u, v, w = (rand_fraction(rng) for _ in range(3))
-            assert colored_qybe_residual(fam, u, v, w) == 0
+            for f in both_routes(fam):
+                assert colored_qybe_residual(f, u, v, w) == 0
 
     def test_residual_zero_on_matrix_algebra(self, M2, rng):
         fam = ColoredFamily(kind="thm1", carrier=M2,
                             params={"p": Fraction(2), "q": Fraction(-1, 3)})
         for _ in range(2):
             u, v, w = (rand_fraction(rng) for _ in range(3))
-            assert colored_qybe_residual(fam, u, v, w) == 0
+            for f in both_routes(fam):
+                assert colored_qybe_residual(f, u, v, w) == 0
 
     def test_wrong_beta_breaks_qybe(self, A1):
         # oracle guard: perturbing beta must produce a nonzero residual
@@ -99,7 +102,8 @@ class TestThm2:
                                     "s": Fraction(5)})
         for _ in range(4):
             u, v, w = (rng.randint(-3, 3) for _ in range(3))
-            assert colored_qybe_residual(fam, u, v, w) == 0
+            for f in both_routes(fam):
+                assert colored_qybe_residual(f, u, v, w) == 0
 
     def test_inverse_two_sided(self, A1, M2):
         for A in (A1, M2):
@@ -147,7 +151,8 @@ class TestRemark2:
                                     "s": Fraction(7)})
         for _ in range(4):
             u, v, w = (rng.randint(-2, 3) for _ in range(3))
-            assert colored_qybe_residual(fam, u, v, w) == 0
+            for f in both_routes(fam):
+                assert colored_qybe_residual(f, u, v, w) == 0
 
     def test_alpha_equals_gamma(self):
         alpha, beta, gamma = catalogue("remark2", p=2, q=3, s=7).coeffs(1, 2)
@@ -181,7 +186,8 @@ class TestCoalgebraTransfer:
                             params={"p": Fraction(1), "q": Fraction(2)})
         for _ in range(3):
             u, v, w = (rand_fraction(rng) for _ in range(3))
-            assert colored_qybe_residual(fam, u, v, w) == 0
+            for f in both_routes(fam):
+                assert colored_qybe_residual(f, u, v, w) == 0
 
 
 class TestFamilyAndMatrixForm:

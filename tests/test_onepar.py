@@ -10,7 +10,7 @@ from ybops.onepar import (OneParFamily, prop1_coalgebra_op, prop1_inv,
                           prop1_op, prop2_inv, prop2_op, remark_x_op)
 from ybops.tensorop import (identity_mat, mat_mul, mat_scale,
                             onepar_qybe_residual)
-from conftest import rand_fraction
+from conftest import both_routes, rand_fraction
 
 
 class TestProp1:
@@ -20,14 +20,16 @@ class TestProp1:
                                params={"q": Fraction(5, 2)})
             for _ in range(4):
                 x, z = (rand_fraction(rng) for _ in range(2))
-                assert onepar_qybe_residual(fam, x, z) == 0
+                for f in both_routes(fam):
+                    assert onepar_qybe_residual(f, x, z) == 0
 
     def test_residual_zero_on_matrix_algebra(self, M2, rng):
         fam = OneParFamily(kind="prop1", carrier=M2,
                            params={"q": Fraction(-2, 3)})
         for _ in range(2):
             x, z = (rand_fraction(rng) for _ in range(2))
-            assert onepar_qybe_residual(fam, x, z) == 0
+            for f in both_routes(fam):
+                assert onepar_qybe_residual(f, x, z) == 0
 
     def test_wrong_phi_breaks_residual(self, A1):
         fam = OneParFamily(kind="prop1", carrier=A1, params={"q": Fraction(3)})
@@ -68,7 +70,8 @@ class TestProp2:
         fam = OneParFamily(kind="prop2", carrier=Aq)
         for _ in range(4):
             x, z = (rand_fraction(rng) for _ in range(2))
-            assert onepar_qybe_residual(fam, x, z) == 0
+            for f in both_routes(fam):
+                assert onepar_qybe_residual(f, x, z) == 0
 
     def test_inverse(self, A0, M2):
         x = Fraction(7, 2)
@@ -89,7 +92,8 @@ class TestRemarkX:
         fam = OneParFamily(kind="remark_x", carrier=Aq)
         for _ in range(4):
             x, z = (rand_fraction(rng) for _ in range(2))
-            assert onepar_qybe_residual(fam, x, z) == 0
+            for f in both_routes(fam):
+                assert onepar_qybe_residual(f, x, z) == 0
 
     def test_no_inverse_formula(self, A1):
         fam = OneParFamily(kind="remark_x", carrier=A1)
@@ -104,7 +108,8 @@ class TestCoalgebraTransfer:
                            params={"q": Fraction(2)})
         for _ in range(4):
             x, z = (rand_fraction(rng) for _ in range(2))
-            assert onepar_qybe_residual(fam, x, z) == 0
+            for f in both_routes(fam):
+                assert onepar_qybe_residual(f, x, z) == 0
 
 
 class TestPhi:

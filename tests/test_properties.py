@@ -5,32 +5,34 @@ import struct
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SEARCH_MODES, scipy_nelder_mead
+from conftest import SEARCH_MODES, matrix_algebra, scipy_nelder_mead
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
 from frt_reference import exchange_closure as reference_closure, subset
 from search_reference import reference_objective
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            opposite_algebra, poly_quotient, quadratic_algebra,
-                           validate)
-from ybops.colored import ansatz_op, coalgebra_colored_op, thm1_op
+                           require_valid, validate)
+from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
+                           thm1_op)
 from ybops.frt import (LETTERS, NCPoly, RelationSet, _Echelon,
                        claimed_relations, exchange_closure, in_span,
                        pq_limit_relations, rtt_residual, span_dimension,
                        span_membership)
-from ybops.funceq import (FAMILIES, catalogue, eval_colored_system,
+from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
-from ybops.onepar import prop1_op
+from ybops.onepar import OneParFamily, prop1_op
 from ybops.search import MAX_ITER, _make_objective, _nelder_mead
 from ybops.tensorop import (Op2, _chain_difference, _qybe_difference,
                             braid_residual, colored_qybe_residual, embed_leg,
                             freeze, identity_op2, mat_mul, mat_scale,
                             mat_sub, mat_transpose, max_abs_entry,
-                            yb_commutator)
+                            onepar_qybe_residual, yb_commutator)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 nonzero_fractions = fractions.filter(lambda f: f != 0)
@@ -647,6 +649,104 @@ class TestSparseBuild:
 
 
 # --- Nelder-Mead on Python floats against scipy ------------------------------
+
+# --- the five-equation system against the kernel ---------------------------------
+
+def _linear(p, pp, q, qp, r, rp, u, v):
+    return p * u - pp * v, q * u - qp * v, r * u - rp * v
+
+
+def _linear_onepar(p, pp, q, qp, r, rp, x):
+    return _linear(p, pp, q, qp, r, rp, x, 1)
+
+
+_LINEAR = ("p", "pp", "q", "qp", "r", "rp")
+# table entries for the linear ansatz, so that the property runs through
+# ColoredFamily and OneParFamily themselves
+_LINEAR_FAMILIES = {f.name: f for f in (
+    Family("linear", _LINEAR, coeffs=_linear),
+    Family("linear_coalgebra", _LINEAR, coeffs=_linear, coalgebra=True),
+    Family("linear_xz", _LINEAR, coeffs=_linear_onepar,
+           phi=lambda x, z: x * z),
+    Family("linear_xz_coalgebra", _LINEAR, coeffs=_linear_onepar,
+           phi=lambda x, z: x * z, coalgebra=True))}
+
+# the five components of the linear coloured system's solution set, as
+# (p, p', q, q', r, r') from three parameters; at v = 1 each is also a
+# solution of the one-parameter system with phi = x*z
+_COMPONENTS = (
+    lambda a, b, c: (a, a, b, b, a, b),  # thm1
+    lambda a, b, c: (a, a, b, b, b, a),  # thm1, gamma = Qu - Pv
+    lambda a, b, c: (a, b, c * a, c * b, a, b),  # (au - bv)(1, c, 1)
+    lambda a, b, c: (c * a, c * b, a, b, a, b),  # (au - bv)(c, 1, 1)
+    lambda a, b, c: (0, 0, 0, 0, a, b),  # alpha = beta = 0
+)
+
+_M2 = require_valid(matrix_algebra())
+_M2_OPPOSITE = require_valid(opposite_algebra(_M2))
+
+
+@st.composite
+def _known_valid_carriers(draw):
+    """(algebra known to be valid, whether to act on its dual coalgebra): a
+    random quotient with n = 2..4, the 2x2 matrices or their opposite."""
+    A = draw(st.sampled_from((None, _M2, _M2_OPPOSITE)))
+    if A is None:
+        n = draw(st.integers(2, 4))
+        small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+        A = poly_quotient(draw(st.lists(small, min_size=n, max_size=n))
+                          + [1])
+    return A, draw(st.booleans())
+
+
+@st.composite
+def _linear_params(draw):
+    """(params, on a solution component): random, or on a component."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if draw(st.booleans()):
+        return draw(st.tuples(*[small] * 6)), False
+    make = draw(st.sampled_from(_COMPONENTS))
+    return make(*draw(st.tuples(small, small, small))), True
+
+
+class TestSystemShortcut:
+    """A table family's residual, 0 without the kernel wherever its exact
+    triples solve the five-equation system, equals the kernel's on the same
+    operators; budget about 1 s for both tests, well under 2 s."""
+
+    @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+    @given(carrier=_known_valid_carriers(), params=_linear_params(),
+           uvw=st.tuples(fractions, fractions, fractions))
+    def test_colored_matches_kernel(self, carrier, params, uvw):
+        (A, coalgebra), (values, on_component) = carrier, params
+        with patch.dict(FAMILIES, _LINEAR_FAMILIES):
+            kind = "linear_coalgebra" if coalgebra else "linear"
+            fam = ColoredFamily(kind, dual_coalgebra(A) if coalgebra else A,
+                                dict(zip(_LINEAR, values)))
+            solves = not any(eval_colored_system(
+                catalogue(kind, **fam.params), *uvw))
+            got = colored_qybe_residual(fam, *uvw)
+            want = colored_qybe_residual(SimpleNamespace(op=fam.op), *uvw)
+        assert got == want and type(got) is type(want) is Fraction
+        assert solves or not on_component
+
+    @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+    @given(carrier=_known_valid_carriers(), params=_linear_params(),
+           xz=st.tuples(fractions, fractions))
+    def test_onepar_matches_kernel(self, carrier, params, xz):
+        (A, coalgebra), (values, on_component) = carrier, params
+        with patch.dict(FAMILIES, _LINEAR_FAMILIES):
+            kind = "linear_xz_coalgebra" if coalgebra else "linear_xz"
+            fam = OneParFamily(kind, dual_coalgebra(A) if coalgebra else A,
+                               dict(zip(_LINEAR, values)))
+            solves = not any(eval_onepar_system(
+                catalogue(kind, **fam.params), *xz))
+            got = onepar_qybe_residual(fam, *xz)
+            want = onepar_qybe_residual(
+                SimpleNamespace(op=fam.op, phi=fam.phi), *xz)
+        assert got == want and type(got) is type(want) is Fraction
+        assert solves or not on_component
+
 
 def _bits(x, fun, nit):
     return [v.hex() for v in x], fun.hex(), nit

@@ -6,9 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from ybops.algebra import dual_coalgebra, poly_quotient, quadratic_algebra
+from conftest import bad_unit_algebra, both_routes
+from ybops import tensorop, ybsystem
+from ybops.algebra import (Algebra, dual_coalgebra, poly_quotient,
+                           quadratic_algebra, require_valid)
 from ybops.colored import ColoredFamily, ansatz_op
-from ybops.errors import DimensionMismatchError
+from ybops.errors import DimensionMismatchError, NonIntegerExponentError
 from ybops.frt import rtt_residual
 from ybops.funceq import FAMILIES
 from ybops.onepar import OneParFamily
@@ -18,6 +21,7 @@ from ybops.tensorop import (Op2, Op3, _perm23, colored_qybe_residual,
                             max_abs_entry, onepar_qybe_residual, op_to_csv,
                             op_to_json, op_to_latex, power_basis_labels,
                             tensor_basis_labels, twist_compose, yb_commutator)
+from ybops.ybsystem import WXZSystem, thm3_system, wxz_residuals
 
 
 def random_op2(rng, n):
@@ -129,14 +133,16 @@ class TestHigherCarriers:
 
     def test_thm1_residual_exactly_zero_n6(self):
         fam = ColoredFamily("thm1", self.A6, {"p": Fraction(3, 2), "q": -2})
-        res = colored_qybe_residual(fam, Fraction(1, 3), Fraction(-2),
-                                    Fraction(5, 4))
-        assert res == 0 and type(res) is Fraction
+        for f in both_routes(fam):
+            res = colored_qybe_residual(f, Fraction(1, 3), Fraction(-2),
+                                        Fraction(5, 4))
+            assert res == 0 and type(res) is Fraction
 
     def test_prop1_residual_exactly_zero_n6(self):
         fam = OneParFamily("prop1", self.A6, {"q": Fraction(-3, 2)})
-        res = onepar_qybe_residual(fam, Fraction(2, 5), Fraction(-3))
-        assert res == 0 and type(res) is Fraction
+        for f in both_routes(fam):
+            res = onepar_qybe_residual(f, Fraction(2, 5), Fraction(-3))
+            assert res == 0 and type(res) is Fraction
 
     def test_broken_ansatz_matches_dense_n4(self):
         A4 = poly_quotient([Fraction(1, 2), -1, Fraction(2, 3), 0, 1])
@@ -160,25 +166,140 @@ A8 = poly_quotient([Fraction(-2, 3), 3, -1, 0, 0, Fraction(1, 2), 0, 0, 1])
 
 @pytest.fixture(scope="module")
 def C8():
-    return dual_coalgebra(A8)  # validates A8 once: ~0.4 s
+    return dual_coalgebra(A8)  # A8 is known valid since poly_quotient
 
 
 class TestLargeCarrier:
-    @pytest.mark.parametrize("kind", sorted(FAMILIES))
-    def test_qybe_exact_at_n8(self, kind, C8):
+    @staticmethod
+    def _residual(kind, C8, view=lambda fam: fam):
         F = FAMILIES[kind]
         params = dict(zip(F.params, (Fraction(2), Fraction(-1, 3),
                                      Fraction(3))))
         carrier = C8 if F.coalgebra else A8
         if F.phi is not None:
-            res = onepar_qybe_residual(OneParFamily(kind, carrier, params),
-                                       Fraction(2, 3), Fraction(-3, 2))
-        else:
-            colours = ((2, -1, 3) if F.integer_colours else
-                       (Fraction(1, 2), Fraction(-2), Fraction(3, 5)))
-            res = colored_qybe_residual(ColoredFamily(kind, carrier, params),
-                                        *colours)
+            fam = OneParFamily(kind, carrier, params)
+            return onepar_qybe_residual(view(fam), Fraction(2, 3),
+                                        Fraction(-3, 2))
+        colours = ((2, -1, 3) if F.integer_colours else
+                   (Fraction(1, 2), Fraction(-2), Fraction(3, 5)))
+        return colored_qybe_residual(view(ColoredFamily(kind, carrier, params)),
+                                     *colours)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_qybe_exact_at_n8(self, kind, C8):
+        res = self._residual(kind, C8)
         assert res == 0 and type(res) is Fraction
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_kernel_exact_at_n8(self, kind, C8):
+        # the same operators through ``op`` alone: the sparse kernel, not
+        # the five-equation system, finds the residual exactly 0
+        res = self._residual(kind, C8, lambda fam: both_routes(fam)[1])
+        assert res == 0 and type(res) is Fraction
+
+
+class TestSystemRoute:
+    """Which residuals the five-equation system decides and which go to the
+    sparse kernel; a spy on the kernel counts its calls."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def spy(module):
+            real = module._qybe_difference
+
+            def counted(*ops):
+                calls.append(len(ops))
+                return real(*ops)
+            monkeypatch.setattr(module, "_qybe_difference", counted)
+        spy(tensorop)
+        spy(ybsystem)
+        return calls
+
+    PARAMS = {"p": Fraction(1), "q": Fraction(3)}
+    UVW = (Fraction(1, 2), Fraction(-2), Fraction(3))
+
+    def test_table_families_skip_the_kernel(self, kernel_calls):
+        A = quadratic_algebra(3)
+        col = colored_qybe_residual(ColoredFamily("thm1", A, self.PARAMS),
+                                    *self.UVW)
+        coal = colored_qybe_residual(
+            ColoredFamily("coalgebra_thm1", dual_coalgebra(A), self.PARAMS),
+            *self.UVW)
+        one = onepar_qybe_residual(OneParFamily("prop1", A, {"q": 2}),
+                                   Fraction(2, 3), Fraction(-5))
+        wxz = wxz_residuals(thm3_system(A, Fraction(-1, 2), 4))
+        assert kernel_calls == []
+        assert all(r == 0 and type(r) is Fraction
+                   for r in (col, coal, one, *wxz))
+
+    def test_a_non_solution_takes_the_kernel(self, kernel_calls):
+        # a family exposing an exact triple that solves no system
+        A = quadratic_algebra(3)
+        fam = SimpleNamespace(
+            exact_triple=lambda u, v: (u + 2 * v, u * v - 1, Fraction(3)))
+        fam.op = lambda u, v: ansatz_op(A, *fam.exact_triple(u, v))
+        res = colored_qybe_residual(fam, *self.UVW)
+        assert kernel_calls == [3]
+        assert res != 0 and res == colored_qybe_residual(
+            both_routes(fam)[1], *self.UVW)
+
+    @pytest.mark.parametrize("case", [
+        "float-triple", "float-carrier", "unvalidated", "invalid",
+        "op-only"])
+    def test_kernel_inputs(self, case, kernel_calls):
+        A, params = quadratic_algebra(3), self.PARAMS
+        if case == "float-triple":
+            params = {"p": 1.0, "q": 3.0}
+        elif case == "float-carrier":
+            A = require_valid(Algebra(dim=2, structconst=A.structconst,
+                                      unit=(Fraction(1), 0.0)))
+        elif case == "unvalidated":
+            A = Algebra(dim=2, structconst=A.structconst, unit=A.unit)
+        elif case == "invalid":
+            A = bad_unit_algebra()
+            assert not A.valid
+        fam = ColoredFamily("thm1", A, params)
+        one = OneParFamily("prop1", A, {"q": params["q"]})
+        (fam, fam_view), (one, one_view) = both_routes(fam), both_routes(one)
+        if case == "op-only":
+            fam, one = fam_view, one_view
+        x, z = Fraction(2, 3), Fraction(-5)
+        got = (colored_qybe_residual(fam, *self.UVW),
+               onepar_qybe_residual(one, x, z))
+        assert kernel_calls == [3, 3]
+        want = (colored_qybe_residual(fam_view, *self.UVW),
+                onepar_qybe_residual(one_view, x, z))
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        if case == "invalid":
+            assert got[0] != 0
+
+    def test_hand_built_wxz_system_takes_the_kernel(self, kernel_calls):
+        S = thm3_system(quadratic_algebra(3), 2, 5)
+        res = wxz_residuals(WXZSystem(W=S.W, X=S.X, Z=S.Z))
+        assert kernel_calls == [3] * 4 and res == (0, 0, 0, 0)
+
+    def test_float_parameters_keep_wxz_on_the_kernel(self, kernel_calls):
+        wxz_residuals(thm3_system(quadratic_algebra(3), 2.0, 5))
+        assert kernel_calls == [3] * 4
+
+    def test_same_errors_as_the_kernel(self):
+        # the triples are evaluated in the order the operators are built, so
+        # bad input raises what the builds raise: a non-integer exponent
+        # at (u, w), a table family on the wrong carrier type
+        A = quadratic_algebra(3)
+        cases = ((ColoredFamily("thm2", A, {"p": 2, "q": 3, "s": 5}),
+                  (1, 2, Fraction(1, 2))),
+                 (ColoredFamily("coalgebra_thm1", A, self.PARAMS), self.UVW))
+        for fam, colours in cases:
+            raised = []
+            for f in both_routes(fam):
+                with pytest.raises((NonIntegerExponentError,
+                                    AttributeError)) as err:
+                    colored_qybe_residual(f, *colours)
+                raised.append((type(err.value), str(err.value)))
+            assert raised[0] == raised[1]
 
 
 class TestLabelsAndEmitters:
