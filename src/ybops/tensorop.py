@@ -195,8 +195,9 @@ def embed_leg(R: Op2, legs: int) -> Op3:
 # ansatz column has at most 2n+1 non-zeros, so a column of P costs about
 # (2n+1)^3 products instead of the n^6 of a dense triple product.  Exact
 # operators enter as their integer numerators; the product of a chain's
-# denominators, made common to both chains, divides out of the difference at
-# the end.
+# denominators, made common to both chains, is the denominator of the
+# difference, and the residual callers divide by it once, after taking the
+# max-abs numerator.
 
 def _leg_columns(cols: list, n: int, legs: int) -> list:
     """Sparse columns of a two-site operator on legs 12, 13 or 23 of V^(x)3,
@@ -218,15 +219,17 @@ def _apply(cols, vec: dict, out: dict) -> dict:
     return out
 
 
-def _chain_difference(lhs, rhs):
+def _chain_numerators(lhs, rhs):
     """P - Q, where P and Q are the products of the leg operators in ``lhs``
     and ``rhs``: sequences of ``(Op2, legs)`` read as written, so the last
     factor acts first.
 
-    Returns ``(cols, zero)``: ``cols[j]`` maps each row i with a non-zero
-    (P - Q)[i][j] to that entry, and ``zero`` is the value of the others.
-    When every operator is exact the result is exact Fractions; otherwise
-    the entries are combined as they are (float mode).
+    Returns ``(cols, den)`` in the convention of :class:`Op2`:
+    ``cols[j]`` maps each row i with a non-zero (P - Q)[i][j] to its
+    entry, and the others are 0.  When every operator is exact, ``den`` is
+    a positive integer and each listed value is an integer numerator over
+    it.  Otherwise ``den`` is None and the entries are combined as they
+    are (float mode).
     """
     ops = list({id(R): R for R, _ in (*lhs, *rhs)}.values())
     n = ops[0].n
@@ -253,19 +256,44 @@ def _chain_difference(lhs, rhs):
             for cols in chain[:-1]:
                 vec = _apply(cols, vec, {})
             _apply(chain[-1], vec, acc)
-        out.append({i: Fraction(x, common) if exact else x
-                    for i, x in acc.items() if x})
-    return out, Fraction(0) if exact else 0.0
+        out.append({i: x for i, x in acc.items() if x})
+    return out, common if exact else None
 
 
-def _qybe_difference(R12: Op2, R13: Op2, R23: Op2):
-    return _chain_difference(((R12, 12), (R13, 13), (R23, 23)),
+def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
+    return _chain_numerators(((R12, 12), (R13, 13), (R23, 23)),
                              ((R23, 23), (R13, 13), (R12, 12)))
 
 
+def _as_fractions(diff):
+    """``(cols, zero)`` from a kernel result ``(cols, den)``: each exact
+    numerator as its Fraction, ``zero`` the value of the unlisted entries."""
+    cols, den = diff
+    if den is None:
+        return cols, 0.0
+    return ([{i: Fraction(x, den) for i, x in col.items()} for col in cols],
+            Fraction(0))
+
+
+def _chain_difference(lhs, rhs):
+    return _as_fractions(_chain_numerators(lhs, rhs))
+
+
+def _qybe_difference(R12: Op2, R13: Op2, R23: Op2):
+    return _as_fractions(_qybe_numerators(R12, R13, R23))
+
+
 def _max_abs(diff):
-    cols, zero = diff
-    return max((abs(x) for col in cols for x in col.values()), default=zero)
+    """The max-abs entry of a kernel result ``(cols, den)``.  In exact mode
+    it is taken over the integer numerators, and one ``Fraction(top, den)``
+    is built, ``Fraction(0)`` when no entry is left: ``den`` is positive, so
+    the largest numerator is the largest entry.  In float mode it is the
+    largest listed entry as it is, or 0.0."""
+    cols, den = diff
+    entries = (abs(x) for col in cols for x in col.values())
+    if den is None:
+        return max(entries, default=0.0)
+    return Fraction(max(entries, default=0), den)
 
 
 def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
@@ -290,14 +318,22 @@ def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
 # the coalgebra transfer the residual is minus the transpose of the algebra's.
 
 def _solves_system(triples) -> bool:
-    """True when each of the three triples, drawn in turn from the iterable
-    ``triples``, is not None and together they solve the five equations.
-    Stops at the first None, so a lazy iterable evaluates no further."""
+    """True when each of the three exact triples, drawn in turn from the
+    iterable ``triples``, is not None and together they solve the five
+    equations.  Stops at the first None, so a lazy iterable evaluates no
+    further.
+
+    The equations are evaluated on integers: each triple is cleared over the
+    lcm of its three denominators.  Each e_k is trilinear, every monomial
+    taking one factor from each of t12, t13 and t23, so clearing multiplies
+    it by the non-zero product of the three lcms and the e_k that vanish are
+    the same."""
     drawn = []
     for t in triples:
         if t is None:
             return False
-        drawn.append(t)
+        den = lcm(*(x.denominator for x in t))
+        drawn.append(tuple(x.numerator * (den // x.denominator) for x in t))
     return not any(_system(*drawn))
 
 
@@ -320,7 +356,7 @@ def colored_qybe_residual(family, u, v, w):
     if triple is not None and _solves_system(
             triple(*c) for c in ((u, v), (u, w), (v, w))):
         return Fraction(0)
-    return _max_abs(_qybe_difference(family.op(u, v), family.op(u, w),
+    return _max_abs(_qybe_numerators(family.op(u, v), family.op(u, w),
                                      family.op(v, w)))
 
 
@@ -345,7 +381,7 @@ def onepar_qybe_residual(family, x, z):
     if triple is not None and _solves_system(
             map(triple, _onepar_colours(family, x, z))):
         return Fraction(0)
-    return _max_abs(_qybe_difference(family.op(x), family.op(family.phi(x, z)),
+    return _max_abs(_qybe_numerators(family.op(x), family.op(family.phi(x, z)),
                                      family.op(z)))
 
 
@@ -367,7 +403,7 @@ def braid_residual(rhat, x, y):
     the one-parameter families and is confirmed by the brute-force oracle.
     """
     Rx, Rxy, Ry = rhat(x), rhat(x * y), rhat(y)
-    return _max_abs(_chain_difference(((Rx, 12), (Rxy, 23), (Ry, 12)),
+    return _max_abs(_chain_numerators(((Rx, 12), (Rxy, 23), (Ry, 12)),
                                       ((Ry, 23), (Rxy, 12), (Rx, 23))))
 
 

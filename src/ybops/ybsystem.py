@@ -16,7 +16,7 @@ from .algebra import Algebra, require_valid
 from .colored import ansatz_op
 from .errors import DimensionMismatchError
 from .scalars import is_exact
-from .tensorop import Op2, _max_abs, _qybe_difference, _solves_system
+from .tensorop import Op2, _max_abs, _qybe_numerators, _solves_system
 
 
 @dataclass(frozen=True)
@@ -55,5 +55,5 @@ def wxz_residuals(S: WXZSystem) -> tuple:
     """
     ops, triples = (S.W, S.X, S.Z), S.triples or (None,) * 3
     return tuple(Fraction(0) if _solves_system(triples[k] for k in legs)
-                 else _max_abs(_qybe_difference(*(ops[k] for k in legs)))
+                 else _max_abs(_qybe_numerators(*(ops[k] for k in legs)))
                  for legs in ((0, 0, 0), (2, 2, 2), (0, 1, 1), (1, 1, 2)))

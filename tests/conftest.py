@@ -75,6 +75,23 @@ def both_routes(fam):
     return fam, view
 
 
+def linear_coeffs(p, pp, q, qp, r, rp, u, v):
+    """The linear ansatz triple (pu - p'v, qu - q'v, ru - r'v)."""
+    return p * u - pp * v, q * u - qp * v, r * u - rp * v
+
+
+# the five components of the linear coloured system's solution set, as
+# (p, p', q, q', r, r') from three parameters; at v = 1 each is also a
+# solution of the one-parameter system with phi = x*z
+LINEAR_COMPONENTS = (
+    lambda a, b, c: (a, a, b, b, a, b),  # thm1
+    lambda a, b, c: (a, a, b, b, b, a),  # thm1, gamma = Qu - Pv
+    lambda a, b, c: (a, b, c * a, c * b, a, b),  # (au - bv)(1, c, 1)
+    lambda a, b, c: (c * a, c * b, a, b, a, b),  # (au - bv)(c, 1, 1)
+    lambda a, b, c: (0, 0, 0, 0, a, b),  # alpha = beta = 0
+)
+
+
 def rand_fraction(rng, lo=-9, hi=9, den=5, nonzero=False):
     while True:
         f = Fraction(rng.randint(lo, hi), rng.randint(1, den))

@@ -9,12 +9,20 @@ t12, t13, t23.  Then R12 R13 R23 - R23 R13 R12 maps a(x)b(x)c to
 
 ``colored_qybe_residual``, ``onepar_qybe_residual`` and ``wxz_residuals``
 return 0 without the kernel on the strength of this computation, done here
-exactly with nine commuting symbols and words in a, b, c.
+exactly with nine commuting symbols and words in a, b, c.  They evaluate the
+system on each triple cleared to integers, which the trilinearity of every
+e_k allows; that rule is checked here too.
 """
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from conftest import LINEAR_COMPONENTS, linear_coeffs
 from ybops.funceq import _system
+from ybops.tensorop import _solves_system
 
 
 class Poly:
@@ -155,3 +163,63 @@ def _flip(k):
         "swap-13-23", "swap-12-23"])
 def test_a_mutated_system_fails_the_identity(mutant):
     assert free_residual() != word_tensors(mutant(T12, T13, T23))
+
+
+# --- clearing denominators -----------------------------------------------
+
+def test_each_equation_is_trilinear():
+    # every monomial of each e_k takes one factor from each of t12, t13 and
+    # t23, so clearing a triple's denominators scales every e_k by the same
+    # non-zero integer, and the e_k that vanish stay the same
+    for ek in _system(T12, T13, T23):
+        assert ek.terms
+        assert all(sorted(name[-2:] for name in monomial) == ["12", "13", "23"]
+                   for monomial in ek.terms)
+
+
+_scalars = st.one_of(
+    st.sampled_from((0, 1, -1, Fraction(0))),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 12))
+
+
+@st.composite
+def _exact_triples(draw):
+    """(three exact triples mixing ints and Fractions, whether they lie on a
+    solution component): random entries, prop2's shape (x, 1, 1), or the
+    linear ansatz at (u,v), (u,w), (v,w) on one of the five components of
+    the linear system's solution set."""
+    shape = draw(st.sampled_from(("random", "x11", "component")))
+    if shape == "component":
+        make = draw(st.sampled_from(LINEAR_COMPONENTS))
+        params = make(*draw(st.tuples(_scalars, _scalars, _scalars)))
+        u, v, w = draw(st.tuples(_scalars, _scalars, _scalars))
+        return [linear_coeffs(*params, *c)
+                for c in ((u, v), (u, w), (v, w))], True
+    if shape == "x11":
+        return [(draw(_scalars), 1, 1) for _ in range(3)], False
+    return [draw(st.tuples(_scalars, _scalars, _scalars))
+            for _ in range(3)], False
+
+
+@settings(max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(drawn=_exact_triples())
+def test_cleared_decision_equals_the_rational_one(drawn):
+    # budget well under 1 s
+    triples, on_component = drawn
+    want = not any(_system(*triples))
+    assert _solves_system(iter(triples)) is want
+    assert want or not on_component
+
+
+def test_a_none_stops_the_draw():
+    drawn = []
+
+    def triples():
+        for t in ((1, 1, 1), None, (2, 1, 1)):
+            drawn.append(t)
+            yield t
+    assert _solves_system(triples()) is False
+    assert drawn == [(1, 1, 1), None]

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SEARCH_MODES, matrix_algebra, scipy_nelder_mead
+from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, linear_coeffs,
+                      matrix_algebra, scipy_nelder_mead)
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
 from frt_reference import exchange_closure as reference_closure, subset
 from search_reference import reference_objective
@@ -20,6 +21,7 @@ from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            require_valid, validate)
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
+from ybops.compare import BraidFamily
 from ybops.frt import (LETTERS, NCPoly, RelationSet, _Echelon,
                        claimed_relations, exchange_closure, in_span,
                        pq_limit_relations, rtt_residual, span_dimension,
@@ -28,9 +30,10 @@ from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
 from ybops.search import MAX_ITER, _make_objective, _nelder_mead
-from ybops.tensorop import (Op2, _chain_difference, _qybe_difference,
+from ybops.tensorop import (Op2, _chain_difference, _chain_numerators,
+                            _qybe_difference, _qybe_numerators,
                             braid_residual, colored_qybe_residual, embed_leg,
-                            freeze, identity_op2, mat_mul, mat_scale,
+                            flip_op2, freeze, identity_op2, mat_mul, mat_scale,
                             mat_sub, mat_transpose, max_abs_entry,
                             onepar_qybe_residual, yb_commutator)
 
@@ -449,6 +452,59 @@ class TestResidualKernel:
         res = braid_residual(lambda x: I, 2, 3)
         assert res == 0 and type(res) is Fraction
 
+    # the residual callers take the max-abs over the kernel's integer
+    # numerators and divide by the chain's denominator once
+
+    def test_max_abs_reduces_over_the_denominator(self):
+        # R's denominator is 12, so both chains' is 12^3; the largest
+        # numerator shares a factor with it and Fraction(top, den) reduces
+        R = ansatz_op(A0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+        for chains, numerators, residual in (
+                (_qybe_chains, _qybe_numerators,
+                 lambda: colored_qybe_residual(
+                     SimpleNamespace(op=lambda u, v: R), 0, 1, 2)),
+                (_braid_chains, lambda *ops: _chain_numerators(
+                    *_braid_chains(*ops)),
+                 lambda: braid_residual(lambda x: R, 2, 3))):
+            cols, den = numerators(R, R, R)
+            top = max(abs(x) for col in cols for x in col.values())
+            assert math.gcd(top, den) > 1
+            want = max_abs_entry(_dense_difference(*chains(R, R, R)))
+            res = residual()
+            assert res == want and type(res) is type(want) is Fraction
+
+    def test_vanishing_braid_residual_over_a_denominator(self):
+        fam = BraidFamily(kind="twisted_prop1", q=Fraction(1, 2),
+                          sigma=Fraction(0))
+        x, y = Fraction(3), Fraction(1, 2)
+        assert all(fam(t).den > 1 for t in (x, x * y, y))
+        res = braid_residual(fam, x, y)
+        assert res == 0 and type(res) is Fraction
+
+    def test_float_chain_that_cancels_is_float_zero(self):
+        for R in (identity_op2(2), flip_op2(2)):
+            fl = Op2(n=2, mat=freeze([[float(x) for x in row]
+                                      for row in R.mat]))
+            for ops in ((fl, fl, fl), (fl, R, fl), (R, R, fl)):
+                table = dict(zip(((0, 1), (0, 2), (1, 2)), ops))
+                res = colored_qybe_residual(
+                    SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
+                assert res == 0.0 and type(res) is float
+            res = braid_residual(lambda x: fl, 2, 3)
+            assert res == 0.0 and type(res) is float
+
+    def test_mixed_chain_matches_dense(self):
+        # an exact operator between float ones; dyadic entries keep every
+        # sum exact, so the value matches the dense product's bit for bit
+        R = ansatz_op(A1, Fraction(1, 2), 2, Fraction(-3, 4))
+        S = ansatz_op(A1, 1.5, -0.5, 0.25)
+        for ops in ((S, R, S), (R, S, R)):
+            want = max_abs_entry(_dense_difference(*_qybe_chains(*ops)))
+            table = dict(zip(((0, 1), (0, 2), (1, 2)), ops))
+            res = colored_qybe_residual(
+                SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
+            assert res == want != 0 and type(res) is type(want) is float
+
     @settings(max_examples=3, deadline=None, phases=_NO_SHRINK)
     @given(ops=_dense_ops())
     def test_float_entries_agree_within_tolerance(self, ops):
@@ -652,35 +708,21 @@ class TestSparseBuild:
 
 # --- the five-equation system against the kernel ---------------------------------
 
-def _linear(p, pp, q, qp, r, rp, u, v):
-    return p * u - pp * v, q * u - qp * v, r * u - rp * v
-
-
 def _linear_onepar(p, pp, q, qp, r, rp, x):
-    return _linear(p, pp, q, qp, r, rp, x, 1)
+    return linear_coeffs(p, pp, q, qp, r, rp, x, 1)
 
 
 _LINEAR = ("p", "pp", "q", "qp", "r", "rp")
 # table entries for the linear ansatz, so that the property runs through
 # ColoredFamily and OneParFamily themselves
 _LINEAR_FAMILIES = {f.name: f for f in (
-    Family("linear", _LINEAR, coeffs=_linear),
-    Family("linear_coalgebra", _LINEAR, coeffs=_linear, coalgebra=True),
+    Family("linear", _LINEAR, coeffs=linear_coeffs),
+    Family("linear_coalgebra", _LINEAR, coeffs=linear_coeffs,
+           coalgebra=True),
     Family("linear_xz", _LINEAR, coeffs=_linear_onepar,
            phi=lambda x, z: x * z),
     Family("linear_xz_coalgebra", _LINEAR, coeffs=_linear_onepar,
            phi=lambda x, z: x * z, coalgebra=True))}
-
-# the five components of the linear coloured system's solution set, as
-# (p, p', q, q', r, r') from three parameters; at v = 1 each is also a
-# solution of the one-parameter system with phi = x*z
-_COMPONENTS = (
-    lambda a, b, c: (a, a, b, b, a, b),  # thm1
-    lambda a, b, c: (a, a, b, b, b, a),  # thm1, gamma = Qu - Pv
-    lambda a, b, c: (a, b, c * a, c * b, a, b),  # (au - bv)(1, c, 1)
-    lambda a, b, c: (c * a, c * b, a, b, a, b),  # (au - bv)(c, 1, 1)
-    lambda a, b, c: (0, 0, 0, 0, a, b),  # alpha = beta = 0
-)
 
 _M2 = require_valid(matrix_algebra())
 _M2_OPPOSITE = require_valid(opposite_algebra(_M2))
@@ -705,7 +747,7 @@ def _linear_params(draw):
     small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     if draw(st.booleans()):
         return draw(st.tuples(*[small] * 6)), False
-    make = draw(st.sampled_from(_COMPONENTS))
+    make = draw(st.sampled_from(LINEAR_COMPONENTS))
     return make(*draw(st.tuples(small, small, small))), True
 
 

@@ -200,19 +200,20 @@ class TestLargeCarrier:
 
 class TestSystemRoute:
     """Which residuals the five-equation system decides and which go to the
-    sparse kernel; a spy on the kernel counts its calls."""
+    sparse kernel; a spy on the kernel's integer entry point, which every
+    residual caller goes through, counts its calls."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls = []
 
         def spy(module):
-            real = module._qybe_difference
+            real = module._qybe_numerators
 
             def counted(*ops):
                 calls.append(len(ops))
                 return real(*ops)
-            monkeypatch.setattr(module, "_qybe_difference", counted)
+            monkeypatch.setattr(module, "_qybe_numerators", counted)
         spy(tensorop)
         spy(ybsystem)
         return calls
