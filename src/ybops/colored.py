@@ -25,7 +25,7 @@ from .algebra import Algebra, Coalgebra, known_valid, opposite_algebra
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import is_exact
-from .tensorop import Op2
+from .tensorop import Op2, _transpose
 
 
 def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
@@ -82,14 +82,6 @@ def _integer_ansatz(A: Algebra, alpha, beta, gamma) -> Op2:
             acc[r] = acc.get(r, 0) - g
             cols.append([(r, x) for r, x in sorted(acc.items()) if x])
     return Op2(n=n, cols=cols, den=d * d_A * d_U)
-
-
-def _transpose(R: Op2) -> Op2:
-    cols = [[] for _ in R.cols]
-    for j, col in enumerate(R.cols):
-        for i, x in col:
-            cols[i].append((j, x))
-    return Op2(n=R.n, cols=cols, den=R.den)
 
 
 def _build(F, carrier, coeffs, opposite: bool = False) -> Op2:

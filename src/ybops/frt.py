@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 from .errors import DimensionMismatchError
 from .scalars import over_one_denominator, rational
-from .tensorop import Op2
+from .tensorop import Op2, _transpose
 
 LETTERS = ("a", "b", "c", "d")
 
@@ -296,19 +296,16 @@ def rtt_residual(Rm) -> list:
     Entry (i, j) is the sum over k of R[i][k] (T1u T2v)[k][j] and
     -(T2v T1u)[i][k] R[k][j].  Each product is one word with an entry of R
     for coefficient and no two of them share a word, so the entries are
-    read off the sparse columns of R; a float entry enters as its exact
-    rational.
+    read off the sparse columns of R and of its transpose; a float entry
+    enters as its exact rational.
     """
     if not isinstance(Rm, Op2):
         Rm = Op2(n=2, mat=Rm)
     if Rm.n != 2:
         raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
-    cols = [[(i, c) for i, x in col if (c := rational(x))]
-            for col in Rm.entries()]
-    rows = [[] for _ in range(4)]
-    for k, col in enumerate(cols):
-        for i, c in col:
-            rows[i].append((k, c))
+    R = Op2(n=2, cols=[[(i, c) for i, x in col if (c := rational(x))]
+                       for col in Rm.entries()])
+    cols, rows = R.cols, _transpose(R).cols
     out = []
     for i in range(4):
         for j in range(4):

@@ -261,18 +261,15 @@ def classify(shape: str, system: str, phi_shape: str, params,
         # operator included
         return "degenerate"
     p, pp, q, qp, r, rp = _normalize(v)
-    if (abs(p - pp) < PARAM_TOL and abs(q - qp) < PARAM_TOL
-            and abs(r - p) < PARAM_TOL and abs(rp - q) < PARAM_TOL):
-        # alpha = p(u-v), beta = q(u-v), gamma = pu-qv (thm1 / prop1 shape)
+    # alpha = p(u-v), beta = q(u-v), gamma = pu-qv (thm1 / prop1 shape), or
+    # alpha = beta = gamma: gauge-equivalent to the constant operator, i.e.
+    # the p=q member of the thm1/prop1 family
+    if ((abs(p - pp) < PARAM_TOL and abs(q - qp) < PARAM_TOL
+         and abs(r - p) < PARAM_TOL and abs(rp - q) < PARAM_TOL)
+            or (abs(p - q) < PARAM_TOL and abs(q - r) < PARAM_TOL
+                and abs(pp - qp) < PARAM_TOL and abs(qp - rp) < PARAM_TOL)):
         return "thm1-family" if system == "colored" else (
             "prop1-family" if phi_shape == "xz" else "unclassified")
-    if (abs(p - q) < PARAM_TOL and abs(q - r) < PARAM_TOL
-            and abs(pp - qp) < PARAM_TOL and abs(qp - rp) < PARAM_TOL):
-        # alpha = beta = gamma: gauge-equivalent to the constant operator,
-        # i.e. the p=q member of the thm1/prop1 family
-        if system == "colored":
-            return "thm1-family"
-        return "prop1-family" if phi_shape == "xz" else "unclassified"
     if system == "onepar":
         if (abs(pp) < PARAM_TOL and abs(q) < PARAM_TOL and abs(r) < PARAM_TOL
                 and abs(qp - rp) < PARAM_TOL and abs(p + qp) < PARAM_TOL):

@@ -65,12 +65,7 @@ class Op2:
     @property
     def mat(self) -> tuple:
         if self._mat is None:
-            m = self.n * self.n
-            rows = [[Fraction(0)] * m for _ in range(m)]
-            for j, col in enumerate(self.entries()):
-                for i, x in col:
-                    rows[i][j] = x
-            object.__setattr__(self, "_mat", freeze(rows))
+            object.__setattr__(self, "_mat", _dense_view(self.entries()))
         return self._mat
 
     def __eq__(self, other):
@@ -98,6 +93,16 @@ class Op3:
 
 def freeze(mat) -> tuple:
     return tuple(tuple(row) for row in mat)
+
+
+def _dense_view(cols, zero=Fraction(0)) -> tuple:
+    """The frozen rows of the square matrix whose column j lists the
+    ``(row, entry)`` pairs in ``cols[j]``; every unlisted entry is ``zero``."""
+    rows = [[zero] * len(cols) for _ in cols]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            rows[i][j] = x
+    return freeze(rows)
 
 
 def mat_mul(A, B):
@@ -158,35 +163,6 @@ def kron(A, B):
              for j in range(na * nb)] for i in range(na * nb)]
 
 
-def embed_leg(R: Op2, legs: int) -> Op3:
-    """Embed a two-site operator into V^(x)3 on the given pair of factors.
-
-    R12 = R(x)I, R23 = I(x)R, and R13 is R(x)I conjugated by the (2 3)
-    factor swap.
-    """
-    n = R.n
-    if legs not in (12, 13, 23):
-        raise ValueError(f"legs must be one of 12, 13, 23, got {legs}")
-    m = n ** 3
-    zero = Fraction(0)
-    mat = [[zero] * m for _ in range(m)]
-    # built by index bookkeeping; equals the kron/permutation-conjugation
-    # definition (asserted as the leg-coherence property test)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                row = (a * n + b) * n + c
-                for d in range(n):
-                    for e in range(n):
-                        if legs == 12:
-                            mat[row][(d * n + e) * n + c] = R.mat[a * n + b][d * n + e]
-                        elif legs == 23:
-                            mat[row][(a * n + d) * n + e] = R.mat[b * n + c][d * n + e]
-                        else:
-                            mat[row][(d * n + b) * n + e] = R.mat[a * n + c][d * n + e]
-    return Op3(n=n, mat=freeze(mat))
-
-
 # --- the residual kernel -----------------------------------------------------
 #
 # Every residual is P - Q for two products P, Q of leg operators on V^(x)3.
@@ -209,6 +185,20 @@ def _leg_columns(cols: list, n: int, legs: int) -> list:
     return [[(rows[i] + site[r - 1] * stride[r], x)
              for i, x in cols[site[s - 1] * n + site[t - 1]]]
             for site in product(range(n), repeat=3)]
+
+
+def embed_leg(R: Op2, legs: int) -> Op3:
+    """The dense view of a two-site operator on the given pair of factors of
+    V^(x)3: the kernel's :func:`_leg_columns` of every entry of ``R.mat``,
+    so each keeps its type, and ``Fraction(0)`` off the listed cells.
+
+    R12 = R(x)I, R23 = I(x)R, and R13 is R(x)I conjugated by the (2 3)
+    factor swap; the tests hold it to those kron/_perm23 definitions.
+    """
+    if legs not in (12, 13, 23):
+        raise ValueError(f"legs must be one of 12, 13, 23, got {legs}")
+    cols = [list(enumerate(col)) for col in zip(*R.mat)]
+    return Op3(n=R.n, mat=_dense_view(_leg_columns(cols, R.n, legs)))
 
 
 def _apply(cols, vec: dict, out: dict) -> dict:
@@ -299,9 +289,7 @@ def _max_abs(diff):
 def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
     """Yang-Baxter commutator [R,S,T] = R12 S13 T23 - T23 S13 R12."""
     cols, zero = _qybe_difference(R, S, T)
-    m = R.n ** 3
-    return Op3(n=R.n, mat=tuple(tuple(col.get(i, zero) for col in cols)
-                                for i in range(m)))
+    return Op3(n=R.n, mat=_dense_view([col.items() for col in cols], zero))
 
 
 # --- the five-equation system as a proof --------------------------------------
@@ -352,20 +340,15 @@ def colored_qybe_residual(family, u, v, w):
     exposing only ``op``) goes to the sparse kernel, and so does a non-zero
     equation: a non-zero residual keeps its value and type.
     """
-    triple = getattr(family, "exact_triple", None)
-    if triple is not None and _solves_system(
-            triple(*c) for c in ((u, v), (u, w), (v, w))):
-        return Fraction(0)
-    return _max_abs(_qybe_numerators(family.op(u, v), family.op(u, w),
-                                     family.op(v, w)))
+    return _family_residual(family, lambda: ((u, v), (u, w), (v, w)))
 
 
 def _onepar_colours(family, x, z):
-    """x, phi(x, z), z, in the order the operators are built; phi is called
-    only once x has been drawn."""
-    yield x
-    yield family.phi(x, z)
-    yield z
+    """(x,), (phi(x, z),), (z,), in the order the operators are built; phi
+    is called only once x has been drawn."""
+    yield (x,)
+    yield (family.phi(x, z),)
+    yield (z,)
 
 
 def onepar_qybe_residual(family, x, z):
@@ -377,12 +360,17 @@ def onepar_qybe_residual(family, x, z):
     (:class:`ybops.onepar.OneParFamily`) is decided by the five-equation
     system at x, phi(x,z), z, as in :func:`colored_qybe_residual`.
     """
+    return _family_residual(family, lambda: _onepar_colours(family, x, z))
+
+
+def _family_residual(family, colours):
+    """The QYBE residual of ``family.op(*c)`` on legs 12, 13, 23 for the
+    three argument tuples c that ``colours()`` yields, which also feed the
+    triples ``family.exact_triple(*c)`` when the family has them."""
     triple = getattr(family, "exact_triple", None)
-    if triple is not None and _solves_system(
-            map(triple, _onepar_colours(family, x, z))):
+    if triple is not None and _solves_system(triple(*c) for c in colours()):
         return Fraction(0)
-    return _max_abs(_qybe_numerators(family.op(x), family.op(family.phi(x, z)),
-                                     family.op(z)))
+    return _max_abs(_qybe_numerators(*(family.op(*c) for c in colours())))
 
 
 def twist_compose(R: Op2) -> Op2:
@@ -393,6 +381,16 @@ def twist_compose(R: Op2) -> Op2:
     return Op2(n=n, den=R.den,
                cols=[sorted(((i % n) * n + i // n, x) for i, x in col)
                      for col in R.cols])
+
+
+def _transpose(R: Op2) -> Op2:
+    """R^T, keeping ``den``: column i of R^T lists the (j, R[i][j]) in j
+    order."""
+    cols = [[] for _ in R.cols]
+    for j, col in enumerate(R.cols):
+        for i, x in col:
+            cols[i].append((j, x))
+    return Op2(n=R.n, cols=cols, den=R.den)
 
 
 def braid_residual(rhat, x, y):

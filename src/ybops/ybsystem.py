@@ -1,9 +1,10 @@
 """WXZ Yang-Baxter systems built from an associative algebra.
 
 A WXZ-system is a triple of two-site operators with vanishing Yang-Baxter
-commutators [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z].  The construction takes
-W with coefficients (lambda, 1, 1), Z with (1, mu, 1) and X the constant
-operator (1, 1, 1).
+commutators [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z].  Theorem 3 builds one from
+the one-parameter families of the table: W is prop2 at lambda, with
+coefficients (lambda, 1, 1), X is prop2 at 1, the constant operator
+(1, 1, 1), and Z is remark_x at mu, with coefficients (1, mu, 1).
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, require_valid
-from .colored import ansatz_op
+from .colored import family_op, family_triple
 from .errors import DimensionMismatchError
-from .scalars import is_exact
 from .tensorop import Op2, _max_abs, _qybe_numerators, _solves_system
 
 
@@ -24,9 +24,10 @@ class WXZSystem:
     W: Op2
     X: Op2
     Z: Op2
-    # the exact ansatz coefficients of W, X and Z on an exact valid algebra,
-    # as thm3_system sets them; None for operators given as they are
-    triples: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # the exact ansatz coefficients of W, X and Z, set only by thm3_system;
+    # a system built or replace()d from operators has none
+    triples: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         # the defining commutators only pair W with X and X with Z, but the
@@ -36,22 +37,26 @@ class WXZSystem:
 
 
 def thm3_system(A: Algebra, lam, mu) -> WXZSystem:
-    """W(a(x)b) = lam 1(x)ab + ab(x)1 - b(x)a, Z = (1, mu, 1), X = (1, 1, 1)."""
+    """W = prop2 at lam, X = prop2 at 1 and Z = remark_x at mu, keeping
+    their table triples (:func:`ybops.colored.family_triple`) when all
+    three are exact."""
     require_valid(A)
-    triples = ((lam, 1, 1), (1, 1, 1), (1, mu, 1))
-    exact = A.cleared is not None and is_exact(lam) and is_exact(mu)
-    W, X, Z = (ansatz_op(A, *t) for t in triples)
-    return WXZSystem(W=W, X=X, Z=Z, triples=triples if exact else None)
+    builds = (("prop2", lam), ("prop2", 1), ("remark_x", mu))
+    S = WXZSystem(*(family_op(kind, A, {}, x) for kind, x in builds))
+    triples = tuple(family_triple(kind, A, {}, x) for kind, x in builds)
+    if None not in triples:
+        object.__setattr__(S, "triples", triples)
+    return S
 
 
 def wxz_residuals(S: WXZSystem) -> tuple:
     """Max-abs entries of [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z]; all zero for
     genuine systems.
 
-    A commutator whose stored triples solve the five-equation system is
-    ``Fraction(0)`` without the kernel, as in
-    :func:`ybops.tensorop.colored_qybe_residual`; a system without triples
-    (built from operators alone) uses the kernel.
+    A commutator whose triples from :func:`thm3_system` solve the
+    five-equation system is ``Fraction(0)`` without the kernel, as in
+    :func:`ybops.tensorop.colored_qybe_residual`; any other system goes to
+    the kernel.
     """
     ops, triples = (S.W, S.X, S.Z), S.triples or (None,) * 3
     return tuple(Fraction(0) if _solves_system(triples[k] for k in legs)

@@ -75,6 +75,17 @@ def both_routes(fam):
     return fam, view
 
 
+
+def sparse_left_product(*mats):
+    """Dense matrix product, right to left, skipping the zero entries of each
+    left factor: the dense reference at sizes where mat_mul takes seconds."""
+    out = mats[-1]
+    for A in reversed(mats[:-1]):
+        out = [[sum((x * out[k][j] for k, x in row), Fraction(0))
+                for j in range(len(out[0]))]
+               for row in ([(k, x) for k, x in enumerate(r) if x] for r in A)]
+    return out
+
 def linear_coeffs(p, pp, q, qp, r, rp, u, v):
     """The linear ansatz triple (pu - p'v, qu - q'v, ru - r'v)."""
     return p * u - pp * v, q * u - qp * v, r * u - rp * v

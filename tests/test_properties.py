@@ -12,7 +12,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, linear_coeffs,
-                      matrix_algebra, scipy_nelder_mead)
+                      matrix_algebra, scipy_nelder_mead, sparse_left_product)
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
 from frt_reference import exchange_closure as reference_closure, subset
 from search_reference import reference_objective
@@ -31,10 +31,10 @@ from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
 from ybops.onepar import OneParFamily, prop1_op
 from ybops.search import MAX_ITER, _make_objective, _nelder_mead
 from ybops.tensorop import (Op2, _chain_difference, _chain_numerators,
-                            _qybe_difference, _qybe_numerators,
-                            braid_residual, colored_qybe_residual, embed_leg,
-                            flip_op2, freeze, identity_op2, mat_mul, mat_scale,
-                            mat_sub, mat_transpose, max_abs_entry,
+                            _perm23, _qybe_difference, _qybe_numerators,
+                            braid_residual, colored_qybe_residual, flip_op2,
+                            freeze, identity_mat, identity_op2, kron, mat_mul,
+                            mat_scale, mat_sub, mat_transpose, max_abs_entry,
                             onepar_qybe_residual, yb_commutator)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -398,11 +398,25 @@ def _dense_ops(draw, count=3):
     return [Op2(n=n, mat=freeze(draw(mat))) for _ in range(count)]
 
 
+def _dense_leg(R, legs):
+    """R on legs 12, 13 or 23 of V^(x)3 by its definition, R(x)I, I(x)R and
+    R(x)I conjugated by the (2 3) factor swap, independent of the kernel's
+    leg rule that ``embed_leg`` views."""
+    eye = identity_mat(R.n)
+    if legs == 23:
+        return kron(eye, R.mat)
+    R12 = kron(R.mat, eye)
+    if legs == 12:
+        return R12
+    P = _perm23(R.n)
+    return sparse_left_product(P, R12, P)
+
+
 def _dense(chain):
-    """The product of the dense ``embed_leg`` matrices of a leg chain."""
-    out = embed_leg(*chain[0]).mat
+    """The dense product of a leg chain."""
+    out = _dense_leg(*chain[0])
     for R, legs in chain[1:]:
-        out = mat_mul(out, embed_leg(R, legs).mat)
+        out = mat_mul(out, _dense_leg(R, legs))
     return out
 
 

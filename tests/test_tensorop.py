@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import bad_unit_algebra, both_routes
+from conftest import bad_unit_algebra, both_routes, sparse_left_product
 from ybops import tensorop, ybsystem
 from ybops.algebra import (Algebra, dual_coalgebra, poly_quotient,
                            quadratic_algebra, require_valid)
@@ -113,17 +113,6 @@ class TestSizeChecks:
     def test_op3_via_commutator_shape(self):
         out = yb_commutator(identity_op2(2), identity_op2(2), identity_op2(2))
         assert len(out.mat) == 8 and all(len(r) == 8 for r in out.mat)
-
-
-def sparse_left_product(*mats):
-    """Dense matrix product, right to left, skipping the zero entries of each
-    left factor: the dense reference at sizes where mat_mul takes seconds."""
-    out = mats[-1]
-    for A in reversed(mats[:-1]):
-        out = [[sum((x * out[k][j] for k, x in row), Fraction(0))
-                for j in range(len(out[0]))]
-               for row in ([(k, x) for k, x in enumerate(r) if x] for r in A)]
-    return out
 
 
 class TestHigherCarriers:
