@@ -14,6 +14,7 @@ set under the exchange first (see exchange_closure).  The bare twelve span a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -227,19 +228,53 @@ def _relation_templates():
 _TEMPLATES = _relation_templates()
 
 
-def _relation(label: str, u, v, p, q, sigma) -> NCPoly:
-    """The relation a label names at the given scalars.  ``rN~`` names the
-    u <-> v exchange of ``rN``: its template at (v, u) with the generator
-    tags swapped back."""
+@cache
+def _compiled(label: str) -> dict:
+    """``{word: ((monomial, integer), ...)}`` for the relation a label
+    names.  ``rN~`` names the u <-> v exchange of ``rN``: its template at
+    (v, u) with the generator tags swapped back.  The template runs once,
+    on the scalars u, v, p, q, sigma as letters of tag "#"; a monomial is
+    the bitmask of the scalars in a term, by index.  Every template is
+    multilinear in the scalars, which stand left of the generators, with
+    integer coefficients."""
+    x = [NCPoly.gen(i, "#") for i in range(5)]
+    g, h = _U, _V
     if label.endswith("~"):
-        return _TEMPLATES[label[:-1]](_V, _U, v, u, p, q, sigma)
-    return _TEMPLATES[label](_U, _V, u, v, p, q, sigma)
+        g, h, x[0], x[1] = h, g, x[1], x[0]
+    table = {}
+    for (*scalars, y, z), c in _TEMPLATES[label.rstrip("~")](
+            g, h, *x).terms.items():
+        mono = sum(1 << i for _, i in scalars)
+        assert c.denominator == 1 and mono.bit_count() == len(scalars)
+        assert {t for t, _ in scalars} <= {"#"} and "#" not in (y[0], z[0])
+        row = table.setdefault((y, z), {})
+        row[mono] = row.get(mono, 0) + c.numerator
+    return {w: tuple(row.items()) for w, row in table.items()}
+
+
+def _relations(labels: Iterable[str], u, v, p, q, sigma) -> tuple:
+    """The relations the labels name, at the given scalars.  With D the
+    product of the five denominators, a monomial times D is the product of
+    the numerators it holds and the denominators it lacks, so every
+    coefficient is an integer over D."""
+    values = [1]  # monomial -> its value times D
+    for x in map(rational, (u, v, p, q, sigma)):
+        values = ([c * x.denominator for c in values]
+                  + [c * x.numerator for c in values])
+    out = []
+    for label in labels:
+        terms = {}
+        for word, row in _compiled(label).items():
+            if c := sum(k * values[m] for m, k in row):
+                terms[word] = Fraction(c, values[0])
+        out.append(NCPoly._of(terms))
+    return tuple(out)
 
 
 def _instantiate(labels: Iterable[str], u, v, p, q, sigma) -> RelationSet:
     u, v, p, q, sigma = (rational(x) for x in (u, v, p, q, sigma))
-    rels = tuple(_relation(l, u, v, p, q, sigma) for l in labels)
-    return RelationSet(relations=rels, labels=tuple(labels),
+    return RelationSet(relations=_relations(labels, u, v, p, q, sigma),
+                       labels=tuple(labels),
                        params={"u": u, "v": v, "p": p, "q": q, "sigma": sigma})
 
 
@@ -273,9 +308,8 @@ def exchange_closure(rels: RelationSet) -> RelationSet:
             have.add(partner)
             extra.append(partner)
     return RelationSet(
-        relations=rels.relations + tuple(
-            _relation(l, p["u"], p["v"], p["p"], p["q"], p["sigma"])
-            for l in extra),
+        relations=rels.relations + _relations(
+            extra, p["u"], p["v"], p["p"], p["q"], p["sigma"]),
         labels=rels.labels + tuple(extra), params=dict(p))
 
 

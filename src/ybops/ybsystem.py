@@ -24,8 +24,9 @@ class WXZSystem:
     W: Op2
     X: Op2
     Z: Op2
-    # the exact ansatz coefficients of W, X and Z, set only by thm3_system;
-    # a system built or replace()d from operators has none
+    # the ansatz coefficients of W, X and Z, set only by thm3_system, None
+    # for one that is not exact; a system built or replace()d from
+    # operators has none
     triples: Optional[tuple] = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -38,14 +39,13 @@ class WXZSystem:
 
 def thm3_system(A: Algebra, lam, mu) -> WXZSystem:
     """W = prop2 at lam, X = prop2 at 1 and Z = remark_x at mu, keeping
-    their table triples (:func:`ybops.colored.family_triple`) when all
-    three are exact."""
+    their table triples (:func:`ybops.colored.family_triple`), None where
+    a triple is not exact."""
     require_valid(A)
     builds = (("prop2", lam), ("prop2", 1), ("remark_x", mu))
     S = WXZSystem(*(family_op(kind, A, {}, x) for kind, x in builds))
-    triples = tuple(family_triple(kind, A, {}, x) for kind, x in builds)
-    if None not in triples:
-        object.__setattr__(S, "triples", triples)
+    object.__setattr__(S, "triples", tuple(
+        family_triple(kind, A, {}, x) for kind, x in builds))
     return S
 
 
@@ -53,9 +53,10 @@ def wxz_residuals(S: WXZSystem) -> tuple:
     """Max-abs entries of [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z]; all zero for
     genuine systems.
 
-    A commutator whose triples from :func:`thm3_system` solve the
-    five-equation system is ``Fraction(0)`` without the kernel, as in
-    :func:`ybops.tensorop.colored_qybe_residual`; any other system goes to
+    A commutator whose three triples from :func:`thm3_system` are exact
+    and solve the five-equation system is ``Fraction(0)`` without the
+    kernel, as in :func:`ybops.tensorop.colored_qybe_residual`; every
+    other commutator, and every one of a system without triples, goes to
     the kernel.
     """
     ops, triples = (S.W, S.X, S.Z), S.triples or (None,) * 3

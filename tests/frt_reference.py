@@ -1,14 +1,19 @@
 """References for the FRT layer: the RTT expansion by dense ``NCPoly``
 products and the elimination over ``Fraction`` rows, as the library
-computed them before it moved to integer rows, and the exchange closure
-that built each partner relation itself; and two helpers only the tests
-use, a colour swap and a relation subset.  Tests only."""
+computed them before it moved to integer rows, the exchange closure that
+built each partner relation itself, and the relations and span report
+built by calling the templates at each point, as the library did before
+it compiled them; and two helpers only the tests use, a colour swap and a
+relation subset.  Tests only."""
 
 from fractions import Fraction
 from typing import Iterable
 
+from ybops.algebra import quadratic_algebra
+from ybops.colored import thm1_op
 from ybops.errors import DimensionMismatchError
-from ybops.frt import _TEMPLATES, _U, _V, NCPoly, RelationSet, _gens
+from ybops.frt import (_TEMPLATES, _U, _V, NCPoly, RelationSet, SpanReport,
+                       _gens, rtt_residual, span_membership)
 from ybops.tensorop import Op2
 
 
@@ -105,24 +110,47 @@ def exchange_closure(rels: RelationSet) -> RelationSet:
     against the closure agree with the plain list on the first entries.
     """
     p = rels.params
-    scalars = (p["p"], p["q"], p["sigma"])
-    g, h = _U, _V
     have = set(rels.labels)
     extra_rels, extra_labels = [], []
     for label in rels.labels:
-        if label.endswith("~"):
-            partner_label = label[:-1]
-            partner = _TEMPLATES[partner_label](g, h, p["u"], p["v"], *scalars)
-        else:
-            partner_label = label + "~"
-            partner = _TEMPLATES[label](h, g, p["v"], p["u"], *scalars)
-        if partner_label not in have:
-            have.add(partner_label)
-            extra_rels.append(partner)
-            extra_labels.append(partner_label)
+        partner = label[:-1] if label.endswith("~") else label + "~"
+        if partner not in have:
+            have.add(partner)
+            extra_rels.append(template_relation(
+                partner, p["u"], p["v"], p["p"], p["q"], p["sigma"]))
+            extra_labels.append(partner)
     return RelationSet(relations=rels.relations + tuple(extra_rels),
                        labels=rels.labels + tuple(extra_labels),
                        params=dict(p))
+
+
+def template_relation(label: str, u, v, p, q, sigma) -> NCPoly:
+    """The relation a label names, its template called on the generators:
+    ``rN`` at (u, v), ``rN~`` at (v, u) with the generator tags swapped."""
+    if label.endswith("~"):
+        return _TEMPLATES[label[:-1]](_V, _U, v, u, p, q, sigma)
+    return _TEMPLATES[label](_U, _V, u, v, p, q, sigma)
+
+
+def template_relations(labels: Iterable[str], u, v, p, q,
+                       sigma) -> RelationSet:
+    """A relation set with each relation built by its template."""
+    labels = tuple(labels)
+    u, v, p, q, sigma = map(Fraction, (u, v, p, q, sigma))
+    return RelationSet(
+        relations=tuple(template_relation(l, u, v, p, q, sigma)
+                        for l in labels),
+        labels=labels,
+        params={"u": u, "v": v, "p": p, "q": q, "sigma": sigma})
+
+
+def template_span_report(rels: RelationSet) -> SpanReport:
+    """The RTT span report of ``rels`` with the exchange partners built by
+    their templates (:func:`exchange_closure`)."""
+    p = rels.params
+    R = thm1_op(quadratic_algebra(p["sigma"]), p["p"], p["q"], p["u"], p["v"])
+    return span_membership(rtt_residual(R), exchange_closure(rels),
+                           symmetric=False)
 
 
 def swap_colours(poly: NCPoly) -> NCPoly:

@@ -409,3 +409,15 @@ def test_search_attribute_is_the_module():
                           text=True, env=_ENV, timeout=120, check=True)
     count, max_iter = map(int, proc.stdout.split())
     assert count == 11 and max_iter > 0
+
+
+def test_frt_tables_compile_on_first_use():
+    # importing the CLI compiles no relation template; the first claimed
+    # list compiles its twelve
+    code = ("import ybops.cli; from ybops import frt; "
+            "print(frt._compiled.cache_info().currsize); "
+            "frt.claimed_relations(2, 1, 1, 3, 0); "
+            "print(frt._compiled.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_ENV, timeout=120, check=True)
+    assert proc.stdout.split() == ["0", "12"]

@@ -10,11 +10,12 @@ from ybops.colored import thm1_op
 from ybops.errors import DimensionMismatchError, SingularParameterError
 from ybops.frt import (NCPoly, RelationSet, claimed_relations,
                        exchange_closure, in_span, pq_limit_relations,
-                       rtt_residual, span_dimension, span_membership,
-                       uv_symmetry_check)
+                       rtt_residual, rtt_span_report, span_dimension,
+                       span_membership, uv_symmetry_check)
 from ybops.tensorop import Op2, freeze, identity_mat
 from conftest import rand_fraction
-from frt_reference import subset, swap_colours
+from frt_reference import (subset, swap_colours, template_relations,
+                           template_span_report)
 
 
 def sample_params(rng):
@@ -212,3 +213,27 @@ class TestExchangeClosure:
         once = exchange_closure(rels)
         twice = exchange_closure(once)
         assert span_dimension(once.relations) == span_dimension(twice.relations)
+
+
+class TestCompiledReports:
+    """The report on compiled relations equals, field for field, the one on
+    relations and exchange partners built by calling the templates."""
+
+    @pytest.mark.parametrize("point", [
+        (2, 1, 3, 3, 1), (2, 2, 1, 3, 0),
+        (Fraction(2, 3), Fraction(-5, 4), Fraction(7, 2), 3, Fraction(-1, 2)),
+        (2, 1, 1, 3, 0)], ids=["p=q", "u=v", "sigma=-1/2", "generic"])
+    def test_claimed_list(self, point):
+        got = rtt_span_report(claimed_relations(*point))
+        want = template_span_report(
+            template_relations([f"r{i}" for i in range(1, 13)], *point))
+        assert got == want
+        assert got.same_span == (point[0] != point[1])
+
+    def test_pq_limit_list(self):
+        u, v, sigma = Fraction(3), Fraction(-1, 2), Fraction(-1, 2)
+        labels = [f"pq{i}" for i in range(1, 10)] + ["r10", "r11"]
+        got = rtt_span_report(pq_limit_relations(sigma, u, v))
+        want = template_span_report(
+            template_relations(labels, u, v, 1, 1, sigma))
+        assert got == want and got.same_span

@@ -15,6 +15,7 @@ from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, linear_coeffs,
                       matrix_algebra, scipy_nelder_mead, sparse_left_product)
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
 from frt_reference import exchange_closure as reference_closure, subset
+from frt_reference import template_relation
 from search_reference import reference_objective
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            opposite_algebra, poly_quotient, quadratic_algebra,
@@ -22,10 +23,10 @@ from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
 from ybops.compare import BraidFamily
-from ybops.frt import (LETTERS, NCPoly, RelationSet, _Echelon,
-                       claimed_relations, exchange_closure, in_span,
-                       pq_limit_relations, rtt_residual, span_dimension,
-                       span_membership)
+from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, RelationSet, _Echelon,
+                       _relations, claimed_relations, exchange_closure,
+                       in_span, pq_limit_relations, rtt_residual,
+                       span_dimension, span_membership)
 from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
@@ -310,6 +311,34 @@ class TestExchangeClosure:
         assert got.labels == want.labels
         assert got.relations == want.relations
         assert got.params == want.params
+
+
+# every template in both orientations
+_ORIENTATIONS = [l + t for l in _TEMPLATES for t in ("", "~")]
+_wide = st.one_of(st.sampled_from([Fraction(0), Fraction(-1, 2)]),
+                  st.fractions(max_denominator=10**6))
+
+
+@st.composite
+def _relation_points(draw):
+    """(u, v, p, q, sigma), wide rationals with p = q, u = v and sigma = 0
+    each drawn often."""
+    u, p = draw(_wide), draw(_wide)
+    v = draw(st.one_of(st.just(u), _wide))
+    q = draw(st.one_of(st.just(p), _wide))
+    return u, v, p, q, draw(st.one_of(st.just(Fraction(0)), _wide))
+
+
+class TestCompiledRelations:
+    # ~0.5 s: 42 template calls per draw
+    @settings(max_examples=100, deadline=None)
+    @given(point=_relation_points())
+    @example(point=(Fraction(1), Fraction(3), Fraction(3), Fraction(1),
+                    Fraction(2)))  # pu = qv, where the R-matrix degenerates
+    def test_matches_templates(self, point):
+        got = _relations(_ORIENTATIONS, *point)
+        for label, poly in zip(_ORIENTATIONS, got):
+            assert poly == template_relation(label, *point), label
 
 
 # the 32 words of one generator of each colour, either colour first

@@ -270,9 +270,24 @@ class TestSystemRoute:
         res = wxz_residuals(WXZSystem(W=S.W, X=S.X, Z=S.Z))
         assert kernel_calls == [3] * 4 and res == (0, 0, 0, 0)
 
+    @staticmethod
+    def _float_wxz(kernel_calls, lam, mu, exact):
+        # only the two commutators with the float operator go to the
+        # kernel; the other two have exact triples that solve the system
+        S = thm3_system(quadratic_algebra(3), lam, mu)
+        got = wxz_residuals(S)
+        assert kernel_calls == [3, 3]
+        want = wxz_residuals(WXZSystem(W=S.W, X=S.X, Z=S.Z))
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        assert all(got[k] == 0 and type(got[k]) is Fraction for k in exact)
+
     def test_float_parameters_keep_wxz_on_the_kernel(self, kernel_calls):
-        wxz_residuals(thm3_system(quadratic_algebra(3), 2.0, 5))
-        assert kernel_calls == [3] * 4
+        # a float lambda: [Z,Z,Z] and [X,X,Z] are decided by the system
+        self._float_wxz(kernel_calls, 2.0, 5, exact=(1, 3))
+
+    def test_float_mu_keeps_wxz_on_the_kernel(self, kernel_calls):
+        # a float mu: [W,W,W] and [W,X,X] are decided by the system
+        self._float_wxz(kernel_calls, 2, 5.0, exact=(0, 2))
 
     def test_same_errors_as_the_kernel(self):
         # the triples are evaluated in the order the operators are built, so
