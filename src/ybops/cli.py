@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import random
 import re
@@ -116,7 +117,8 @@ def cmd_search(args):
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2),
                                   encoding="utf-8")
-    best = min(results, key=lambda r: r.objective)
+    # a nan objective ranks last, as it does in the simplex
+    best = min(results, key=lambda r: (math.isnan(r.objective), r.objective))
     print(f"best objective {best.objective:.3e} "
           f"classification {best.classification}")
     return True, payload

@@ -13,12 +13,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache
 from operator import add
 from typing import Optional
 
 from .errors import UnknownFamilyError
-from .funceq import FAMILIES, _system
+from .funceq import FAMILIES, _system, linear_colored_triple
 
 # Small distinct rationals; avoid accidental degeneracies like equal colours.
 DEFAULT_COLORED_GRID = (
@@ -66,12 +66,42 @@ class SearchResult:
     iterations: int
 
 
+def _binary(op):
+    """The method and its reflection that trace ``a op b``."""
+    def source(x):
+        return x if isinstance(x, _Sym) else f"({float(x)!r})"
+
+    def method(a, b):
+        return _Sym(f"({source(a)} {op} {source(b)})")
+    return method, lambda a, b: method(b, a)
+
+
+class _Sym(str):
+    """A float expression traced as Python source: each binary operation
+    is written ``(a op b)`` and each constant ``(repr(float))``, so the
+    compiled source does the traced float operations on the same operands,
+    in the same order, and gives the same bits."""
+
+    __add__, __radd__ = _binary("+")
+    __sub__, __rsub__ = _binary("-")
+    __mul__, __rmul__ = _binary("*")
+    __pow__, __rpow__ = _binary("**")
+
+
+@cache
 def _make_objective(shape: str, system: str, phi_shape: str):
     """The summed squared residuals over the system's default grid, as a
-    function of the six ansatz parameters: each distinct colour argument is
-    evaluated once, with :mod:`ybops.funceq`'s expressions, and the
-    exponential shape raises each base to each distinct colour once.  A
-    power that overflows, or 0.0 to a negative power, gives ``math.inf``."""
+    function of the six ansatz parameters, compiled once per mode.
+
+    The mode's coefficient expressions and :func:`ybops.funceq._system`
+    run once on symbolic names (:class:`_Sym`), and the trace becomes one
+    straight-line function: a local per coefficient of each distinct
+    colour argument, each base of the exponential shape raised to each
+    distinct colour once, then ``total += e * e`` for e1..e5 at each grid
+    point in turn.  Every float operation of the evaluation it replaces
+    runs on the same operands in the same order, so the values are equal
+    bit for bit.  A power that overflows, or 0.0 to a negative power,
+    gives ``math.inf``."""
     grid = DEFAULT_COLORED_GRID if system == "colored" else DEFAULT_ONEPAR_GRID
     fgrid = [tuple(float(c) for c in pt) for pt in grid]
     if system == "colored":
@@ -91,44 +121,58 @@ def _make_objective(shape: str, system: str, phi_shape: str):
     else:
         raise UnknownFamilyError(f"unknown system {system!r}")
     # the grids hold no signed zero, so equal keys are equal bits
-    args = list(dict.fromkeys(a for call in calls for a in call))
-    slots = [tuple(args.index(a) for a in call) for call in calls]
+    args = dict.fromkeys(a for call in calls for a in call)
 
+    lines = []  # the assignments, in the objective's try block
+
+    def let(expr):
+        name = _Sym(f"v{len(lines)}")
+        lines.append(f"{name} = {expr}")
+        return name
+    params = [_Sym(f"t{i}") for i in range(6)]
     if system == "onepar":
-        xs = [x for x, in args]
+        p, pp, q, qp, r, rp = params
 
-        def values(p, pp, q, qp, r, rp):
-            return [(p * x - pp, q * x - qp, r * x - rp) for x in xs]
+        def coeffs(x):
+            return p * x - pp, q * x - qp, r * x - rp
     elif shape == "linear":
-        def values(p, pp, q, qp, r, rp):
-            return [(p * u - pp * v, q * u - qp * v, r * u - rp * v)
-                    for u, v in args]
+        coeffs = linear_colored_triple(params).coeffs
     else:
-        us = list(dict.fromkeys(u for u, _ in args))
-        vs = list(dict.fromkeys(v for _, v in args))
-        ui = [us.index(u) for u, _ in args]
-        vi = [vs.index(v) for _, v in args]
+        # positive bases via exp keep the ansatz defined at non-integer
+        # colours; alpha = p^u q^v, beta = a^u b^v, gamma = c^u d^v
+        p, q, a, b, c, d = (let(f"exp({t})") for t in params)
+        left = {u: [let(x ** u) for x in (p, a, c)]
+                for u in dict.fromkeys(u for u, _ in args)}
+        right = {v: [let(x ** v) for x in (q, b, d)]
+                 for v in dict.fromkeys(v for _, v in args)}
 
-        def values(*logs):
-            # positive bases via exp keep the ansatz defined at non-integer
-            # colours; alpha = p^u q^v, beta = a^u b^v, gamma = c^u d^v
-            p, q, a, b, c, d = map(math.exp, logs)
-            left = [(p ** u, a ** u, c ** u) for u in us]
-            right = [(q ** v, b ** v, d ** v) for v in vs]
-            return [(pu * qv, au * bv, cu * dv) for (pu, au, cu), (qv, bv, dv)
-                    in zip([left[i] for i in ui], [right[j] for j in vi])]
-
-    def objective(params):
+        def coeffs(u, v):
+            return tuple(x * y for x, y in zip(left[u], right[v]))
+    values = {a: [let(c) for c in coeffs(*a)] for a in args}
+    source = [
+        "def objective(params):",
+        "    try:",
         # Python floats: a numpy array gives the same bits, more slowly
-        try:
-            vals = values(*map(float, params))
-        except ArithmeticError:
-            return math.inf
-        total = 0.0
-        for i, j, k in slots:
-            for r in _system(vals[i], vals[j], vals[k]):
-                total += r * r
-        return total
+        f"        {', '.join(params)} = map(float, params)",
+        *(f"        {line}" for line in lines),
+        "    except ArithmeticError:",
+        "        return inf",
+        "    total = 0.0"]
+    for call in calls:
+        for e in _system(*(values[a] for a in call)):
+            source += [f"    e = {e}", "    total += e * e"]
+    source.append("    return total")
+    namespace = {"exp": math.exp, "inf": math.inf}
+    exec(compile("\n".join(source), f"<objective {shape} {system} "
+                 f"{phi_shape}>", "exec"), namespace)
+    objective = namespace["objective"]
+    # from 3.11 on, CPython specializes a function's float operations once
+    # it has run a few times (7 calls on 3.11, 1 on 3.12 and 3.13), and on
+    # two nan operands a specialized + or * may return the other one: run
+    # it until it is specialized, so the bits of a nan value do not depend
+    # on how often it has run
+    for _ in range(8):
+        objective((0.0,) * 6)
     return objective
 
 
@@ -183,9 +227,12 @@ def _nelder_mead(func, x0):
                 and all(abs(fsim[0] - f) <= FATOL for f in fsim[1:])):
             break
         worst = sim[-1]
-        # a left fold, as numpy's reduce over rows; builtin sum is
-        # compensated from Python 3.12 on
-        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]
+        # a left fold per coordinate over the rows, as numpy's reduce over
+        # rows; builtin sum is compensated from Python 3.12 on
+        sums = sim[0]
+        for row in sim[1:n]:
+            sums = map(add, sums, row)
+        xbar = [s / n for s in sums]
         xr = [rc * b - rd * w for b, w in zip(xbar, worst)]
         fxr = func(xr)
         shrink = False

@@ -1,9 +1,10 @@
 """Reference for the search objective: the summed squared residuals built
 from coefficient triples, one ``CoeffTriple`` per parameter vector and
 every grid point through ``eval_colored_system`` or
-``eval_onepar_system``, as the library computed it before it evaluated the
-ansatz values itself; with the exponential and one-parameter ansatz
-triples, which only this reference builds.  Tests only."""
+``eval_onepar_system``, evaluated directly on floats; the library instead
+traces ``funceq._system`` once per mode and compiles the trace.  With the
+exponential and one-parameter ansatz triples, which only this reference
+builds.  Tests only."""
 
 import math
 
@@ -36,6 +37,9 @@ def reference_objective(shape: str, system: str, phi_shape: str):
     """The objective of ``search._make_objective(shape, system, phi_shape)``
     for the five search modes; ``math.inf`` where the triple or the system
     raises an ``ArithmeticError``."""
+    grid = [tuple(map(float, pt)) for pt in (
+        DEFAULT_COLORED_GRID if system == "colored" else DEFAULT_ONEPAR_GRID)]
+
     def objective(params):
         params = [float(t) for t in params]
         try:
@@ -43,12 +47,10 @@ def reference_objective(shape: str, system: str, phi_shape: str):
                 # the exponential shape's parameters are log-bases
                 T = (linear_colored_triple(params) if shape == "linear" else
                      exp_colored_triple([math.exp(t) for t in params]))
-                residuals = [eval_colored_system(T, *map(float, pt))
-                             for pt in DEFAULT_COLORED_GRID]
+                residuals = [eval_colored_system(T, *pt) for pt in grid]
             else:
                 T = linear_onepar_triple(params, phi_shape)
-                residuals = [eval_onepar_system(T, *map(float, pt))
-                             for pt in DEFAULT_ONEPAR_GRID]
+                residuals = [eval_onepar_system(T, *pt) for pt in grid]
         except ArithmeticError:
             return math.inf
         total = 0.0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ybops import cli, frt, tensorop
+from ybops import cli, frt, search, tensorop
 from ybops.cli import main
 
 # The dense products and leg embeddings: test references, never called by a
@@ -167,6 +168,18 @@ class TestSearchCommand:
             main(["--seed", "9", "search", "--restarts", "3", "--out",
                   str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_best_objective_ranks_nan_last(self, monkeypatch, capsys):
+        # the linear objective is nan at [1e200] * 6, so a restart can end
+        # on nan; an earlier nan restart must not hide a later minimum
+        assert math.isnan(search._make_objective("linear", "colored", "xz")(
+            [1e200] * 6))
+        results = [search.SearchResult((0.0,) * 6, f, None, 0, i, 1)
+                   for i, f in enumerate([math.nan, 1e-20])]
+        monkeypatch.setattr(cli, "run_search", lambda **kwargs: results)
+        assert main(["search", "--restarts", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "best objective 1.000e-20 classification None\n")
 
 
 class TestCampaign:
@@ -421,3 +434,14 @@ def test_frt_tables_compile_on_first_use():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_ENV, timeout=120, check=True)
     assert proc.stdout.split() == ["0", "12"]
+
+
+def test_search_objectives_compile_on_first_use():
+    # importing the CLI compiles no objective; a search compiles its mode's
+    code = ("import ybops.cli; from ybops import search; "
+            "print(search._make_objective.cache_info().currsize); "
+            "search.search(restarts=1); "
+            "print(search._make_objective.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_ENV, timeout=120, check=True)
+    assert proc.stdout.split() == ["0", "1"]

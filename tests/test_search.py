@@ -2,11 +2,14 @@
 
 import importlib
 import math
+import struct
 
 import pytest
 
 from conftest import SEARCH_MODES, scipy_nelder_mead
+from search_reference import reference_objective
 from ybops.errors import UnknownFamilyError
+from ybops.funceq import _system
 from ybops.search import (DEFAULT_COLORED_GRID, OBJECTIVE_TOL, SearchResult,
                           _make_objective, classify, search)
 
@@ -129,4 +132,52 @@ class TestScipyReference:
         ours = [search(shape, system, seed, 1, phi) for seed in seeds]
         monkeypatch.setattr(importlib.import_module("ybops.search"),
                             "_nelder_mead", scipy_nelder_mead)
+        assert ours == [search(shape, system, seed, 1, phi) for seed in seeds]
+
+
+class TestTracedObjective:
+    """The objective compiled from a trace of ``funceq._system``."""
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES, ids="-".join)
+    def test_traced_from_system(self, mode, monkeypatch):
+        # compiled once per mode; a change to _system changes the value, so
+        # the five equations are stated only there
+        module = importlib.import_module("ybops.search")
+        params = [0.3, -0.2, 0.1, 0.25, -0.15, 0.05]
+        objective = _make_objective(*mode)
+        assert _make_objective(*mode) is objective
+        want = objective(params)
+
+        def mutated(uv, uw, vw):
+            e = _system(uv, uw, vw)
+            return e[:4] + (e[4] + uv[0] * vw[2],)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(module, "_system", mutated)
+                module._make_objective.cache_clear()
+                assert _make_objective(*mode)(params) != want
+        finally:
+            module._make_objective.cache_clear()
+        assert _make_objective(*mode)(params) == want
+
+    def test_nan_bits_do_not_depend_on_calls(self):
+        # on x86 the first calls of a fresh objective returned a nan of the
+        # other sign here until _make_objective specialized it
+        params = [-math.inf, 0.0, -math.inf, math.nan, -0.0, 1e-300]
+        importlib.import_module("ybops.search")._make_objective.cache_clear()
+        objective = _make_objective("linear", "onepar", "x")
+        first = struct.pack("<d", objective(params))
+        for _ in range(20):
+            objective(params)
+        assert struct.pack("<d", objective(params)) == first
+
+    @pytest.mark.parametrize("shape,system,phi", SEARCH_MODES)
+    def test_search_equals_reference_driven(self, shape, system, phi,
+                                            monkeypatch):
+        # every SearchResult field equals the one a search on the objective
+        # built from funceq's triples gives
+        seeds = (3, 7, 8)
+        ours = [search(shape, system, seed, 1, phi) for seed in seeds]
+        monkeypatch.setattr(importlib.import_module("ybops.search"),
+                            "_make_objective", reference_objective)
         assert ours == [search(shape, system, seed, 1, phi) for seed in seeds]
