@@ -4,7 +4,14 @@ numerical searches and braid-matrix comparisons.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage/config error,
 141 stdout was closed by its reader.
 Reports are deterministic given the seed; timestamps live in a separate
-metadata file so result payloads stay diffable.
+metadata file so result payloads stay diffable.  Every report file is
+written by :func:`_write`: an existing file is rewritten in place and then
+cut to length, never truncated to zero first, because on ext4 closing a file
+that was truncated to zero starts writeback of its new blocks, which can
+cost more than the rest of a short campaign task.  Reports are never
+fsynced, and an interrupted overwrite can leave the old file's trailing
+bytes after the new text, where a truncating write would have left a short
+file.
 """
 
 from __future__ import annotations
@@ -64,6 +71,22 @@ def _random_scalar(rng, integer=False):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
 
+def _write(path, text):
+    """Write ``text`` to ``path`` as UTF-8, in place.
+
+    The bytes, the mode of a new file, the inode and a symlink's target are
+    what a truncating text write gives; only an existing file is cut to the
+    new length after the write instead of to zero before it.  Nothing is
+    cut when the file is no longer than the text: a new file, or a device
+    such as ``/dev/null``, which cannot be truncated."""
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if os.fstat(fh.fileno()).st_size > len(data):
+            os.ftruncate(fh.fileno(), len(data))
+
+
 def _emitter(fmt):
     # looked up per call, so a rebound module attribute is the one used
     return {"json": op_to_json, "csv": op_to_csv, "latex": op_to_latex}[fmt]
@@ -102,7 +125,7 @@ def cmd_matrix(args):
     report = {"command": "matrix", "family": args.family, "format": args.format,
               "basis": basis, "shorthand": shorthand, "text": text}
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         print(text)
     return True, report
@@ -115,8 +138,7 @@ def cmd_search(args):
                "phi": args.phi, "seed": args.seed, "restarts": args.restarts,
                "results": [dataclasses.asdict(r) for r in results]}
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2),
-                                  encoding="utf-8")
+        _write(args.out, json.dumps(payload, indent=2))
     # a nan objective ranks last, as it does in the simplex
     best = min(results, key=lambda r: (math.isnan(r.objective), r.objective))
     print(f"best objective {best.objective:.3e} "
@@ -141,8 +163,7 @@ def cmd_frt(args):
                        for m in rep.members],
     }
     if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2),
-                                     encoding="utf-8")
+        _write(args.report, json.dumps(report, indent=2))
     return rep.same_span, report
 
 
@@ -241,10 +262,10 @@ def cmd_campaign(args):
         report["expect"] = expect
         report["passed"] = matched
         reports.append(report)
-        (outdir / f"task-{i:03d}-{task_args.command}.json").write_text(
-            json.dumps(report, indent=2, ensure_ascii=False), encoding="utf-8")
-    (outdir / "campaign-meta.json").write_text(json.dumps(
-        {"timestamp": time.time(), "tasks": len(tasks)}), encoding="utf-8")
+        _write(outdir / f"task-{i:03d}-{task_args.command}.json",
+               json.dumps(report, indent=2, ensure_ascii=False))
+    _write(outdir / "campaign-meta.json",
+           json.dumps({"timestamp": time.time(), "tasks": len(tasks)}))
     return overall_ok, {"command": "campaign", "tasks": reports}
 
 

@@ -88,10 +88,22 @@ class _Sym(str):
     __pow__, __rpow__ = _binary("**")
 
 
-@cache
 def _make_objective(shape: str, system: str, phi_shape: str):
     """The summed squared residuals over the system's default grid, as a
     function of the six ansatz parameters, compiled once per mode.
+
+    ``phi_shape`` must name a phi for either system; the coloured system
+    has no phi, so all three give its one objective per shape."""
+    if phi_shape not in _PHI_SHAPES:
+        raise UnknownFamilyError(f"unknown phi shape {phi_shape!r}")
+    return _compile_objective(shape, system,
+                              phi_shape if system == "onepar" else None)
+
+
+@cache
+def _compile_objective(shape: str, system: str, phi_shape):
+    """The objective of :func:`_make_objective`, ``phi_shape`` None for the
+    coloured system.
 
     The mode's coefficient expressions and :func:`ybops.funceq._system`
     run once on symbolic names (:class:`_Sym`), and the trace becomes one
@@ -113,8 +125,6 @@ def _make_objective(shape: str, system: str, phi_shape: str):
         if shape != "linear":
             raise UnknownFamilyError(
                 "one-parameter search supports the linear shape only")
-        if phi_shape not in _PHI_SHAPES:
-            raise UnknownFamilyError(f"unknown phi shape {phi_shape!r}")
         phi = FAMILIES[_PHI_SHAPES[phi_shape]].phi
         # the arguments of eval_onepar_system at each grid point
         calls = [((x,), (phi(x, z),), (z,)) for x, z in fgrid]

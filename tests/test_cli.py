@@ -222,14 +222,97 @@ class TestCampaign:
                      "--outdir", str(tmp_path / "o")]) == 2
 
     def test_reports_diffable(self, tmp_path):
+        # d1 is run into twice with a longer report in between; its final
+        # report equals the one in the fresh d2, byte for byte
         cfg = self._config(tmp_path, [
             {"command": "search", "args": {"restarts": 2}},
         ], seed=4)
+        (tmp_path / "longer").mkdir()
+        longer = self._config(tmp_path / "longer", [
+            {"command": "search", "args": {"restarts": 4}},
+        ], seed=4)
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        for d in (d1, d2):
-            assert main(["campaign", str(cfg), "--outdir", str(d)]) == 0
-        assert ((d1 / "task-000-search.json").read_bytes()
-                == (d2 / "task-000-search.json").read_bytes())
+
+        def run(config, outdir):
+            assert main(["campaign", str(config), "--outdir",
+                         str(outdir)]) == 0
+            return (outdir / "task-000-search.json").read_bytes()
+        first = run(cfg, d1)
+        assert len(run(longer, d1)) > len(first)
+        assert run(cfg, d1) == run(cfg, d2) == first
+
+
+# The five report files the CLI writes: argv, in which {dir} is the
+# directory the report goes to and {cfg} a one-task campaign config, and the
+# report's name in {dir}.
+WRITE_SITES = [
+    pytest.param(["matrix", "--family", "thm1", "--out", "{dir}/m.out"],
+                 "m.out", id="matrix-out"),
+    pytest.param(["search", "--restarts", "1", "--out", "{dir}/s.json"],
+                 "s.json", id="search-out"),
+    pytest.param(["frt", "--report", "{dir}/frt.json"], "frt.json",
+                 id="frt-report"),
+    pytest.param(["campaign", "{cfg}", "--outdir", "{dir}"],
+                 "task-000-compare.json", id="campaign-task"),
+    pytest.param(["campaign", "{cfg}", "--outdir", "{dir}"],
+                 "campaign-meta.json", id="campaign-meta"),
+]
+
+
+@pytest.mark.parametrize("argv,name", WRITE_SITES)
+class TestReportWriter:
+    """Every report is written in place: an overwrite gives the bytes a
+    fresh write gives, through a symlink, and a new file has the mode a
+    truncating write gives it."""
+
+    JUNK = b"\xff" * 10_000  # longer than any of the reports
+
+    @pytest.fixture(autouse=True)
+    def _clock(self, monkeypatch):
+        # campaign-meta.json records the time of the run
+        monkeypatch.setattr(cli.time, "time", lambda: 1.5)
+
+    def _run(self, argv, name, outdir):
+        outdir.mkdir(exist_ok=True)
+        cfg = outdir.parent / "cfg.json"
+        cfg.write_text('{"tasks": [{"command": "compare"}]}',
+                       encoding="utf-8")
+        assert main([a.format(dir=outdir, cfg=cfg) for a in argv]) == 0
+        return outdir / name
+
+    def test_overwrites_longer_file(self, tmp_path, argv, name):
+        fresh = self._run(argv, name, tmp_path / "fresh").read_bytes()
+        target = tmp_path / "old" / name
+        target.parent.mkdir()
+        target.write_bytes(self.JUNK)
+        inode = target.stat().st_ino
+        assert self._run(argv, name, target.parent) == target
+        assert target.read_bytes() == fresh and len(fresh) < len(self.JUNK)
+        assert target.stat().st_ino == inode
+
+    def test_writes_through_symlink(self, tmp_path, argv, name):
+        fresh = self._run(argv, name, tmp_path / "fresh").read_bytes()
+        real = tmp_path / "real"
+        real.write_bytes(self.JUNK)
+        link = tmp_path / "linked" / name
+        link.parent.mkdir()
+        link.symlink_to(real)
+        self._run(argv, name, link.parent)
+        assert link.is_symlink() and real.read_bytes() == fresh
+
+    def test_new_file_mode(self, tmp_path, argv, name):
+        umask = os.umask(0)  # so that every permission bit shows
+        try:
+            mode = self._run(argv, name, tmp_path / "new").stat().st_mode
+            (tmp_path / "ref").write_text("x", encoding="utf-8")
+        finally:
+            os.umask(umask)
+        assert mode == (tmp_path / "ref").stat().st_mode
+
+
+def test_report_to_device():
+    # /dev/null is written to but cannot be truncated
+    assert main(["matrix", "--family", "thm1", "--out", os.devnull]) == 0
 
 
 # Bad input exits 2 with a one-line message, never a traceback or a vacuous
@@ -439,9 +522,9 @@ def test_frt_tables_compile_on_first_use():
 def test_search_objectives_compile_on_first_use():
     # importing the CLI compiles no objective; a search compiles its mode's
     code = ("import ybops.cli; from ybops import search; "
-            "print(search._make_objective.cache_info().currsize); "
+            "print(search._compile_objective.cache_info().currsize); "
             "search.search(restarts=1); "
-            "print(search._make_objective.cache_info().currsize)")
+            "print(search._compile_objective.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_ENV, timeout=120, check=True)
     assert proc.stdout.split() == ["0", "1"]

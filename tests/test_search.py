@@ -99,6 +99,11 @@ class TestSearch:
         with pytest.raises(UnknownFamilyError):
             search(system="onepar", phi_shape="zz", restarts=1)
 
+    def test_unknown_phi_shape_colored(self):
+        # the coloured system has no phi, but a bad name is still an error
+        with pytest.raises(UnknownFamilyError):
+            search(system="colored", phi_shape="bogus", restarts=1)
+
     def test_default_grid_distinct(self):
         for pt in DEFAULT_COLORED_GRID:
             assert len(set(pt)) == len(pt)
@@ -154,17 +159,25 @@ class TestTracedObjective:
         try:
             with monkeypatch.context() as m:
                 m.setattr(module, "_system", mutated)
-                module._make_objective.cache_clear()
+                module._compile_objective.cache_clear()
                 assert _make_objective(*mode)(params) != want
         finally:
-            module._make_objective.cache_clear()
+            module._compile_objective.cache_clear()
         assert _make_objective(*mode)(params) == want
+
+    @pytest.mark.parametrize("shape", ["linear", "exponential"])
+    def test_colored_objective_ignores_phi(self, shape):
+        # one compiled objective per coloured shape, whatever phi is named
+        objective = _make_objective(shape, "colored", "xz")
+        assert all(_make_objective(shape, "colored", phi) is objective
+                   for phi in ("z", "x"))
 
     def test_nan_bits_do_not_depend_on_calls(self):
         # on x86 the first calls of a fresh objective returned a nan of the
         # other sign here until _make_objective specialized it
         params = [-math.inf, 0.0, -math.inf, math.nan, -0.0, 1e-300]
-        importlib.import_module("ybops.search")._make_objective.cache_clear()
+        module = importlib.import_module("ybops.search")
+        module._compile_objective.cache_clear()
         objective = _make_objective("linear", "onepar", "x")
         first = struct.pack("<d", objective(params))
         for _ in range(20):
