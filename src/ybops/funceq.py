@@ -39,9 +39,8 @@ def scale_triple(T: CoeffTriple, c) -> CoeffTriple:
 def _system(uv, uw, vw):
     """The five cubic equations shared by both systems.
 
-    Each argument is a triple (alpha, beta, gamma) at one colour pair.  The
-    one-parameter system is the same polynomial system with the argument
-    substitution (u,v) -> x, (u,w) -> phi(x,z), (v,w) -> z.
+    Each argument is a triple (alpha, beta, gamma) at one of the three leg
+    arguments of :func:`leg_colours`, which alone tells the systems apart.
     """
     a_uv, b_uv, g_uv = uv
     a_uw, b_uw, g_uw = uw
@@ -59,20 +58,29 @@ def _system(uv, uw, vw):
     return (e1, e2, e3, e4, e5)
 
 
+def leg_colours(phi, *colours) -> tuple:
+    """The arguments of the QYBE's operators on legs 12, 13 and 23: (u, v),
+    (u, w), (v, w) at colours (u, v, w), or (x,), (phi(x, z),), (z,) at
+    (x, z) for a composition map ``phi``."""
+    if phi is None:
+        u, v, w = colours
+        return (u, v), (u, w), (v, w)
+    x, z = colours
+    return (x,), (phi(x, z),), (z,)
+
+
 def eval_colored_system(T: CoeffTriple, u, v, w) -> tuple:
     """The five coloured-system residuals at colours (u, v, w)."""
     if T.phi is not None:
         raise ValueError("coloured system needs a two-colour triple")
-    c = T.coeffs
-    return _system(c(u, v), c(u, w), c(v, w))
+    return _system(*(T.coeffs(*a) for a in leg_colours(None, u, v, w)))
 
 
 def eval_onepar_system(T: CoeffTriple, x, z) -> tuple:
     """The five one-parameter residuals at (x, z) with middle argument phi(x,z)."""
     if T.phi is None:
         raise ValueError("one-parameter system needs a triple carrying phi")
-    c = T.coeffs
-    return _system(c(x), c(T.phi(x, z)), c(z))
+    return _system(*(T.coeffs(*a) for a in leg_colours(T.phi, x, z)))
 
 
 # --- the family table ------------------------------------------------------------

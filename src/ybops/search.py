@@ -18,7 +18,7 @@ from operator import add
 from typing import Optional
 
 from .errors import UnknownFamilyError
-from .funceq import FAMILIES, _system, linear_colored_triple
+from .funceq import FAMILIES, _system, leg_colours, linear_colored_triple
 
 # Small distinct rationals; avoid accidental degeneracies like equal colours.
 DEFAULT_COLORED_GRID = (
@@ -119,17 +119,15 @@ def _compile_objective(shape: str, system: str, phi_shape):
     if system == "colored":
         if shape not in ("linear", "exponential"):
             raise UnknownFamilyError(f"unknown ansatz shape {shape!r}")
-        # the colour pairs of eval_colored_system at each grid point
-        calls = [((u, v), (u, w), (v, w)) for u, v, w in fgrid]
+        phi = None
     elif system == "onepar":
         if shape != "linear":
             raise UnknownFamilyError(
                 "one-parameter search supports the linear shape only")
         phi = FAMILIES[_PHI_SHAPES[phi_shape]].phi
-        # the arguments of eval_onepar_system at each grid point
-        calls = [((x,), (phi(x, z),), (z,)) for x, z in fgrid]
     else:
         raise UnknownFamilyError(f"unknown system {system!r}")
+    calls = [leg_colours(phi, *pt) for pt in fgrid]
     # the grids hold no signed zero, so equal keys are equal bits
     args = dict.fromkeys(a for call in calls for a in call)
 
@@ -190,14 +188,9 @@ def _sorted_simplex(sim, fsim):
     """The vertices and values in ascending value order, as scipy sorts
     them with ``np.argsort``: nan last, and ties in numpy's order, which
     is not the stable one on every CPU."""
-    order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    values = [fsim[i] for i in order]
-    if not all(a < b for a, b in zip(values, values[1:])):
-        # a tie or a nan: only numpy knows its own order
-        import numpy as np
-        order = np.argsort(fsim).tolist()
-        values = [fsim[i] for i in order]
-    return [sim[i] for i in order], values
+    import numpy as np
+    order = np.argsort(fsim).tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
 def _nelder_mead(func, x0):

@@ -15,7 +15,7 @@ from itertools import product
 from math import lcm, prod
 
 from .errors import DimensionMismatchError
-from .funceq import _system
+from .funceq import _system, leg_colours
 from .scalars import format_scalar, is_exact, over_one_denominator
 
 
@@ -255,24 +255,6 @@ def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
                              ((R23, 23), (R13, 13), (R12, 12)))
 
 
-def _as_fractions(diff):
-    """``(cols, zero)`` from a kernel result ``(cols, den)``: each exact
-    numerator as its Fraction, ``zero`` the value of the unlisted entries."""
-    cols, den = diff
-    if den is None:
-        return cols, 0.0
-    return ([{i: Fraction(x, den) for i, x in col.items()} for col in cols],
-            Fraction(0))
-
-
-def _chain_difference(lhs, rhs):
-    return _as_fractions(_chain_numerators(lhs, rhs))
-
-
-def _qybe_difference(R12: Op2, R13: Op2, R23: Op2):
-    return _as_fractions(_qybe_numerators(R12, R13, R23))
-
-
 def _max_abs(diff):
     """The max-abs entry of a kernel result ``(cols, den)``.  In exact mode
     it is taken over the integer numerators, and one ``Fraction(top, den)``
@@ -287,9 +269,13 @@ def _max_abs(diff):
 
 
 def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
-    """Yang-Baxter commutator [R,S,T] = R12 S13 T23 - T23 S13 R12."""
-    cols, zero = _qybe_difference(R, S, T)
-    return Op3(n=R.n, mat=_dense_view([col.items() for col in cols], zero))
+    """Yang-Baxter commutator [R,S,T] = R12 S13 T23 - T23 S13 R12, the
+    dense view of the kernel's ``(cols, den)``."""
+    cols, den = _qybe_numerators(R, S, T)
+    if den is None:
+        return Op3(n=R.n, mat=_dense_view([col.items() for col in cols], 0.0))
+    return Op3(n=R.n, mat=_dense_view(
+        [[(i, Fraction(x, den)) for i, x in col.items()] for col in cols]))
 
 
 # --- the five-equation system as a proof --------------------------------------
@@ -340,15 +326,7 @@ def colored_qybe_residual(family, u, v, w):
     exposing only ``op``) goes to the sparse kernel, and so does a non-zero
     equation: a non-zero residual keeps its value and type.
     """
-    return _family_residual(family, lambda: ((u, v), (u, w), (v, w)))
-
-
-def _onepar_colours(family, x, z):
-    """(x,), (phi(x, z),), (z,), in the order the operators are built; phi
-    is called only once x has been drawn."""
-    yield (x,)
-    yield (family.phi(x, z),)
-    yield (z,)
+    return _family_residual(family, leg_colours(None, u, v, w))
 
 
 def onepar_qybe_residual(family, x, z):
@@ -359,18 +337,29 @@ def onepar_qybe_residual(family, x, z):
     with the wrong phi.  A family that also exposes ``exact_triple(x)``
     (:class:`ybops.onepar.OneParFamily`) is decided by the five-equation
     system at x, phi(x,z), z, as in :func:`colored_qybe_residual`.
+    ``phi(x, z)`` is evaluated before any operator or triple is built.
     """
-    return _family_residual(family, lambda: _onepar_colours(family, x, z))
+    return _family_residual(family, leg_colours(family.phi, x, z))
 
 
 def _family_residual(family, colours):
     """The QYBE residual of ``family.op(*c)`` on legs 12, 13, 23 for the
-    three argument tuples c that ``colours()`` yields, which also feed the
-    triples ``family.exact_triple(*c)`` when the family has them."""
+    three argument tuples c in ``colours``, decided by the triples
+    ``family.exact_triple(*c)`` when the family has them."""
     triple = getattr(family, "exact_triple", None)
-    if triple is not None and _solves_system(triple(*c) for c in colours()):
+    return _decided((None,) if triple is None else
+                    (triple(*c) for c in colours),
+                    (family.op(*c) for c in colours))
+
+
+def _decided(triples, ops):
+    """``Fraction(0)`` when the triples drawn from ``triples`` solve the
+    five equations (:func:`_solves_system`), else the max-abs entry of the
+    kernel's QYBE difference of the three operators in ``ops``, which a
+    lazy iterable builds only then."""
+    if _solves_system(triples):
         return Fraction(0)
-    return _max_abs(_qybe_numerators(*(family.op(*c) for c in colours())))
+    return _max_abs(_qybe_numerators(*ops))
 
 
 def twist_compose(R: Op2) -> Op2:

@@ -10,13 +10,12 @@ coefficients (lambda, 1, 1), X is prop2 at 1, the constant operator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import Algebra, require_valid
 from .colored import family_op, family_triple
 from .errors import DimensionMismatchError
-from .tensorop import Op2, _max_abs, _qybe_numerators, _solves_system
+from .tensorop import Op2, _decided
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,6 @@ def wxz_residuals(S: WXZSystem) -> tuple:
     the kernel.
     """
     ops, triples = (S.W, S.X, S.Z), S.triples or (None,) * 3
-    return tuple(Fraction(0) if _solves_system(triples[k] for k in legs)
-                 else _max_abs(_qybe_numerators(*(ops[k] for k in legs)))
+    return tuple(_decided((triples[k] for k in legs),
+                          (ops[k] for k in legs))
                  for legs in ((0, 0, 0), (2, 2, 2), (0, 1, 1), (1, 1, 2)))

@@ -316,52 +316,78 @@ def test_report_to_device():
 
 
 # Bad input exits 2 with a one-line message, never a traceback or a vacuous
-# pass.  Rows: argv, campaign config (appended as a file) or None, exit code.
-# In argv, {tmp} is the test's temporary directory and {cfg} the config file.
+# pass.  Rows: argv, campaign config (appended as a file) or None, exit code,
+# and the last line of stderr word for word, or None where it may vary (an
+# OS or argparse message).  In argv, {tmp} is the test's temporary directory
+# and {cfg} the config file.
+TASK_ERROR = "error: config error in task 0: "
 EXIT_CODES = [
     pytest.param(["--field", "float64", "verify", "--family", "thm1"], None,
-                 2, id="unknown-field-flag"),
+                 2, None, id="unknown-field-flag"),
     pytest.param(["verify", "--family", "thm1", "--samples", "0"], None, 2,
-                 id="samples-zero"),
+                 None, id="samples-zero"),
     pytest.param(["verify", "--family", "thm1", "--samples", "-3"], None, 2,
-                 id="samples-negative"),
-    pytest.param(["search", "--restarts", "0"], None, 2, id="restarts-zero"),
+                 None, id="samples-negative"),
+    pytest.param(["search", "--restarts", "0"], None, 2, None,
+                 id="restarts-zero"),
     pytest.param(["verify", "--family", "thm1", "--p", "1/0"], None, 2,
-                 id="zero-denominator"),
+                 None, id="zero-denominator"),
     pytest.param(["verify", "--family", "thm1", "--sigma", "abc"], None, 2,
-                 id="bad-rational"),
-    pytest.param(["campaign"], [1, 2], 2, id="campaign-list"),
+                 None, id="bad-rational"),
+    pytest.param(["campaign"], [1, 2], 2,
+                 "error: config error: expected an object with a task list",
+                 id="campaign-list"),
     pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
-        "family": "thm1", "samples": "3"}}]}, 2, id="campaign-samples-str"),
+        "family": "thm1", "samples": "3"}}]}, 2,
+        TASK_ERROR + "samples: expected a JSON int, got '3'",
+        id="campaign-samples-str"),
     pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
-        "family": "thm1", "sampels": 3}}]}, 2, id="campaign-misspelt-key"),
+        "family": "thm1", "sampels": 3}}]}, 2,
+        TASK_ERROR + "ybops: error: unrecognized arguments: --sampels=3",
+        id="campaign-misspelt-key"),
+    # argparse accepts an abbreviation and an alias; the task may not
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
+        "family": "thm1", "sam": 3}}]}, 2, TASK_ERROR + "unknown option 'sam'",
+        id="campaign-abbreviated-key"),
+    pytest.param(["campaign"], {"tasks": [{"command": "ybsystem", "args": {
+        "lambda": "3"}}]}, 2, TASK_ERROR + "unknown option 'lambda'",
+        id="campaign-alias-key"),
+    pytest.param(["campaign"], {"tasks": [{"command": "verify",
+                                           "args": [1]}]}, 2,
+                 TASK_ERROR + "task args must be an object",
+                 id="campaign-args-list"),
     pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
         "family": "thm1", "samples": 2}, "expect": "pas"}]}, 2,
+        TASK_ERROR + "expect must be 'pass' or 'fail', got 'pas'",
         id="campaign-misspelt-expect"),
     pytest.param(["frt", "--u", "1", "--v", "3", "--p", "1", "--q", "3"],
-                 None, 2, id="frt-singular"),
+                 None, 2, None, id="frt-singular"),
     pytest.param(["--seed", "3", "search", "--shape", "exponential",
-                  "--restarts", "1"], None, 0, id="search-exp-underflow"),
+                  "--restarts", "1"], None, 0, None,
+                 id="search-exp-underflow"),
     pytest.param(["matrix", "--family", "thm1", "--out", "{tmp}/no/x.json"],
-                 None, 2, id="matrix-out-unwritable"),
-    pytest.param(["frt", "--report", "{tmp}/no/r.json"], None, 2,
+                 None, 2, None, id="matrix-out-unwritable"),
+    pytest.param(["frt", "--report", "{tmp}/no/r.json"], None, 2, None,
                  id="frt-report-unwritable"),
     pytest.param(["search", "--restarts", "1", "--out", "{tmp}/no/s.json"],
-                 None, 2, id="search-out-unwritable"),
+                 None, 2, None, id="search-out-unwritable"),
     pytest.param(["campaign", "--outdir", "{cfg}"],
-                 {"tasks": [{"command": "compare"}]}, 2,
+                 {"tasks": [{"command": "compare"}]}, 2, None,
                  id="campaign-outdir-is-file"),
     pytest.param(["campaign"], {"tasks": [{"command": "matrix", "args": {
-        "family": "thm1", "out": "{tmp}/no/x.json"}}]}, 2,
+        "family": "thm1", "out": "{tmp}/no/x.json"}}]}, 2, None,
         id="campaign-task-out-unwritable"),
-    pytest.param(["campaign"], {"tasks": []}, 2, id="campaign-empty"),
+    pytest.param(["campaign"], {"tasks": []}, 2,
+                 "error: config error: the task list is empty",
+                 id="campaign-empty"),
     pytest.param(["campaign"], {"tasks": [{"command": "campaign"}]}, 2,
+                 TASK_ERROR + "unknown command 'campaign'",
                  id="campaign-nested"),
 ]
 
 
-@pytest.mark.parametrize("argv,config,code", EXIT_CODES)
-def test_exit_codes(argv, config, code, tmp_path, capsys):
+@pytest.mark.parametrize("argv,config,code,message", EXIT_CODES)
+def test_exit_codes(argv, config, code, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     argv = [a.format(tmp=tmp_path, cfg=cfg) for a in argv]
     if config is not None:
@@ -374,7 +400,9 @@ def test_exit_codes(argv, config, code, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == 2:
-        assert "error:" in err.strip().splitlines()[-1]
+        last = err.strip().splitlines()[-1]
+        assert "error:" in last
+        assert message is None or last == message
 
 
 class TestUsage:

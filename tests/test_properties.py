@@ -31,10 +31,10 @@ from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
 from ybops.search import MAX_ITER, _make_objective, _nelder_mead
-from ybops.tensorop import (Op2, _chain_difference, _chain_numerators,
-                            _perm23, _qybe_difference, _qybe_numerators,
-                            braid_residual, colored_qybe_residual, flip_op2,
-                            freeze, identity_mat, identity_op2, kron, mat_mul,
+from ybops.tensorop import (Op2, _chain_numerators, _max_abs, _perm23,
+                            _qybe_numerators, braid_residual,
+                            colored_qybe_residual, flip_op2, freeze,
+                            identity_mat, identity_op2, kron, mat_mul,
                             mat_scale, mat_sub, mat_transpose, max_abs_entry,
                             onepar_qybe_residual, yb_commutator)
 
@@ -482,9 +482,9 @@ class TestResidualKernel:
     @given(ops=_dense_ops())
     def test_braid_chain_matches_dense(self, ops):
         want = _dense_difference(*_braid_chains(*ops))
-        cols, zero = _chain_difference(*_braid_chains(*ops))
+        cols, den = _chain_numerators(*_braid_chains(*ops))
         m = len(cols)
-        assert [[cols[j].get(i, zero) for j in range(m)]
+        assert [[Fraction(cols[j].get(i, 0), den) for j in range(m)]
                 for i in range(m)] == want
         table = dict(zip((2, 6, 3), ops))  # x = 2, y = 3, x*y = 6
         res = braid_residual(table.__getitem__, 2, 3)
@@ -684,13 +684,6 @@ def _same_mat(got, want):
                                for x, y in zip(gr, wr))
 
 
-def _same_difference(got, want):
-    """Two kernel results, entry by entry in value and type."""
-    return (_same(got[1], want[1]) and got[0] == want[0]
-            and all(_same(col[i], want[0][j][i])
-                    for j, col in enumerate(got[0]) for i in col))
-
-
 class TestSparseBuild:
     @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
     @given(A=_carriers(), coeffs=st.lists(st.tuples(
@@ -725,15 +718,14 @@ class TestSparseBuild:
         # the kernel takes the same exact/float mode on both builds and
         # returns the same entries of the same types, and so it does on an
         # operator rebuilt from the dense view of the integer build
-        got, want = _qybe_difference(*sparse), _qybe_difference(*dense)
-        assert _same_difference(got, want)
+        got, want = yb_commutator(*sparse).mat, yb_commutator(*dense).mat
+        assert _same_mat(got, want)
         rebuilt = [Op2(n=R.n, mat=R.mat) for R in sparse]
-        assert _same_difference(_qybe_difference(*rebuilt), got)
+        assert _same_mat(yb_commutator(*rebuilt).mat, got)
         table = dict(zip(((0, 1), (0, 2), (1, 2)), sparse))
         res = colored_qybe_residual(
             SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
-        assert _same(res, max((abs(x) for col in want[0]
-                               for x in col.values()), default=want[1]))
+        assert _same(res, _max_abs(_qybe_numerators(*dense)))
 
     @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
     @given(A=_carriers(), args=st.lists(_coefficients, min_size=4,

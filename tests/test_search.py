@@ -52,6 +52,27 @@ class TestClassify:
         params = (0.0, -1.0, 1.0, 0.0, 0.0, -1.0)
         assert classify("linear", "onepar", "x", params, 0.0) == "remark-x-family"
 
+    # catalogue points, labelled at the objective they have
+
+    def test_prop1_point(self):
+        # alpha = x - 1, beta = q(x - 1), gamma = x - q: prop1 at q = 3,
+        # a solution with phi = xz only
+        params = (1.0, 1.0, 3.0, 3.0, 1.0, 3.0)
+        labels = {}
+        for phi in ("xz", "z", "x"):
+            f = _make_objective("linear", "onepar", phi)(params)
+            labels[phi] = classify("linear", "onepar", phi, params, f)
+        assert labels == {"xz": "prop1-family", "z": None, "x": None}
+
+    def test_remark2_point(self):
+        # alpha = gamma = p^u q^v, beta = s^u q^v, at bases near 1 so that
+        # float rounding keeps the objective below OBJECTIVE_TOL
+        p, q, s = map(math.log, (1.1, 0.9, 1.2))
+        params = (p, q, s, q, p, q)
+        f = _make_objective("exponential", "colored", "xz")(params)
+        assert classify("exponential", "colored", "xz", params,
+                        f) == "remark2-family"
+
 
 class TestSearch:
     def test_finds_colored_solutions(self):

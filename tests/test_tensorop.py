@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import bad_unit_algebra, both_routes, sparse_left_product
-from ybops import tensorop, ybsystem
+from ybops import tensorop
 from ybops.algebra import (Algebra, dual_coalgebra, poly_quotient,
                            quadratic_algebra, require_valid)
 from ybops.colored import ColoredFamily, ansatz_op
@@ -195,16 +195,12 @@ class TestSystemRoute:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls = []
+        real = tensorop._qybe_numerators
 
-        def spy(module):
-            real = module._qybe_numerators
-
-            def counted(*ops):
-                calls.append(len(ops))
-                return real(*ops)
-            monkeypatch.setattr(module, "_qybe_numerators", counted)
-        spy(tensorop)
-        spy(ybsystem)
+        def counted(*ops):
+            calls.append(len(ops))
+            return real(*ops)
+        monkeypatch.setattr(tensorop, "_qybe_numerators", counted)
         return calls
 
     PARAMS = {"p": Fraction(1), "q": Fraction(3)}
@@ -292,19 +288,27 @@ class TestSystemRoute:
     def test_same_errors_as_the_kernel(self):
         # the triples are evaluated in the order the operators are built, so
         # bad input raises what the builds raise: a non-integer exponent
-        # at (u, w), a table family on the wrong carrier type
+        # at (u, w), a table family on the wrong carrier type; phi(x, z) is
+        # evaluated before either, so where the build at x and phi both
+        # fail, phi's error is raised
         A = quadratic_algebra(3)
-        cases = ((ColoredFamily("thm2", A, {"p": 2, "q": 3, "s": 5}),
+        cases = ((colored_qybe_residual,
+                  ColoredFamily("thm2", A, {"p": 2, "q": 3, "s": 5}),
                   (1, 2, Fraction(1, 2))),
-                 (ColoredFamily("coalgebra_thm1", A, self.PARAMS), self.UVW))
-        for fam, colours in cases:
+                 (colored_qybe_residual,
+                  ColoredFamily("coalgebra_thm1", A, self.PARAMS), self.UVW),
+                 (onepar_qybe_residual,
+                  OneParFamily("prop1", A, {"q": Fraction(3)}), ("a", "b")))
+        for residual, fam, colours in cases:
             raised = []
             for f in both_routes(fam):
-                with pytest.raises((NonIntegerExponentError,
-                                    AttributeError)) as err:
-                    colored_qybe_residual(f, *colours)
+                with pytest.raises((NonIntegerExponentError, AttributeError,
+                                    TypeError)) as err:
+                    residual(f, *colours)
                 raised.append((type(err.value), str(err.value)))
             assert raised[0] == raised[1]
+        assert raised[0] == (
+            TypeError, "can't multiply sequence by non-int of type 'str'")
 
 
 class TestLabelsAndEmitters:
