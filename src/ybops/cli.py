@@ -39,7 +39,7 @@ from .errors import YbopsError
 from .funceq import FAMILIES
 from .onepar import OneParFamily
 from .scalars import format_scalar, parse_scalar
-from .search import search as run_search
+from .search import _PHI_SHAPES, search as run_search
 from .tensorop import (braid_residual, colored_qybe_residual,
                        onepar_qybe_residual, op_to_csv, op_to_json,
                        op_to_latex, tensor_basis_labels)
@@ -50,10 +50,10 @@ _USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError, OSError)
 
 
 def _algebra(args):
-    if args.eps is not None or args.rho is not None:
-        return cubic_algebra(parse_scalar(args.eps or "0"),
-                             parse_scalar(args.rho or "0"))
-    return quadratic_algebra(parse_scalar(args.sigma))
+    if args.eps is None and args.rho is None:
+        return quadratic_algebra(parse_scalar(args.sigma))
+    return cubic_algebra(*(parse_scalar("0" if x is None else x)
+                           for x in (args.eps, args.rho)))
 
 
 def _family(args):
@@ -328,7 +328,7 @@ def build_parser():
                    default="linear")
     p.add_argument("--system", choices=("colored", "onepar"),
                    default="colored")
-    p.add_argument("--phi", choices=("xz", "z", "x"), default="xz")
+    p.add_argument("--phi", choices=tuple(_PHI_SHAPES), default="xz")
     p.add_argument("--restarts", type=_positive_int, default=50)
     p.add_argument("--out")
 

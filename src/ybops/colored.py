@@ -84,94 +84,91 @@ def _integer_ansatz(A: Algebra, alpha, beta, gamma) -> Op2:
     return Op2(n=n, cols=cols, den=d * d_A * d_U)
 
 
-def _build(F, carrier, coeffs, opposite: bool = False) -> Op2:
-    A = carrier.algebra if F.coalgebra else carrier
-    R = ansatz_op(opposite_algebra(A) if opposite else A, *coeffs)
-    return _transpose(R) if F.coalgebra else R
+@dataclass(frozen=True)
+class _TableFamily:
+    """A family of :data:`ybops.funceq.FAMILIES` on a carrier at fixed
+    parameters, evaluated at colours: its operator, its exact coefficients
+    and its inverse.  A coalgebra family's operator is the transpose of the
+    ansatz on the carrier's algebra, and every inverse is the ansatz on the
+    opposite algebra."""
 
+    kind: str
+    carrier: object  # Algebra, or Coalgebra for a coalgebra family
+    params: dict = field(default_factory=dict)
 
-def family_op(kind: str, carrier, params: dict, *colours) -> Op2:
-    """Operator of table family ``kind`` at the given colours."""
-    F = family(kind)
-    return _build(F, carrier, F.coeffs(*F.args(params), *colours))
+    def _coeffs(self, colours):
+        """The table entry and its ansatz coefficients at ``colours``."""
+        F = family(self.kind)
+        return F, F.coeffs(*F.args(self.params), *colours)
 
+    def _build(self, F, coeffs, opposite: bool = False) -> Op2:
+        A = self.carrier.algebra if F.coalgebra else self.carrier
+        R = ansatz_op(opposite_algebra(A) if opposite else A, *coeffs)
+        return _transpose(R) if F.coalgebra else R
 
-def family_triple(kind: str, carrier, params: dict, *colours):
-    """The ansatz coefficients (alpha, beta, gamma) that
-    :func:`family_op` builds at these colours, when they are exact and the
-    carrier's algebra is known to be exact, associative and unital
-    (:func:`ybops.algebra.known_valid`); None otherwise.  The coefficients
-    are evaluated first, as :func:`family_op` does, so they raise the same
-    errors."""
-    F = family(kind)
-    coeffs = F.coeffs(*F.args(params), *colours)
-    A = getattr(carrier, "algebra", None) if F.coalgebra else carrier
-    if all(map(is_exact, coeffs)) and known_valid(A):
-        return coeffs
-    return None
+    def exact_triple(self, *colours):
+        """The ansatz coefficients (alpha, beta, gamma) that ``op`` builds
+        at these colours, when they are exact and the carrier's algebra is
+        known to be exact, associative and unital
+        (:func:`ybops.algebra.known_valid`); None otherwise.  The
+        coefficients are evaluated first, as ``op`` does, so they raise the
+        same errors."""
+        F, coeffs = self._coeffs(colours)
+        A = (getattr(self.carrier, "algebra", None) if F.coalgebra
+             else self.carrier)
+        if all(map(is_exact, coeffs)) and known_valid(A):
+            return coeffs
+        return None
 
-
-def family_inv(kind: str, carrier, params: dict, *colours) -> Op2:
-    """Inverse of :func:`family_op`; SingularParameterError off its domain."""
-    F = family(kind)
-    if F.inverse is None:
-        raise UnknownFamilyError(f"no inverse formula for {kind!r}")
-    args = F.args(params) + colours
-    F.check_regular(*args)
-    return _build(F, carrier, F.inverse(*args), opposite=True)
+    def inv(self, *colours) -> Op2:
+        """Inverse of ``op``; SingularParameterError off its domain."""
+        F = family(self.kind)
+        if F.inverse is None:
+            raise UnknownFamilyError(f"no inverse formula for {self.kind!r}")
+        args = F.args(self.params) + colours
+        F.check_regular(*args)
+        return self._build(F, F.inverse(*args), opposite=True)
 
 
 # --- the catalogue families -----------------------------------------------------
 
 def thm1_op(A: Algebra, p, q, u, v) -> Op2:
     """The linear coloured family (Theorem 1)."""
-    return family_op("thm1", A, {"p": p, "q": q}, u, v)
+    return ColoredFamily("thm1", A, {"p": p, "q": q}).op(u, v)
 
 
 def thm1_inv(A: Algebra, p, q, u, v) -> Op2:
     """Inverse of thm1_op; needs pu != qv and qu != pv."""
-    return family_inv("thm1", A, {"p": p, "q": q}, u, v)
+    return ColoredFamily("thm1", A, {"p": p, "q": q}).inv(u, v)
 
 
 def thm2_op(A: Algebra, p, q, s, u, v) -> Op2:
     """The exponential coloured family (Theorem 2)."""
-    return family_op("thm2", A, {"p": p, "q": q, "s": s}, u, v)
+    return ColoredFamily("thm2", A, {"p": p, "q": q, "s": s}).op(u, v)
 
 
 def thm2_inv(A: Algebra, p, q, s, u, v) -> Op2:
     """Inverse of thm2_op; needs p, q, s all nonzero."""
-    return family_inv("thm2", A, {"p": p, "q": q, "s": s}, u, v)
+    return ColoredFamily("thm2", A, {"p": p, "q": q, "s": s}).inv(u, v)
 
 
 def remark2_op(A: Algebra, p, q, s, u, v) -> Op2:
     """The second exponential coloured family (Remark 2)."""
-    return family_op("remark2", A, {"p": p, "q": q, "s": s}, u, v)
+    return ColoredFamily("remark2", A, {"p": p, "q": q, "s": s}).op(u, v)
 
 
 def coalgebra_colored_op(C: Coalgebra, p, q, u, v) -> Op2:
     """Coalgebra transfer of thm1_op."""
-    return family_op("coalgebra_thm1", C, {"p": p, "q": q}, u, v)
+    return ColoredFamily("coalgebra_thm1", C, {"p": p, "q": q}).op(u, v)
 
 
 @dataclass(frozen=True)
-class ColoredFamily:
+class ColoredFamily(_TableFamily):
     """Immutable evaluator (u,v) -> Op2 for one of the coloured families."""
-
-    kind: str
-    carrier: object  # Algebra, or Coalgebra for coalgebra_thm1
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if family(self.kind).phi is not None:
             raise UnknownFamilyError(f"{self.kind!r} is not a coloured family")
 
     def op(self, u, v) -> Op2:
-        return family_op(self.kind, self.carrier, self.params, u, v)
-
-    def exact_triple(self, u, v):
-        """The coefficients of ``op(u, v)`` when they decide its residual
-        exactly (see :func:`family_triple`), else None."""
-        return family_triple(self.kind, self.carrier, self.params, u, v)
-
-    def inv(self, u, v) -> Op2:
-        return family_inv(self.kind, self.carrier, self.params, u, v)
+        return self._build(*self._coeffs((u, v)))

@@ -384,14 +384,13 @@ class _Echelon:
     unique; Fractions are built only for what :meth:`solve` returns.
     """
 
-    def __init__(self, polys, combinations=True):
+    def __init__(self, polys):
         self.rows = {}  # pivot word -> (terms, {input index: coefficient})
         self.size = 0
         for poly in polys:
             scale, rest, comb = self._reduce(poly)
             if rest:
-                if combinations:  # else every combination stays empty
-                    comb[self.size] = scale
+                comb[self.size] = scale
                 row, comb = _primitive(rest, comb)
                 self.rows[min(row)] = (row, comb)
             self.size += 1
@@ -423,9 +422,9 @@ class _Echelon:
 
 
 def span_dimension(polys) -> int:
-    """Dimension of the span of ``polys``: an elimination that tracks no
-    combinations."""
-    return len(_Echelon(polys, combinations=False).rows)
+    """Dimension of the span of ``polys``: the number of rows of their
+    echelon form."""
+    return len(_Echelon(polys).rows)
 
 
 def in_span(poly: NCPoly, basis) -> Optional[list]:

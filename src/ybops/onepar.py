@@ -7,10 +7,10 @@ with the wrong composition map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import Algebra, Coalgebra
-from .colored import family_inv, family_op, family_triple
+from .colored import _TableFamily
 from .errors import UnknownFamilyError
 from .funceq import family
 from .tensorop import Op2
@@ -18,36 +18,36 @@ from .tensorop import Op2
 
 def prop1_op(A: Algebra, q, x) -> Op2:
     """The one-parameter family of Proposition 1; phi = x*z."""
-    return family_op("prop1", A, {"q": q}, x)
+    return OneParFamily("prop1", A, {"q": q}).op(x)
 
 
 def prop1_inv(A: Algebra, q, x) -> Op2:
     """Inverse of prop1_op; needs x != q and qx != 1."""
-    return family_inv("prop1", A, {"q": q}, x)
+    return OneParFamily("prop1", A, {"q": q}).inv(x)
 
 
 def prop1_coalgebra_op(C: Coalgebra, q, x) -> Op2:
     """Coalgebra transfer of prop1_op; phi = x*z."""
-    return family_op("prop1_coalgebra", C, {"q": q}, x)
+    return OneParFamily("prop1_coalgebra", C, {"q": q}).op(x)
 
 
 def prop2_op(A: Algebra, x) -> Op2:
     """The one-parameter family of Proposition 2; phi = z."""
-    return family_op("prop2", A, {}, x)
+    return OneParFamily("prop2", A).op(x)
 
 
 def prop2_inv(A: Algebra, x) -> Op2:
     """Inverse of prop2_op; needs x != 0."""
-    return family_inv("prop2", A, {}, x)
+    return OneParFamily("prop2", A).inv(x)
 
 
 def remark_x_op(A: Algebra, x) -> Op2:
     """The one-parameter family with phi = x."""
-    return family_op("remark_x", A, {}, x)
+    return OneParFamily("remark_x", A).op(x)
 
 
 @dataclass(frozen=True)
-class OneParFamily:
+class OneParFamily(_TableFamily):
     """Immutable evaluator x -> Op2 with the family's composition map phi.
 
     The domain Z of phi is taken to be all of X times X; the one-parameter
@@ -55,25 +55,13 @@ class OneParFamily:
     evaluates the family at x, phi(x,z) and z.
     """
 
-    kind: str
-    carrier: object
-    params: dict = field(default_factory=dict)
-
     def __post_init__(self):
         if family(self.kind).phi is None:
             raise UnknownFamilyError(
                 f"{self.kind!r} is not a one-parameter family")
 
     def op(self, x) -> Op2:
-        return family_op(self.kind, self.carrier, self.params, x)
-
-    def exact_triple(self, x):
-        """The coefficients of ``op(x)`` when they decide its residual
-        exactly (see :func:`ybops.colored.family_triple`), else None."""
-        return family_triple(self.kind, self.carrier, self.params, x)
-
-    def inv(self, x) -> Op2:
-        return family_inv(self.kind, self.carrier, self.params, x)
+        return self._build(*self._coeffs((x,)))
 
     def phi(self, x, z):
         return family(self.kind).phi(x, z)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import Algebra, require_valid
-from .colored import family_op, family_triple
 from .errors import DimensionMismatchError
+from .onepar import OneParFamily
 from .tensorop import Op2, _decided
 
 
@@ -38,13 +38,14 @@ class WXZSystem:
 
 def thm3_system(A: Algebra, lam, mu) -> WXZSystem:
     """W = prop2 at lam, X = prop2 at 1 and Z = remark_x at mu, keeping
-    their table triples (:func:`ybops.colored.family_triple`), None where
-    a triple is not exact."""
+    their table triples (:meth:`ybops.onepar.OneParFamily.exact_triple`),
+    None where a triple is not exact."""
     require_valid(A)
-    builds = (("prop2", lam), ("prop2", 1), ("remark_x", mu))
-    S = WXZSystem(*(family_op(kind, A, {}, x) for kind, x in builds))
+    builds = [(OneParFamily(kind, A), x) for kind, x in
+              (("prop2", lam), ("prop2", 1), ("remark_x", mu))]
+    S = WXZSystem(*(fam.op(x) for fam, x in builds))
     object.__setattr__(S, "triples", tuple(
-        family_triple(kind, A, {}, x) for kind, x in builds))
+        fam.exact_triple(x) for fam, x in builds))
     return S
 
 

@@ -334,6 +334,15 @@ EXIT_CODES = [
                  None, id="zero-denominator"),
     pytest.param(["verify", "--family", "thm1", "--sigma", "abc"], None, 2,
                  None, id="bad-rational"),
+    # an empty --eps or --rho is a bad rational, not a missing one
+    pytest.param(["verify", "--family", "thm1", "--eps="], None, 2,
+                 "error: Invalid literal for Fraction: ''", id="empty-eps"),
+    pytest.param(["ybsystem", "--rho="], None, 2,
+                 "error: Invalid literal for Fraction: ''", id="empty-rho"),
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
+        "family": "thm1", "eps": ""}}]}, 2,
+        TASK_ERROR + "Invalid literal for Fraction: ''",
+        id="campaign-empty-eps"),
     pytest.param(["campaign"], [1, 2], 2,
                  "error: config error: expected an object with a task list",
                  id="campaign-list"),

@@ -6,11 +6,12 @@ import pytest
 
 from ybops.algebra import (dual_coalgebra, opposite_algebra,
                            quadratic_algebra)
-from ybops.colored import (ColoredFamily, coalgebra_colored_op, family_op,
-                           remark2_op, thm1_inv, thm1_op, thm2_inv, thm2_op)
+from ybops.colored import (ColoredFamily, coalgebra_colored_op, remark2_op,
+                           thm1_inv, thm1_op, thm2_inv, thm2_op)
 from ybops.errors import (NonIntegerExponentError, SingularParameterError,
                           UnknownFamilyError)
 from ybops.funceq import FAMILIES, catalogue
+from ybops.onepar import OneParFamily
 from ybops.scalars import scalar_pow
 from ybops.tensorop import (colored_qybe_residual, identity_mat, mat_mul,
                             mat_transpose, tensor_basis_labels)
@@ -140,8 +141,8 @@ class TestScalarPow:
         with pytest.raises(NonIntegerExponentError):
             scalar_pow(-2.0, 0.5)
         with pytest.raises(NonIntegerExponentError):
-            family_op("thm2", quadratic_algebra(1),
-                      {"p": -2.0, "q": 1, "s": 1}, 0.5, 1)
+            ColoredFamily("thm2", quadratic_algebra(1),
+                          {"p": -2.0, "q": 1, "s": 1}).op(0.5, 1)
 
 
 class TestRemark2:
@@ -194,6 +195,29 @@ class TestFamilyAndMatrixForm:
     def test_unknown_kind_rejected(self, A1):
         with pytest.raises(UnknownFamilyError):
             ColoredFamily(kind="nope", carrier=A1)
+
+    @pytest.mark.parametrize("cls,kind,message", [
+        (ColoredFamily, "prop1", "'prop1' is not a coloured family"),
+        (OneParFamily, "thm1", "'thm1' is not a one-parameter family")])
+    def test_kind_of_the_other_system_rejected(self, A1, cls, kind, message):
+        with pytest.raises(UnknownFamilyError) as exc:
+            cls(kind, A1)
+        assert str(exc.value) == message
+
+    def test_the_two_systems_stay_apart(self, A1):
+        col = ColoredFamily("thm1", A1, {"p": 1, "q": 2})
+        # no one-parameter family can have a coloured kind, so its twin
+        # with the same fields is built past the kind check
+        twin = object.__new__(OneParFamily)
+        for name, value in vars(col).items():
+            object.__setattr__(twin, name, value)
+        assert vars(twin) == vars(col)
+        assert col != twin and twin != col
+        assert col == ColoredFamily("thm1", A1, {"p": 1, "q": 2})
+        assert repr(col).startswith("ColoredFamily(")
+        assert repr(OneParFamily("prop2", A1)).startswith("OneParFamily(")
+        # each class has its own op, which the benchmark's tracer wraps
+        assert "op" in vars(ColoredFamily) and "op" in vars(OneParFamily)
 
     def test_no_inverse_formula_for_remark2(self, A1):
         fam = ColoredFamily(kind="remark2", carrier=A1,

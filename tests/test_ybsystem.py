@@ -26,6 +26,16 @@ class TestThm3System:
         S = thm3_system(Bc, 3, 5)
         assert wxz_residuals(S) == (0, 0, 0, 0)
 
+    @pytest.mark.parametrize("lam,mu,W,Z", [
+        (Fraction(-7, 2), 5, (Fraction(-7, 2), 1, 1), (1, 5, 1)),
+        (2.0, 5, None, (1, 5, 1)), (2, 5.0, (2, 1, 1), None)])
+    def test_triples_are_the_families(self, Aq, lam, mu, W, Z):
+        S = thm3_system(Aq, lam, mu)
+        assert S.triples == (W, (1, 1, 1), Z)
+        assert S.triples == tuple(
+            OneParFamily(kind, Aq).exact_triple(x) for kind, x in
+            (("prop2", lam), ("prop2", 1), ("remark_x", mu)))
+
     def test_invalid_algebra_rejected(self, A1):
         c = [[[x for x in row] for row in plane] for plane in A1.structconst]
         c[1][0] = [Fraction(1), Fraction(0)]  # x*1 = 1 breaks unitality
