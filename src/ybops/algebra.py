@@ -226,11 +226,6 @@ def dual_coalgebra(A: Algebra) -> Coalgebra:
     return Coalgebra(require_valid(A))
 
 
-def opposite_algebra(A: Algebra) -> Algebra:
-    """A with the reversed product a*b := ba, built once per algebra."""
-    return A.opposite
-
-
 # --- JSON interface ---------------------------------------------------------
 
 def _to_json(n, cube_key, cube, vector_key, vector) -> str:

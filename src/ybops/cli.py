@@ -50,8 +50,10 @@ _USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError, OSError)
 
 
 def _algebra(args):
+    # every rational option given is parsed, even one the algebra ignores
+    sigma = parse_scalar(args.sigma)
     if args.eps is None and args.rho is None:
-        return quadratic_algebra(parse_scalar(args.sigma))
+        return quadratic_algebra(sigma)
     return cubic_algebra(*(parse_scalar("0" if x is None else x)
                            for x in (args.eps, args.rho)))
 
@@ -59,7 +61,9 @@ def _algebra(args):
 def _family(args):
     F = FAMILIES[args.family]
     A = _algebra(args)
-    params = {name: parse_scalar(getattr(args, name)) for name in F.params}
+    values = {name: parse_scalar(getattr(args, name))
+              for name in ("p", "q", "s")}
+    params = {name: values[name] for name in F.params}
     carrier = dual_coalgebra(A) if F.coalgebra else A
     cls = ColoredFamily if F.phi is None else OneParFamily
     return F, cls(kind=args.family, carrier=carrier, params=params)
@@ -115,9 +119,10 @@ def cmd_verify(args):
 
 def cmd_matrix(args):
     F, fam = _family(args)
-    colours = [parse_scalar(getattr(args, c)) for c in F.colours]
+    values = {c: parse_scalar(getattr(args, c)) for c in ("u", "v", "x")}
+    colours = [values[c] for c in F.colours]
     op = fam.op(*colours)
-    basis = tensor_basis_labels(op.n, 2)
+    basis = tensor_basis_labels(op.n)
     shorthand = ({} if F.shorthand is None else
                  {k: format_scalar(v) for k, v in
                   F.shorthand(*F.args(fam.params), *colours).items()})
@@ -242,11 +247,13 @@ def cmd_campaign(args):
     tasks = config["tasks"]
     if not tasks:
         raise ValueError("config error: the task list is empty")
+    seed = config.get("seed", args.seed)
+    if type(seed) is not int:
+        raise ValueError(f"config error: seed: expected a JSON int, "
+                         f"got {seed!r}")
     outdir = Path(args.outdir or os.environ.get("YBOPS_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = config.get("seed", args.seed)
     overall_ok = True
-    reports = []
     for i, task in enumerate(tasks):
         try:
             task_args = _parse_task(task, seed)
@@ -261,12 +268,11 @@ def cmd_campaign(args):
             overall_ok = False
         report["expect"] = expect
         report["passed"] = matched
-        reports.append(report)
         _write(outdir / f"task-{i:03d}-{task_args.command}.json",
                json.dumps(report, indent=2, ensure_ascii=False))
     _write(outdir / "campaign-meta.json",
            json.dumps({"timestamp": time.time(), "tasks": len(tasks)}))
-    return overall_ok, {"command": "campaign", "tasks": reports}
+    return overall_ok, {"command": "campaign"}
 
 
 _HANDLERS = {

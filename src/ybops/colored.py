@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .algebra import Algebra, Coalgebra, known_valid, opposite_algebra
+from .algebra import Algebra, Coalgebra, known_valid
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import is_exact
@@ -103,7 +103,7 @@ class _TableFamily:
 
     def _build(self, F, coeffs, opposite: bool = False) -> Op2:
         A = self.carrier.algebra if F.coalgebra else self.carrier
-        R = ansatz_op(opposite_algebra(A) if opposite else A, *coeffs)
+        R = ansatz_op(A.opposite if opposite else A, *coeffs)
         return _transpose(R) if F.coalgebra else R
 
     def exact_triple(self, *colours):

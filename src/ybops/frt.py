@@ -58,13 +58,9 @@ class NCPoly:
         return not self.terms
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self
+        if not isinstance(other, NCPoly):
             return NotImplemented
         return _collect(chain(self.terms.items(), other.terms.items()))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return NCPoly._of({w: -c for w, c in self.terms.items()})

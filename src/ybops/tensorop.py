@@ -412,19 +412,16 @@ def power_basis_labels(n: int) -> list:
     return out
 
 
-def tensor_basis_labels(n: int, factors: int = 2) -> list:
+def tensor_basis_labels(n: int) -> list:
     base = power_basis_labels(n)
-    labels = base
-    for _ in range(factors - 1):
-        labels = [a + "\u2297" + b for a in labels for b in base]
-    return labels
+    return [a + "\u2297" + b for a in base for b in base]
 
 
 def op_to_json(op) -> str:
     n = op.n
     return json.dumps({
         "n": n,
-        "basis": tensor_basis_labels(n, 3 if isinstance(op, Op3) else 2),
+        "basis": tensor_basis_labels(n),
         "entries": [[format_scalar(x) for x in row] for row in op.mat],
         "field": "rational",
     }, ensure_ascii=False)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, campaign runner."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -321,6 +322,8 @@ def test_report_to_device():
 # OS or argparse message).  In argv, {tmp} is the test's temporary directory
 # and {cfg} the config file.
 TASK_ERROR = "error: config error in task 0: "
+BAD_RATIONAL = "error: Invalid literal for Fraction: 'abc'"
+SEED_ERROR = "error: config error: seed: expected a JSON int, got "
 EXIT_CODES = [
     pytest.param(["--field", "float64", "verify", "--family", "thm1"], None,
                  2, None, id="unknown-field-flag"),
@@ -334,6 +337,24 @@ EXIT_CODES = [
                  None, id="zero-denominator"),
     pytest.param(["verify", "--family", "thm1", "--sigma", "abc"], None, 2,
                  None, id="bad-rational"),
+    # a rational option is parsed even where the family or algebra
+    # ignores it
+    pytest.param(["verify", "--family", "thm1", "--sigma", "abc", "--eps",
+                  "1"], None, 2, BAD_RATIONAL, id="unused-sigma-cubic"),
+    pytest.param(["ybsystem", "--sigma", "abc", "--rho", "1"], None, 2,
+                 BAD_RATIONAL, id="ybsystem-unused-sigma"),
+    pytest.param(["verify", "--family", "prop2", "--p", "abc"], None, 2,
+                 BAD_RATIONAL, id="unused-p"),
+    pytest.param(["verify", "--family", "thm1", "--s", "abc"], None, 2,
+                 BAD_RATIONAL, id="unused-s"),
+    pytest.param(["matrix", "--family", "thm1", "--x", "abc"], None, 2,
+                 BAD_RATIONAL, id="unused-x"),
+    pytest.param(["matrix", "--family", "prop1", "--u", "abc"], None, 2,
+                 BAD_RATIONAL, id="unused-u"),
+    pytest.param(["campaign"], {"tasks": [{"command": "matrix", "args": {
+        "family": "thm1", "x": "abc"}}]}, 2,
+        TASK_ERROR + "Invalid literal for Fraction: 'abc'",
+        id="campaign-unused-x"),
     # an empty --eps or --rho is a bad rational, not a missing one
     pytest.param(["verify", "--family", "thm1", "--eps="], None, 2,
                  "error: Invalid literal for Fraction: ''", id="empty-eps"),
@@ -389,6 +410,16 @@ EXIT_CODES = [
     pytest.param(["campaign"], {"tasks": []}, 2,
                  "error: config error: the task list is empty",
                  id="campaign-empty"),
+    # the config's seed is a JSON int, as a task's is
+    pytest.param(["campaign"], {"seed": "7", "tasks": [
+        {"command": "compare"}]}, 2, SEED_ERROR + "'7'",
+        id="campaign-seed-str"),
+    pytest.param(["campaign"], {"seed": True, "tasks": [
+        {"command": "compare"}]}, 2, SEED_ERROR + "True",
+        id="campaign-seed-bool"),
+    pytest.param(["campaign"], {"seed": 1.5, "tasks": [
+        {"command": "compare"}]}, 2, SEED_ERROR + "1.5",
+        id="campaign-seed-float"),
     pytest.param(["campaign"], {"tasks": [{"command": "campaign"}]}, 2,
                  TASK_ERROR + "unknown command 'campaign'",
                  id="campaign-nested"),
@@ -425,6 +456,19 @@ class TestUsage:
             {"command": "compare", "args": {}}]}), encoding="utf-8")
         assert main(["campaign", str(cfg)]) == 0
         assert (tmp_path / "envout" / "task-000-compare.json").exists()
+
+
+def _rational_options():
+    # (subcommand, first spelling) of every option that takes a rational:
+    # no type, no choices, not the help action and not a path
+    return [(sub, a.option_strings[0])
+            for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+            for sub, parser in action.choices.items()
+            for a in parser._actions
+            if a.type is None and a.choices is None
+            and not isinstance(a, argparse._HelpAction)
+            and a.dest not in ("out", "report", "outdir", "config")]
 
 
 class TestParser:
@@ -464,6 +508,13 @@ class TestParser:
             code = main(words)
             outputs.append((code, *capsys.readouterr()))
         assert outputs[0] == outputs[1] and outputs[0][2] == ""
+
+    @pytest.mark.parametrize("sub,option", _rational_options())
+    def test_every_rational_option_is_parsed(self, sub, option, capsys):
+        # even one the family, the colours or the algebra leave unused
+        family = ["--family", "thm1"] if sub in ("verify", "matrix") else []
+        assert main([sub, *family, f"{option}=abc"]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == BAD_RATIONAL
 
 
 # --- the CLI in a fresh interpreter -------------------------------------------

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ybops.algebra import (dual_coalgebra, opposite_algebra,
-                           quadratic_algebra)
+from ybops.algebra import dual_coalgebra, quadratic_algebra
 from ybops.colored import (ColoredFamily, coalgebra_colored_op, remark2_op,
                            thm1_inv, thm1_op, thm2_inv, thm2_op)
 from ybops.errors import (NonIntegerExponentError, SingularParameterError,
@@ -81,7 +80,7 @@ class TestThm1:
         monkeypatch.setattr(colored, "ansatz_op", spy)
         S1 = thm1_inv(Bc, 1, 3, 2, 5)
         S2 = thm1_inv(Bc, 1, 3, 2, 5)
-        assert built_on[0] is built_on[1] is opposite_algebra(Bc)
+        assert built_on[0] is built_on[1] is Bc.opposite
         n = Bc.dim
         assert all(built_on[0].structconst[i][j] == Bc.structconst[j][i]
                    for i in range(n) for j in range(n))
@@ -232,5 +231,5 @@ class TestFamilyAndMatrixForm:
         u, v = Fraction(3), Fraction(1)
         assert F.shorthand(*F.args(fam.params), u, v) == {
             "lambda": 2, "t": 1, "t'": 3, "w": 5, "w'": -1}
-        assert tensor_basis_labels(fam.op(u, v).n, 2) == [
+        assert tensor_basis_labels(fam.op(u, v).n) == [
             "1⊗1", "1⊗x", "x⊗1", "x⊗x"]

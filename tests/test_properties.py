@@ -18,8 +18,8 @@ from frt_reference import exchange_closure as reference_closure, subset
 from frt_reference import template_relation
 from search_reference import reference_objective
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
-                           opposite_algebra, poly_quotient, quadratic_algebra,
-                           require_valid, validate)
+                           poly_quotient, quadratic_algebra, require_valid,
+                           validate)
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
 from ybops.compare import BraidFamily
@@ -639,7 +639,7 @@ def _carriers(draw):
         A = _change_basis(A, draw(small), draw(small), draw(st.lists(
             scale.filter(bool), min_size=A.dim, max_size=A.dim)))
     if draw(st.booleans()):
-        A = opposite_algebra(A)
+        A = A.opposite
     assert validate(A).ok
     if draw(st.integers(0, 3)) == 0:
         # some unit coordinates and perhaps the products e_i e_j as floats:
@@ -760,7 +760,7 @@ _LINEAR_FAMILIES = {f.name: f for f in (
            phi=lambda x, z: x * z, coalgebra=True))}
 
 _M2 = require_valid(matrix_algebra())
-_M2_OPPOSITE = require_valid(opposite_algebra(_M2))
+_M2_OPPOSITE = require_valid(_M2.opposite)
 
 
 @st.composite

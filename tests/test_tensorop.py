@@ -316,7 +316,7 @@ class TestLabelsAndEmitters:
         assert power_basis_labels(3) == ["1", "x", "x²"]
 
     def test_tensor_basis_lexicographic(self):
-        labels = tensor_basis_labels(2, 2)
+        labels = tensor_basis_labels(2)
         assert labels == ["1⊗1", "1⊗x", "x⊗1", "x⊗x"]
 
     def test_json_roundtrip_entries(self, rng):
