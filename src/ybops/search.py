@@ -3,8 +3,9 @@
 The classification of all solutions is open; this harness explores the two
 ansatz shapes with derivative-free simplex descent and random restarts, then
 matches converged minima against the catalogue modulo gauge scale.
-Determinism contract: every restart derives its own RNG stream from
-(seed, restart index), so results are independent of scheduling.
+Determinism contract: every restart draws its start point from its own
+stream, numpy's ``default_rng((seed, restart index))`` computed in Python
+(:func:`_start`), so results are independent of scheduling.
 """
 
 from __future__ import annotations
@@ -186,10 +187,17 @@ def _compile_objective(shape: str, system: str, phi_shape):
 
 def _sorted_simplex(sim, fsim):
     """The vertices and values in ascending value order, as scipy sorts
-    them with ``np.argsort``: nan last, and ties in numpy's order, which
-    is not the stable one on every CPU."""
-    import numpy as np
-    order = np.argsort(fsim).tolist()
+    them with ``np.argsort``.  Distinct values, none nan, have one such
+    order, and Python's sort gives it.  A tie or a nan (or 0.0 beside
+    -0.0, which ``set`` counts as one) goes to ``np.argsort`` itself:
+    nan last, and ties in numpy's order, which is not the stable one on
+    every CPU, so only numpy can give it."""
+    if len(set(fsim)) == len(fsim) and all(f == f for f in fsim):
+        order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    else:
+        # imported here, so that a tie-free search does not load it
+        import numpy as np
+        order = np.argsort(fsim).tolist()
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
@@ -204,7 +212,7 @@ def _nelder_mead(func, x0):
     returns -0.0.  The simplex stays ordered by insertion: a new vertex
     whose value differs from every other, none of them nan, has one place,
     the one ``np.argsort`` gives it; a tie, a nan or a shrink goes through
-    :func:`_sorted_simplex`.
+    :func:`_sorted_simplex`, which loads numpy only for a tie or a nan.
     """
     n = len(x0)
     x0 = [float(x) for x in x0]
@@ -332,24 +340,83 @@ def classify(shape: str, system: str, phi_shape: str, params,
     return "unclassified"
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _words(n):
+    """A seed int as numpy's SeedSequence reads it: 32-bit words, low
+    first, one word for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _start(seed, restart):
+    """numpy's ``default_rng((seed, restart)).uniform(-3.0, 3.0, 6)``, bit
+    for bit, as a list: ``SeedSequence((seed, restart))`` hashes the seed
+    words into four pool words, which seed PCG64 (a 128-bit LCG with the
+    XSL-RR output), and each coordinate is -3 + 6 * (53 high bits / 2**53).
+    A negative seed raises numpy's ValueError."""
+    entropy = _words(seed) + _words(restart)
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return x ^ x >> 16
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words, read as four little-endian
+    # 64-bit ones, (state high, state low, increment high, increment low)
+    const = 0x8B51F9DD
+    words = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    s0, s1, i0, i1 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * mult + inc) & _MASK128
+    out = []
+    for _ in range(6):
+        state = (state * mult + inc) & _MASK128
+        rot, x = state >> 122, (state >> 64 ^ state) & _MASK64
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append(-3.0 + 6.0 * ((x >> 11) * (1.0 / 9007199254740992.0)))
+    return out
+
+
 def search(shape: str = "linear", system: str = "colored", seed: int = 0,
            restarts: int = 1, phi_shape: str = "xz") -> list:
     """Minimize the summed squared residuals from random starting points.
 
     Residuals are summed over the system's default grid.  Each restart runs
     Nelder-Mead (restarted once from its own minimum to tighten convergence)
-    from a uniform start in [-3, 3]^6.  Results come back in restart order.
+    from a uniform start in [-3, 3]^6, the one numpy's
+    ``default_rng((seed, restart))`` draws (:func:`_start`), so ``seed``
+    must be a non-negative int.  Results come back in restart order.  numpy
+    is loaded only if a simplex meets a tie or a nan.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     objective = _make_objective(shape, system, phi_shape)
-    # imported here, so that importing ybops does not load it
-    import numpy as np
 
     results = []
     for i in range(restarts):
-        rng = np.random.default_rng((seed, i))
-        x0 = rng.uniform(-3.0, 3.0, size=6).tolist()
+        x0 = _start(seed, i)
         x, fun, iters = _nelder_mead(objective, x0)
         x2, fun2, nit2 = _nelder_mead(objective, x)
         if fun2 <= fun:

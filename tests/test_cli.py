@@ -395,6 +395,14 @@ EXIT_CODES = [
     pytest.param(["--seed", "3", "search", "--shape", "exponential",
                   "--restarts", "1"], None, 0, None,
                  id="search-exp-underflow"),
+    # the start points' generator rejects a negative seed as numpy does
+    pytest.param(["--seed", "-1", "search", "--restarts", "1"], None, 2,
+                 "error: expected non-negative integer",
+                 id="search-seed-negative"),
+    pytest.param(["campaign"], {"seed": -1, "tasks": [
+        {"command": "search", "args": {"restarts": 1}}]}, 2,
+        TASK_ERROR + "expected non-negative integer",
+        id="campaign-search-seed-negative"),
     pytest.param(["matrix", "--family", "thm1", "--out", "{tmp}/no/x.json"],
                  None, 2, None, id="matrix-out-unwritable"),
     pytest.param(["frt", "--report", "{tmp}/no/r.json"], None, 2, None,
@@ -563,7 +571,7 @@ class TestClosedStdout:
 
 
 def test_import_loads_no_numerics():
-    # numpy is the search's alone; scipy is a test reference only
+    # numpy orders a search's ties; scipy is a test reference only
     code = ("import sys, ybops, ybops.cli; print(sorted({m.split('.')[0] "
             "for m in sys.modules} & {'numpy', 'scipy'}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -578,6 +586,21 @@ def test_search_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_ENV, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_tie_free_search_loads_no_numpy(tmp_path):
+    # numpy only orders a tie or a nan in the simplex, as scipy does: the
+    # linear coloured search, the README's seed-42 run included, never
+    # meets one; exponential seed 3 ends on the 0.0 plateau and loads it
+    code = ("import sys, ybops, ybops.cli; ybops.search.search(restarts=1); "
+            "ybops.cli.main(['--seed', '42', 'search', '--restarts', '50', "
+            "'--out', sys.argv[1]]); print('numpy' in sys.modules); "
+            "ybops.search.search('exponential', seed=3); "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s")],
+                          capture_output=True, text=True, env=_ENV,
+                          timeout=120, check=True)
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
 
 
 def test_search_attribute_is_the_module():

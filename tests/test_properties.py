@@ -30,7 +30,8 @@ from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, RelationSet, _Echelon,
 from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
-from ybops.search import MAX_ITER, _make_objective, _nelder_mead
+from ybops.search import (MAX_ITER, _make_objective, _nelder_mead,
+                          _sorted_simplex, _start)
 from ybops.tensorop import (Op2, _chain_numerators, _max_abs, _perm23,
                             _qybe_numerators, braid_residual,
                             colored_qybe_residual, flip_op2, freeze,
@@ -943,6 +944,58 @@ class TestNelderMead:
         got = _nelder_mead(_flaky(), [1.0, 0.0])
         assert _bits(*got) == _bits(*scipy_nelder_mead(_flaky(), [1.0, 0.0]))
         assert math.isnan(got[1]) and got[2] == MAX_ITER
+
+
+class TestStartPoints:
+    """The start points against numpy's generator, their oracle: equal
+    bits for every seed and restart (about 0.3 s, under 1 s)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**96 - 1), restart=st.integers(0, 10**4))
+    # seeds of one 32-bit word, the top of one, two words and three; a
+    # fourth word takes the entropy past the four-word pool
+    @example(seed=0, restart=0)
+    @example(seed=2**32 - 1, restart=0)
+    @example(seed=2**32, restart=1)
+    @example(seed=2**64, restart=10**4)
+    @example(seed=2**64 + 7, restart=3)
+    @example(seed=10**30, restart=5)
+    def test_equal_to_numpy(self, seed, restart):
+        np = pytest.importorskip("numpy")
+        want = np.random.default_rng((seed, restart)).uniform(-3.0, 3.0, 6)
+        assert _start(seed, restart) == want.tolist()
+
+    def test_negative_seed_raises_numpys_error(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng((-1, 0))
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            _start(-1, 0)
+
+
+class TestSortedSimplex:
+    """``_sorted_simplex`` orders values as ``np.argsort`` does: by Python's
+    sort when they are distinct and none is nan, by numpy itself else
+    (about 0.5 s)."""
+
+    @staticmethod
+    def _check(fsim):
+        np = pytest.importorskip("numpy")
+        sim = [[float(i)] for i in range(len(fsim))]
+        order = np.argsort(fsim).tolist()
+        got = _sorted_simplex(sim, list(fsim))
+        assert got == ([sim[i] for i in order], [fsim[i] for i in order])
+
+    @settings(max_examples=200, deadline=None)
+    @given(fsim=st.lists(st.floats(allow_nan=False), min_size=2, max_size=7,
+                         unique=True))
+    @example(fsim=[math.inf, 5e-324, -math.inf, -5e-324, 1.0])
+    # ties: on an AVX-512 CPU numpy orders the zeros 0, 1, 2, 4, 6, 5
+    @example(fsim=[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    @example(fsim=[1.0, math.nan, 0.0, math.nan])  # nan last
+    @example(fsim=[0.0, -0.0])  # equal values, unequal bits
+    def test_equal_to_argsort(self, fsim):
+        self._check(fsim)
 
 
 def _float_bits(x):
