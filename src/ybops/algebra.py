@@ -257,7 +257,11 @@ def _scalar(x, field):
 
 def _from_json(text, cube_key, vector_key):
     """(dim, n x n x n tensor, length-n vector), shape-checked."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InvalidStructureError(
+            "the document is nested too deeply to read") from None
     if not isinstance(data, dict):
         raise InvalidStructureError("the document must be a JSON object")
     missing = [k for k in ("dim", cube_key, vector_key) if k not in data]

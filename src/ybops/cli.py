@@ -239,7 +239,8 @@ def _parse_task(task, seed):
 def cmd_campaign(args):
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser can follow
         raise ValueError(f"config error: {exc}") from None
     if not isinstance(config, dict) or not isinstance(config.get("tasks"),
                                                       list):

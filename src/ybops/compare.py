@@ -56,8 +56,9 @@ class BraidFamily:
 def compare_q1(xs=(1, 2, 3)) -> dict:
     """Evaluate both families at q=1, sigma=0 and report their difference.
 
-    Verdict per sample: identical / proportional / differ, decided by the
-    exact difference matrix; nothing is reconciled silently.
+    At q=1 the twisted matrix is the Okado one with entry (3, 3) negated, so
+    the verdict per sample is identical (at x=1, where both vanish) or
+    differ, decided by exact equality; nothing is reconciled silently.
     """
     report = {"q": "1", "sigma": "0", "samples": []}
     for x in xs:
@@ -65,12 +66,7 @@ def compare_q1(xs=(1, 2, 3)) -> dict:
         ok = okado_rhat(1, x)
         tw = twisted_prop1_rhat(1, 0, x)
         diff = mat_sub(ok.mat, tw.mat)
-        if ok.mat == tw.mat:
-            verdict = "identical"
-        elif _proportional(ok.mat, tw.mat):
-            verdict = "proportional"
-        else:
-            verdict = "differ"
+        verdict = "identical" if ok.mat == tw.mat else "differ"
         report["samples"].append({
             "x": format_scalar(x),
             "okado": [[format_scalar(e) for e in row] for row in ok.mat],
@@ -79,10 +75,3 @@ def compare_q1(xs=(1, 2, 3)) -> dict:
             "verdict": verdict,
         })
     return report
-
-
-def _proportional(A, B):
-    # A = cB with c != 0: the same zero pattern (no None) and one ratio
-    ratios = {Fraction(a) / b if a and b else None
-              for ra, rb in zip(A, B) for a, b in zip(ra, rb) if a or b}
-    return None not in ratios and len(ratios) <= 1

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .errors import DimensionMismatchError
 from .scalars import over_one_denominator, rational
-from .tensorop import Op2, _transpose
+from .tensorop import Op2
 
 LETTERS = ("a", "b", "c", "d")
 
@@ -325,24 +325,23 @@ def rtt_residual(Rm) -> list:
 
     Entry (i, j) is the sum over k of R[i][k] (T1u T2v)[k][j] and
     -(T2v T1u)[i][k] R[k][j].  Each product is one word with an entry of R
-    for coefficient and no two of them share a word, so the entries are
-    read off the sparse columns of R and of its transpose; a float entry
-    enters as its exact rational.
+    for coefficient and no two of them share a word, so each entry R[a][b]
+    of the sparse columns is read once and written into row a and column
+    b of the result; a float entry enters as its exact rational.
     """
     if not isinstance(Rm, Op2):
         Rm = Op2(n=2, mat=Rm)
     if Rm.n != 2:
         raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
-    R = Op2(n=2, cols=[[(i, c) for i, x in col if (c := rational(x))]
-                       for col in Rm.entries()])
-    cols, rows = R.cols, _transpose(R).cols
-    out = []
-    for i in range(4):
-        for j in range(4):
-            terms = {_T12[k][j]: c for k, c in rows[i]}
-            terms.update((_T21[i][k], -c) for k, c in cols[j])
-            out.append(NCPoly._of(terms))
-    return out
+    out = [{} for _ in range(16)]
+    for b, col in enumerate(Rm.entries()):
+        for a, x in col:
+            if c := rational(x):
+                for j in range(4):
+                    out[4 * a + j][_T12[b][j]] = c
+                for i in range(4):
+                    out[4 * i + b][_T21[i][a]] = -c
+    return [NCPoly._of(terms) for terms in out]
 
 
 # --- exact span arithmetic ------------------------------------------------------

@@ -199,6 +199,10 @@ def _misshape(data, tensor, vector, how):
         data[tensor][1][0][0] = _BAD_SCALARS[how]
     elif how == "bool-unit":  # true is no 1, though True == 1
         data[vector][0] = True
+    elif how == "too-deep":  # deeper than the JSON parser recurses
+        depth = 200_000
+        return ('{"dim": 2, "' + vector + '": ' + "[" * depth
+                + "]" * depth + "}")
     else:  # float-dim: 2.0 is no dimension, though 2.0 == 2
         data["dim"] = float(data["dim"])
     return json.dumps(data)
@@ -207,13 +211,14 @@ def _misshape(data, tensor, vector, how):
 class TestShapeChecks:
     HOWS = ["short-unit", "missing-plane", "ragged-row", "string-row",
             "string-unit", "scalar-plane", "missing-key", "top-array",
-            "top-string", "float-dim", *_BAD_SCALARS, "bool-unit"]
+            "top-string", "float-dim", *_BAD_SCALARS, "bool-unit",
+            "too-deep"]
     # a document that is not an object with every key, or that holds
     # something other than a number or a string where a scalar belongs, is
     # malformed, not mis-shaped
     ERROR = {how: InvalidStructureError for how in (
         "missing-key", "top-array", "top-string", *_BAD_SCALARS,
-        "bool-unit")}
+        "bool-unit", "too-deep")}
 
     @pytest.mark.parametrize("how", HOWS)
     def test_algebra_reader_rejects(self, how, A1):

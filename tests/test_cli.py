@@ -570,6 +570,20 @@ class TestClosedStdout:
         assert err[0].startswith("error:")
 
 
+def test_deeply_nested_config_exits_2(tmp_path):
+    # deeper than the JSON parser recurses: a config error, not a traceback
+    cfg = tmp_path / "deep.json"
+    depth = 200_000
+    cfg.write_text('{"tasks": ' + "[" * depth + "]" * depth + "}",
+                   encoding="utf-8")
+    proc = _ybops(["campaign", str(cfg), "--outdir", str(tmp_path)],
+                  subprocess.DEVNULL)
+    err = proc.stderr.decode().strip().splitlines()
+    assert proc.returncode == 2 and len(err) == 1
+    assert err[0].startswith("error: config error: ")
+    assert "Traceback" not in proc.stderr.decode()
+
+
 def test_import_loads_no_numerics():
     # numpy orders a search's ties; scipy is a test reference only
     code = ("import sys, ybops, ybops.cli; print(sorted({m.split('.')[0] "
