@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import UnknownFamilyError
 from .onepar import prop1_op
@@ -59,19 +60,27 @@ def compare_q1(xs=(1, 2, 3)) -> dict:
     At q=1 the twisted matrix is the Okado one with entry (3, 3) negated, so
     the verdict per sample is identical (at x=1, where both vanish) or
     differ, decided by exact equality; nothing is reconciled silently.
+    The report is a fresh dict on every call; its rows are computed once
+    per tuple of sample points (:func:`_q1_samples`).
     """
-    report = {"q": "1", "sigma": "0", "samples": []}
+    return {"q": "1", "sigma": "0", "samples": [
+        {"x": x, "okado": list(map(list, ok)),
+         "twisted_prop1": list(map(list, tw)),
+         "difference": list(map(list, diff)), "verdict": verdict}
+        for x, ok, tw, diff, verdict in _q1_samples(tuple(map(rational, xs)))]}
+
+
+@cache
+def _q1_samples(xs):
+    """The sample rows of :func:`compare_q1` at the rationals ``xs``, as
+    tuples: ``(x, okado, twisted_prop1, difference, verdict)``."""
+    def text(mat):
+        return tuple(tuple(map(format_scalar, row)) for row in mat)
+    rows = []
     for x in xs:
-        x = rational(x)
         ok = okado_rhat(1, x)
         tw = twisted_prop1_rhat(1, 0, x)
-        diff = mat_sub(ok.mat, tw.mat)
         verdict = "identical" if ok.mat == tw.mat else "differ"
-        report["samples"].append({
-            "x": format_scalar(x),
-            "okado": [[format_scalar(e) for e in row] for row in ok.mat],
-            "twisted_prop1": [[format_scalar(e) for e in row] for row in tw.mat],
-            "difference": [[format_scalar(e) for e in row] for row in diff],
-            "verdict": verdict,
-        })
-    return report
+        rows.append((format_scalar(x), text(ok.mat), text(tw.mat),
+                     text(mat_sub(ok.mat, tw.mat)), verdict))
+    return tuple(rows)

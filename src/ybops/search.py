@@ -15,7 +15,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add
 from typing import Optional
 
 from .errors import UnknownFamilyError
@@ -53,7 +52,7 @@ XATOL = 1e-12  # Nelder-Mead stops when the simplex is this small in x
 FATOL = 1e-16  # ... and its values are this close
 
 # scipy's non-adaptive Nelder-Mead coefficients and initial-simplex steps
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
 
 
@@ -201,70 +200,120 @@ def _sorted_simplex(sim, fsim):
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
+@cache
+def _compile_step(n):
+    """The per-coordinate float work of :func:`_nelder_mead` on n
+    coordinates, compiled once per n into straight-line functions on
+    tuples, as :func:`_compile_objective` compiles the objective:
+    ``centroid(sim)``, the left fold ``(s0[k] + s1[k] + ...) / n`` over
+    the first n vertices, as numpy's reduce over rows (builtin sum is
+    compensated from Python 3.12 on); ``line(c, b, d, w)``, the points
+    ``c * b[k] - d * w[k]`` of reflection, expansion and outside
+    contraction; ``inside(b, w)``, ``ic * b[k] + _PSI * w[k]``;
+    ``shrink(a, y)``, ``a[k] + _SIGMA * (y[k] - a[k])``; and
+    ``converged(sim, fsim)``, scipy's stopping test.  Each float operation
+    has the operands, in the order, of scipy's array expression."""
+    r = range(n)
+
+    def each(term):  # the tuple of term(k) for k = 0..n-1
+        return "(" + "".join(f"{term(k)}, " for k in r) + ")"
+    fs = ", ".join(f"f{j}" for j in range(n + 1))
+    ss = ", ".join(f"s{j}" for j in range(n + 1))
+    source = [
+        "def centroid(sim):",
+        f"    {ss} = sim",
+        "    return " + each(lambda k: "(" + " + ".join(
+            f"s{j}[{k}]" for j in r) + f") / {n}"),
+        "def line(c, b, d, w):",
+        "    return " + each(lambda k: f"c * b[{k}] - d * w[{k}]"),
+        "def inside(b, w):",
+        "    return " + each(
+            lambda k: f"{1 - _PSI!r} * b[{k}] + {_PSI!r} * w[{k}]"),
+        "def shrink(a, y):",
+        "    return " + each(
+            lambda k: f"a[{k}] + {_SIGMA!r} * (y[{k}] - a[{k}])"),
+        # both tests are pure, so the cheaper one goes first; a <= is
+        # false on a nan difference, as numpy's max(...) <= is
+        "def converged(sim, fsim):",
+        f"    {fs} = fsim",
+        "    if not (" + " and ".join(
+            f"abs(f0 - f{j}) <= {FATOL!r}" for j in range(1, n + 1)) + "):",
+        "        return False",
+        f"    {ss} = sim",
+        "    return (" + " and ".join(
+            f"abs(s{j}[{k}] - s0[{k}]) <= {XATOL!r}"
+            for j in range(1, n + 1) for k in r) + ")"]
+    namespace = {}
+    exec(compile("\n".join(source), f"<step {n}>", "exec"), namespace)
+    centroid, line, inside, shrink, converged = (namespace[name] for name in (
+        "centroid", "line", "inside", "shrink", "converged"))
+    # specialized before first use, as the objective is: the bits of a nan
+    # coordinate do not depend on how often a helper has run
+    zero, sim, fsim = (0.0,) * n, [(0.0,) * n] * (n + 1), [0.0] * (n + 1)
+    for _ in range(8):
+        centroid(sim), line(1.0, zero, 1.0, zero), inside(zero, zero)
+        shrink(zero, zero), converged(sim, fsim)
+    return centroid, line, inside, shrink, converged
+
+
 def _nelder_mead(func, x0):
     """Minimize ``func`` by Nelder-Mead from ``x0``: ``(x, fun, nit)``.
 
-    Runs on lists of Python floats, with the float operations, in the same
-    order, and the ordering of ties and nan of
+    Runs on tuples of Python floats, with the float operations, in the
+    same order, and the ordering of ties and nan of
     ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
     options={"maxiter": MAX_ITER, "xatol": XATOL, "fatol": FATOL})``, so
     x, fun and nit equal scipy's bit for bit for any ``func`` that never
-    returns -0.0.  The simplex stays ordered by insertion: a new vertex
-    whose value differs from every other, none of them nan, has one place,
-    the one ``np.argsort`` gives it; a tie, a nan or a shrink goes through
-    :func:`_sorted_simplex`, which loads numpy only for a tie or a nan.
+    returns -0.0.  The per-coordinate step is generated once per dimension
+    (:func:`_compile_step`), as the objective is.  The simplex stays
+    ordered by insertion: a new vertex whose value differs from every
+    other, none of them nan, has one place, the one ``np.argsort`` gives
+    it; a tie, a nan or a shrink goes through :func:`_sorted_simplex`,
+    which loads numpy only for a tie or a nan.
     """
     n = len(x0)
-    x0 = [float(x) for x in x0]
+    centroid, line, inside, shrink, converged = _compile_step(n)
+    x0 = tuple(map(float, x0))
     sim = [x0]
     for k in range(n):
         y = list(x0)
         y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim.append(y)
+        sim.append(tuple(y))
     sim, fsim = _sorted_simplex(sim, [func(x) for x in sim])
     # scipy sorts twice, and np.argsort need not leave ties in place
     sim, fsim = _sorted_simplex(sim, fsim)
     # reflection, expansion and outside contraction are c * b - d * w for
-    # the centroid b and the worst vertex w; inside contraction is
-    # ic * b + _PSI * w
-    rc, ec, oc, ic = 1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI
+    # the centroid b and the worst vertex w
+    rc, ec, oc = 1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO
     rd, ed, od = _RHO, _RHO * _CHI, _PSI * _RHO
     ordered = all(a < b for a, b in zip(fsim, fsim[1:n]))
     nit = 1
     while nit < MAX_ITER:
-        best = sim[0]
-        # all(<=) is false on a nan difference, as numpy's max(...) <= is
-        if (all(abs(a - b) <= XATOL for x in sim[1:] for a, b in zip(x, best))
-                and all(abs(fsim[0] - f) <= FATOL for f in fsim[1:])):
+        if converged(sim, fsim):
             break
         worst = sim[-1]
-        # a left fold per coordinate over the rows, as numpy's reduce over
-        # rows; builtin sum is compensated from Python 3.12 on
-        sums = sim[0]
-        for row in sim[1:n]:
-            sums = map(add, sums, row)
-        xbar = [s / n for s in sums]
-        xr = [rc * b - rd * w for b, w in zip(xbar, worst)]
+        xbar = centroid(sim)
+        xr = line(rc, xbar, rd, worst)
         fxr = func(xr)
-        shrink = False
+        shrink_all = False
         if fxr < fsim[0]:
-            xe = [ec * b - ed * w for b, w in zip(xbar, worst)]
+            xe = line(ec, xbar, ed, worst)
             fxe = func(xe)
             x, f = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             x, f = xr, fxr
         elif fxr < fsim[-1]:  # contraction outside
-            x = [oc * b - od * w for b, w in zip(xbar, worst)]
+            x = line(oc, xbar, od, worst)
             f = func(x)
-            shrink = not f <= fxr
+            shrink_all = not f <= fxr
         else:  # contraction inside
-            x = [ic * b + _PSI * w for b, w in zip(xbar, worst)]
+            x = inside(xbar, worst)
             f = func(x)
-            shrink = not f < fsim[-1]
+            shrink_all = not f < fsim[-1]
         nit += 1
-        if shrink:
+        if shrink_all:
             for j in range(1, n + 1):
-                sim[j] = [a + _SIGMA * (y - a) for a, y in zip(best, sim[j])]
+                sim[j] = shrink(sim[0], sim[j])
                 fsim[j] = func(sim[j])
         else:
             i = bisect_left(fsim, f, 0, n)

@@ -645,11 +645,13 @@ def test_frt_tables_compile_on_first_use():
 
 
 def test_search_objectives_compile_on_first_use():
-    # importing the CLI compiles no objective; a search compiles its mode's
+    # importing the CLI compiles no objective and no Nelder-Mead step; a
+    # search compiles its mode's objective and the step for n = 6 only
     code = ("import ybops.cli; from ybops import search; "
-            "print(search._compile_objective.cache_info().currsize); "
-            "search.search(restarts=1); "
-            "print(search._compile_objective.cache_info().currsize)")
+            "sizes = lambda: print(search._compile_objective.cache_info()"
+            ".currsize, search._compile_step.cache_info().currsize); "
+            "sizes(); search.search(restarts=1); sizes(); "
+            "search._compile_step(6); sizes()")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_ENV, timeout=120, check=True)
-    assert proc.stdout.split() == ["0", "1"]
+    assert proc.stdout.split() == ["0", "0", "1", "1", "1", "1"]

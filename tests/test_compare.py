@@ -1,5 +1,6 @@
 """Braid-form matrices and the q=1 comparison report."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,19 @@ class TestCompareQ1:
         nonzero = [(i, j) for i in range(4) for j in range(4)
                    if diff[i][j] != "0"]
         assert nonzero == [(3, 3)]
+
+    def test_fresh_report_per_call(self):
+        # the rows are computed once, but a caller that mutates one report
+        # does not change the next
+        first, second = compare_q1(), compare_q1()
+        assert first == second
+        want = copy.deepcopy(second)
+        first["q"] = "2"
+        first["samples"][0]["okado"][0][0] = "7"
+        first["samples"][1]["difference"].pop()
+        first["samples"][2]["verdict"] = "identical"
+        first["samples"].append({})
+        assert second == want == compare_q1()
 
 
 # tau, the flip of k^2 (x) k^2: e_a (x) e_b, index 2a + b, goes to e_b (x) e_a
