@@ -11,7 +11,7 @@ stream, numpy's ``default_rng((seed, restart index))`` computed in Python
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -185,18 +185,11 @@ def _compile_objective(shape: str, system: str, phi_shape):
 
 
 def _sorted_simplex(sim, fsim):
-    """The vertices and values in ascending value order, as scipy sorts
-    them with ``np.argsort``.  Distinct values, none nan, have one such
-    order, and Python's sort gives it.  A tie or a nan (or 0.0 beside
-    -0.0, which ``set`` counts as one) goes to ``np.argsort`` itself:
-    nan last, and ties in numpy's order, which is not the stable one on
-    every CPU, so only numpy can give it."""
-    if len(set(fsim)) == len(fsim) and all(f == f for f in fsim):
-        order = sorted(range(len(fsim)), key=fsim.__getitem__)
-    else:
-        # imported here, so that a tie-free search does not load it
-        import numpy as np
-        order = np.argsort(fsim).tolist()
+    """The vertices and values in the simplex order: ascending, nan last,
+    and equal values (0.0 beside -0.0 included) in their order in the
+    simplex, as ``np.argsort(fsim, kind="stable")`` gives it."""
+    order = sorted(range(len(fsim)),
+                   key=lambda i: (fsim[i] != fsim[i], fsim[i]))
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
@@ -260,17 +253,15 @@ def _nelder_mead(func, x0):
     """Minimize ``func`` by Nelder-Mead from ``x0``: ``(x, fun, nit)``.
 
     Runs on tuples of Python floats, with the float operations, in the
-    same order, and the ordering of ties and nan of
-    ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
-    options={"maxiter": MAX_ITER, "xatol": XATOL, "fatol": FATOL})``, so
-    x, fun and nit equal scipy's bit for bit for any ``func`` that never
-    returns -0.0.  The per-coordinate step is generated once per dimension
-    (:func:`_compile_step`), as the objective is.  The simplex stays
-    ordered by insertion: a new vertex whose value differs from every
-    other, none of them nan, has one place, the one ``np.argsort`` gives
-    it; a tie, a nan or a shrink goes through :func:`_sorted_simplex`,
-    which loads numpy only for a tie or a nan.
-    """
+    same order, of ``scipy.optimize.minimize(func, x0,
+    method="Nelder-Mead", options={"maxiter": MAX_ITER, "xatol": XATOL,
+    "fatol": FATOL})`` under the simplex order of :func:`_sorted_simplex`,
+    so x, fun and nit equal scipy's bit for bit when its ``np.argsort`` is
+    the stable one, for any ``func`` that never returns -0.0.  The
+    per-coordinate step is generated once per dimension
+    (:func:`_compile_step`), as the objective is.  The simplex stays in
+    order by insertion: a new vertex replaces the worst and goes after its
+    equals, or at the end if it is nan; a shrink re-sorts."""
     n = len(x0)
     centroid, line, inside, shrink, converged = _compile_step(n)
     x0 = tuple(map(float, x0))
@@ -280,13 +271,10 @@ def _nelder_mead(func, x0):
         y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
         sim.append(tuple(y))
     sim, fsim = _sorted_simplex(sim, [func(x) for x in sim])
-    # scipy sorts twice, and np.argsort need not leave ties in place
-    sim, fsim = _sorted_simplex(sim, fsim)
     # reflection, expansion and outside contraction are c * b - d * w for
     # the centroid b and the worst vertex w
     rc, ec, oc = 1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO
     rd, ed, od = _RHO, _RHO * _CHI, _PSI * _RHO
-    ordered = all(a < b for a, b in zip(fsim, fsim[1:n]))
     nit = 1
     while nit < MAX_ITER:
         if converged(sim, fsim):
@@ -315,17 +303,18 @@ def _nelder_mead(func, x0):
             for j in range(1, n + 1):
                 sim[j] = shrink(sim[0], sim[j])
                 fsim[j] = func(sim[j])
+            sim, fsim = _sorted_simplex(sim, fsim)
         else:
-            i = bisect_left(fsim, f, 0, n)
-            if ordered and f == f and (i == n or fsim[i] != f):
-                # n + 1 distinct values, no nan: one order, numpy's too
-                del sim[-1], fsim[-1]
-                sim.insert(i, x)
-                fsim.insert(i, f)
-                continue
-            sim[-1], fsim[-1] = x, f
-        sim, fsim = _sorted_simplex(sim, fsim)
-        ordered = all(a < b for a, b in zip(fsim, fsim[1:n]))
+            del sim[-1], fsim[-1]
+            i = n
+            if f == f:
+                # nan values sit only at the tail, and a bisect that meets
+                # one goes right: search the values before them
+                while i and fsim[i - 1] != fsim[i - 1]:
+                    i -= 1
+                i = bisect_right(fsim, f, 0, i)
+            sim.insert(i, x)
+            fsim.insert(i, f)
     # scipy's fun is np.min(fsim): nan when any vertex is nan
     fun = fsim[0] if all(f == f for f in fsim) else math.nan
     return sim[0], fun, nit
@@ -456,8 +445,7 @@ def search(shape: str = "linear", system: str = "colored", seed: int = 0,
     Nelder-Mead (restarted once from its own minimum to tighten convergence)
     from a uniform start in [-3, 3]^6, the one numpy's
     ``default_rng((seed, restart))`` draws (:func:`_start`), so ``seed``
-    must be a non-negative int.  Results come back in restart order.  numpy
-    is loaded only if a simplex meets a tie or a nan.
+    must be a non-negative int.  Results come back in restart order.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -1,6 +1,8 @@
+import functools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -122,13 +124,19 @@ SEARCH_MODES = (("linear", "colored", "xz"), ("exponential", "colored", "xz"),
 
 
 def scipy_nelder_mead(func, x0):
-    """scipy's Nelder-Mead with the search's options: ``(x, fun, nit)``.
+    """scipy's Nelder-Mead with the search's options, under the stable
+    simplex order: ``(x, fun, nit)``.
 
     The reference the search's own Nelder-Mead must equal bit for bit.
+    scipy orders its simplex with ``np.argsort(fsim)``, read from the numpy
+    module, whose default tie order is not the stable one on every CPU; it
+    runs here with ``np.argsort(fsim, kind="stable")``, the search's order.
     """
     np = pytest.importorskip("numpy")
     minimize = pytest.importorskip("scipy.optimize").minimize
-    with np.errstate(all="ignore"):  # inf - inf next to the synthetic walls
+    stable = functools.partial(np.argsort, kind="stable")
+    # errstate: inf - inf next to the synthetic walls
+    with mock.patch.object(np, "argsort", stable), np.errstate(all="ignore"):
         res = minimize(func, x0, method="Nelder-Mead", options={
             "maxiter": MAX_ITER, "xatol": 1e-12, "fatol": 1e-16})
     return res.x.tolist(), float(res.fun), res.nit

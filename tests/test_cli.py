@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SEARCH_MODES
 from ybops import cli, frt, search, tensorop
 from ybops.cli import main
 
@@ -585,7 +586,7 @@ def test_deeply_nested_config_exits_2(tmp_path):
 
 
 def test_import_loads_no_numerics():
-    # numpy orders a search's ties; scipy is a test reference only
+    # numpy and scipy are test references only
     code = ("import sys, ybops, ybops.cli; print(sorted({m.split('.')[0] "
             "for m in sys.modules} & {'numpy', 'scipy'}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -603,9 +604,10 @@ def test_search_loads_no_scipy():
 
 
 def test_tie_free_search_loads_no_numpy(tmp_path):
-    # numpy only orders a tie or a nan in the simplex, as scipy does: the
-    # linear coloured search, the README's seed-42 run included, never
-    # meets one; exponential seed 3 ends on the 0.0 plateau and loads it
+    # the search orders its simplex in Python, ties and nan included: the
+    # linear coloured search, the README's seed-42 run included, and
+    # exponential seed 3, which ends on its 0.0 plateau of tied vertices,
+    # leave numpy unloaded
     code = ("import sys, ybops, ybops.cli; ybops.search.search(restarts=1); "
             "ybops.cli.main(['--seed', '42', 'search', '--restarts', '50', "
             "'--out', sys.argv[1]]); print('numpy' in sys.modules); "
@@ -614,7 +616,35 @@ def test_tie_free_search_loads_no_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s")],
                           capture_output=True, text=True, env=_ENV,
                           timeout=120, check=True)
-    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
+
+
+def test_runs_with_numpy_blocked(tmp_path):
+    # ybops has no runtime dependency: with numpy unimportable every
+    # subcommand runs, a campaign and each search mode included
+    # (exponential seed 3 ends on its plateau of tied vertices)
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps({"tasks": [
+        {"command": "verify", "args": {"family": "thm1", "samples": 2}}]}),
+        encoding="utf-8")
+    runs = [
+        ["verify", "--family", "thm1", "--samples", "2"],
+        ["matrix", "--family", "thm1"],
+        ["frt", "--p", "1", "--q", "3", "--u", "2", "--v", "1", "--sigma", "0"],
+        ["ybsystem", "--lam", "3", "--mu", "5"],
+        ["compare", "--q", "2", "--x", "3", "--y", "5"],
+        ["campaign", str(cfg), "--outdir", str(tmp_path / "reports")],
+        *(["--seed", "3", "search", "--shape", shape, "--system", system,
+           "--phi", phi, "--restarts", "3"]
+          for shape, system, phi in SEARCH_MODES)]
+    code = ("import json, sys; sys.modules['numpy'] = None; "
+            "from ybops.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps(codes))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True, env=_ENV,
+                          timeout=120, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
 
 
 def test_search_attribute_is_the_module():

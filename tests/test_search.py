@@ -151,9 +151,9 @@ class TestScipyReference:
     def test_search_equals_scipy_driven(self, shape, system, phi,
                                         monkeypatch):
         # every SearchResult field equals the one a scipy-driven search
-        # gives; exponential seed 3 ends on its 0.0 plateau, and the second
-        # pass of linear onepar z seed 7 keeps a tie among the old vertices,
-        # which only np.argsort may order
+        # gives, under the stable order; exponential seed 3 ends on its 0.0
+        # plateau, and the second pass of linear onepar z seed 7 keeps a
+        # tie among the old vertices, left in their order
         seeds = (3, 7, 8)
         ours = [search(shape, system, seed, 1, phi) for seed in seeds]
         monkeypatch.setattr(importlib.import_module("ybops.search"),
