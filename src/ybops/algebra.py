@@ -212,15 +212,6 @@ def require_valid(A: Algebra) -> Algebra:
     return A
 
 
-def known_valid(A) -> bool:
-    """True when A is an exact :class:`Algebra` already known to be
-    associative and unital: built by :func:`poly_quotient`, or passed
-    through :func:`require_valid` (or read ``A.valid``) before.  Never
-    validates."""
-    return (isinstance(A, Algebra) and A.__dict__.get("valid", False)
-            and A.cleared is not None)
-
-
 def dual_coalgebra(A: Algebra) -> Coalgebra:
     """Dual coalgebra of A; raises if A itself is not a valid algebra."""
     return Coalgebra(require_valid(A))

@@ -49,6 +49,10 @@ from .ybsystem import thm3_system, wxz_residuals
 _USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError, OSError)
 
 
+# the options _algebra reads, with their defaults
+_ALGEBRA_OPTIONS = (("sigma", "1"), ("eps", None), ("rho", None))
+
+
 def _algebra(args):
     # every rational option given is parsed, even one the algebra ignores
     sigma = parse_scalar(args.sigma)
@@ -296,8 +300,8 @@ def _positive_int(text):
 
 def _family_args(p):
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    for name, default in (("p", "1"), ("q", "2"), ("s", "3"), ("sigma", "1"),
-                          ("eps", None), ("rho", None)):
+    for name, default in (("p", "1"), ("q", "2"), ("s", "3"),
+                          *_ALGEBRA_OPTIONS):
         p.add_argument(f"--{name}", default=default)
 
 
@@ -350,9 +354,8 @@ def build_parser():
     p = sub.add_parser("ybsystem", help="build and check a WXZ system")
     p.add_argument("--lam", "--lambda", dest="lam", default="3")
     p.add_argument("--mu", default="5")
-    p.add_argument("--sigma", default="1")
-    p.add_argument("--eps")
-    p.add_argument("--rho")
+    for name, default in _ALGEBRA_OPTIONS:
+        p.add_argument(f"--{name}", default=default)
     p.add_argument("--emit", choices=("json", "latex"), default="json")
 
     p = sub.add_parser("compare", help="braid residuals and q=1 comparison")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .algebra import Algebra, Coalgebra, known_valid
+from .algebra import Algebra, Coalgebra
 from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import is_exact
@@ -108,15 +108,14 @@ class _TableFamily:
 
     def exact_triple(self, *colours):
         """The ansatz coefficients (alpha, beta, gamma) that ``op`` builds
-        at these colours, when they are exact and the carrier's algebra is
-        known to be exact, associative and unital
-        (:func:`ybops.algebra.known_valid`); None otherwise.  The
+        at these colours, when they are exact and the algebra ``op`` builds
+        on is exact, associative and unital (``A.valid``, computed once per
+        algebra; a float algebra is never validated); None otherwise.  The
         coefficients are evaluated first, as ``op`` does, so they raise the
         same errors."""
         F, coeffs = self._coeffs(colours)
-        A = (getattr(self.carrier, "algebra", None) if F.coalgebra
-             else self.carrier)
-        if all(map(is_exact, coeffs)) and known_valid(A):
+        A = self.carrier.algebra if F.coalgebra else self.carrier
+        if all(map(is_exact, coeffs)) and A.cleared is not None and A.valid:
             return coeffs
         return None
 

@@ -59,12 +59,8 @@ def reciprocal(x):
 
 
 def format_scalar(x: Scalar) -> str:
-    """Serialize a scalar; rationals as 'num/den' (or 'num' for integers)."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return repr(x)
+    """A scalar's text: 'num' or 'num/den' for a Fraction, else its repr."""
+    return str(x) if isinstance(x, Fraction) else repr(x)
 
 
 def parse_scalar(s, field: str = "rational") -> Scalar:

@@ -113,7 +113,7 @@ def _compile_objective(shape: str, system: str, phi_shape):
     point in turn.  Every float operation of the evaluation it replaces
     runs on the same operands in the same order, so the values are equal
     bit for bit.  A power that overflows, or 0.0 to a negative power,
-    gives ``math.inf``."""
+    gives ``math.inf``.  It unpacks six Python floats as they are given."""
     grid = DEFAULT_COLORED_GRID if system == "colored" else DEFAULT_ONEPAR_GRID
     fgrid = [tuple(float(c) for c in pt) for pt in grid]
     if system == "colored":
@@ -160,8 +160,7 @@ def _compile_objective(shape: str, system: str, phi_shape):
     source = [
         "def objective(params):",
         "    try:",
-        # Python floats: a numpy array gives the same bits, more slowly
-        f"        {', '.join(params)} = map(float, params)",
+        f"        {', '.join(params)} = params",
         *(f"        {line}" for line in lines),
         "    except ArithmeticError:",
         "        return inf",

@@ -319,11 +319,11 @@ def colored_qybe_residual(family, u, v, w):
 
     A table family (:class:`ybops.colored.ColoredFamily`) also exposes
     ``exact_triple(u, v)``, the exact coefficients of ``op(u, v)`` on an
-    algebra known to be exact and valid, else None.  When the three triples
-    solve the five-equation system the residual is ``Fraction(0)`` by the
-    identity above, and no operator is built.  Every other input (a float
-    coefficient or carrier, an unvalidated or invalid carrier, a family
-    exposing only ``op``) goes to the sparse kernel, and so does a non-zero
+    exact and valid algebra (``A.valid``), else None.  When the three
+    triples solve the five-equation system the residual is ``Fraction(0)``
+    by the identity above, and no operator is built.  Every other input (a
+    float coefficient or carrier, an invalid carrier, a family exposing
+    only ``op``) goes to the sparse kernel, and so does a non-zero
     equation: a non-zero residual keeps its value and type.
     """
     return _family_residual(family, leg_colours(None, u, v, w))

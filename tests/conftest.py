@@ -34,8 +34,8 @@ def Bc(request):
 
 
 def matrix_algebra():
-    """The 2x2 matrices, basis E11, E12, E21, E22, built by hand, so its
-    validity is not yet known to the library."""
+    """The 2x2 matrices, basis E11, E12, E21, E22, built by hand, so it is
+    validated when its validity is first read."""
     def prod(i, j):  # E_ab E_cd = [b == c] E_ad, with E_ab at index 2a + b
         (a, b), (c, d) = divmod(i, 2), divmod(j, 2)
         return tuple(Fraction(int(b == c and k == 2 * a + d))
@@ -68,9 +68,10 @@ def bad_unit_algebra():
 def both_routes(fam):
     """``fam`` and a view of it that exposes only ``op`` (and ``phi``).
 
-    A table family on a carrier known to be valid has its exact residual
-    decided by the five-equation system; the view's residual always comes
-    from the sparse kernel, so a check run on both covers both."""
+    A table family on an exact, associative and unital carrier
+    (``A.valid``) has its exact residual decided by the five-equation
+    system; the view's residual always comes from the sparse kernel, so a
+    check run on both covers both."""
     view = SimpleNamespace(op=fam.op)
     if isinstance(fam, OneParFamily):
         view.phi = fam.phi
@@ -130,13 +131,17 @@ def scipy_nelder_mead(func, x0):
     The reference the search's own Nelder-Mead must equal bit for bit.
     scipy orders its simplex with ``np.argsort(fsim)``, read from the numpy
     module, whose default tie order is not the stable one on every CPU; it
-    runs here with ``np.argsort(fsim, kind="stable")``, the search's order.
+    runs here with ``np.argsort(fsim, kind="stable")``, the search's order,
+    and hands ``func`` each point as a tuple of Python floats, as the
+    search's own Nelder-Mead does.
     """
     np = pytest.importorskip("numpy")
     minimize = pytest.importorskip("scipy.optimize").minimize
     stable = functools.partial(np.argsort, kind="stable")
     # errstate: inf - inf next to the synthetic walls
     with mock.patch.object(np, "argsort", stable), np.errstate(all="ignore"):
-        res = minimize(func, x0, method="Nelder-Mead", options={
-            "maxiter": MAX_ITER, "xatol": 1e-12, "fatol": 1e-16})
+        res = minimize(lambda x: func(tuple(map(float, x))), x0,
+                       method="Nelder-Mead", options={
+                           "maxiter": MAX_ITER, "xatol": 1e-12,
+                           "fatol": 1e-16})
     return res.x.tolist(), float(res.fun), res.nit

@@ -9,7 +9,7 @@ from conftest import bad_unit_algebra, both_routes
 from ybops import algebra
 from ybops.algebra import (Algebra, algebra_from_json, algebra_to_json,
                            coalgebra_from_json, coalgebra_to_json,
-                           cubic_algebra, dual_coalgebra, known_valid,
+                           cubic_algebra, dual_coalgebra,
                            multiply, poly_quotient, quadratic_algebra,
                            require_valid, validate)
 from ybops.colored import ColoredFamily
@@ -113,20 +113,34 @@ class TestKnownValidity:
             raise AssertionError("validate called")
         monkeypatch.setattr(algebra, "validate", refuse)
         A = poly_quotient([Fraction(1, 2), -1, 0, 1])
-        assert A.valid and known_valid(A)
+        assert A.valid
         assert require_valid(A) is A and dual_coalgebra(A).algebra is A
 
-    def test_known_valid_reads_but_never_validates(self, M2):
-        assert not known_valid(M2)  # built by hand: validity unknown
-        assert require_valid(M2) is M2
-        assert known_valid(M2)
+    def test_hand_built_algebra_validated_once(self, M2, monkeypatch):
+        # an exact algebra built by hand is validated at its first triple,
+        # once, and its residuals are then decided by the five equations;
+        # a float algebra goes to the kernel unvalidated
+        validated = []
+
+        def spy(A):
+            validated.append(A)
+            return validate(A)
+        monkeypatch.setattr(algebra, "validate", spy)
+        params = {"p": Fraction(1), "q": Fraction(3)}
+        uvw = (Fraction(1, 2), Fraction(-2), Fraction(3))
+        fam = ColoredFamily("thm1", M2, params)
+        for _ in range(3):
+            res = colored_qybe_residual(fam, *uvw)
+            assert res == 0 and type(res) is Fraction
+        assert len(validated) == 1 and validated[0] is M2
         floats = Algebra(dim=2, structconst=quadratic_algebra(2).structconst,
                          unit=(1.0, Fraction(0)))
-        assert floats.valid and not known_valid(floats)
+        colored_qybe_residual(ColoredFamily("thm1", floats, params), *uvw)
+        assert len(validated) == 1
 
     def test_invalid_algebra_still_rejected(self):
         bad = bad_unit_algebra()
-        assert not bad.valid and not known_valid(bad)
+        assert not bad.valid
         for build in (require_valid, dual_coalgebra,
                       lambda A: thm3_system(A, 1, 1)):
             with pytest.raises(InvalidStructureError):

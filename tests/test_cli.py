@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,11 @@ class TestVerify:
 
     def test_unknown_family_usage_error(self):
         assert main(["verify", "--family", "bogus"]) == 2
+
+    def test_non_zero_residual_exits_one(self, monkeypatch):
+        monkeypatch.setattr(cli, "colored_qybe_residual",
+                            lambda *args: Fraction(1, 3))
+        assert main(["verify", "--family", "thm1", "--samples", "2"]) == 1
 
 
 class TestMatrix:
@@ -211,6 +217,23 @@ class TestCampaign:
         ])
         assert main(["campaign", str(cfg),
                      "--outdir", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("expect,code", [("fail", 0), ("pass", 1)])
+    def test_failing_verify_task(self, expect, code, tmp_path, monkeypatch):
+        # every residual 1/3: both samples fail, as an "expect: fail" task
+        # wants and an "expect: pass" task does not
+        monkeypatch.setattr(cli, "colored_qybe_residual",
+                            lambda *args: Fraction(1, 3))
+        cfg = self._config(tmp_path, [
+            {"command": "verify", "args": {"family": "thm1", "samples": 2},
+             "expect": expect},
+        ])
+        outdir = tmp_path / "o"
+        assert main(["campaign", str(cfg), "--outdir", str(outdir)]) == code
+        report = json.loads((outdir / "task-000-verify.json").read_text(
+            encoding="utf-8"))
+        assert report["passed"] is (expect == "fail")
+        assert [f["residual"] for f in report["failures"]] == ["1/3", "1/3"]
 
     def test_bad_config_exit_two(self, tmp_path):
         cfg = tmp_path / "broken.json"
@@ -400,6 +423,10 @@ EXIT_CODES = [
     pytest.param(["--seed", "-1", "search", "--restarts", "1"], None, 2,
                  "error: expected non-negative integer",
                  id="search-seed-negative"),
+    pytest.param(["--seed", "3", "search", "--shape", "exponential",
+                  "--system", "onepar"], None, 2,
+                 "error: one-parameter search supports the linear shape only",
+                 id="search-onepar-exponential"),
     pytest.param(["campaign"], {"seed": -1, "tasks": [
         {"command": "search", "args": {"restarts": 1}}]}, 2,
         TASK_ERROR + "expected non-negative integer",

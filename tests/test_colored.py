@@ -1,6 +1,7 @@
 """Coloured operator families: residuals, inverses, matrix forms."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -153,6 +154,18 @@ class TestRemark2:
             u, v, w = (rng.randint(-2, 3) for _ in range(3))
             for f in both_routes(fam):
                 assert colored_qybe_residual(f, u, v, w) == 0
+
+    def test_free_function_is_the_family_build(self, A0, rng):
+        pqs = (Fraction(2), Fraction(3), Fraction(7))
+        fam = ColoredFamily(kind="remark2", carrier=A0,
+                            params=dict(zip("pqs", pqs)))
+        for u, v in ((1, 2), (-2, 3), (0, -1)):
+            assert remark2_op(A0, *pqs, u, v) == fam.op(u, v)
+        view = SimpleNamespace(op=lambda u, v: remark2_op(A0, *pqs, u, v))
+        for _ in range(2):
+            u, v, w = (rng.randint(-2, 3) for _ in range(3))
+            res = colored_qybe_residual(view, u, v, w)
+            assert res == 0 and type(res) is Fraction
 
     def test_alpha_equals_gamma(self):
         alpha, beta, gamma = catalogue("remark2", p=2, q=3, s=7).coeffs(1, 2)

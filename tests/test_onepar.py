@@ -1,6 +1,7 @@
 """One-parameter families, their composition maps and inverses."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -110,6 +111,19 @@ class TestCoalgebraTransfer:
             x, z = (rand_fraction(rng) for _ in range(2))
             for f in both_routes(fam):
                 assert onepar_qybe_residual(f, x, z) == 0
+
+    def test_free_function_is_the_family_build(self, A1, rng):
+        C, q = dual_coalgebra(A1), Fraction(2)
+        fam = OneParFamily(kind="prop1_coalgebra", carrier=C,
+                           params={"q": q})
+        for x in (Fraction(3), Fraction(-1, 2), Fraction(0)):
+            assert prop1_coalgebra_op(C, q, x) == fam.op(x)
+        view = SimpleNamespace(op=lambda x: prop1_coalgebra_op(C, q, x),
+                               phi=lambda x, z: x * z)
+        for _ in range(2):
+            x, z = (rand_fraction(rng) for _ in range(2))
+            res = onepar_qybe_residual(view, x, z)
+            assert res == 0 and type(res) is Fraction
 
 
 class TestPhi:

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import random
 import struct
 
 import pytest
@@ -116,6 +117,17 @@ class TestSearch:
         with pytest.raises(UnknownFamilyError):
             search(shape="cubic", seed=0, restarts=1)
 
+    @pytest.mark.parametrize("mode,message", [
+        ({"system": "both"}, "unknown system 'both'"),
+        ({"shape": "cubic"}, "unknown ansatz shape 'cubic'"),
+        ({"shape": "exponential", "system": "onepar"},
+         "one-parameter search supports the linear shape only"),
+    ], ids=["system", "shape", "onepar-shape"])
+    def test_unknown_mode_message(self, mode, message):
+        with pytest.raises(UnknownFamilyError) as info:
+            search(restarts=1, **mode)
+        assert str(info.value) == message
+
     def test_unknown_phi_shape(self):
         with pytest.raises(UnknownFamilyError):
             search(system="onepar", phi_shape="zz", restarts=1)
@@ -136,14 +148,14 @@ class TestObjective:
         ("linear", "onepar", "xz"), ("linear", "onepar", "z"),
         ("linear", "onepar", "x")])
     def test_array_and_list_agree(self, shape, system, phi):
-        # Nelder-Mead passes numpy arrays; the value must not depend on it
-        np = pytest.importorskip("numpy")
+        # the objective takes six Python floats, a tuple from Nelder-Mead or
+        # a list; the value is the same Python float for both
         objective = _make_objective(shape, system, phi)
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for _ in range(20):
-            x = rng.uniform(-3.0, 3.0, size=6)
-            got = objective(x)
-            assert type(got) is float and got == objective(x.tolist())
+            x = [rng.uniform(-3.0, 3.0) for _ in range(6)]
+            got = objective(tuple(x))
+            assert type(got) is float and got == objective(x)
 
 
 class TestScipyReference:

@@ -254,7 +254,9 @@ class TestSystemRoute:
         x, z = Fraction(2, 3), Fraction(-5)
         got = (colored_qybe_residual(fam, *self.UVW),
                onepar_qybe_residual(one, x, z))
-        assert kernel_calls == [3, 3]
+        # an exact algebra built by hand is validated at its first triple
+        # and then decided by the five equations
+        assert kernel_calls == ([] if case == "unvalidated" else [3, 3])
         want = (colored_qybe_residual(fam_view, *self.UVW),
                 onepar_qybe_residual(one_view, x, z))
         assert got == want and list(map(type, got)) == list(map(type, want))
