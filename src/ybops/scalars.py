@@ -66,8 +66,11 @@ def format_scalar(x: Scalar) -> str:
 def parse_scalar(s, field: str = "rational") -> Scalar:
     """Inverse of :func:`format_scalar` for the given field tag; a number
     reads as ``Fraction(s)`` or ``float(s)``."""
-    if field == "rational":
-        return Fraction(s)
-    if field == "float64":
-        return float(Fraction(s)) if "/" in str(s) else float(s)
+    try:
+        if field == "rational":
+            return Fraction(s)
+        if field == "float64":
+            return float(Fraction(s)) if "/" in str(s) else float(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
     raise ValueError(f"unknown field {field!r}")

@@ -183,13 +183,17 @@ def _compile_objective(shape: str, system: str, phi_shape):
     return objective
 
 
-def _sorted_simplex(sim, fsim):
-    """The vertices and values in the simplex order: ascending, nan last,
-    and equal values (0.0 beside -0.0 included) in their order in the
-    simplex, as ``np.argsort(fsim, kind="stable")`` gives it."""
-    order = sorted(range(len(fsim)),
-                   key=lambda i: (fsim[i] != fsim[i], fsim[i]))
-    return [sim[i] for i in order], [fsim[i] for i in order]
+def _insert(sim, fsim, x, f):
+    """Insert vertex x, of value f, after its equals, or last if f is nan."""
+    i = len(fsim)
+    if f == f:
+        # nan values sit only at the tail, and a bisect that meets one
+        # goes right: search the values before them
+        while i and fsim[i - 1] != fsim[i - 1]:
+            i -= 1
+        i = bisect_right(fsim, f, 0, i)
+    sim.insert(i, x)
+    fsim.insert(i, f)
 
 
 @cache
@@ -254,22 +258,23 @@ def _nelder_mead(func, x0):
     Runs on tuples of Python floats, with the float operations, in the
     same order, of ``scipy.optimize.minimize(func, x0,
     method="Nelder-Mead", options={"maxiter": MAX_ITER, "xatol": XATOL,
-    "fatol": FATOL})`` under the simplex order of :func:`_sorted_simplex`,
-    so x, fun and nit equal scipy's bit for bit when its ``np.argsort`` is
-    the stable one, for any ``func`` that never returns -0.0.  The
-    per-coordinate step is generated once per dimension
-    (:func:`_compile_step`), as the objective is.  The simplex stays in
-    order by insertion: a new vertex replaces the worst and goes after its
-    equals, or at the end if it is nan; a shrink re-sorts."""
+    "fatol": FATOL})``, so x, fun and nit equal scipy's bit for bit when
+    its ``np.argsort`` is the stable one, for any ``func`` that never
+    returns -0.0.  The per-coordinate step is generated once per dimension
+    (:func:`_compile_step`), as the objective is.  The simplex order is
+    :func:`_insert`'s, with no re-sort: the start point and scipy's start
+    vertices enter in turn, each new vertex in place of the worst, and
+    after a shrink the best vertex and then each shrunk one in turn."""
     n = len(x0)
     centroid, line, inside, shrink, converged = _compile_step(n)
     x0 = tuple(map(float, x0))
-    sim = [x0]
+    sim, fsim = [], []
+    _insert(sim, fsim, x0, func(x0))
     for k in range(n):
         y = list(x0)
         y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim.append(tuple(y))
-    sim, fsim = _sorted_simplex(sim, [func(x) for x in sim])
+        y = tuple(y)
+        _insert(sim, fsim, y, func(y))
     # reflection, expansion and outside contraction are c * b - d * w for
     # the centroid b and the worst vertex w
     rc, ec, oc = 1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO
@@ -299,23 +304,17 @@ def _nelder_mead(func, x0):
             shrink_all = not f < fsim[-1]
         nit += 1
         if shrink_all:
-            for j in range(1, n + 1):
-                sim[j] = shrink(sim[0], sim[j])
-                fsim[j] = func(sim[j])
-            sim, fsim = _sorted_simplex(sim, fsim)
+            best, rest = sim[0], sim[1:]
+            sim, fsim = [best], [fsim[0]]
+            for y in rest:
+                x = shrink(best, y)
+                _insert(sim, fsim, x, func(x))
         else:
             del sim[-1], fsim[-1]
-            i = n
-            if f == f:
-                # nan values sit only at the tail, and a bisect that meets
-                # one goes right: search the values before them
-                while i and fsim[i - 1] != fsim[i - 1]:
-                    i -= 1
-                i = bisect_right(fsim, f, 0, i)
-            sim.insert(i, x)
-            fsim.insert(i, f)
-    # scipy's fun is np.min(fsim): nan when any vertex is nan
-    fun = fsim[0] if all(f == f for f in fsim) else math.nan
+            _insert(sim, fsim, x, f)
+    # scipy's fun is np.min(fsim): nan when any vertex is, and nan values
+    # sit only at the tail
+    fun = fsim[0] if fsim[-1] == fsim[-1] else math.nan
     return sim[0], fun, nit
 
 
@@ -359,19 +358,16 @@ def classify(shape: str, system: str, phi_shape: str, params,
     # alpha = p(u-v), beta = q(u-v), gamma = pu-qv (thm1 / prop1 shape), or
     # alpha = beta = gamma: gauge-equivalent to the constant operator, i.e.
     # the p=q member of the thm1/prop1 family
-    if ((abs(p - pp) < PARAM_TOL and abs(q - qp) < PARAM_TOL
-         and abs(r - p) < PARAM_TOL and abs(rp - q) < PARAM_TOL)
-            or (abs(p - q) < PARAM_TOL and abs(q - r) < PARAM_TOL
-                and abs(pp - qp) < PARAM_TOL and abs(qp - rp) < PARAM_TOL)):
+    small = lambda *xs: all(abs(x) < PARAM_TOL for x in xs)
+    if (small(p - pp, q - qp, r - p, rp - q)
+            or small(p - q, q - r, pp - qp, qp - rp)):
         return "thm1-family" if system == "colored" else (
             "prop1-family" if phi_shape == "xz" else "unclassified")
     if system == "onepar":
-        if (abs(pp) < PARAM_TOL and abs(q) < PARAM_TOL and abs(r) < PARAM_TOL
-                and abs(qp - rp) < PARAM_TOL and abs(p + qp) < PARAM_TOL):
+        if small(pp, q, r, qp - rp, p + qp):
             # alpha = x, beta = gamma = 1
             return "prop2-family" if phi_shape == "z" else "unclassified"
-        if (abs(p) < PARAM_TOL and abs(qp) < PARAM_TOL and abs(r) < PARAM_TOL
-                and abs(pp - rp) < PARAM_TOL and abs(q + pp) < PARAM_TOL):
+        if small(p, qp, r, pp - rp, q + pp):
             # alpha = gamma = 1, beta = x
             return "remark-x-family" if phi_shape == "x" else "unclassified"
     return "unclassified"

@@ -358,7 +358,11 @@ EXIT_CODES = [
     pytest.param(["search", "--restarts", "0"], None, 2, None,
                  id="restarts-zero"),
     pytest.param(["verify", "--family", "thm1", "--p", "1/0"], None, 2,
-                 None, id="zero-denominator"),
+                 "error: zero denominator in '1/0'", id="zero-denominator"),
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
+        "family": "thm1", "p": "1/0"}}]}, 2,
+        TASK_ERROR + "zero denominator in '1/0'",
+        id="campaign-zero-denominator"),
     pytest.param(["verify", "--family", "thm1", "--sigma", "abc"], None, 2,
                  None, id="bad-rational"),
     # a rational option is parsed even where the family or algebra

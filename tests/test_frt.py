@@ -40,6 +40,15 @@ class TestNCPoly:
         a, b = NCPoly.gen("a", "u"), NCPoly.gen("b", "u")
         assert a * b != b * a
 
+    def test_number_is_not_a_poly(self):
+        a = NCPoly.gen("a", "u")
+        with pytest.raises(TypeError):
+            a + 1
+        assert a != 1 and not a == 1
+
+    def test_zero_repr(self):
+        assert repr(NCPoly()) == "0"
+
     def test_swap_colours_involution(self):
         a, d = NCPoly.gen("a", "u"), NCPoly.gen("d", "v")
         poly = 3 * (a * d) - d * a

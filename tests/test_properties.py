@@ -30,8 +30,8 @@ from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, RelationSet, _Echelon,
 from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
-from ybops.search import (MAX_ITER, _compile_step, _make_objective,
-                          _nelder_mead, _sorted_simplex, _start)
+from ybops.search import (MAX_ITER, _compile_step, _insert,
+                          _make_objective, _nelder_mead, _start)
 from ybops.tensorop import (Op2, _chain_numerators, _max_abs, _perm23,
                             _qybe_numerators, braid_residual,
                             colored_qybe_residual, flip_op2, freeze,
@@ -1048,20 +1048,22 @@ class TestStartPoints:
 
 
 class TestSortedSimplex:
-    """``_sorted_simplex`` orders values as ``np.argsort(fsim,
-    kind="stable")`` does: ascending, nan last, equal values in their
-    order (about 0.5 s)."""
+    """Values inserted by ``_insert`` one at a time, in list order, end in
+    the order ``np.argsort(fsim, kind="stable")`` gives: ascending, nan
+    last, equal values in their order (about 0.5 s)."""
 
     @staticmethod
     def _check(fsim):
         np = pytest.importorskip("numpy")
-        sim = [[float(i)] for i in range(len(fsim))]
+        sim, got = [], []
+        for i, f in enumerate(fsim):
+            _insert(sim, got, [float(i)], f)
         order = np.argsort(fsim, kind="stable").tolist()
-        got = _sorted_simplex(sim, list(fsim))
-        assert got == ([sim[i] for i in order], [fsim[i] for i in order])
+        assert (sim, got) == ([[float(i)] for i in order],
+                              [fsim[i] for i in order])
 
     @settings(max_examples=200, deadline=None)
-    # ties and nan drawn too, since every list takes the one sort
+    # ties and nan drawn too, since every vertex enters by the one rule
     @given(fsim=st.lists(st.one_of(st.floats(),
                                    st.sampled_from((0.0, -0.0, 1.0))),
                          min_size=2, max_size=7))

@@ -110,6 +110,21 @@ class TestSizeChecks:
         assert listed == frozen and hash(listed) == hash(frozen)
         assert rtt_residual(listed) == rtt_residual(frozen)
 
+    def test_op2_needs_columns(self):
+        with pytest.raises(DimensionMismatchError, match="n\\^2 columns"):
+            Op2(2)
+
+    def test_mat_mul_inner_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            mat_mul([[1, 2]], [[1, 2]])
+
+    def test_op2_value_semantics(self, rng):
+        R = random_op2(rng, 2)
+        with pytest.raises(AttributeError):
+            R.n = 3
+        assert R != R.mat  # an operator is not its matrix
+        assert eval(repr(R), {"Op2": Op2, "Fraction": Fraction}) == R
+
     def test_op3_via_commutator_shape(self):
         out = yb_commutator(identity_op2(2), identity_op2(2), identity_op2(2))
         assert len(out.mat) == 8 and all(len(r) == 8 for r in out.mat)
