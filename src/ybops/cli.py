@@ -306,12 +306,13 @@ def _family_args(p):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative rational such as ``-2/3`` as a value, the way
-    argparse reads ``-2``, so ``--u -2/3`` means ``--u=-2/3``."""
+    """A word that starts with ``-`` and a digit, or ``-.`` and a digit, is a
+    value, judged by ``parse_scalar``: ``--u -2/3`` means ``--u=-2/3``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
+        # no option of the parser looks like that
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def build_parser():

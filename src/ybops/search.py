@@ -27,14 +27,6 @@ DEFAULT_COLORED_GRID = (
     (Fraction(-1), Fraction(3), Fraction(4)),
     (Fraction(1, 2), Fraction(2), Fraction(5)),
 )
-# Exponential ansatz coefficients use the colours as exponents, so the exact
-# catalogue checks need an all-integer grid.
-DEFAULT_EXP_COLORED_GRID = (
-    (1, 2, 3),
-    (2, 5, 7),
-    (-1, 3, 4),
-    (0, 2, 5),
-)
 DEFAULT_ONEPAR_GRID = (
     (Fraction(1), Fraction(2)),
     (Fraction(2), Fraction(5)),

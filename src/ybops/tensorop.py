@@ -1,5 +1,5 @@
-"""Operators on V(x)V and V(x)V(x)V: exact matrix-free Yang-Baxter residuals,
-matrix emitters, and dense products kept only as the tests' references.
+"""Operators on V(x)V and V(x)V(x)V: exact matrix-free Yang-Baxter residuals
+and matrix emitters.
 
 Matrix convention: ``mat[i][j]`` is the coefficient of basis element ``i`` in
 the image of basis element ``j``.  The tensor basis is lexicographic, so
@@ -105,62 +105,8 @@ def _dense_view(cols, zero=Fraction(0)) -> tuple:
     return freeze(rows)
 
 
-def mat_mul(A, B):
-    if len(A[0]) != len(B):
-        raise DimensionMismatchError("inner dimensions differ")
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
-
-
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c, A):
-    return [[c * x for x in row] for row in A]
-
-
-def mat_transpose(A):
-    return [list(row) for row in zip(*A)]
-
-
-def max_abs_entry(mat):
-    return max(abs(x) for row in mat for x in row)
-
-
-def identity_mat(m):
-    return [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-
-
-def identity_op2(n: int) -> Op2:
-    return Op2(n=n, mat=identity_mat(n * n))
-
-
-def flip_op2(n: int) -> Op2:
-    """The twist map tau: a(x)b -> b(x)a."""
-    m = n * n
-    mat = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(n):
-        for b in range(n):
-            mat[b * n + a][a * n + b] = Fraction(1)
-    return Op2(n=n, mat=mat)
-
-
-def _perm23(n):
-    """Permutation matrix swapping tensor factors 2 and 3 of V^(x)3."""
-    m = n ** 3
-    P = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                P[(a * n + c) * n + b][(a * n + b) * n + c] = Fraction(1)
-    return P
-
-
-def kron(A, B):
-    na, nb = len(A), len(B)
-    return [[A[i // nb][j // nb] * B[i % nb][j % nb]
-             for j in range(na * nb)] for i in range(na * nb)]
 
 
 # --- the residual kernel -----------------------------------------------------
@@ -193,7 +139,7 @@ def embed_leg(R: Op2, legs: int) -> Op3:
     so each keeps its type, and ``Fraction(0)`` off the listed cells.
 
     R12 = R(x)I, R23 = I(x)R, and R13 is R(x)I conjugated by the (2 3)
-    factor swap; the tests hold it to those kron/_perm23 definitions.
+    factor swap; the tests hold it to those dense definitions.
     """
     if legs not in (12, 13, 23):
         raise ValueError(f"legs must be one of 12, 13, 23, got {legs}")

@@ -105,6 +105,15 @@ LINEAR_COMPONENTS = (
     lambda a, b, c: (0, 0, 0, 0, a, b),  # alpha = beta = 0
 )
 
+# Exponential ansatz coefficients use the colours as exponents, so the exact
+# catalogue checks need an all-integer grid.
+DEFAULT_EXP_COLORED_GRID = (
+    (1, 2, 3),
+    (2, 5, 7),
+    (-1, 3, 4),
+    (0, 2, 5),
+)
+
 
 def rand_fraction(rng, lo=-9, hi=9, den=5, nonzero=False):
     while True:

@@ -17,13 +17,13 @@ from ybops.compare import BraidFamily, compare_q1
 from ybops.funceq import catalogue, eval_colored_system, eval_onepar_system, \
     scale_triple
 from ybops.onepar import prop1_inv, prop1_op, prop2_inv, prop2_op
-from ybops.search import (DEFAULT_COLORED_GRID, DEFAULT_EXP_COLORED_GRID,
-                          DEFAULT_ONEPAR_GRID, search)
+from ybops.search import DEFAULT_COLORED_GRID, DEFAULT_ONEPAR_GRID, search
 from ybops.tensorop import (braid_residual, colored_qybe_residual, embed_leg,
-                            flip_op2, freeze, identity_mat, kron, mat_mul,
-                            mat_scale, mat_transpose, _perm23)
+                            freeze)
 from ybops.ybsystem import thm3_system, wxz_residuals
-from conftest import rand_fraction
+from conftest import DEFAULT_EXP_COLORED_GRID, rand_fraction
+from dense_reference import (flip_op2, identity_mat, kron, mat_mul, mat_scale,
+                             mat_transpose, _perm23)
 
 F = Fraction
 

@@ -13,9 +13,9 @@ from ybops.errors import (NonIntegerExponentError, SingularParameterError,
 from ybops.funceq import FAMILIES, catalogue
 from ybops.onepar import OneParFamily
 from ybops.scalars import scalar_pow
-from ybops.tensorop import (colored_qybe_residual, identity_mat, mat_mul,
-                            mat_transpose, tensor_basis_labels)
+from ybops.tensorop import colored_qybe_residual, tensor_basis_labels
 from conftest import both_routes, rand_fraction
+from dense_reference import identity_mat, mat_mul, mat_transpose
 
 
 def _admissible(rng):

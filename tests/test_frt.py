@@ -12,8 +12,9 @@ from ybops.frt import (NCPoly, RelationSet, claimed_relations,
                        exchange_closure, in_span, pq_limit_relations,
                        rtt_residual, rtt_span_report, span_dimension,
                        span_membership, uv_symmetry_check)
-from ybops.tensorop import Op2, freeze, identity_mat
+from ybops.tensorop import Op2, freeze
 from conftest import rand_fraction
+from dense_reference import identity_mat
 from frt_reference import (subset, swap_colours, template_relations,
                            template_span_report)
 

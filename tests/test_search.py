@@ -12,7 +12,7 @@ from search_reference import reference_objective
 from ybops.errors import UnknownFamilyError
 from ybops.funceq import _system
 from ybops.search import (DEFAULT_COLORED_GRID, OBJECTIVE_TOL, SearchResult,
-                          _make_objective, classify, search)
+                          _make_objective, _Sym, classify, search)
 
 
 class TestClassify:
@@ -197,6 +197,15 @@ class TestTracedObjective:
         finally:
             module._compile_objective.cache_clear()
         assert _make_objective(*mode)(params) == want
+
+    def test_constant_on_the_left(self):
+        # the reflected operators trace the constant as the left operand;
+        # without them 2 * t would be str repetition, "t0t0"
+        t = _Sym("t0")
+        assert 2 * t == "((2.0) * t0)"
+        assert 1.5 - t == "((1.5) - t0)"
+        assert 2.0 + t == "((2.0) + t0)"
+        assert 3 ** t == "((3.0) ** t0)"
 
     @pytest.mark.parametrize("shape", ["linear", "exponential"])
     def test_colored_objective_ignores_phi(self, shape):

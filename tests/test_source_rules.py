@@ -1,8 +1,9 @@
 """Source rules of src/ybops, checked on the syntax trees of the repository.
 
 Every import of a module is read in it, every top-level name is named
-somewhere outside its own definition, every file ybops writes goes through
-``cli._write``, and only ``colored.py`` builds the ansatz.
+somewhere outside its own definition, every private top-level name is named
+in src/ybops itself, every file ybops writes goes through ``cli._write``, and
+only ``colored.py`` builds the ansatz.
 """
 
 import ast
@@ -73,12 +74,11 @@ def test_no_unused_imports():
     assert not unused, "\n".join(unused)
 
 
-def test_every_top_level_name_is_read():
-    # read as a name or attribute, imported, or in a string that is not a
-    # docstring (perfbench/spans.py names what it wraps as
-    # "module:attribute"), somewhere in src/, tests/ or perfbench/
-    total = _total()
-    unused = []
+def _unread(read):
+    """``(name, "path:line: name")`` for each top-level name of src/ybops,
+    dunders left out, that the Counter ``read`` counts no more often than
+    its own definition names it."""
+    out = []
     for path, tree in _src().items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -91,9 +91,24 @@ def test_every_top_level_name_is_read():
             else:
                 continue
             own = _named(node)
-            unused += [f"{_where(path, node)}: {name}" for name in names
-                       if not name.startswith("__")
-                       and total[name] - own[name] == 0]
+            out += [(name, f"{_where(path, node)}: {name}") for name in names
+                    if not name.startswith("__") and read[name] == own[name]]
+    return out
+
+
+def test_every_top_level_name_is_read():
+    # read as a name or attribute, imported, or in a string that is not a
+    # docstring (perfbench/spans.py names what it wraps as
+    # "module:attribute"), somewhere in src/, tests/ or perfbench/
+    unused = [where for _, where in _unread(_total())]
+    assert not unused, "\n".join(unused)
+
+
+def test_private_names_are_read_in_src():
+    # a private top-level name is read in src/ybops outside its own
+    # definition: one that only the tests or perfbench read belongs to them
+    read = sum((_named(t) for t in _src().values()), Counter())
+    unused = [where for name, where in _unread(read) if name.startswith("_")]
     assert not unused, "\n".join(unused)
 
 

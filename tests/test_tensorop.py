@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import bad_unit_algebra, both_routes, sparse_left_product
+from dense_reference import (_perm23, flip_op2, identity_mat, identity_op2,
+                             kron, mat_mul, max_abs_entry)
 from ybops import tensorop
 from ybops.algebra import (Algebra, dual_coalgebra, poly_quotient,
                            quadratic_algebra, require_valid)
@@ -15,10 +17,8 @@ from ybops.errors import DimensionMismatchError, NonIntegerExponentError
 from ybops.frt import rtt_residual
 from ybops.funceq import FAMILIES
 from ybops.onepar import OneParFamily
-from ybops.tensorop import (Op2, Op3, _perm23, colored_qybe_residual,
-                            embed_leg, flip_op2, freeze, identity_mat,
-                            identity_op2, kron, mat_mul, mat_sub,
-                            max_abs_entry, onepar_qybe_residual, op_to_csv,
+from ybops.tensorop import (Op2, Op3, colored_qybe_residual, embed_leg,
+                            freeze, mat_sub, onepar_qybe_residual, op_to_csv,
                             op_to_json, op_to_latex, power_basis_labels,
                             tensor_basis_labels, twist_compose, yb_commutator)
 from ybops.ybsystem import WXZSystem, thm3_system, wxz_residuals

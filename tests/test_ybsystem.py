@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import both_routes, matrix_algebra
+from dense_reference import identity_mat, max_abs_entry
 from ybops.algebra import Algebra, cubic_algebra, quadratic_algebra
 from ybops.colored import ansatz_op
 from ybops.errors import DimensionMismatchError, InvalidStructureError
 from ybops.onepar import OneParFamily, prop2_op, remark_x_op
-from ybops.tensorop import (Op2, freeze, identity_mat, max_abs_entry,
-                            onepar_qybe_residual, yb_commutator)
+from ybops.tensorop import (Op2, freeze, onepar_qybe_residual,
+                            yb_commutator)
 from ybops.ybsystem import WXZSystem, thm3_system, wxz_residuals
 
 
