@@ -48,6 +48,9 @@ from .ybsystem import thm3_system, wxz_residuals
 # What a command raises for bad input: exit 2 with a one-line message.
 _USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError, OSError)
 
+# every indented report is this text, so its encoding has one place
+_report_json = functools.partial(json.dumps, indent=2, ensure_ascii=False)
+
 
 # the options _algebra reads, with their defaults
 _ALGEBRA_OPTIONS = (("sigma", "1"), ("eps", None), ("rho", None))
@@ -147,7 +150,7 @@ def cmd_search(args):
                "phi": args.phi, "seed": args.seed, "restarts": args.restarts,
                "results": [dataclasses.asdict(r) for r in results]}
     if args.out:
-        _write(args.out, json.dumps(payload, indent=2))
+        _write(args.out, _report_json(payload))
     # a nan objective ranks last, as it does in the simplex
     best = min(results, key=lambda r: (math.isnan(r.objective), r.objective))
     print(f"best objective {best.objective:.3e} "
@@ -172,7 +175,7 @@ def cmd_frt(args):
                        for m in rep.members],
     }
     if args.report:
-        _write(args.report, json.dumps(report, indent=2))
+        _write(args.report, _report_json(report))
     return rep.same_span, report
 
 
@@ -199,7 +202,7 @@ def cmd_compare(args):
               "okado_braid_residual": format_scalar(res_ok),
               "twisted_prop1_braid_residual": format_scalar(res_tw),
               "q1_reduction": compare_mod.compare_q1()}
-    print(json.dumps(report, indent=2, ensure_ascii=False))
+    print(_report_json(report))
     return res_ok == 0 and res_tw == 0, report
 
 
@@ -220,7 +223,8 @@ def _parse_task(task, seed):
     if task.get("expect", "pass") not in ("pass", "fail"):
         raise ValueError(f"expect must be 'pass' or 'fail', "
                          f"got {task['expect']!r}")
-    # '--key=value': a separate '-1/2' would be read as a flag
+    # '--key=value': a separate dash-led value that is not a number, such
+    # as '-x', would be read as an option and leave '--key' without one
     argv = [f"--seed={args.get('seed', seed)}", command]
     argv += [f"--{k}={v}" for k, v in args.items() if k != "seed"]
     err = io.StringIO()
@@ -274,7 +278,7 @@ def cmd_campaign(args):
         report["expect"] = expect
         report["passed"] = matched
         _write(outdir / f"task-{i:03d}-{task_args.command}.json",
-               json.dumps(report, indent=2, ensure_ascii=False))
+               _report_json(report))
     _write(outdir / "campaign-meta.json",
            json.dumps({"timestamp": time.time(), "tasks": len(tasks)}))
     return overall_ok, {"command": "campaign"}

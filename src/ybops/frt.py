@@ -20,7 +20,10 @@ from itertools import chain
 from math import gcd
 from typing import Iterable, Optional
 
+from .algebra import quadratic_algebra
+from .colored import thm1_op
 from .errors import DimensionMismatchError
+from .funceq import FAMILIES
 from .scalars import over_one_denominator, rational
 from .tensorop import Op2
 
@@ -476,10 +479,6 @@ def rtt_span_report(rels: RelationSet) -> SpanReport:
     Raises SingularParameterError when the R-matrix itself degenerates at
     the stored parameters (pu = qv or qu = pv).
     """
-    from .algebra import quadratic_algebra
-    from .colored import thm1_op
-    from .funceq import FAMILIES
-
     p = rels.params
     FAMILIES["thm1"].check_regular(p["p"], p["q"], p["u"], p["v"])
     R = thm1_op(quadratic_algebra(p["sigma"]), p["p"], p["q"], p["u"], p["v"])

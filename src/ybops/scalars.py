@@ -37,20 +37,19 @@ def over_one_denominator(cols) -> tuple:
 
 def scalar_pow(base, expo):
     """Real base**expo: exact mode or a negative base needs an integer expo."""
-    if not (is_exact(base) and is_exact(expo)):
-        power = float(base) ** float(expo)
-        if isinstance(power, complex):
-            raise NonIntegerExponentError(
-                f"a negative base needs an integer exponent, got {expo}")
-        return power
-    e = Fraction(expo)
-    if e.denominator != 1:
+    exact = is_exact(base) and is_exact(expo)
+    if exact and Fraction(expo).denominator != 1:
         raise NonIntegerExponentError(
             f"exact mode needs integer colours, got exponent {expo}")
-    e = int(e)
-    if base == 0 and e < 0:
+    if base == 0 and expo < 0:
         raise SingularParameterError("0 cannot be raised to a negative power")
-    return Fraction(base) ** e
+    if exact:
+        return Fraction(base) ** int(expo)
+    power = float(base) ** float(expo)
+    if isinstance(power, complex):
+        raise NonIntegerExponentError(
+            f"a negative base needs an integer exponent, got {expo}")
+    return power
 
 
 def reciprocal(x):

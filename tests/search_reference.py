@@ -8,7 +8,7 @@ builds.  Tests only."""
 
 import math
 
-from ybops.errors import UnknownFamilyError
+from ybops.errors import SingularParameterError, UnknownFamilyError
 from ybops.funceq import (FAMILIES, CoeffTriple, eval_colored_system,
                           eval_onepar_system, linear_colored_triple)
 from ybops.scalars import scalar_pow
@@ -36,7 +36,7 @@ def linear_onepar_triple(params, phi_shape: str = "xz") -> CoeffTriple:
 def reference_objective(shape: str, system: str, phi_shape: str):
     """The objective of ``search._make_objective(shape, system, phi_shape)``
     for the five search modes; ``math.inf`` where the triple or the system
-    raises an ``ArithmeticError``."""
+    raises an ``ArithmeticError`` or a ``SingularParameterError``."""
     grid = [tuple(map(float, pt)) for pt in (
         DEFAULT_COLORED_GRID if system == "colored" else DEFAULT_ONEPAR_GRID)]
 
@@ -51,7 +51,9 @@ def reference_objective(shape: str, system: str, phi_shape: str):
             else:
                 T = linear_onepar_triple(params, phi_shape)
                 residuals = [eval_onepar_system(T, *pt) for pt in grid]
-        except ArithmeticError:
+        except (ArithmeticError, SingularParameterError):
+            # SingularParameterError: an exponential base that underflowed
+            # to 0.0, raised to a negative colour of the grid
             return math.inf
         total = 0.0
         for point in residuals:

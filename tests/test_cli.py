@@ -382,6 +382,12 @@ EXIT_CODES = [
         "family": "thm1", "x": "abc"}}]}, 2,
         TASK_ERROR + "Invalid literal for Fraction: 'abc'",
         id="campaign-unused-x"),
+    # a task's value is joined as '--u=-x': as a separate word, '-x' would
+    # read as an option and argparse would say '--u' expects an argument
+    pytest.param(["campaign"], {"tasks": [{"command": "matrix", "args": {
+        "family": "thm1", "u": "-x"}}]}, 2,
+        TASK_ERROR + "Invalid literal for Fraction: '-x'",
+        id="campaign-dash-led-value"),
     # an empty --eps or --rho is a bad rational, not a missing one
     pytest.param(["verify", "--family", "thm1", "--eps="], None, 2,
                  "error: Invalid literal for Fraction: ''", id="empty-eps"),

@@ -132,8 +132,17 @@ class TestScalarPow:
         assert scalar_pow(Fraction(2, 3), -2) == Fraction(9, 4)
 
     def test_zero_negative_raises(self):
+        # in exact and float mode alike
+        for base, expo in [(Fraction(0), -1), (0.0, -1.5), (0, -1.5),
+                           (0.0, -2), (0, -2)]:
+            with pytest.raises(SingularParameterError):
+                scalar_pow(base, expo)
         with pytest.raises(SingularParameterError):
-            scalar_pow(Fraction(0), -1)
+            ColoredFamily("thm2", quadratic_algebra(1),
+                          {"p": 0.0, "q": 1, "s": 1}).op(-1, 1)
+        # an exact exponent that is not an integer is checked first
+        with pytest.raises(NonIntegerExponentError):
+            scalar_pow(Fraction(0), Fraction(-1, 2))
 
     def test_negative_float_base(self):
         # an integral exponent stays real; any other would give a complex

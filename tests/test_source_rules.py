@@ -1,9 +1,9 @@
 """Source rules of src/ybops, checked on the syntax trees of the repository.
 
-Every import of a module is read in it, every top-level name is named
-somewhere outside its own definition, every private top-level name is named
-in src/ybops itself, every file ybops writes goes through ``cli._write``, and
-only ``colored.py`` builds the ansatz.
+Every import of a module is read in it and sits at the module head, every
+top-level name is named somewhere outside its own definition, every private
+top-level name is named in src/ybops itself, every file ybops writes goes
+through ``cli._write``, and only ``colored.py`` builds the ansatz.
 """
 
 import ast
@@ -72,6 +72,18 @@ def test_no_unused_imports():
                            (a.asname or a.name.split(".")[0]
                             for a in node.names) if name not in read]
     assert not unused, "\n".join(unused)
+
+
+def test_imports_at_module_head():
+    # an import is a statement of the module itself, never of a function,
+    # class or branch body, so every import edge shows at the top of a file
+    bad = []
+    for path, tree in _src().items():
+        top = {id(n) for n in tree.body}
+        bad += [_where(path, n) for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom))
+                and id(n) not in top]
+    assert not bad, "\n".join(bad)
 
 
 def _unread(read):
