@@ -17,10 +17,8 @@ file.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -206,13 +204,20 @@ def cmd_compare(args):
     return res_ok == 0 and res_tw == 0, report
 
 
-def _parse_task(task, seed):
-    """Parse one campaign task through the subcommand parsers.
+@functools.cache
+def _task_options(command):
+    """A subcommand's parser, its task options by dest, its option strings."""
+    sub = _parser()._subparsers._group_actions[0].choices[command]
+    options = {a.dest: a for a in sub._actions if a.dest != "help"}
+    options["seed"] = _parser()._option_string_actions["--seed"]
+    return sub, options, list(sub._option_string_actions)
 
-    ``args`` keys are the subcommand's option names (``lam``, not
-    ``lambda``).  A value must be a JSON integer where the option takes an
-    integer and a string otherwise.  ``expect`` must be "pass" or "fail".
-    """
+
+def _parse_task(task, seed):
+    """Check a campaign task against its subcommand's option table: option
+    names in full (``lam``, not ``lambda``), a JSON int where the option
+    takes one (not ``true`` or ``3.0``) and a string otherwise, converted
+    and checked by argparse.  ``expect`` is "pass" or "fail"."""
     command = task.get("command") if isinstance(task, dict) else None
     if (not isinstance(command, str) or command not in _HANDLERS
             or command == "campaign"):
@@ -223,25 +228,40 @@ def _parse_task(task, seed):
     if task.get("expect", "pass") not in ("pass", "fail"):
         raise ValueError(f"expect must be 'pass' or 'fail', "
                          f"got {task['expect']!r}")
-    # '--key=value': a separate dash-led value that is not a number, such
-    # as '-x', would be read as an option and leave '--key' without one
-    argv = [f"--seed={args.get('seed', seed)}", command]
-    argv += [f"--{k}={v}" for k, v in args.items() if k != "seed"]
-    err = io.StringIO()
-    try:
-        with contextlib.redirect_stderr(err):
-            ns = _parser().parse_args(argv)
-    except SystemExit:
-        lines = err.getvalue().strip().splitlines() or ["invalid arguments"]
-        raise ValueError(lines[-1]) from None
-    for key, val in args.items():
-        if not hasattr(ns, key):  # an abbreviation argparse accepted
-            raise ValueError(f"unknown option {key!r}")
-        want = int if isinstance(getattr(ns, key), int) else str
-        if type(val) is not want:
+    sub, options, strings = _task_options(command)
+    ns = argparse.Namespace(command=command,
+                            **{k: a.default for k, a in options.items()})
+    # the seed first, as the global option is
+    for key, val in ({"seed": seed} | args).items():
+        if (action := options.get(key)) is None:
+            if any(s.startswith(f"--{key}") for s in strings):
+                raise ValueError(f"unknown option {key!r}")
+            raise ValueError(f"{_parser().prog}: error: unrecognized "
+                             f"arguments: --{key}={val}")
+        # only the integer options convert their text
+        if type(val) is not (want := int if action.type else str):
             raise ValueError(f"{key}: expected a JSON {want.__name__}, "
                              f"got {val!r}")
+        try:
+            setattr(ns, key, sub._get_values(action, [str(val)]))
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{sub.prog}: error: {exc}") from None
+    missing = [argparse._get_action_name(a) for a in options.values()
+               if a.required and a.dest not in args]
+    if missing:
+        raise ValueError(f"{sub.prog}: error: the following arguments are "
+                         f"required: {', '.join(missing)}")
     return ns
+
+
+def _in_task(i, call, *args):
+    # a usage error names the task it came from
+    try:
+        return call(*args)
+    except BrokenPipeError:
+        raise
+    except _USAGE_ERRORS as exc:
+        raise ValueError(f"config error in task {i}: {exc}") from None
 
 
 def cmd_campaign(args):
@@ -262,21 +282,16 @@ def cmd_campaign(args):
                          f"got {seed!r}")
     outdir = Path(args.outdir or os.environ.get("YBOPS_OUTDIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
+    # every task is checked before the first one runs
+    parsed = [_in_task(i, _parse_task, task, seed)
+              for i, task in enumerate(tasks)]
     overall_ok = True
-    for i, task in enumerate(tasks):
-        try:
-            task_args = _parse_task(task, seed)
-            ok, report = _HANDLERS[task_args.command](task_args)
-        except BrokenPipeError:
-            raise
-        except _USAGE_ERRORS as exc:
-            raise ValueError(f"config error in task {i}: {exc}") from None
+    for i, (task, task_args) in enumerate(zip(tasks, parsed)):
+        ok, report = _in_task(i, _HANDLERS[task_args.command], task_args)
         expect = task.get("expect", "pass")
         matched = ok if expect == "pass" else not ok
-        if not matched:
-            overall_ok = False
-        report["expect"] = expect
-        report["passed"] = matched
+        overall_ok &= matched
+        report.update(expect=expect, passed=matched)
         _write(outdir / f"task-{i:03d}-{task_args.command}.json",
                _report_json(report))
     _write(outdir / "campaign-meta.json",

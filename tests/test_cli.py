@@ -12,7 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cli_reference import parse_task
 from conftest import SEARCH_MODES
 from ybops import cli, frt, search, tensorop
 from ybops.cli import main
@@ -382,8 +385,8 @@ EXIT_CODES = [
         "family": "thm1", "x": "abc"}}]}, 2,
         TASK_ERROR + "Invalid literal for Fraction: 'abc'",
         id="campaign-unused-x"),
-    # a task's value is joined as '--u=-x': as a separate word, '-x' would
-    # read as an option and argparse would say '--u' expects an argument
+    # a dash-led task value is the option's value, as in '--u=-x'; as a
+    # separate word, '-x' would read as an option on the command line
     pytest.param(["campaign"], {"tasks": [{"command": "matrix", "args": {
         "family": "thm1", "u": "-x"}}]}, 2,
         TASK_ERROR + "Invalid literal for Fraction: '-x'",
@@ -468,6 +471,36 @@ EXIT_CODES = [
     pytest.param(["campaign"], {"tasks": [{"command": "campaign"}]}, 2,
                  TASK_ERROR + "unknown command 'campaign'",
                  id="campaign-nested"),
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {}}]},
+                 2, TASK_ERROR + "ybops verify: error: the following "
+                 "arguments are required: --family",
+                 id="campaign-missing-family"),
+    # a task's JSON type is checked before argparse reads its text, and
+    # every key that is not an option name is judged by one prefix rule
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
+        "family": "thm1", "samples": True}}]}, 2,
+        TASK_ERROR + "samples: expected a JSON int, got True",
+        id="campaign-samples-bool"),
+    pytest.param(["campaign"], {"tasks": [{"command": "verify", "args": {
+        "family": "thm1", "samples": 3.0}}]}, 2,
+        TASK_ERROR + "samples: expected a JSON int, got 3.0",
+        id="campaign-samples-float"),
+    pytest.param(["campaign"], {"tasks": [{"command": "compare", "args": {
+        "seed": True}}]}, 2, TASK_ERROR + "seed: expected a JSON int, got True",
+        id="campaign-task-seed-bool"),
+    pytest.param(["campaign"], {"tasks": [{"command": "compare", "args": {
+        "help": "x"}}]}, 2, TASK_ERROR + "unknown option 'help'",
+        id="campaign-help-key"),
+    pytest.param(["campaign"], {"tasks": [{"command": "compare", "args": {
+        "h": "x"}}]}, 2, TASK_ERROR + "unknown option 'h'",
+        id="campaign-h-key"),
+    pytest.param(["campaign"], {"tasks": [{"command": "ybsystem", "args": {
+        "l": "3"}}]}, 2, TASK_ERROR + "unknown option 'l'",
+        id="campaign-prefix-of-option-and-alias"),
+    pytest.param(["campaign"], {"tasks": [{"command": "matrix", "args": {
+        "family": "thm1", "u=1": "2"}}]}, 2,
+        TASK_ERROR + "ybops: error: unrecognized arguments: --u=1=2",
+        id="campaign-key-with-equals"),
 ]
 
 
@@ -488,6 +521,89 @@ def test_exit_codes(argv, config, code, message, tmp_path, capsys):
         last = err.strip().splitlines()[-1]
         assert "error:" in last
         assert message is None or last == message
+
+
+def _task_actions(command):
+    # the options a task may set: the subcommand's, help left out
+    sub = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return [a for a in sub._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+# rational text as a task may give it: dash-led, holding '=', or empty
+_TASK_TEXT = st.one_of(
+    st.sampled_from(["-2/3", "--v", "a=b", "", "-x", "--", "1/0", "3",
+                     "-1e-3", "thm9"]),
+    st.text(alphabet="-=/.0123456789abx ", max_size=6))
+
+
+def _task_value(action):
+    if action.type is not None:
+        return st.integers(-3, 60)
+    if action.choices is not None:
+        return st.one_of(st.sampled_from(tuple(action.choices)), _TASK_TEXT)
+    return _TASK_TEXT
+
+
+@st.composite
+def _tasks(draw):
+    command = draw(st.sampled_from(("verify", "matrix", "search", "frt",
+                                    "ybsystem", "compare")))
+    chosen = draw(st.lists(st.sampled_from(_task_actions(command)),
+                           unique_by=lambda a: a.dest))
+    args = {a.dest: draw(_task_value(a)) for a in chosen}
+    if draw(st.booleans()):
+        args["seed"] = draw(st.integers(-5, 2 ** 40))
+    return {"command": command, "args": args}
+
+
+def _parsed(parse, task):
+    try:
+        return vars(parse(task, 7))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestTaskParser:
+    @settings(max_examples=150, deadline=None)
+    @given(task=_tasks())
+    @example(task={"command": "verify", "args": {"family": "thm9"}})
+    @example(task={"command": "verify", "args": {"family": "thm1",
+                                                 "samples": 0}})
+    @example(task={"command": "verify", "args": {"samples": 3}})
+    def test_matches_the_argv_parse(self, task):
+        # budget: under 1 s.  The same Namespace, or the same message,
+        # as the whole argparse tree gives on the joined argv
+        assert _parsed(cli._parse_task, task) == _parsed(parse_task, task)
+
+    def test_every_task_is_checked_before_any_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tasks": [
+            {"command": "verify", "args": {"family": "thm1", "samples": 2}},
+            {"command": "verify", "args": {"family": "thm9"}}]}),
+            encoding="utf-8")
+        assert main(["campaign", str(cfg), "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: config error in task 1: ybops verify: error: "
+            "argument --family: invalid choice")
+        assert not list(tmp_path.glob("task-*.json"))
+
+    def test_a_handler_error_comes_when_its_task_runs(self, tmp_path,
+                                                      capsys):
+        # a bad rational is a handler's finding, so task 0 has run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tasks": [
+            {"command": "compare"},
+            {"command": "compare", "args": {"q": "abc"}}]}),
+            encoding="utf-8")
+        assert main(["campaign", str(cfg), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            "error: config error in task 1: Invalid literal for Fraction: "
+            "'abc'")
+        assert [p.name for p in tmp_path.glob("task-*.json")] == [
+            "task-000-compare.json"]
 
 
 class TestUsage:
