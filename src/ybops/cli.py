@@ -333,6 +333,15 @@ class _Parser(argparse.ArgumentParser):
         # no option of the parser looks like that
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
+    def _get_values(self, action, arg_strings):
+        # an option's value "--" (`--q=--`) is converted and checked as
+        # 3.13 does; argparse 3.10 to 3.12.1 drops it and returns []
+        if (action.option_strings and action.nargs is None
+                and arg_strings == ["--"]):
+            self._check_value(action, value := self._get_value(action, "--"))
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def build_parser():
     parser = _Parser(

@@ -38,11 +38,10 @@ def twisted_prop1_rhat(q, sigma, x) -> Op2:
 
 @dataclass(frozen=True)
 class BraidFamily:
-    """Evaluator x -> 4x4 braid matrix; kinds: okado(q), twisted_prop1(q, sigma)."""
+    """Braid matrix at x: okado(q), or twisted_prop1(q) at sigma = 0."""
 
     kind: str
     q: object
-    sigma: object = Fraction(0)
 
     def __post_init__(self):
         if self.kind not in ("okado", "twisted_prop1"):
@@ -51,33 +50,32 @@ class BraidFamily:
     def __call__(self, x) -> Op2:
         if self.kind == "okado":
             return okado_rhat(self.q, x)
-        return twisted_prop1_rhat(self.q, self.sigma, x)
+        return twisted_prop1_rhat(self.q, 0, x)
 
 
-def compare_q1(xs=(1, 2, 3)) -> dict:
-    """Evaluate both families at q=1, sigma=0 and report their difference.
+def compare_q1() -> dict:
+    """Both families at q=1, sigma=0 and x = 1, 2, 3, and their difference.
 
     At q=1 the twisted matrix is the Okado one with entry (3, 3) negated, so
     the verdict per sample is identical (at x=1, where both vanish) or
     differ, decided by exact equality; nothing is reconciled silently.
-    The report is a fresh dict on every call; its rows are computed once
-    per tuple of sample points (:func:`_q1_samples`).
+    A fresh report per call; its rows are computed once (:func:`_q1_samples`).
     """
     return {"q": "1", "sigma": "0", "samples": [
         {"x": x, "okado": list(map(list, ok)),
          "twisted_prop1": list(map(list, tw)),
          "difference": list(map(list, diff)), "verdict": verdict}
-        for x, ok, tw, diff, verdict in _q1_samples(tuple(map(rational, xs)))]}
+        for x, ok, tw, diff, verdict in _q1_samples()]}
 
 
 @cache
-def _q1_samples(xs):
-    """The sample rows of :func:`compare_q1` at the rationals ``xs``, as
-    tuples: ``(x, okado, twisted_prop1, difference, verdict)``."""
+def _q1_samples():
+    """The sample rows of :func:`compare_q1` as tuples:
+    ``(x, okado, twisted_prop1, difference, verdict)``."""
     def text(mat):
         return tuple(tuple(map(format_scalar, row)) for row in mat)
     rows = []
-    for x in xs:
+    for x in (1, 2, 3):
         ok = okado_rhat(1, x)
         tw = twisted_prop1_rhat(1, 0, x)
         verdict = "identical" if ok.mat == tw.mat else "differ"

@@ -6,9 +6,9 @@ by exact linear algebra per parameter sample, that they span the same space
 as the relation list r1-r12 (resp. its p=q limit).
 
 The list gives one representative per u <-> v exchange orbit, so a
-RelationSet is read symmetrically in the colour pair: span checks close the
-set under the exchange first (see exchange_closure).  The bare twelve span a
-12-dimensional space; four residual entries need the exchanged instances.
+RelationSet is read symmetrically in the colour pair: the RTT report closes
+the set under the exchange first (see exchange_closure).  The bare twelve
+span 12 dimensions; four residual entries need the exchanged instances.
 """
 
 from __future__ import annotations
@@ -323,21 +323,19 @@ _T21 = [[(("v", LETTERS[i % 2 * 2 + k % 2]),
         for i in range(4)]
 
 
-def rtt_residual(Rm) -> list:
-    """Entries of R T1u T2v - T2v T1u R as 16 noncommutative polynomials.
+def rtt_residual(R: Op2) -> list:
+    """Entries of R T1u T2v - T2v T1u R as 16 noncommutative polynomials,
+    for an ``Op2`` R with n = 2.
 
     Entry (i, j) is the sum over k of R[i][k] (T1u T2v)[k][j] and
     -(T2v T1u)[i][k] R[k][j].  Each product is one word with an entry of R
     for coefficient and no two of them share a word, so each entry R[a][b]
     of the sparse columns is read once and written into row a and column
-    b of the result; a float entry enters as its exact rational.
-    """
-    if not isinstance(Rm, Op2):
-        Rm = Op2(n=2, mat=Rm)
-    if Rm.n != 2:
-        raise DimensionMismatchError("RTT residual needs a 4x4 R-matrix")
+    b of the result; a float entry enters as its exact rational."""
+    if not isinstance(R, Op2) or R.n != 2:
+        raise DimensionMismatchError("RTT residual needs an Op2 with n = 2")
     out = [{} for _ in range(16)]
-    for b, col in enumerate(Rm.entries()):
+    for b, col in enumerate(R.entries()):
         for a, x in col:
             if c := rational(x):
                 for j in range(4):
@@ -452,29 +450,22 @@ class SpanReport:
         return self.all_members and self.entry_span_dim == self.relation_span_dim
 
 
-def span_membership(entries, rels: RelationSet,
-                    symmetric: bool = True) -> SpanReport:
-    """Express each polynomial in the span of the relations, or certify failure.
-
-    By default the relation set is read symmetrically in the colour pair
-    (see exchange_closure), since the list gives one representative
-    per u <-> v exchange orbit; coefficient positions for the original
-    relations are unchanged by the closure.  Pass ``symmetric=False`` to
-    check against the bare list.  The relations are eliminated once.
-    """
+def span_membership(entries, basis) -> SpanReport:
+    """Express each polynomial in the span of ``basis``, read as given and
+    eliminated once, or certify failure."""
     entries = list(entries)
-    basis = _Echelon((exchange_closure(rels) if symmetric else rels).relations)
-    solved = [basis.solve(e) for e in entries]
+    echelon = _Echelon(basis)
+    solved = [echelon.solve(e) for e in entries]
     return SpanReport(
         members=tuple(None if m is None else tuple(m) for m, _ in solved),
         residues=tuple(r for _, r in solved),
         entry_span_dim=span_dimension(entries),
-        relation_span_dim=len(basis.rows))
+        relation_span_dim=len(echelon.rows))
 
 
 def rtt_span_report(rels: RelationSet) -> SpanReport:
     """:func:`span_membership` of the 16 RTT residual entries of the
-    dimension-2 linear R-matrix at ``rels.params``, read symmetrically.
+    dimension-2 linear R-matrix at ``rels.params``, in exchange_closure(rels).
 
     Raises SingularParameterError when the R-matrix itself degenerates at
     the stored parameters (pu = qv or qu = pv).
@@ -482,7 +473,7 @@ def rtt_span_report(rels: RelationSet) -> SpanReport:
     p = rels.params
     FAMILIES["thm1"].check_regular(p["p"], p["q"], p["u"], p["v"])
     R = thm1_op(quadratic_algebra(p["sigma"]), p["p"], p["q"], p["u"], p["v"])
-    return span_membership(rtt_residual(R), rels)
+    return span_membership(rtt_residual(R), exchange_closure(rels).relations)
 
 
 def uv_symmetry_check(rels: RelationSet) -> bool:

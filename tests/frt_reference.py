@@ -149,8 +149,7 @@ def template_span_report(rels: RelationSet) -> SpanReport:
     their templates (:func:`exchange_closure`)."""
     p = rels.params
     R = thm1_op(quadratic_algebra(p["sigma"]), p["p"], p["q"], p["u"], p["v"])
-    return span_membership(rtt_residual(R), exchange_closure(rels),
-                           symmetric=False)
+    return span_membership(rtt_residual(R), exchange_closure(rels).relations)
 
 
 def swap_colours(poly: NCPoly) -> NCPoly:

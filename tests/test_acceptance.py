@@ -244,15 +244,16 @@ def test_criterion_5_frt_span():
                 if u != v:
                     break
             A = quadratic_algebra(sigma)
-            entries = frt.rtt_residual(thm1_op(A, p, q, u, v).mat)
+            entries = frt.rtt_residual(thm1_op(A, p, q, u, v))
             rels = frt.claimed_relations(u, v, p, q, sigma)
-            rep = frt.span_membership(entries, rels)
+            rep = frt.span_membership(entries,
+                                      frt.exchange_closure(rels).relations)
             assert rep.all_members
             assert frt.uv_symmetry_check(rels)
             # p = q limit against the reduced list
-            entries_pq = frt.rtt_residual(thm1_op(A, q, q, u, v).mat)
-            rep_pq = frt.span_membership(entries_pq,
-                                         frt.pq_limit_relations(sigma, u, v))
+            entries_pq = frt.rtt_residual(thm1_op(A, q, q, u, v))
+            rep_pq = frt.span_membership(entries_pq, frt.exchange_closure(
+                frt.pq_limit_relations(sigma, u, v)).relations)
             assert rep_pq.all_members
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -276,9 +277,9 @@ def test_criterion_7_braid_and_compare():
                (F(1, 2), F(2), F(3)))
     for (q, x, y) in samples:
         assert braid_residual(BraidFamily(kind="okado", q=q), x, y) == 0
-        assert braid_residual(BraidFamily(kind="twisted_prop1", q=q,
-                                          sigma=F(0)), x, y) == 0
-    rep = compare_q1(xs=(1, 2, 3))
+        assert braid_residual(BraidFamily(kind="twisted_prop1", q=q),
+                              x, y) == 0
+    rep = compare_q1()
     verdicts = [s["verdict"] for s in rep["samples"]]
     assert all(v in ("identical", "proportional", "differ") for v in verdicts)
     # oracle-determined outcome: equal except a sign at the last diagonal

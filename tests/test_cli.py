@@ -501,6 +501,18 @@ EXIT_CODES = [
         "family": "thm1", "u=1": "2"}}]}, 2,
         TASK_ERROR + "ybops: error: unrecognized arguments: --u=1=2",
         id="campaign-key-with-equals"),
+    # an option value of exactly "--" is converted and checked as it is;
+    # the invalid-choice text quotes its choices differently by version
+    pytest.param(["compare", "--q=--"], None, 2,
+                 "error: Invalid literal for Fraction: '--'", id="q-dashdash"),
+    pytest.param(["verify", "--family=--"], None, 2, None,
+                 id="family-dashdash"),
+    pytest.param(["verify", "--family", "thm1", "--samples=--"], None, 2,
+                 "ybops verify: error: argument --samples: expected a "
+                 "positive integer, got '--'", id="samples-dashdash"),
+    pytest.param(["campaign"], {"tasks": [{"command": "compare", "args": {
+        "q": "--"}}]}, 2, TASK_ERROR + "Invalid literal for Fraction: '--'",
+        id="campaign-q-dashdash"),
 ]
 
 

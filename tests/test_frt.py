@@ -58,7 +58,7 @@ class TestNCPoly:
 
 class TestRttResidual:
     def test_identity_matrix_gives_commutators(self):
-        ents = rtt_residual(identity_mat(4))
+        ents = rtt_residual(Op2(n=2, mat=identity_mat(4)))
         a_u, a_v = NCPoly.gen("a", "u"), NCPoly.gen("a", "v")
         assert ents[0] == a_u * a_v - a_v * a_u
 
@@ -68,10 +68,15 @@ class TestRttResidual:
         with pytest.raises(DimensionMismatchError):  # 3-dim carrier
             rtt_residual(Op2(n=3, mat=freeze(identity_mat(9))))
 
+    def test_dense_list_rejected(self):
+        # only an Op2 is read: a dense 4x4 list is no operator
+        with pytest.raises(DimensionMismatchError):
+            rtt_residual(identity_mat(4))
+
     def test_entries_quadratic(self, rng):
         u, v, p, q = sample_params(rng)
         R = thm1_op(quadratic_algebra(1), p, q, u, v)
-        for e in rtt_residual(R.mat):
+        for e in rtt_residual(R):
             assert all(len(w) == 2 for w in e.terms)
 
 
@@ -105,7 +110,7 @@ class TestSpanArithmetic:
     def test_scaled_relation_recovers_position(self):
         rels = claimed_relations(2, 1, 1, 3, 0)
         target = 2 * rels.relations[8]  # 2*(ninth relation)
-        rep = span_membership([target], rels)
+        rep = span_membership([target], exchange_closure(rels).relations)
         vec = rep.members[0]
         assert vec[8] == 2
         assert all(c == 0 for i, c in enumerate(vec) if i != 8)
@@ -114,7 +119,7 @@ class TestSpanArithmetic:
         rels = claimed_relations(2, 1, 1, 3, 0)
         b_u = NCPoly.gen("b", "u")
         alien = b_u * b_u  # not in any relation span
-        rep = span_membership([alien], rels)
+        rep = span_membership([alien], exchange_closure(rels).relations)
         assert rep.members[0] is None
         assert not rep.residues[0].is_zero
 
@@ -129,26 +134,28 @@ class TestRttSpanProperty:
             for _ in range(5):
                 u, v, p, q = sample_params(rng)
                 R = thm1_op(quadratic_algebra(sigma), p, q, u, v)
-                ents = rtt_residual(R.mat)
+                ents = rtt_residual(R)
                 rels = claimed_relations(u, v, p, q, sigma)
-                rep = span_membership(ents, rels)
+                rep = span_membership(ents, exchange_closure(rels).relations)
                 assert rep.all_members
                 # the relation list and the residual generate the same space
                 assert rep.entry_span_dim == rep.relation_span_dim == 16
 
     def test_bare_list_spans_twelve(self, rng):
-        # without the colour exchange, the twelve relations miss four entries
+        # without the colour exchange, the twelve relations miss four
+        # entries; the RTT report reads them in both orders and misses none
         u, v, p, q = sample_params(rng)
         R = thm1_op(quadratic_algebra(0), p, q, u, v)
         rels = claimed_relations(u, v, p, q, 0)
-        rep = span_membership(rtt_residual(R.mat), rels, symmetric=False)
+        rep = span_membership(rtt_residual(R), rels.relations)
         assert rep.relation_span_dim == 12
         assert sum(m is not None for m in rep.members) == 12
+        assert rtt_span_report(rels).all_members
 
     def test_relations_in_entry_span(self, rng):
         u, v, p, q = sample_params(rng)
         R = thm1_op(quadratic_algebra(1), p, q, u, v)
-        ents = rtt_residual(R.mat)
+        ents = rtt_residual(R)
         closed = exchange_closure(claimed_relations(u, v, p, q, 1))
         assert all(in_span(r, ents) is not None for r in closed.relations)
 
@@ -156,8 +163,9 @@ class TestRttSpanProperty:
         for sigma in (0, 1):
             u, v, _, q = sample_params(rng)
             R = thm1_op(quadratic_algebra(sigma), q, q, u, v)
-            rep = span_membership(rtt_residual(R.mat),
-                                  pq_limit_relations(sigma, u, v))
+            rels = pq_limit_relations(sigma, u, v)
+            rep = span_membership(rtt_residual(R),
+                                  exchange_closure(rels).relations)
             assert rep.all_members
 
     def test_pq_relations_from_full_list(self):
@@ -199,7 +207,8 @@ class TestUvSymmetry:
         rels = RelationSet(full.relations + (alien,), full.labels + ("r1",),
                            full.params)
         R = thm1_op(quadratic_algebra(0), 1, 3, 5, 1)
-        rep = span_membership(rtt_residual(R.mat), rels)
+        rep = span_membership(rtt_residual(R),
+                              exchange_closure(rels).relations)
         assert rep.all_members
         assert (rep.entry_span_dim, rep.relation_span_dim) == (16, 17)
         assert not uv_symmetry_check(rels)

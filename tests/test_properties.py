@@ -26,7 +26,7 @@ from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
 from ybops.compare import BraidFamily
-from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, RelationSet, _Echelon,
+from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, _Echelon,
                        _relations, claimed_relations, exchange_closure,
                        in_span, pq_limit_relations, rtt_residual,
                        span_dimension, span_membership)
@@ -275,9 +275,7 @@ class TestSpanElimination:
     def test_matches_dense_oracle(self, case):
         basis, targets = case
         want, entry_dim, rel_dim = _span_oracle(basis, targets)
-        rels = RelationSet(tuple(basis),
-                           tuple(f"x{i}" for i in range(len(basis))), {})
-        rep = span_membership(targets, rels, symmetric=False)
+        rep = span_membership(targets, basis)
         assert (rep.entry_span_dim, rep.relation_span_dim) == (entry_dim,
                                                                rel_dim)
         assert span_dimension(basis) == rel_dim
@@ -520,8 +518,7 @@ class TestResidualKernel:
             assert res == want and type(res) is type(want) is Fraction
 
     def test_vanishing_braid_residual_over_a_denominator(self):
-        fam = BraidFamily(kind="twisted_prop1", q=Fraction(1, 2),
-                          sigma=Fraction(0))
+        fam = BraidFamily(kind="twisted_prop1", q=Fraction(1, 2))
         x, y = Fraction(3), Fraction(1, 2)
         assert all(fam(t).den > 1 for t in (x, x * y, y))
         res = braid_residual(fam, x, y)
@@ -917,7 +914,6 @@ class TestRttColumns:
     @settings(max_examples=40, deadline=None)
     @given(mat=_rtt_mats)
     def test_exact_matrices(self, mat):
-        self._check(mat)
         self._check(Op2(n=2, mat=freeze(mat)))
 
     @settings(max_examples=30, deadline=None)
@@ -940,7 +936,6 @@ class TestRttColumns:
             mat[i][j] = x
         R = Op2(n=2, mat=freeze(mat))
         assert R.den is None
-        self._check(mat)
         self._check(R)
 
 
