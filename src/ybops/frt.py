@@ -3,7 +3,8 @@
 Expands the entries of R(u,v) T1u T2v - T2v T1u R(u,v) as noncommutative
 quadratic polynomials in the eight coloured generators a_u .. d_v and checks,
 by exact linear algebra per parameter sample, that they span the same space
-as the relation list r1-r12 (resp. its p=q limit).
+as the relation list r1-r12 (resp. its p=q limit), on integer rows as
+stored, over one denominator per polynomial.
 
 The list gives one representative per u <-> v exchange orbit, so a
 RelationSet is read symmetrically in the colour pair: the RTT report closes
@@ -14,10 +15,10 @@ span 12 dimensions; four residual entries need the exchanged instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .algebra import quadratic_algebra
@@ -33,56 +34,59 @@ LETTERS = ("a", "b", "c", "d")
 
 
 class NCPoly:
-    """Noncommutative polynomial: words of generators with rational coefficients."""
-
-    __slots__ = ("terms",)
+    """Noncommutative polynomial: words of generators with rational
+    coefficients, stored as integer numerators ``num`` over one non-zero
+    integer ``den``; ``terms``, the ``Fraction`` view, is built when read."""
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                c = rational(coeff)
-                if c != 0:
-                    self.terms[word] = c
+        pairs = [(w, c) for w, x in (terms or {}).items() if (c := rational(x))]
+        den, (pairs,) = over_one_denominator([pairs])
+        self.num, self.den = dict(pairs), den
 
     @classmethod
-    def _of(cls, terms: dict) -> "NCPoly":
-        """``terms`` taken as they are: non-zero ``Fraction`` coefficients."""
+    def _of(cls, num: dict, den: int = 1) -> "NCPoly":
+        """``num`` over ``den`` taken as they are."""
         poly = cls.__new__(cls)
-        poly.terms = terms
+        poly.num, poly.den = num, den
         return poly
 
     @classmethod
     def gen(cls, letter: str, tag: str) -> "NCPoly":
-        return cls._of({((tag, letter),): Fraction(1)})
+        return cls._of({((tag, letter),): 1})
+
+    @cached_property
+    def terms(self) -> dict:
+        return {w: Fraction(c, self.den) for w, c in self.num.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __add__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return _collect(chain(self.terms.items(), other.terms.items()))
+        den = lcm(self.den, other.den)
+        return _collect(chain(
+            ((w, c * (den // self.den)) for w, c in self.num.items()),
+            ((w, c * (den // other.den)) for w, c in other.num.items())), den)
 
     def __neg__(self):
-        return NCPoly._of({w: -c for w, c in self.terms.items()})
+        return NCPoly._of({w: -c for w, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
-            return _collect((w1 + w2, c1 * c2)
-                            for w1, c1 in self.terms.items()
-                            for w2, c2 in other.terms.items())
+            return _collect(((w1 + w2, c1 * c2)
+                             for w1, c1 in self.num.items()
+                             for w2, c2 in other.num.items()),
+                            self.den * other.den)
         c = rational(other)
-        if not c:
-            return NCPoly()
-        return NCPoly._of({w: c * x for w, x in self.terms.items()})
+        return _collect(((w, c.numerator * x) for w, x in self.num.items()),
+                        c.denominator * self.den)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, NCPoly):
@@ -102,12 +106,13 @@ class NCPoly:
         return " + ".join(bits)
 
 
-def _collect(pairs) -> NCPoly:
-    """The sum of the (word, coefficient) pairs, dropping what cancels."""
+def _collect(pairs, den: int) -> NCPoly:
+    """The sum of the (word, numerator) pairs over ``den``, dropping what
+    cancels."""
     out = {}
     for w, c in pairs:
-        out[w] = out[w] + c if w in out else c
-    return NCPoly._of({w: c for w, c in out.items() if c})
+        out[w] = out.get(w, 0) + c
+    return NCPoly._of({w: c for w, c in out.items() if c}, den)
 
 
 @dataclass(frozen=True)
@@ -255,7 +260,7 @@ def _relations(labels: Iterable[str], u, v, p, q, sigma) -> tuple:
     """The relations the labels name, at the given scalars.  With D the
     product of the five denominators, a monomial times D is the product of
     the numerators it holds and the denominators it lacks, so every
-    coefficient is an integer over D."""
+    coefficient is an integer over D, and each relation is stored so."""
     values = [1]  # monomial -> its value times D
     for x in map(rational, (u, v, p, q, sigma)):
         values = ([c * x.denominator for c in values]
@@ -265,8 +270,8 @@ def _relations(labels: Iterable[str], u, v, p, q, sigma) -> tuple:
         terms = {}
         for word, row in _compiled(label).items():
             if c := sum(k * values[m] for m, k in row):
-                terms[word] = Fraction(c, values[0])
-        out.append(NCPoly._of(terms))
+                terms[word] = c
+        out.append(NCPoly._of(terms, values[0]))
     return tuple(out)
 
 
@@ -331,18 +336,20 @@ def rtt_residual(R: Op2) -> list:
     -(T2v T1u)[i][k] R[k][j].  Each product is one word with an entry of R
     for coefficient and no two of them share a word, so each entry R[a][b]
     of the sparse columns is read once and written into row a and column
-    b of the result; a float entry enters as its exact rational."""
+    b of the result, stored over ``R.den``; float entries are first cleared
+    over one denominator, each as its exact rational."""
     if not isinstance(R, Op2) or R.n != 2:
         raise DimensionMismatchError("RTT residual needs an Op2 with n = 2")
+    den, cols = (R.den, R.cols) if R.den else over_one_denominator(
+        [[(i, rational(x)) for i, x in col if x] for col in R.cols])
     out = [{} for _ in range(16)]
-    for b, col in enumerate(R.entries()):
-        for a, x in col:
-            if c := rational(x):
-                for j in range(4):
-                    out[4 * a + j][_T12[b][j]] = c
-                for i in range(4):
-                    out[4 * i + b][_T21[i][a]] = -c
-    return [NCPoly._of(terms) for terms in out]
+    for b, col in enumerate(cols):
+        for a, c in col:
+            for j in range(4):
+                out[4 * a + j][_T12[b][j]] = c
+            for i in range(4):
+                out[4 * i + b][_T21[i][a]] = -c
+    return [NCPoly._of(terms, den) for terms in out]
 
 
 # --- exact span arithmetic ------------------------------------------------------
@@ -359,25 +366,18 @@ def _combine(a: int, x: dict, f: int, y: dict) -> dict:
     return out
 
 
-def _primitive(row: dict, comb: dict) -> tuple:
-    """``row`` and ``comb`` divided by the gcd of all their entries."""
-    g = gcd(*row.values(), *comb.values())
-    return ({key: c // g for key, c in row.items()},
-            {key: c // g for key, c in comb.items()})
-
-
 class _Echelon:
     """Row echelon form of a polynomial list, eliminated over the integers.
 
     A row is a primitive word -> integer dict whose least word is its pivot
     and which holds no pivot of an earlier row, so reducing by the rows in
     insertion order leaves no pivot word; it carries its combination of the
-    inputs, in integers too.  Rows combine fraction-free, a*x - f*row, from
-    inputs cleared of their denominators, so a remainder is an integer
-    multiple of the one a Fraction elimination leaves, with the same least
-    word.  Only inputs independent of the ones before them enter, so a
-    member is written on the leftmost independent inputs, where it is
-    unique; Fractions are built only for what :meth:`solve` returns.
+    inputs, in integers too.  Inputs enter as stored, ``num`` over ``den``,
+    and rows combine fraction-free, a*x - f*row, so a remainder is an
+    integer multiple of the one a Fraction elimination leaves, with the
+    same least word.  Only inputs independent of the ones before them
+    enter, so a member is written on the leftmost independent inputs, where
+    it is unique; Fractions are built only for what :meth:`solve` returns.
     """
 
     def __init__(self, polys):
@@ -387,18 +387,17 @@ class _Echelon:
             scale, rest, comb = self._reduce(poly)
             if rest:
                 comb[self.size] = scale
-                row, comb = _primitive(rest, comb)
-                self.rows[min(row)] = (row, comb)
+                g = gcd(*rest.values(), *comb.values())
+                self.rows[min(rest)] = ({w: c // g for w, c in rest.items()},
+                                        {j: c // g for j, c in comb.items()})
             self.size += 1
 
     def _reduce(self, poly: NCPoly):
         """``(s, s*poly + y, y on the inputs)`` for an integer s: s*poly + y
         has integer coefficients and no pivot word, y lies in the span."""
-        scale, (terms,) = over_one_denominator([poly.terms.items()])
-        rest, comb = dict(terms), {}
+        scale, rest, comb = poly.den, poly.num, {}
         for pivot, (row, row_comb) in self.rows.items():
-            f = rest.get(pivot)
-            if f:
+            if f := rest.get(pivot):
                 a = row[pivot]
                 rest = _combine(a, rest, f, row)
                 comb = _combine(a, comb, f, row_comb)
@@ -408,27 +407,38 @@ class _Echelon:
     def solve(self, poly: NCPoly):
         """``(coefficients, None)`` for a member, else ``(None, residue)``:
         the canonical normal form of ``poly``, free of pivot words."""
-        scale, rest, comb = self._reduce(poly)
+        return self._solution(*self._reduce(poly))
+
+    def _solution(self, scale, rest, comb):
+        """:meth:`solve`'s result from :meth:`_reduce`'s."""
         if rest:
-            return None, NCPoly._of({w: Fraction(c, scale)
-                                     for w, c in rest.items()})
+            return None, NCPoly._of(rest, scale)
         zero = Fraction(0)
         return [Fraction(-comb[j], scale) if j in comb else zero
                 for j in range(self.size)], None
 
 
+def _rank(vectors) -> int:
+    """Rank of integer dicts, by _Echelon's elimination with no combinations."""
+    rows = {}
+    for rest in vectors:
+        for pivot, row in rows.items():
+            if f := rest.get(pivot):
+                rest = _combine(row[pivot], rest, f, row)
+        if rest:
+            rows[min(rest)] = rest
+    return len(rows)
+
+
 def span_dimension(polys) -> int:
-    """Dimension of the span of ``polys``: the number of rows of their
-    echelon form."""
-    return len(_Echelon(polys).rows)
+    """Dimension of the span of ``polys``: the rank of their numerators."""
+    return _rank(poly.num for poly in polys)
 
 
 def in_span(poly: NCPoly, basis) -> Optional[list]:
-    """Coefficients writing ``poly`` as a combination of ``basis``, or None.
-
-    Solved exactly by one elimination; the coefficients sit on the
-    leftmost independent basis polynomials and are zero elsewhere.
-    """
+    """Coefficients writing ``poly`` on ``basis``, by one exact elimination,
+    or None; they sit on the leftmost independent basis polynomials and are
+    zero elsewhere."""
     return _Echelon(basis).solve(poly)[0]
 
 
@@ -452,14 +462,19 @@ class SpanReport:
 
 def span_membership(entries, basis) -> SpanReport:
     """Express each polynomial in the span of ``basis``, read as given and
-    eliminated once, or certify failure."""
+    eliminated once, or certify failure.  If all are members,
+    ``entry_span_dim`` is the rank of their integer combinations, which lie
+    on independent basis polynomials; else :func:`span_dimension`."""
     entries = list(entries)
     echelon = _Echelon(basis)
-    solved = [echelon.solve(e) for e in entries]
+    reduced = [echelon._reduce(e) for e in entries]
+    solved = [echelon._solution(*r) for r in reduced]
+    combs = [comb for _, rest, comb in reduced if not rest]
     return SpanReport(
         members=tuple(None if m is None else tuple(m) for m, _ in solved),
         residues=tuple(r for _, r in solved),
-        entry_span_dim=span_dimension(entries),
+        entry_span_dim=(_rank(combs) if len(combs) == len(entries)
+                        else span_dimension(entries)),
         relation_span_dim=len(echelon.rows))
 
 

@@ -100,6 +100,25 @@ class TestFrt:
         assert main(["frt"]) == 0
         assert calls == {"rtt_residual": 1, "span_membership": 1}
 
+    def test_one_elimination_of_rows_as_stored(self, monkeypatch):
+        # relations and RTT entries are built as integers over one
+        # denominator and eliminated as stored: one _Echelon, whose entry
+        # rank comes from the membership combinations, and no clearing
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(frt, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("_Echelon", "over_one_denominator"):
+            monkeypatch.setattr(frt, name, counting(name))
+        assert main(["frt"]) == 0
+        assert calls == {"_Echelon": 1}
+
     @pytest.mark.parametrize("argv,code,digest", [
         (["--sigma", "0"], 0,
          "8e2ef0217a9da5e519dc88597e1f7328fb4cf0f5da706efdcae190ad35d5dfc0"),

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, linear_coeffs,
@@ -26,10 +26,11 @@ from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
 from ybops.compare import BraidFamily
-from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, _Echelon,
+from ybops.errors import SingularParameterError
+from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, SpanReport, _Echelon,
                        _relations, claimed_relations, exchange_closure,
                        in_span, pq_limit_relations, rtt_residual,
-                       span_dimension, span_membership)
+                       rtt_span_report, span_dimension, span_membership)
 from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
@@ -269,9 +270,29 @@ def _span_cases(draw):
     return basis, targets
 
 
+# a golden campaign frt point (u, v, p, q, sigma) = (-3/2, -1, -2, 4/3, 1/2)
+_GOLDEN_FRT = (Fraction(-3, 2), Fraction(-1), Fraction(-2), Fraction(4, 3),
+               Fraction(1, 2))
+_IN = _POOL[0] + 2 * _POOL[1]  # a member of any basis holding both
+
+
 class TestSpanElimination:
+    # the examples take ~0.06 s; with every target a member, entry_span_dim
+    # is the rank of their combinations, else span_dimension of the targets
     @settings(max_examples=40, deadline=None)
     @given(case=_span_cases())
+    # members, dependent: a target repeated and rescaled, rank 1 of 3
+    @example(case=([_POOL[0], _POOL[1]], [_IN, Fraction(-3, 2) * _IN, _IN]))
+    # a repeat, rescaled, in the basis: the combinations sit on inputs 0, 2
+    @example(case=([_POOL[0], Fraction(2, 3) * _POOL[0], _POOL[1]],
+                   [_IN, Fraction(2, 3) * _POOL[0], _POOL[1]]))
+    # one non-member: entry_span_dim falls back to span_dimension
+    @example(case=([_POOL[0], _POOL[1]], [_IN, _POOL[-1], _POOL[1]]))
+    # the 16 RTT entries against the closed list at a golden point
+    @example(case=(list(exchange_closure(claimed_relations(
+        *_GOLDEN_FRT)).relations), rtt_residual(thm1_op(
+            quadratic_algebra(_GOLDEN_FRT[4]), *_GOLDEN_FRT[2:4],
+            *_GOLDEN_FRT[:2]))))
     def test_matches_dense_oracle(self, case):
         basis, targets = case
         want, entry_dim, rel_dim = _span_oracle(basis, targets)
@@ -408,6 +429,75 @@ class TestFractionFreeEchelon:
                 assert residue.terms == want_residue.terms
             exact = (coeffs or []) + list((residue or NCPoly()).terms.values())
             assert all(type(x) is Fraction for x in exact)
+
+
+# integer numerators, many of them sharing a factor with the denominator
+_numerators = st.dictionaries(st.sampled_from(_MIXED_WORDS),
+                              st.integers(-24, 24).filter(bool), max_size=5)
+
+
+class TestIntegerStore:
+    @settings(max_examples=100, deadline=None)
+    @given(num=_numerators, den=st.integers(1, 12),
+           g=st.integers(-6, 6).filter(bool))
+    @example(num={_MIXED_WORDS[0]: 6, _MIXED_WORDS[1]: -4}, den=4, g=-2)
+    def test_integers_read_as_their_fractions(self, num, den, g):
+        poly = NCPoly._of(num, den)
+        want = NCPoly({w: Fraction(c, den) for w, c in num.items()})
+        assert poly == want and hash(poly) == hash(want)
+        assert poly.terms == {w: Fraction(c, den) for w, c in num.items()}
+        assert all(type(c) is Fraction for c in poly.terms.values())
+        # the constructor clears over the lcm of the reduced denominators
+        assert all(type(c) is int for c in want.num.values())
+        assert want.den == math.lcm(*(x.denominator
+                                      for x in want.terms.values()))
+        # a common factor, of either sign, cancels
+        scaled = NCPoly._of({w: g * c for w, c in num.items()}, g * den)
+        assert scaled == poly and hash(scaled) == hash(poly)
+        # a residue and a membership coefficient are Fractions
+        _, residue = _Echelon([]).solve(scaled)
+        coeffs, _ = _Echelon([poly]).solve(scaled)
+        if num:
+            assert residue == poly and coeffs == [1]
+            assert all(type(c) is Fraction for c in residue.terms.values())
+        assert all(type(c) is Fraction for c in coeffs)
+
+
+@st.composite
+def _report_cases(draw):
+    """The claimed list at a point with p = q drawn often, and in half the
+    cases one relation dropped, so that entries may fall outside."""
+    u, v, p, q, s = (draw(st.one_of(fractions, st.integers(-3, 3)))
+                     for _ in range(5))
+    rels = claimed_relations(u, v, p, draw(st.one_of(st.just(p), st.just(q))),
+                             s)
+    if draw(st.booleans()):
+        drop = draw(st.sampled_from(rels.labels))
+        rels = subset(rels, [l for l in rels.labels if l != drop])
+    return rels
+
+
+class TestIntegerReport:
+    # ~0.4 s: two Fraction eliminations per draw
+    @settings(max_examples=30, deadline=None)
+    @given(rels=_report_cases())
+    def test_matches_fraction_elimination(self, rels):
+        """The report on integer rows, with the entry rank from the
+        combinations, equals the one the Fraction elimination gives."""
+        try:
+            got = rtt_span_report(rels)
+        except SingularParameterError:
+            assume(False)
+        p = rels.params
+        entries = rtt_residual(thm1_op(quadratic_algebra(p["sigma"]), p["p"],
+                                       p["q"], p["u"], p["v"]))
+        echelon = FractionEchelon(exchange_closure(rels).relations)
+        solved = [echelon.solve(e) for e in entries]
+        assert got == SpanReport(
+            members=tuple(None if m is None else tuple(m) for m, _ in solved),
+            residues=tuple(r for _, r in solved),
+            entry_span_dim=len(FractionEchelon(entries).rows),
+            relation_span_dim=len(echelon.rows))
 
 
 # --- the residual kernel against dense leg embeddings ------------------------
