@@ -4,7 +4,9 @@ numerical searches and braid-matrix comparisons.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage/config error,
 141 stdout was closed by its reader.
 Reports are deterministic given the seed; timestamps live in a separate
-metadata file so result payloads stay diffable.  Every report file is
+metadata file so result payloads stay diffable.  Every JSON report is UTF-8
+with a two-space indent, non-ASCII left unescaped and NaN/Infinity as json
+writes them, all encoded by :func:`_report_json`.  Every report file is
 written by :func:`_write`: an existing file is rewritten in place and then
 cut to length, never truncated to zero first, because on ext4 closing a file
 that was truncated to zero starts writeback of its new blocks, which can
@@ -27,6 +29,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import compare as compare_mod
@@ -46,8 +49,28 @@ from .ybsystem import thm3_system, wxz_residuals
 # What a command raises for bad input: exit 2 with a one-line message.
 _USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError, OSError)
 
-# every indented report is this text, so its encoding has one place
-_report_json = functools.partial(json.dumps, indent=2, ensure_ascii=False)
+
+def _report_json(value, indent="\n"):
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` on dicts with str
+    keys, lists and tuples; a scalar other than str is json's own text, NaN,
+    Infinity and the TypeError for a non-JSON value included."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        ends = "{}"
+        items = [f"{encode_basestring(k)}: {_report_json(v, inner)}"
+                 for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        ends = "[]"
+        items = (map(encode_basestring, value)
+                 if all(isinstance(x, str) for x in value) else
+                 [_report_json(x, inner) for x in value])
+    else:
+        return json.dumps(value)
+    if not value:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 # the options _algebra reads, with their defaults

@@ -177,8 +177,10 @@ def _chain_numerators(lhs, rhs):
     sparse = {id(R): R.cols if exact else
               [[(i, x) for i, x in col if x] for col in R.entries()]
               for R in ops}
-    embedded = {(id(R), l): _leg_columns(sparse[id(R)], n, l)
-                for R, l in (*lhs, *rhs)}
+    # each distinct (operator, legs) pair is embedded once: a QYBE chain's
+    # right-hand side reuses the left-hand side's three
+    embedded = {(k, l): _leg_columns(sparse[k], n, l) for k, l in
+                dict.fromkeys((id(R), l) for R, l in (*lhs, *rhs))}
     chains = [[embedded[id(R), l] for R, l in reversed(chain)]
               for chain in (lhs, rhs)]
     dl, dr = (prod(R.den for R, _ in chain) if exact else 1

@@ -155,6 +155,46 @@ class TestYbsystemAndCompare:
         assert main(["compare", "--q", "2", "--x", "3", "--y", "5"]) == 0
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+class TestReportBytes:
+    """sha256 pins of every report kind: the 120 campaign task reports
+    recorded in perfbench/golden.json (read, never written), compare's
+    stdout and a search --out file; the frt --report pins are in TestFrt."""
+
+    def test_golden_campaign_reports(self, tmp_path):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["campaign"]
+        cfg = tmp_path / "campaign.json"
+        wrong = []
+        for i, entry in enumerate(golden):
+            task = entry["task"]
+            if task["command"] == "matrix":
+                task["args"]["out"] = str(tmp_path / "matrix.out")
+            cfg.write_text(json.dumps({"seed": 0, "tasks": [task]}),
+                           encoding="utf-8")
+            assert main(["campaign", str(cfg), "--outdir",
+                         str(tmp_path)]) == 0
+            report = tmp_path / f"task-000-{task['command']}.json"
+            digest = hashlib.sha256(report.read_bytes()).hexdigest()
+            if digest != entry["sha256"]:
+                wrong.append(f"{i}: {entry['kind']}")
+        assert len(golden) == 120 and not wrong, wrong
+
+    def test_compare_stdout(self, capsys):
+        assert main(["compare", "--q", "2", "--x", "3", "--y", "5"]) == 0
+        assert hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest() == (
+            "fd8a9d56da2393dbb84dbefde341e3c53a9b544ee108fdbfe63f3a2560cff444")
+
+    def test_search_out(self, tmp_path):
+        out = tmp_path / "search.json"
+        assert main(["--seed", "42", "search", "--restarts", "3", "--out",
+                     str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d8a464bb742477aaecf827b147163557b1e5d4beae8fb2773376fb4c8f6e385d")
+
+
 class TestNoDenseHelpers:
     @pytest.fixture
     def trapped(self, monkeypatch):

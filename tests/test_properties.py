@@ -1,5 +1,6 @@
 """Cross-module invariants, partly driven by hypothesis."""
 
+import json
 import math
 import struct
 from fractions import Fraction
@@ -23,6 +24,7 @@ from search_reference import reference_objective
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            poly_quotient, quadratic_algebra, require_valid,
                            validate)
+from ybops.cli import _report_json
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
 from ybops.compare import BraidFamily
@@ -1194,3 +1196,44 @@ class TestSearchObjective:
                                         [300.0] * 6])
     def test_exponential_rejects_overflow_and_underflow(self, params):
         assert _make_objective(*_EXP)(params) == math.inf
+
+
+# strings with what json escapes (quote, backslash, control characters)
+# and what it leaves as it is with ensure_ascii=False (non-ASCII, U+2028)
+_report_text = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028é€𝄞'),
+    max_size=6)
+_report_leaves = st.one_of(
+    _report_text, st.integers(), st.integers(2 ** 64, 2 ** 70),
+    st.booleans(), st.none(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]))
+_reports = st.recursive(_report_leaves, lambda items: st.one_of(
+    st.lists(items, max_size=4), st.lists(items, max_size=4).map(tuple),
+    st.lists(_report_text, max_size=4),
+    st.dictionaries(_report_text, items, max_size=4)), max_leaves=24)
+
+
+class TestReportJson:
+    """``cli._report_json`` writes the text of ``json.dumps(indent=2,
+    ensure_ascii=False)`` on report-shaped values: nested dicts with str
+    keys, lists and tuples, empty ones among them, over str, int, bool,
+    None and float leaves.  Budget about 1 s."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=_reports)
+    @example(value={"a": [], "b": {}, "c": (), "d": [[], {}]})
+    @example(value=["\u2028", '"\\', "\x00\x1f", "é"])
+    @example(value=[2 ** 64 + 1, True, False, None, -0.0, 1e-300, math.nan,
+                    math.inf, -math.inf])
+    def test_equals_json_dumps(self, value):
+        want = json.dumps(value, indent=2, ensure_ascii=False)
+        assert _report_json(value).encode() == want.encode()
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), {"a": [b"x"]},
+                                       [{1, 2}]])
+    def test_non_json_value_raises_as_json_does(self, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2, ensure_ascii=False)
+        with pytest.raises(TypeError) as got:
+            _report_json(value)
+        assert str(got.value) == str(want.value)

@@ -3,7 +3,9 @@
 Every import of a module is read in it and sits at the module head, every
 top-level name is named somewhere outside its own definition, every private
 top-level name is named in src/ybops itself, every file ybops writes goes
-through ``cli._write``, and only ``colored.py`` builds the ansatz.
+through ``cli._write``, indented JSON text comes only from
+``cli._report_json`` (no call passes ``indent=`` to a ``json`` function),
+and only ``colored.py`` builds the ansatz.
 """
 
 import ast
@@ -154,6 +156,23 @@ def test_one_report_writer():
         bad += [f"{_where(path, n)}: {ast.unparse(n)}" for n in ast.walk(tree)
                 if isinstance(n, ast.Call) and id(n) not in allowed
                 and _writes(n)]
+    assert not bad, "\n".join(bad)
+
+
+def test_one_indented_encoder():
+    # no call passes indent= to a json function, called or handed on (as
+    # to functools.partial): cli._report_json writes every indented report
+    bad = []
+    for path, tree in _src().items():
+        json_names = {"json"} | {a.asname or a.name for n in ast.walk(tree)
+                                 if isinstance(n, ast.ImportFrom)
+                                 and (n.module or "").split(".")[0] == "json"
+                                 for a in n.names}
+        bad += [f"{_where(path, n)}: {ast.unparse(n)}" for n in ast.walk(tree)
+                if isinstance(n, ast.Call)
+                and any(k.arg == "indent" for k in n.keywords)
+                and any(ast.unparse(f).split(".")[0] in json_names
+                        for f in (n.func, *n.args))]
     assert not bad, "\n".join(bad)
 
 

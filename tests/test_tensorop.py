@@ -13,6 +13,7 @@ from ybops import tensorop
 from ybops.algebra import (Algebra, dual_coalgebra, poly_quotient,
                            quadratic_algebra, require_valid)
 from ybops.colored import ColoredFamily, ansatz_op
+from ybops.compare import BraidFamily
 from ybops.errors import DimensionMismatchError, NonIntegerExponentError
 from ybops.frt import rtt_residual
 from ybops.funceq import FAMILIES
@@ -51,6 +52,34 @@ class TestEmbedLeg:
     def test_rejects_unknown_legs(self, rng):
         with pytest.raises(ValueError):
             embed_leg(random_op2(rng, 2), 21)
+
+
+class TestEmbedOnce:
+    """The kernel embeds each distinct (operator, legs) pair of its two
+    chains once; a spy on ``_leg_columns`` records the legs of each call."""
+
+    @pytest.fixture
+    def leg_calls(self, monkeypatch):
+        calls = []
+        real = tensorop._leg_columns
+
+        def counted(cols, n, legs):
+            calls.append(legs)
+            return real(cols, n, legs)
+        monkeypatch.setattr(tensorop, "_leg_columns", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_qybe_chains_share_three(self, rng, n, leg_calls):
+        # R12 R13 R23 - R23 R13 R12: the right chain reuses the left's pairs
+        tensorop._qybe_numerators(*(random_op2(rng, n) for _ in range(3)))
+        assert sorted(leg_calls) == [12, 13, 23]
+
+    def test_braid_chains_embed_six(self, leg_calls):
+        # Rh12(x) Rh23(xy) Rh12(y) - Rh23(y) Rh12(xy) Rh23(x): six pairs
+        tensorop.braid_residual(BraidFamily(kind="okado", q=Fraction(2)),
+                                Fraction(3), Fraction(5))
+        assert sorted(leg_calls) == [12, 12, 12, 23, 23, 23]
 
 
 class TestFlip:
