@@ -19,11 +19,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 from .errors import DimensionMismatchError, InvalidStructureError
-from .scalars import (Scalar, format_scalar, is_exact, over_one_denominator,
+from .scalars import (Scalar, format_scalar, over_one_denominator,
                       parse_scalar, rational)
 
 
@@ -40,17 +39,23 @@ def _check_shape(n: int, cube, vector) -> None:
 
 @dataclass(frozen=True)
 class Algebra:
+    """Structure constants and unit, each entry read as its exact rational
+    (:func:`ybops.scalars.rational`) when the algebra is built."""
+
     dim: int
     structconst: tuple  # n x n x n nested tuples
     unit: tuple  # coordinates of 1
 
     def __post_init__(self):
         _check_shape(self.dim, self.structconst, self.unit)
+        object.__setattr__(self, "structconst", tuple(
+            tuple(tuple(map(rational, row)) for row in plane)
+            for plane in self.structconst))
+        object.__setattr__(self, "unit", tuple(map(rational, self.unit)))
 
     @cached_property
     def cleared(self):
-        """The structure constants and the unit over integers, or None when
-        one of them is a float.
+        """The structure constants and the unit over integers.
 
         ``(den, products, unit_den, unit)``: ``products[i][j]`` lists the
         ``(k, m)`` such that e_i e_j has the non-zero coefficient m / den at
@@ -59,8 +64,6 @@ class Algebra:
         """
         n = self.dim
         rows = [row for plane in self.structconst for row in plane]
-        if not all(map(is_exact, chain(self.unit, *rows))):
-            return None
         den, rows = over_one_denominator(
             [[(k, x) for k, x in enumerate(row) if x] for row in rows])
         unit_den, (unit,) = over_one_denominator(
@@ -236,14 +239,14 @@ def _array(x) -> list:
     return x
 
 
-def _scalar(x, field):
+def _scalar(x):
     # a string or a number; JSON true and false would read as 1 and 0
     if isinstance(x, (str, int, float)) and not isinstance(x, bool):
         try:
-            return parse_scalar(x, field)
+            return parse_scalar(x)
         except (ValueError, ArithmeticError):
             pass
-    raise InvalidStructureError(f"not a {field} scalar: {json.dumps(x)}")
+    raise InvalidStructureError(f"not a rational scalar: {json.dumps(x)}")
 
 
 def _from_json(text, cube_key, vector_key):
@@ -258,11 +261,13 @@ def _from_json(text, cube_key, vector_key):
     missing = [k for k in ("dim", cube_key, vector_key) if k not in data]
     if missing:
         raise InvalidStructureError(f"missing key(s): {', '.join(missing)}")
-    field = data.get("field", "rational")
-    cube = tuple(tuple(tuple(_scalar(x, field) for x in _array(row))
+    if data.get("field", "rational") != "rational":
+        raise InvalidStructureError(
+            f'"field" must be "rational", got {json.dumps(data["field"])}')
+    cube = tuple(tuple(tuple(map(_scalar, _array(row)))
                        for row in _array(plane))
                  for plane in _array(data[cube_key]))
-    vector = tuple(_scalar(x, field) for x in _array(data[vector_key]))
+    vector = tuple(map(_scalar, _array(data[vector_key])))
     _check_shape(data["dim"], cube, vector)
     return data["dim"], cube, vector
 

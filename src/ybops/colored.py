@@ -12,52 +12,37 @@ operator is the transpose of the ansatz on the algebra dual to C,
                         - gamma * d (x) c,
 
 and every inverse is the ansatz on the opposite algebra.
+
+Every operator is exact.  A family reads its parameters as exact
+rationals (:func:`ybops.scalars.rational`) when it is built, and its
+colours when it is evaluated, as ``ansatz_op`` reads its coefficients and
+an :class:`ybops.algebra.Algebra` its entries; a float converts exactly,
+and a colour of an exponential family that is not an integer raises
+``NonIntegerExponentError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .algebra import Algebra, Coalgebra
 from .errors import UnknownFamilyError
 from .funceq import family
-from .scalars import is_exact
+from .scalars import rational
 from .tensorop import Op2, _transpose
 
 
 def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
     """Operator a(x)b -> alpha 1(x)ab + beta ab(x)1 - gamma b(x)a on A(x)A.
 
-    When the algebra and the coefficients are exact, column i*n+j is written
-    straight from the non-zeros of the unit and of e_i e_j, at most 2n+1
-    entries for a unit basis element, as integer numerators over one
-    denominator.  Any other build is the dense n^4 definition: each cell is
-    ``Fraction(0) + (alpha*unit[a]*prod[b] + beta*prod[a]*unit[b])``, less
-    gamma at the flip cell, so a float entering a cell's sum makes that
-    entry a float, kept even when it is 0.0.
-    """
-    if A.cleared is not None and all(map(is_exact, (alpha, beta, gamma))):
-        return _integer_ansatz(A, alpha, beta, gamma)
-    n = A.dim
-    unit = A.unit
-    mat = [[Fraction(0)] * (n * n) for _ in range(n * n)]
-    for i, j, a, b in product(range(n), repeat=4):
-        prod = A.structconst[i][j]
-        mat[a * n + b][i * n + j] += (alpha * unit[a] * prod[b]
-                                      + beta * prod[a] * unit[b])
-    for i, j in product(range(n), repeat=2):
-        mat[j * n + i][i * n + j] -= gamma
-    return Op2(n=n, mat=mat)
-
-
-def _integer_ansatz(A: Algebra, alpha, beta, gamma) -> Op2:
-    """``ansatz_op`` of an exact algebra at exact coefficients, written with
-    integer multiply-adds over the denominator
-    lcm(den alpha, den beta, den gamma) * d_A * d_U of the coefficients, the
-    structure constants and the unit."""
+    The coefficients are read as exact rationals.  Column i*n+j is written
+    straight from the non-zeros of the unit and of e_i e_j (``A.cleared``),
+    at most 2n+1 entries for a unit basis element, with integer
+    multiply-adds over the one denominator
+    lcm(den alpha, den beta, den gamma) * d_A * d_U of the coefficients,
+    the structure constants and the unit."""
+    alpha, beta, gamma = map(rational, (alpha, beta, gamma))
     n = A.dim
     d_A, products, d_U, units = A.cleared
     d = lcm(alpha.denominator, beta.denominator, gamma.denominator)
@@ -90,16 +75,22 @@ class _TableFamily:
     parameters, evaluated at colours: its operator, its exact coefficients
     and its inverse.  A coalgebra family's operator is the transpose of the
     ansatz on the carrier's algebra, and every inverse is the ansatz on the
-    opposite algebra."""
+    opposite algebra.  The parameters are read as exact rationals once,
+    here, and the colours at each evaluation."""
 
     kind: str
     carrier: object  # Algebra, or Coalgebra for a coalgebra family
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "params", {
+            k: rational(x) for k, x in self.params.items()})
+
     def _coeffs(self, colours):
-        """The table entry and its ansatz coefficients at ``colours``."""
+        """The table entry and its ansatz coefficients at ``colours``, each
+        read as an exact rational."""
         F = family(self.kind)
-        return F, F.coeffs(*F.args(self.params), *colours)
+        return F, F.coeffs(*F.args(self.params), *map(rational, colours))
 
     def _build(self, F, coeffs, opposite: bool = False) -> Op2:
         A = self.carrier.algebra if F.coalgebra else self.carrier
@@ -108,23 +99,20 @@ class _TableFamily:
 
     def exact_triple(self, *colours):
         """The ansatz coefficients (alpha, beta, gamma) that ``op`` builds
-        at these colours, when they are exact and the algebra ``op`` builds
-        on is exact, associative and unital (``A.valid``, computed once per
-        algebra; a float algebra is never validated); None otherwise.  The
-        coefficients are evaluated first, as ``op`` does, so they raise the
-        same errors."""
+        at these colours, when the algebra ``op`` builds on is associative
+        and unital (``A.valid``, computed once per algebra); None otherwise.
+        The coefficients are evaluated first, as ``op`` does, so they raise
+        the same errors."""
         F, coeffs = self._coeffs(colours)
         A = self.carrier.algebra if F.coalgebra else self.carrier
-        if all(map(is_exact, coeffs)) and A.cleared is not None and A.valid:
-            return coeffs
-        return None
+        return coeffs if A.valid else None
 
     def inv(self, *colours) -> Op2:
         """Inverse of ``op``; SingularParameterError off its domain."""
         F = family(self.kind)
         if F.inverse is None:
             raise UnknownFamilyError(f"no inverse formula for {self.kind!r}")
-        args = F.args(self.params) + colours
+        args = (*F.args(self.params), *map(rational, colours))
         F.check_regular(*args)
         return self._build(F, F.inverse(*args), opposite=True)
 
@@ -166,6 +154,7 @@ class ColoredFamily(_TableFamily):
     """Immutable evaluator (u,v) -> Op2 for one of the coloured families."""
 
     def __post_init__(self):
+        super().__post_init__()
         if family(self.kind).phi is not None:
             raise UnknownFamilyError(f"{self.kind!r} is not a coloured family")
 

@@ -8,7 +8,6 @@ composition; at q=1 their closeness is reported, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .errors import UnknownFamilyError
@@ -27,13 +26,13 @@ def okado_rhat(q, x) -> Op2:
         [0, q * (x - 1), (q * q - 1) * x, 0],
         [0, 0, 0, q * q * x - 1],
     ]
-    return Op2(n=2, mat=[[Fraction(e) for e in row] for row in mat])
+    return Op2(n=2, mat=mat)
 
 
 def twisted_prop1_rhat(q, sigma, x) -> Op2:
     """Twist-composed one-parameter matrix: tau times the prop1 matrix."""
     A = quadratic_algebra(sigma)
-    return twist_compose(prop1_op(A, rational(q), rational(x)))
+    return twist_compose(prop1_op(A, q, x))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ class SingularParameterError(YbopsError):
 
 
 class NonIntegerExponentError(YbopsError):
-    """Exact mode requires integer colours for exponential families."""
+    """The exponential families require integer colours."""
 
 
 class UnknownFamilyError(YbopsError):

@@ -336,20 +336,17 @@ def rtt_residual(R: Op2) -> list:
     -(T2v T1u)[i][k] R[k][j].  Each product is one word with an entry of R
     for coefficient and no two of them share a word, so each entry R[a][b]
     of the sparse columns is read once and written into row a and column
-    b of the result, stored over ``R.den``; float entries are first cleared
-    over one denominator, each as its exact rational."""
+    b of the result, stored over ``R.den``."""
     if not isinstance(R, Op2) or R.n != 2:
         raise DimensionMismatchError("RTT residual needs an Op2 with n = 2")
-    den, cols = (R.den, R.cols) if R.den else over_one_denominator(
-        [[(i, rational(x)) for i, x in col if x] for col in R.cols])
     out = [{} for _ in range(16)]
-    for b, col in enumerate(cols):
+    for b, col in enumerate(R.cols):
         for a, c in col:
             for j in range(4):
                 out[4 * a + j][_T12[b][j]] = c
             for i in range(4):
                 out[4 * i + b][_T21[i][a]] = -c
-    return [NCPoly._of(terms, den) for terms in out]
+    return [NCPoly._of(terms, R.den) for terms in out]
 
 
 # --- exact span arithmetic ------------------------------------------------------

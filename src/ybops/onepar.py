@@ -13,6 +13,7 @@ from .algebra import Algebra, Coalgebra
 from .colored import _TableFamily
 from .errors import UnknownFamilyError
 from .funceq import family
+from .scalars import rational
 from .tensorop import Op2
 
 
@@ -56,6 +57,7 @@ class OneParFamily(_TableFamily):
     """
 
     def __post_init__(self):
+        super().__post_init__()
         if family(self.kind).phi is None:
             raise UnknownFamilyError(
                 f"{self.kind!r} is not a one-parameter family")
@@ -64,4 +66,5 @@ class OneParFamily(_TableFamily):
         return self._build(*self._coeffs((x,)))
 
     def phi(self, x, z):
-        return family(self.kind).phi(x, z)
+        """phi at x and z read as exact rationals, as the colours are."""
+        return family(self.kind).phi(rational(x), rational(z))

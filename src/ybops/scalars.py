@@ -1,8 +1,10 @@
 """Scalar field helpers.
 
-Exact mode works over the rationals (``fractions.Fraction``); float mode uses
-Python floats.  All identity checks in the library default to exact mode,
-floats only appear in the numerical search.
+ybops works over the rationals (``fractions.Fraction``).  Every scalar is
+read as its exact rational where it enters: an algebra's entries when it
+is built, a family's parameters when it is built and its colours when it
+is evaluated, and the entries of a matrix handed to ``Op2``; a float
+converts exactly, unrounded.  Floats only appear in the numerical search.
 """
 
 from __future__ import annotations
@@ -22,39 +24,29 @@ def rational(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def is_exact(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 def over_one_denominator(cols) -> tuple:
     """``(den, integer cols)`` for lists ``cols`` of ``(index, x)`` pairs
-    with exact x: each x becomes the integer numerator of x over den, the
-    lcm of all their denominators."""
+    with rational x: each x becomes the integer numerator of x over den,
+    the lcm of all their denominators."""
     den = lcm(*(x.denominator for col in cols for _, x in col))
     return den, [[(i, x.numerator * (den // x.denominator)) for i, x in col]
                  for col in cols]
 
 
 def scalar_pow(base, expo):
-    """Real base**expo: exact mode or a negative base needs an integer expo."""
-    exact = is_exact(base) and is_exact(expo)
-    if exact and Fraction(expo).denominator != 1:
+    """base**expo for a rational base and a rational expo, which must be an
+    integer."""
+    if expo.denominator != 1:
         raise NonIntegerExponentError(
             f"exact mode needs integer colours, got exponent {expo}")
     if base == 0 and expo < 0:
         raise SingularParameterError("0 cannot be raised to a negative power")
-    if exact:
-        return Fraction(base) ** int(expo)
-    power = float(base) ** float(expo)
-    if isinstance(power, complex):
-        raise NonIntegerExponentError(
-            f"a negative base needs an integer exponent, got {expo}")
-    return power
+    return rational(base) ** expo.numerator
 
 
 def reciprocal(x):
     """1/x, exact for ints and Fractions."""
-    return Fraction(1) / x if is_exact(x) else 1.0 / x
+    return Fraction(1) / x
 
 
 def format_scalar(x: Scalar) -> str:
@@ -62,14 +54,10 @@ def format_scalar(x: Scalar) -> str:
     return str(x) if isinstance(x, Fraction) else repr(x)
 
 
-def parse_scalar(s, field: str = "rational") -> Scalar:
-    """Inverse of :func:`format_scalar` for the given field tag; a number
-    reads as ``Fraction(s)`` or ``float(s)``."""
+def parse_scalar(s) -> Fraction:
+    """Inverse of :func:`format_scalar`: a 'num/den' string or a number
+    reads as ``Fraction(s)``."""
     try:
-        if field == "rational":
-            return Fraction(s)
-        if field == "float64":
-            return float(Fraction(s)) if "/" in str(s) else float(s)
+        return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
-    raise ValueError(f"unknown field {field!r}")

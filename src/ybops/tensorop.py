@@ -1,5 +1,6 @@
 """Operators on V(x)V and V(x)V(x)V: exact matrix-free Yang-Baxter residuals
-and matrix emitters.
+and matrix emitters.  Every operator is exact: its entries are rationals,
+held as integer numerators over one denominator.
 
 Matrix convention: ``mat[i][j]`` is the coefficient of basis element ``i`` in
 the image of basis element ``j``.  The tensor basis is lexicographic, so
@@ -16,36 +17,34 @@ from math import lcm, prod
 
 from .errors import DimensionMismatchError
 from .funceq import _system, leg_colours
-from .scalars import format_scalar, is_exact, over_one_denominator
+from .scalars import format_scalar, over_one_denominator, rational
 
 
 class Op2:
     """An operator on V(x)V, n = dim V, held as its sparse columns.
 
     ``Op2(n=..., mat=...)`` is the one place where an n^2 x n^2 matrix
-    becomes columns.  If every entry is an int or a Fraction, ``den`` is an
-    integer and ``cols[j]`` lists the ``(row, numerator)`` pairs of the
-    non-zero entries of column j in row order, each entry being
-    ``Fraction(numerator, den)``.  Otherwise ``den`` is None and ``cols[j]``
-    lists, as they are, the ``(row, entry)`` pairs of every entry that is
-    not a Fraction zero, so a float 0.0 keeps its type.  An unlisted entry
-    is ``Fraction(0)``.  ``mat`` is kept frozen when given, else built on
-    first read and cached.  Operators are equal when ``n`` and ``mat`` are.
+    becomes columns: each entry is read as its exact rational
+    (:func:`ybops.scalars.rational`), and that matrix is kept, frozen, as
+    ``mat``.  ``den`` is a positive integer and ``cols[j]`` lists the
+    ``(row, numerator)`` pairs of the non-zero entries of column j in row
+    order, each entry being ``Fraction(numerator, den)``; an unlisted entry
+    is ``Fraction(0)``.  Built from ``cols`` and ``den`` (1 unless given),
+    ``mat`` is made on first read and cached.  Operators are equal when
+    ``n`` and ``mat`` are.
     """
 
     __slots__ = ("n", "cols", "den", "_mat")
 
-    def __init__(self, n: int, mat=None, *, cols=None, den=None):
+    def __init__(self, n: int, mat=None, *, cols=None, den=1):
         m = n * n
         if mat is not None:
-            mat = freeze(mat)
+            mat = tuple(tuple(map(rational, row)) for row in mat)
             if len(mat) != m or any(len(row) != m for row in mat):
                 raise DimensionMismatchError("Op2 matrix must be n^2 x n^2")
-            cols = [[(i, x) for i, x in enumerate(col)
-                     if x or type(x) is not Fraction] for col in zip(*mat)]
-            if all(is_exact(x) for col in cols for _, x in col):
-                den, cols = over_one_denominator(
-                    [[(i, x) for i, x in col if x] for col in cols])
+            den, cols = over_one_denominator(
+                [[(i, x) for i, x in enumerate(col) if x]
+                 for col in zip(*mat)])
         elif cols is None or len(cols) != m:
             raise DimensionMismatchError("Op2 needs n^2 columns")
         for name, value in (("n", n), ("cols", cols), ("den", den),
@@ -55,17 +54,12 @@ class Op2:
     def __setattr__(self, name, value):
         raise AttributeError("Op2 is immutable")
 
-    def entries(self) -> list:
-        """``cols`` with each exact numerator as its Fraction."""
-        den = self.den
-        if den is None:
-            return self.cols
-        return [[(i, Fraction(x, den)) for i, x in col] for col in self.cols]
-
     @property
     def mat(self) -> tuple:
         if self._mat is None:
-            object.__setattr__(self, "_mat", _dense_view(self.entries()))
+            den = self.den
+            object.__setattr__(self, "_mat", _dense_view(
+                [[(i, Fraction(x, den)) for i, x in col] for col in self.cols]))
         return self._mat
 
     def __eq__(self, other):
@@ -95,10 +89,11 @@ def freeze(mat) -> tuple:
     return tuple(tuple(row) for row in mat)
 
 
-def _dense_view(cols, zero=Fraction(0)) -> tuple:
+def _dense_view(cols) -> tuple:
     """The frozen rows of the square matrix whose column j lists the
-    ``(row, entry)`` pairs in ``cols[j]``; every unlisted entry is ``zero``."""
-    rows = [[zero] * len(cols) for _ in cols]
+    ``(row, entry)`` pairs in ``cols[j]``; every unlisted entry is
+    ``Fraction(0)``."""
+    rows = [[Fraction(0)] * len(cols) for _ in cols]
     for j, col in enumerate(cols):
         for i, x in col:
             rows[i][j] = x
@@ -115,7 +110,7 @@ def mat_sub(A, B):
 # Both are applied to each basis vector e_a(x)e_b(x)e_c through the sparse
 # columns of the two-site operators, never as dense n^3 x n^3 matrices: an
 # ansatz column has at most 2n+1 non-zeros, so a column of P costs about
-# (2n+1)^3 products instead of the n^6 of a dense triple product.  Exact
+# (2n+1)^3 products instead of the n^6 of a dense triple product.  The
 # operators enter as their integer numerators; the product of a chain's
 # denominators, made common to both chains, is the denominator of the
 # difference, and the residual callers divide by it once, after taking the
@@ -136,7 +131,7 @@ def _leg_columns(cols: list, n: int, legs: int) -> list:
 def embed_leg(R: Op2, legs: int) -> Op3:
     """The dense view of a two-site operator on the given pair of factors of
     V^(x)3: the kernel's :func:`_leg_columns` of every entry of ``R.mat``,
-    so each keeps its type, and ``Fraction(0)`` off the listed cells.
+    and ``Fraction(0)`` off the listed cells.
 
     R12 = R(x)I, R23 = I(x)R, and R13 is R(x)I conjugated by the (2 3)
     factor swap; the tests hold it to those dense definitions.
@@ -160,31 +155,22 @@ def _chain_numerators(lhs, rhs):
     and ``rhs``: sequences of ``(Op2, legs)`` read as written, so the last
     factor acts first.
 
-    Returns ``(cols, den)`` in the convention of :class:`Op2`:
-    ``cols[j]`` maps each row i with a non-zero (P - Q)[i][j] to its
-    entry, and the others are 0.  When every operator is exact, ``den`` is
-    a positive integer and each listed value is an integer numerator over
-    it.  Otherwise ``den`` is None and the entries are combined as they
-    are (float mode).
+    Returns ``(cols, den)`` in the convention of :class:`Op2`: ``den`` is a
+    positive integer, ``cols[j]`` maps each row i with a non-zero
+    (P - Q)[i][j] to its integer numerator over ``den``, and the others
+    are 0.
     """
-    ops = list({id(R): R for R, _ in (*lhs, *rhs)}.values())
-    n = ops[0].n
-    if any(R.n != n for R in ops):
+    ops = {id(R): R for R, _ in (*lhs, *rhs)}
+    n = next(iter(ops.values())).n
+    if any(R.n != n for R in ops.values()):
         raise DimensionMismatchError("operators live on different base spaces")
-    exact = all(R.den is not None for R in ops)
-    # in float mode an exact operator enters with its Fraction entries, and
-    # a listed zero only carries its type into the dense view
-    sparse = {id(R): R.cols if exact else
-              [[(i, x) for i, x in col if x] for col in R.entries()]
-              for R in ops}
     # each distinct (operator, legs) pair is embedded once: a QYBE chain's
     # right-hand side reuses the left-hand side's three
-    embedded = {(k, l): _leg_columns(sparse[k], n, l) for k, l in
+    embedded = {(k, l): _leg_columns(ops[k].cols, n, l) for k, l in
                 dict.fromkeys((id(R), l) for R, l in (*lhs, *rhs))}
     chains = [[embedded[id(R), l] for R, l in reversed(chain)]
               for chain in (lhs, rhs)]
-    dl, dr = (prod(R.den for R, _ in chain) if exact else 1
-              for chain in (lhs, rhs))
+    dl, dr = (prod(R.den for R, _ in chain) for chain in (lhs, rhs))
     common = lcm(dl, dr)
     out = []
     for j in range(n ** 3):
@@ -195,7 +181,7 @@ def _chain_numerators(lhs, rhs):
                 vec = _apply(cols, vec, {})
             _apply(chain[-1], vec, acc)
         out.append({i: x for i, x in acc.items() if x})
-    return out, common if exact else None
+    return out, common
 
 
 def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
@@ -204,24 +190,19 @@ def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
 
 
 def _max_abs(diff):
-    """The max-abs entry of a kernel result ``(cols, den)``.  In exact mode
-    it is taken over the integer numerators, and one ``Fraction(top, den)``
-    is built, ``Fraction(0)`` when no entry is left: ``den`` is positive, so
-    the largest numerator is the largest entry.  In float mode it is the
-    largest listed entry as it is, or 0.0."""
+    """The max-abs entry of a kernel result ``(cols, den)``, taken over the
+    integer numerators: one ``Fraction(top, den)`` is built, ``Fraction(0)``
+    when no entry is left.  ``den`` is positive, so the largest numerator
+    is the largest entry."""
     cols, den = diff
-    entries = (abs(x) for col in cols for x in col.values())
-    if den is None:
-        return max(entries, default=0.0)
-    return Fraction(max(entries, default=0), den)
+    return Fraction(max((abs(x) for col in cols for x in col.values()),
+                        default=0), den)
 
 
 def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
     """Yang-Baxter commutator [R,S,T] = R12 S13 T23 - T23 S13 R12, the
     dense view of the kernel's ``(cols, den)``."""
     cols, den = _qybe_numerators(R, S, T)
-    if den is None:
-        return Op3(n=R.n, mat=_dense_view([col.items() for col in cols], 0.0))
     return Op3(n=R.n, mat=_dense_view(
         [[(i, Fraction(x, den)) for i, x in col.items()] for col in cols]))
 
@@ -266,13 +247,12 @@ def colored_qybe_residual(family, u, v, w):
     coloured Yang-Baxter operators.
 
     A table family (:class:`ybops.colored.ColoredFamily`) also exposes
-    ``exact_triple(u, v)``, the exact coefficients of ``op(u, v)`` on an
-    exact and valid algebra (``A.valid``), else None.  When the three
-    triples solve the five-equation system the residual is ``Fraction(0)``
-    by the identity above, and no operator is built.  Every other input (a
-    float coefficient or carrier, an invalid carrier, a family exposing
-    only ``op``) goes to the sparse kernel, and so does a non-zero
-    equation: a non-zero residual keeps its value and type.
+    ``exact_triple(u, v)``, the coefficients of ``op(u, v)`` on a valid
+    algebra (``A.valid``), else None.  When the three triples solve the
+    five-equation system the residual is ``Fraction(0)`` by the identity
+    above, and no operator is built.  Every other input (an invalid
+    carrier, a family exposing only ``op``) goes to the sparse kernel, and
+    so does a non-zero equation: a non-zero residual keeps its value.
     """
     return _family_residual(family, leg_colours(None, u, v, w))
 
@@ -336,7 +316,9 @@ def braid_residual(rhat, x, y):
     Computes Rh12(x) Rh23(x*y) Rh12(y) - Rh23(y) Rh12(x*y) Rh23(x) where
     ``rhat`` is a callable x -> Op2.  The composition mirrors phi(x,z)=x*z of
     the one-parameter families and is confirmed by the brute-force oracle.
+    x and y are read as rationals first, so x*y is exact.
     """
+    x, y = rational(x), rational(y)
     Rx, Rxy, Ry = rhat(x), rhat(x * y), rhat(y)
     return _max_abs(_chain_numerators(((Rx, 12), (Rxy, 23), (Ry, 12)),
                                       ((Ry, 23), (Rxy, 12), (Rx, 23))))

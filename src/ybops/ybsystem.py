@@ -23,9 +23,8 @@ class WXZSystem:
     W: Op2
     X: Op2
     Z: Op2
-    # the ansatz coefficients of W, X and Z, set only by thm3_system, None
-    # for one that is not exact; a system built or replace()d from
-    # operators has none
+    # the ansatz coefficients of W, X and Z, set only by thm3_system; a
+    # system built or replace()d from operators has none
     triples: Optional[tuple] = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -38,8 +37,8 @@ class WXZSystem:
 
 def thm3_system(A: Algebra, lam, mu) -> WXZSystem:
     """W = prop2 at lam, X = prop2 at 1 and Z = remark_x at mu, keeping
-    their table triples (:meth:`ybops.onepar.OneParFamily.exact_triple`),
-    None where a triple is not exact."""
+    their table triples (:meth:`ybops.onepar.OneParFamily.exact_triple`);
+    lam and mu are read as exact rationals."""
     require_valid(A)
     builds = [(OneParFamily(kind, A), x) for kind, x in
               (("prop2", lam), ("prop2", 1), ("remark_x", mu))]
@@ -53,9 +52,8 @@ def wxz_residuals(S: WXZSystem) -> tuple:
     """Max-abs entries of [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z]; all zero for
     genuine systems.
 
-    A commutator whose three triples from :func:`thm3_system` are exact
-    and solve the five-equation system is ``Fraction(0)`` without the
-    kernel, as in :func:`ybops.tensorop.colored_qybe_residual`; every
+    A commutator whose three triples from :func:`thm3_system` solve the
+    five-equation system is ``Fraction(0)`` without the kernel, as in :func:`ybops.tensorop.colored_qybe_residual`; every
     other commutator, and every one of a system without triples, goes to
     the kernel.
     """

@@ -68,7 +68,7 @@ def bad_unit_algebra():
 def both_routes(fam):
     """``fam`` and a view of it that exposes only ``op`` (and ``phi``).
 
-    A table family on an exact, associative and unital carrier
+    A table family on an associative and unital carrier
     (``A.valid``) has its exact residual decided by the five-equation
     system; the view's residual always comes from the sparse kernel, so a
     check run on both covers both."""

@@ -140,7 +140,7 @@ def test_criterion_2_matrix_reproduction():
             assert _eq(S.W, W) and _eq(S.X, X) and _eq(S.Z, Z)
             x = rand_fraction(rng)
             assert _eq(prop1_op(A, q, x), oneparrmat_template(q, x, s))
-        # exponential family needs integer colours in exact mode
+        # exponential family needs integer colours
         pb, qb, sb = (rand_fraction(rng, nonzero=True) for _ in range(3))
         ui, vi = rng.randint(-3, 3), rng.randint(-3, 3)
         s = F(rng.randint(0, 3))

@@ -117,9 +117,8 @@ class TestKnownValidity:
         assert require_valid(A) is A and dual_coalgebra(A).algebra is A
 
     def test_hand_built_algebra_validated_once(self, M2, monkeypatch):
-        # an exact algebra built by hand is validated at its first triple,
-        # once, and its residuals are then decided by the five equations;
-        # a float algebra goes to the kernel unvalidated
+        # an algebra built by hand is validated at its first triple, once,
+        # and its residuals are then decided by the five equations
         validated = []
 
         def spy(A):
@@ -133,10 +132,6 @@ class TestKnownValidity:
             res = colored_qybe_residual(fam, *uvw)
             assert res == 0 and type(res) is Fraction
         assert len(validated) == 1 and validated[0] is M2
-        floats = Algebra(dim=2, structconst=quadratic_algebra(2).structconst,
-                         unit=(1.0, Fraction(0)))
-        colored_qybe_residual(ColoredFamily("thm1", floats, params), *uvw)
-        assert len(validated) == 1
 
     def test_invalid_algebra_still_rejected(self):
         bad = bad_unit_algebra()
@@ -168,20 +163,28 @@ class TestJson:
         assert algebra_from_json(algebra_to_json(A)) == A
 
     def test_numbers_read_in_their_field(self):
-        # JSON numbers in place of strings: floats under float64, and
-        # exact values under rational
+        # JSON numbers in place of strings read as their exact values, the
+        # one field there is; a document in any other field is refused
         data = json.loads(algebra_to_json(quadratic_algebra(Fraction(-3, 4))))
         data["structconst"] = [[[float(Fraction(x)) for x in row]
                                 for row in plane]
                                for plane in data["structconst"]]
         data["unit"] = [int(x) for x in data["unit"]]
-        for field, kind in (("float64", float), ("rational", Fraction)):
-            data["field"] = field
-            A = algebra_from_json(json.dumps(data))
-            assert A == quadratic_algebra(Fraction(-3, 4))
-            assert all(type(x) is kind for x in A.unit) and all(
-                type(x) is kind for plane in A.structconst
-                for row in plane for x in row)
+        A = algebra_from_json(json.dumps(data))
+        assert A == quadratic_algebra(Fraction(-3, 4))
+        assert all(type(x) is Fraction for x in A.unit) and all(
+            type(x) is Fraction for plane in A.structconst
+            for row in plane for x in row)
+        # a float64 document once read this unit as a NaN
+        C = dual_coalgebra(quadratic_algebra(2))
+        for data, vector, read in (
+                (data, "unit", algebra_from_json),
+                (json.loads(coalgebra_to_json(C)), "counit",
+                 coalgebra_from_json)):
+            data.update({"field": "float64", vector: ["nan", "0"]})
+            with pytest.raises(InvalidStructureError,
+                               match='"field" must be "rational"'):
+                read(json.dumps(data))
 
 
 _BAD_SCALARS = {"null-entry": None, "array-entry": ["1"],

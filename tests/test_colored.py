@@ -122,21 +122,16 @@ class TestThm2:
         with pytest.raises(NonIntegerExponentError):
             thm2_op(A1, 2, 3, 5, Fraction(1, 2), 1)
 
-    def test_float_mode_allows_fractional_colour(self, A1):
-        R = thm2_op(A1, 2.0, 3.0, 5.0, 0.5, 1.0)
-        assert isinstance(R.mat[0][0], float)
-
 
 class TestScalarPow:
     def test_exact_integer(self):
         assert scalar_pow(Fraction(2, 3), -2) == Fraction(9, 4)
 
     def test_zero_negative_raises(self):
-        # in exact and float mode alike
-        for base, expo in [(Fraction(0), -1), (0.0, -1.5), (0, -1.5),
-                           (0.0, -2), (0, -2)]:
+        for base, expo in [(Fraction(0), -1), (0, -2)]:
             with pytest.raises(SingularParameterError):
                 scalar_pow(base, expo)
+        # a float 0.0 parameter reads as Fraction(0)
         with pytest.raises(SingularParameterError):
             ColoredFamily("thm2", quadratic_algebra(1),
                           {"p": 0.0, "q": 1, "s": 1}).op(-1, 1)
@@ -145,13 +140,15 @@ class TestScalarPow:
             scalar_pow(Fraction(0), Fraction(-1, 2))
 
     def test_negative_float_base(self):
-        # an integral exponent stays real; any other would give a complex
-        assert scalar_pow(-2.0, 3) == scalar_pow(-2, 3.0) == -8.0
+        # a float base and colour read as exact rationals: an integer
+        # colour gives the exact power, any other raises
+        A = quadratic_algebra(1)
+        floats = ColoredFamily("thm2", A, {"p": -2.0, "q": 1.0, "s": 1})
+        exact = ColoredFamily("thm2", A, {"p": -2, "q": 1, "s": 1})
+        assert floats.exact_triple(3.0, 1) == (-8, -8, -8)
+        assert floats.op(3.0, 1) == exact.op(3, 1)
         with pytest.raises(NonIntegerExponentError):
-            scalar_pow(-2.0, 0.5)
-        with pytest.raises(NonIntegerExponentError):
-            ColoredFamily("thm2", quadratic_algebra(1),
-                          {"p": -2.0, "q": 1, "s": 1}).op(0.5, 1)
+            floats.op(0.5, 1)
 
 
 class TestRemark2:

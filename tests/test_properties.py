@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, linear_coeffs,
                       matrix_algebra, scipy_nelder_mead, sparse_left_product)
-from dense_reference import (_perm23, flip_op2, identity_mat, identity_op2,
+from dense_reference import (_perm23, identity_mat, identity_op2,
                              kron, mat_mul, mat_scale, mat_transpose,
                              max_abs_entry)
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
@@ -28,7 +28,7 @@ from ybops.cli import _report_json
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
 from ybops.compare import BraidFamily
-from ybops.errors import SingularParameterError
+from ybops.errors import NonIntegerExponentError, SingularParameterError
 from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, SpanReport, _Echelon,
                        _relations, claimed_relations, exchange_closure,
                        in_span, pq_limit_relations, rtt_residual,
@@ -36,12 +36,14 @@ from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, SpanReport, _Echelon,
 from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
                           eval_onepar_system, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
+from ybops.scalars import rational
 from ybops.search import (MAX_ITER, _compile_step, _insert,
                           _make_objective, _nelder_mead, _start)
 from ybops.tensorop import (Op2, _chain_numerators, _max_abs,
                             _qybe_numerators, braid_residual,
                             colored_qybe_residual, freeze, mat_sub,
-                            onepar_qybe_residual, yb_commutator)
+                            onepar_qybe_residual, op_to_json,
+                            yb_commutator)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 nonzero_fractions = fractions.filter(lambda f: f != 0)
@@ -616,40 +618,20 @@ class TestResidualKernel:
         res = braid_residual(fam, x, y)
         assert res == 0 and type(res) is Fraction
 
-    def test_float_chain_that_cancels_is_float_zero(self):
-        for R in (identity_op2(2), flip_op2(2)):
-            fl = Op2(n=2, mat=freeze([[float(x) for x in row]
-                                      for row in R.mat]))
-            for ops in ((fl, fl, fl), (fl, R, fl), (R, R, fl)):
-                table = dict(zip(((0, 1), (0, 2), (1, 2)), ops))
-                res = colored_qybe_residual(
-                    SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
-                assert res == 0.0 and type(res) is float
-            res = braid_residual(lambda x: fl, 2, 3)
-            assert res == 0.0 and type(res) is float
-
     def test_mixed_chain_matches_dense(self):
-        # an exact operator between float ones; dyadic entries keep every
-        # sum exact, so the value matches the dense product's bit for bit
+        # an operator built from float coefficients between exact ones:
+        # the floats are read as exact rationals, so the value is the dense
+        # product's, a Fraction
         R = ansatz_op(A1, Fraction(1, 2), 2, Fraction(-3, 4))
-        S = ansatz_op(A1, 1.5, -0.5, 0.25)
+        S = ansatz_op(A1, 1.5, -0.5, 0.1)
+        assert S == ansatz_op(A1, Fraction(3, 2), Fraction(-1, 2),
+                              Fraction(0.1))
         for ops in ((S, R, S), (R, S, R)):
             want = max_abs_entry(_dense_difference(*_qybe_chains(*ops)))
             table = dict(zip(((0, 1), (0, 2), (1, 2)), ops))
             res = colored_qybe_residual(
                 SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
-            assert res == want != 0 and type(res) is type(want) is float
-
-    @settings(max_examples=3, deadline=None, phases=_NO_SHRINK)
-    @given(ops=_dense_ops())
-    def test_float_entries_agree_within_tolerance(self, ops):
-        # summation order differs from the dense product, so float results
-        # agree to rounding, not bit for bit; entries are below 5 in size
-        fl = [Op2(n=R.n, mat=freeze([[float(x) for x in row]
-                                     for row in R.mat])) for R in ops]
-        got = yb_commutator(*fl).mat
-        want = _dense_difference(*_qybe_chains(*fl))
-        assert max_abs_entry(mat_sub(got, want)) <= 1e-9
+            assert res == want != 0 and type(res) is type(want) is Fraction
 
 
 # --- the sparse ansatz build against the dense n^4 definition ----------------
@@ -717,8 +699,7 @@ def _change_basis(A, s, t, scale):
 def _carriers(draw):
     """A valid 2-3-dimensional algebra: a polynomial quotient or the upper
     triangular matrices, perhaps in a basis whose unit is not e_0 and has
-    coordinates of several denominators, perhaps opposite; sometimes with
-    some of its entries turned into floats."""
+    coordinates of several denominators, perhaps opposite."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 3))
         A = poly_quotient(draw(st.lists(fractions, min_size=n, max_size=n))
@@ -733,17 +714,6 @@ def _carriers(draw):
     if draw(st.booleans()):
         A = A.opposite
     assert validate(A).ok
-    if draw(st.integers(0, 3)) == 0:
-        # some unit coordinates and perhaps the products e_i e_j as floats:
-        # no longer exact (even when the only float is a unit coordinate
-        # 0.0), and the float entries of the operator follow them
-        i = draw(st.integers(0, A.dim - 1))
-        plane = A.structconst[i]
-        if draw(st.booleans()):
-            plane = tuple(tuple(map(float, row)) for row in plane)
-        A = Algebra(dim=A.dim, unit=tuple(
-            float(x) if draw(st.booleans()) else x for x in A.unit),
-            structconst=(*A.structconst[:i], plane, *A.structconst[i + 1:]))
     return A
 
 
@@ -759,21 +729,16 @@ def _quadratic_carriers(draw):
     return A
 
 
-# mixed denominators, ints and floats
+# mixed denominators and ints
 _coefficients = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=12),
-    st.integers(-3, 3),
-    st.floats(min_value=-4, max_value=4, allow_nan=False, width=64))
-
-
-def _same(x, y):
-    """Equal values of equal types, -0.0 told apart from 0.0."""
-    return type(x) is type(y) and repr(x) == repr(y)
+    st.integers(-3, 3))
 
 
 def _same_mat(got, want):
-    return got == want and all(_same(x, y) for gr, wr in zip(got, want)
-                               for x, y in zip(gr, wr))
+    """Equal matrices of Fraction entries."""
+    return got == want and all(type(x) is Fraction for row in got
+                               for x in row)
 
 
 class TestSparseBuild:
@@ -781,24 +746,10 @@ class TestSparseBuild:
     @given(A=_carriers(), coeffs=st.lists(st.tuples(
         _coefficients, _coefficients, _coefficients), min_size=3,
         max_size=3))
-    # a float zero is the one float of the carrier
-    @example(A=Algebra(dim=2, structconst=quadratic_algebra(2).structconst,
-                       unit=(Fraction(1), 0.0)),
-             coeffs=[(Fraction(1, 2), 3, Fraction(-2, 3))] * 3)
-    # signed zeros on an exact carrier: each cell starts at Fraction(0), so
-    # a sum of -0.0 terms reads 0.0
-    @example(A=quadratic_algebra(2),
-             coeffs=[(-0.0, -0.0, 0.0), (-0.0, Fraction(1, 2), -0.0),
-                     (1, -0.0, 2)])
     def test_matches_dense_build(self, A, coeffs):
-        # the coefficients as drawn, all made exact, and each triple made
-        # exact in turn with the other two made floats: on an exact carrier,
-        # one operator of integer columns in a float-mode chain
+        # the coefficients as drawn, ints among them, and all made Fractions
         exact = [tuple(map(Fraction, c)) for c in coeffs]
-        floats = [tuple(map(float, c)) for c in coeffs]
-        mixes = [[exact[i] if i == k else floats[i] for i in range(3)]
-                 for k in range(3)]
-        for triples in (coeffs, exact, *mixes):
+        for triples in (coeffs, exact):
             self._check_kernel(A, triples)
 
     @staticmethod
@@ -807,8 +758,7 @@ class TestSparseBuild:
         dense = [_dense_ansatz(A, *c) for c in triples]
         for R, D in zip(sparse, dense):
             assert _same_mat(R.mat, D.mat)
-        # the kernel takes the same exact/float mode on both builds and
-        # returns the same entries of the same types, and so it does on an
+        # the kernel gives the same entries on both builds, and on an
         # operator rebuilt from the dense view of the integer build
         got, want = yb_commutator(*sparse).mat, yb_commutator(*dense).mat
         assert _same_mat(got, want)
@@ -817,7 +767,8 @@ class TestSparseBuild:
         table = dict(zip(((0, 1), (0, 2), (1, 2)), sparse))
         res = colored_qybe_residual(
             SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
-        assert _same(res, _max_abs(_qybe_numerators(*dense)))
+        want = _max_abs(_qybe_numerators(*dense))
+        assert res == want and type(res) is Fraction
 
     @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
     @given(A=_carriers(), args=st.lists(_coefficients, min_size=4,
@@ -913,6 +864,82 @@ class TestSystemShortcut:
                 SimpleNamespace(op=fam.op, phi=fam.phi), *xz)
         assert got == want and type(got) is type(want) is Fraction
         assert solves or not on_component
+
+
+# --- float input is read as its exact rational ---------------------------------
+
+@st.composite
+def _float_exact_carriers(draw):
+    """A valid algebra whose every entry is a float exactly: a quotient
+    with quarter-integer coefficients (n = 2, 3), the 2x2 matrices or their
+    opposite."""
+    A = draw(st.sampled_from((None, _M2, _M2_OPPOSITE)))
+    if A is None:
+        ks = draw(st.lists(st.integers(-8, 8), min_size=2, max_size=3))
+        A = poly_quotient([Fraction(k, 4) for k in ks] + [1])
+    return A
+
+
+def _as_floats(A):
+    return Algebra(dim=A.dim, unit=tuple(map(float, A.unit)),
+                   structconst=tuple(tuple(tuple(map(float, row))
+                                           for row in plane)
+                                     for plane in A.structconst))
+
+
+_floats = st.floats(min_value=-4, max_value=4, allow_nan=False)
+
+
+class TestExactBoundary:
+    """Every table family, ``ansatz_op`` and a hand-built ``Algebra`` read
+    float input as its exact rational where it enters: from floats they
+    give the ``op_to_json`` bytes and the integer ``den`` of the build from
+    ``rational(...)`` of those floats, and a genuine family's residual is
+    ``Fraction(0)``.  A colour of an exponential family that is not an
+    integer raises.  Budget about 1 s."""
+
+    @settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
+    @given(A=_float_exact_carriers(), kind=st.sampled_from(sorted(FAMILIES)),
+           params=st.lists(_floats.filter(bool), min_size=3, max_size=3),
+           colours=st.tuples(*[st.integers(-3, 3).map(float) | _floats] * 3),
+           coeffs=st.tuples(_floats, _floats, _floats))
+    # float arithmetic once left a residual of 8.7e-19 here
+    @example(A=quadratic_algebra(2), kind="thm1", params=[0.1, 0.3, 1.0],
+             colours=(0.1, 0.2, 0.7), coeffs=(0.1, 0.2, 0.7))
+    @example(A=quadratic_algebra(2), kind="thm2", params=[2.0, 3.0, 5.0],
+             colours=(0.5, 1.0, 2.0), coeffs=(1.0, 2.0, 3.0))
+    def test_floats_build_as_their_rationals(self, A, kind, params, colours,
+                                             coeffs):
+        floats = _as_floats(A)
+        assert floats == A and all(type(x) is Fraction for x in floats.unit)
+        F = FAMILIES[kind]
+        k = len(F.colours)
+        Family = ColoredFamily if F.phi is None else OneParFamily
+        fam, ref = (Family(kind, Coalgebra(B) if F.coalgebra else B,
+                           dict(zip(F.params, ps)))
+                    for B, ps in ((floats, params),
+                                  (A, map(rational, params))))
+        exact = tuple(map(rational, colours))
+
+        def residual():
+            if F.phi is None:
+                return colored_qybe_residual(fam, *colours)
+            return onepar_qybe_residual(fam, *colours[:2])
+        builds = [(ansatz_op(floats, *coeffs),
+                   ansatz_op(A, *map(rational, coeffs)))]
+        if F.integer_colours and not all(x.is_integer() for x in colours):
+            with pytest.raises(NonIntegerExponentError):
+                residual()
+        else:
+            res = residual()
+            assert res == 0 and type(res) is Fraction
+            builds.append((fam.op(*colours[:k]), ref.op(*exact[:k])))
+            if F.inverse is not None and not F.singular(
+                    *F.args(ref.params), *exact[:k]):
+                builds.append((fam.inv(*colours[:k]), ref.inv(*exact[:k])))
+        for R, S in builds:
+            assert op_to_json(R) == op_to_json(S)
+            assert type(R.den) is int and R.den == S.den
 
 
 # --- Nelder-Mead on Python floats against scipy ------------------------------
@@ -1012,7 +1039,6 @@ class TestRttColumns:
     @given(A=_quadratic_carriers(),
            args=st.lists(_coefficients, min_size=4, max_size=4))
     def test_thm1_on_quadratic_carriers(self, A, args):
-        # a float argument gives an operator with float entries, den None
         self._check(thm1_op(A, *args))
 
     @settings(max_examples=30, deadline=None)
@@ -1023,11 +1049,14 @@ class TestRttColumns:
     @example(mat=[[Fraction(1)] * 4] * 4, floats=[(0, 0, 0.0), (1, 2, -0.0),
                                                  (3, 3, 0.1)])
     def test_float_entries(self, mat, floats):
+        # float entries of a matrix are read as their exact rationals
         mat = [list(row) for row in mat]
         for i, j, x in floats:
             mat[i][j] = x
         R = Op2(n=2, mat=freeze(mat))
-        assert R.den is None
+        assert _same_mat(R.mat, tuple(tuple(map(Fraction, row))
+                                      for row in mat))
+        assert type(R.den) is int
         self._check(R)
 
 

@@ -1,12 +1,16 @@
-"""A scalar's text: format_scalar and parse_scalar."""
+"""A scalar's text: format_scalar, and parse_scalar as the JSON reader
+uses it."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybops.scalars import format_scalar, parse_scalar
+from ybops.algebra import algebra_from_json
+from ybops.errors import InvalidStructureError
+from ybops.scalars import format_scalar
 
 
 class TestFormat:
@@ -27,14 +31,28 @@ class TestFormat:
         assert format_scalar(x) == want
 
 
+def _read(x, field):
+    """The one structure constant of a one-dimensional JSON algebra whose
+    product entry is ``x``, in ``field`` (no field key when None)."""
+    data = {"dim": 1, "structconst": [[[x]]], "unit": ["1"]}
+    if field is not None:
+        data["field"] = field
+    return algebra_from_json(json.dumps(data)).structconst[0][0][0]
+
+
 class TestParse:
+    # parse_scalar reads each scalar of a JSON structure.  The one field
+    # is "rational", named or left out, and a JSON number reads as its
+    # exact value.
     @pytest.mark.parametrize("text,field,want", [
-        ("-3/2", "rational", Fraction(-3, 2)), ("1/4", "float64", 0.25),
-        ("0.5", "float64", 0.5)])
+        ("-3/2", "rational", Fraction(-3, 2)), ("1/4", None, Fraction(1, 4)),
+        (0.1, "rational", Fraction(0.1))])
     def test_reads_in_its_field(self, text, field, want):
-        got = parse_scalar(text, field)
-        assert got == want and type(got) is type(want)
+        got = _read(text, field)
+        assert got == want and type(got) is Fraction
 
     def test_unknown_field(self):
-        with pytest.raises(ValueError, match="unknown field 'decimal'"):
-            parse_scalar("1", "decimal")
+        for field in ("float64", "decimal"):
+            with pytest.raises(InvalidStructureError,
+                               match=f'must be "rational", got "{field}"'):
+                _read("1", field)

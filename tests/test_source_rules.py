@@ -178,8 +178,8 @@ def test_one_indented_encoder():
 
 def test_one_ansatz_builder():
     # every operator of the ansatz is built in colored.py, through its
-    # family classes: no other module calls, imports or reads the builders
-    builders = {"ansatz_op", "_integer_ansatz"}
+    # family classes: no other module calls, imports or reads the builder
+    builders = {"ansatz_op"}
     bad = []
     for path, tree in _src().items():
         if path.name == "colored.py":

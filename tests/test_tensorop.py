@@ -11,7 +11,7 @@ from dense_reference import (_perm23, flip_op2, identity_mat, identity_op2,
                              kron, mat_mul, max_abs_entry)
 from ybops import tensorop
 from ybops.algebra import (Algebra, dual_coalgebra, poly_quotient,
-                           quadratic_algebra, require_valid)
+                           quadratic_algebra)
 from ybops.colored import ColoredFamily, ansatz_op
 from ybops.compare import BraidFamily
 from ybops.errors import DimensionMismatchError, NonIntegerExponentError
@@ -275,17 +275,10 @@ class TestSystemRoute:
         assert res != 0 and res == colored_qybe_residual(
             both_routes(fam)[1], *self.UVW)
 
-    @pytest.mark.parametrize("case", [
-        "float-triple", "float-carrier", "unvalidated", "invalid",
-        "op-only"])
+    @pytest.mark.parametrize("case", ["unvalidated", "invalid", "op-only"])
     def test_kernel_inputs(self, case, kernel_calls):
         A, params = quadratic_algebra(3), self.PARAMS
-        if case == "float-triple":
-            params = {"p": 1.0, "q": 3.0}
-        elif case == "float-carrier":
-            A = require_valid(Algebra(dim=2, structconst=A.structconst,
-                                      unit=(Fraction(1), 0.0)))
-        elif case == "unvalidated":
+        if case == "unvalidated":
             A = Algebra(dim=2, structconst=A.structconst, unit=A.unit)
         elif case == "invalid":
             A = bad_unit_algebra()
@@ -312,31 +305,19 @@ class TestSystemRoute:
         res = wxz_residuals(WXZSystem(W=S.W, X=S.X, Z=S.Z))
         assert kernel_calls == [3] * 4 and res == (0, 0, 0, 0)
 
-    @staticmethod
-    def _float_wxz(kernel_calls, lam, mu, exact):
-        # only the two commutators with the float operator go to the
-        # kernel; the other two have exact triples that solve the system
-        S = thm3_system(quadratic_algebra(3), lam, mu)
-        got = wxz_residuals(S)
-        assert kernel_calls == [3, 3]
-        want = wxz_residuals(WXZSystem(W=S.W, X=S.X, Z=S.Z))
-        assert got == want and list(map(type, got)) == list(map(type, want))
-        assert all(got[k] == 0 and type(got[k]) is Fraction for k in exact)
-
-    def test_float_parameters_keep_wxz_on_the_kernel(self, kernel_calls):
-        # a float lambda: [Z,Z,Z] and [X,X,Z] are decided by the system
-        self._float_wxz(kernel_calls, 2.0, 5, exact=(1, 3))
-
-    def test_float_mu_keeps_wxz_on_the_kernel(self, kernel_calls):
-        # a float mu: [W,W,W] and [W,X,X] are decided by the system
-        self._float_wxz(kernel_calls, 2, 5.0, exact=(0, 2))
+    def test_float_parameters_decide_wxz_by_the_system(self, kernel_calls):
+        # a float lambda and mu read as exact rationals, so all four
+        # commutators have exact triples that solve the system
+        got = wxz_residuals(thm3_system(quadratic_algebra(3), 2.0, 5.0))
+        assert kernel_calls == []
+        assert all(r == 0 and type(r) is Fraction for r in got)
 
     def test_same_errors_as_the_kernel(self):
         # the triples are evaluated in the order the operators are built, so
         # bad input raises what the builds raise: a non-integer exponent
         # at (u, w), a table family on the wrong carrier type; phi(x, z) is
         # evaluated before either, so where the build at x and phi both
-        # fail, phi's error is raised
+        # fail, phi's error is raised: its colours are no rationals
         A = quadratic_algebra(3)
         cases = ((colored_qybe_residual,
                   ColoredFamily("thm2", A, {"p": 2, "q": 3, "s": 5}),
@@ -349,12 +330,11 @@ class TestSystemRoute:
             raised = []
             for f in both_routes(fam):
                 with pytest.raises((NonIntegerExponentError, AttributeError,
-                                    TypeError)) as err:
+                                    ValueError)) as err:
                     residual(f, *colours)
                 raised.append((type(err.value), str(err.value)))
             assert raised[0] == raised[1]
-        assert raised[0] == (
-            TypeError, "can't multiply sequence by non-int of type 'str'")
+        assert raised[0] == (ValueError, "Invalid literal for Fraction: 'a'")
 
 
 class TestLabelsAndEmitters:

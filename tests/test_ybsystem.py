@@ -27,9 +27,10 @@ class TestThm3System:
         S = thm3_system(Bc, 3, 5)
         assert wxz_residuals(S) == (0, 0, 0, 0)
 
+    # a float lam or mu reads as its exact rational
     @pytest.mark.parametrize("lam,mu,W,Z", [
         (Fraction(-7, 2), 5, (Fraction(-7, 2), 1, 1), (1, 5, 1)),
-        (2.0, 5, None, (1, 5, 1)), (2, 5.0, (2, 1, 1), None)])
+        (2.0, 5, (2, 1, 1), (1, 5, 1)), (2, 5.0, (2, 1, 1), (1, 5, 1))])
     def test_triples_are_the_families(self, Aq, lam, mu, W, Z):
         S = thm3_system(Aq, lam, mu)
         assert S.triples == (W, (1, 1, 1), Z)
