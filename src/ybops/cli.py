@@ -52,10 +52,17 @@ _USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError, OSError)
 
 def _report_json(value, indent="\n"):
     """``json.dumps(value, indent=2, ensure_ascii=False)`` on dicts with str
-    keys, lists and tuples; a scalar other than str is json's own text, NaN,
-    Infinity and the TypeError for a non-JSON value included."""
+    keys, lists and tuples; str, bool, None and int are written here, and
+    any other scalar is json's own text, NaN, Infinity and the TypeError
+    for a non-JSON value included."""
     if isinstance(value, str):
         return encode_basestring(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
         ends = "{}"

@@ -19,11 +19,22 @@ colours when it is evaluated, as ``ansatz_op`` reads its coefficients and
 an :class:`ybops.algebra.Algebra` its entries; a float converts exactly,
 and a colour of an exponential family that is not an integer raises
 ``NonIntegerExponentError``.
+
+A genuine residual is decided by the five equations on integer triples
+(:func:`ybops.tensorop.colored_qybe_residual`).  The six families whose
+colours are not exponents (thm1, coalgebra_thm1, prop1, prop1_coalgebra,
+prop2, remark_x) have coefficients affine in the colours: their
+``integer_triple`` evaluates integer affine forms on the colours'
+numerators, with no ``Fraction`` arithmetic.  thm2 and remark2 give their
+``exact_triple``, which the decision clears over the lcm of its
+denominators.  Both are exact: each is a positive integer multiple of the
+exact triple, and every equation is trilinear in the three triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 from .algebra import Algebra, Coalgebra
@@ -69,6 +80,23 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
     return Op2(n=n, cols=cols, den=d * d_A * d_U)
 
 
+class _Params(dict):
+    """A family's parameters, name -> exact rational: a dict that cannot
+    change, hashable, so that a family is."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a family's parameters are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return _Params, (dict(self),)
+
+
 @dataclass(frozen=True)
 class _TableFamily:
     """A family of :data:`ybops.funceq.FAMILIES` on a carrier at fixed
@@ -76,15 +104,16 @@ class _TableFamily:
     and its inverse.  A coalgebra family's operator is the transpose of the
     ansatz on the carrier's algebra, and every inverse is the ansatz on the
     opposite algebra.  The parameters are read as exact rationals once,
-    here, and the colours at each evaluation."""
+    here, into a read-only ``params``, and the colours at each
+    evaluation."""
 
     kind: str
     carrier: object  # Algebra, or Coalgebra for a coalgebra family
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", {
-            k: rational(x) for k, x in self.params.items()})
+        object.__setattr__(self, "params", _Params(
+            (k, rational(x)) for k, x in self.params.items()))
 
     def _coeffs(self, colours):
         """The table entry and its ansatz coefficients at ``colours``, each
@@ -92,8 +121,13 @@ class _TableFamily:
         F = family(self.kind)
         return F, F.coeffs(*F.args(self.params), *map(rational, colours))
 
+    def _algebra(self, F):
+        """The algebra the ansatz is built on: the carrier, or the algebra
+        of a coalgebra family's carrier."""
+        return self.carrier.algebra if F.coalgebra else self.carrier
+
     def _build(self, F, coeffs, opposite: bool = False) -> Op2:
-        A = self.carrier.algebra if F.coalgebra else self.carrier
+        A = self._algebra(F)
         R = ansatz_op(A.opposite if opposite else A, *coeffs)
         return _transpose(R) if F.coalgebra else R
 
@@ -104,8 +138,56 @@ class _TableFamily:
         The coefficients are evaluated first, as ``op`` does, so they raise
         the same errors."""
         F, coeffs = self._coeffs(colours)
-        A = self.carrier.algebra if F.coalgebra else self.carrier
-        return coeffs if A.valid else None
+        return coeffs if self._algebra(F).valid else None
+
+    @cached_property
+    def integer_triple(self):
+        """``colours -> (a, b, c)``, a positive integer multiple of
+        ``exact_triple(*colours)`` and None where that is None; or None for
+        a family whose colours are exponents.
+
+        Every other family's coefficients are affine in the colours.  Their
+        forms c0 + c1 u (+ c2 v) are read once off the table's ``coeffs`` at
+        the zero and the unit colours and cleared over one denominator L.
+        At colours U/D (, V/D) over their common denominator D, the triple
+        c0 D + c1 U (+ c2 V) is L D times the exact one.  The colours are
+        read as exact rationals first, so they raise the same errors."""
+        F = family(self.kind)
+        if F.integer_colours:
+            return None
+        args, k = F.args(self.params), len(F.colours)
+        # the coefficients at the zero colours, then at each unit colour
+        c0, *at_units = (F.coeffs(*args, *(int(i == j) for j in range(k)))
+                         for i in range(-1, k))
+        rows = [c0, *([x - y for x, y in zip(t, c0)] for t in at_units)]
+        den = lcm(*(x.denominator for row in rows for x in row))
+        (a0, b0, g0), (a1, b1, g1), *c2 = (
+            [x.numerator * (den // x.denominator) for x in row] for row in rows)
+        A = self._algebra(F)
+        if not c2:
+            def triple(x):
+                x = rational(x)
+                if not A.valid:
+                    return None
+                d, X = x.denominator, x.numerator
+                return a0 * d + a1 * X, b0 * d + b1 * X, g0 * d + g1 * X
+            return triple
+        [(a2, b2, g2)] = c2
+
+        def triple(u, v):
+            u, v = rational(u), rational(v)
+            if not A.valid:
+                return None
+            du, dv = u.denominator, v.denominator
+            d = lcm(du, dv)
+            U, V = u.numerator * (d // du), v.numerator * (d // dv)
+            return (a0 * d + a1 * U + a2 * V, b0 * d + b1 * U + b2 * V,
+                    g0 * d + g1 * U + g2 * V)
+        return triple
+
+    def __getstate__(self):
+        # the cached integer_triple is a closure, rebuilt at its first use
+        return {k: x for k, x in vars(self).items() if k != "integer_triple"}
 
     def inv(self, *colours) -> Op2:
         """Inverse of ``op``; SingularParameterError off its domain."""

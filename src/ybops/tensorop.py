@@ -142,9 +142,10 @@ def embed_leg(R: Op2, legs: int) -> Op3:
     return Op3(n=R.n, mat=_dense_view(_leg_columns(cols, R.n, legs)))
 
 
-def _apply(cols, vec: dict, out: dict) -> dict:
-    """out += (the operator with sparse columns ``cols``) vec."""
+def _apply(cols, vec: dict, out: dict, f=1) -> dict:
+    """out += f (the operator with sparse columns ``cols``) vec."""
     for k, c in vec.items():
+        c *= f
         for i, m in cols[k]:
             out[i] = out.get(i, 0) + c * m
     return out
@@ -152,8 +153,9 @@ def _apply(cols, vec: dict, out: dict) -> dict:
 
 def _chain_numerators(lhs, rhs):
     """P - Q, where P and Q are the products of the leg operators in ``lhs``
-    and ``rhs``: sequences of ``(Op2, legs)`` read as written, so the last
-    factor acts first.
+    and ``rhs``: sequences of at least two ``(Op2, legs)`` read as written,
+    so the last factor acts first.  Column j of a product starts as column
+    j of its first factor and takes the chain's scale at its last.
 
     Returns ``(cols, den)`` in the convention of :class:`Op2`: ``den`` is a
     positive integer, ``cols[j]`` maps each row i with a non-zero
@@ -176,10 +178,10 @@ def _chain_numerators(lhs, rhs):
     for j in range(n ** 3):
         acc = {}
         for chain, f in zip(chains, (common // dl, -(common // dr))):
-            vec = {j: f}
-            for cols in chain[:-1]:
+            vec = dict(chain[0][j])
+            for cols in chain[1:-1]:
                 vec = _apply(cols, vec, {})
-            _apply(chain[-1], vec, acc)
+            _apply(chain[-1], vec, acc, f)
         out.append({i: x for i, x in acc.items() if x})
     return out, common
 
@@ -226,17 +228,21 @@ def _solves_system(triples) -> bool:
     equations.  Stops at the first None, so a lazy iterable evaluates no
     further.
 
-    The equations are evaluated on integers: each triple is cleared over the
-    lcm of its three denominators.  Each e_k is trilinear, every monomial
-    taking one factor from each of t12, t13 and t23, so clearing multiplies
-    it by the non-zero product of the three lcms and the e_k that vanish are
-    the same."""
+    The equations are evaluated on integers: a triple of ints (a table
+    family's ``integer_triple``) is taken as it is, and any other triple is
+    cleared over the lcm of its three denominators.  Each e_k is trilinear,
+    every monomial taking one factor from each of t12, t13 and t23, so
+    scaling each triple by a positive integer scales it by their non-zero
+    product and the e_k that vanish are the same."""
     drawn = []
     for t in triples:
         if t is None:
             return False
-        den = lcm(*(x.denominator for x in t))
-        drawn.append(tuple(x.numerator * (den // x.denominator) for x in t))
+        a, b, c = t
+        if not (a.__class__ is b.__class__ is c.__class__ is int):
+            den = lcm(*(x.denominator for x in t))
+            t = tuple(x.numerator * (den // x.denominator) for x in t)
+        drawn.append(t)
     return not any(_system(*drawn))
 
 
@@ -248,11 +254,13 @@ def colored_qybe_residual(family, u, v, w):
 
     A table family (:class:`ybops.colored.ColoredFamily`) also exposes
     ``exact_triple(u, v)``, the coefficients of ``op(u, v)`` on a valid
-    algebra (``A.valid``), else None.  When the three triples solve the
-    five-equation system the residual is ``Fraction(0)`` by the identity
-    above, and no operator is built.  Every other input (an invalid
-    carrier, a family exposing only ``op``) goes to the sparse kernel, and
-    so does a non-zero equation: a non-zero residual keeps its value.
+    algebra (``A.valid``), else None, and ``integer_triple``, a function
+    giving a positive integer multiple of them where the coefficients are
+    affine in the colours.  When the three triples solve the five-equation
+    system the residual is ``Fraction(0)`` by the identity above, and no
+    operator is built.  Every other input (an invalid carrier, a family
+    exposing only ``op``) goes to the sparse kernel, and so does a non-zero
+    equation: a non-zero residual keeps its value.
     """
     return _family_residual(family, leg_colours(None, u, v, w))
 
@@ -273,8 +281,10 @@ def onepar_qybe_residual(family, x, z):
 def _family_residual(family, colours):
     """The QYBE residual of ``family.op(*c)`` on legs 12, 13, 23 for the
     three argument tuples c in ``colours``, decided by the triples
-    ``family.exact_triple(*c)`` when the family has them."""
-    triple = getattr(family, "exact_triple", None)
+    ``family.integer_triple(*c)`` when the family has that function, else
+    by ``family.exact_triple(*c)`` when it has those."""
+    triple = (getattr(family, "integer_triple", None)
+              or getattr(family, "exact_triple", None))
     return _decided((None,) if triple is None else
                     (triple(*c) for c in colours),
                     (family.op(*c) for c in colours))

@@ -1,5 +1,7 @@
 """Coloured operator families: residuals, inverses, matrix forms."""
 
+import copy
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -252,3 +254,52 @@ class TestFamilyAndMatrixForm:
             "lambda": 2, "t": 1, "t'": 3, "w": 5, "w'": -1}
         assert tensor_basis_labels(fam.op(u, v).n) == [
             "1⊗1", "1⊗x", "x⊗1", "x⊗x"]
+
+
+class TestReadOnlyParams:
+    """A family's parameters cannot change after it is built, so its
+    operator and its integer triple stay those of its parameters; families
+    compare as before, by kind, carrier and parameter values, and hash."""
+
+    CHANGES = (lambda d: d.__setitem__("p", 7), lambda d: d.__delitem__("p"),
+               lambda d: d.update(p=7), lambda d: d.pop("p"),
+               lambda d: d.popitem(), lambda d: d.setdefault("s", 7),
+               lambda d: d.clear(), lambda d: d.__ior__({"p": 7}))
+
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_params_are_read_only(self, A1, change):
+        fam = ColoredFamily("thm1", A1, {"p": 2, "q": Fraction(3)})
+        R, t = fam.op(3, 1), fam.integer_triple(3, 1)
+        with pytest.raises(TypeError, match="read-only"):
+            change(fam.params)
+        assert fam.params == {"p": 2, "q": 3}
+        assert fam.op(3, 1) == R and fam.integer_triple(3, 1) == t
+
+    def test_equality_and_hash(self, A1):
+        fam = ColoredFamily("thm1", A1, {"p": 2, "q": Fraction(3)})
+        same = ColoredFamily("thm1", A1, {"q": 3.0, "p": Fraction(2)})
+        assert same == fam and hash(same) == hash(fam)
+        assert {fam: "thm1"}[same] == "thm1"
+        assert {"p": 2, "q": 3} == fam.params
+        for other in (ColoredFamily("thm1", A1, {"p": 2, "q": 4}),
+                      ColoredFamily("thm1", quadratic_algebra(2),
+                                    {"p": 2, "q": 3}),
+                      ColoredFamily("coalgebra_thm1", dual_coalgebra(A1),
+                                    {"p": 2, "q": 3})):
+            assert other != fam
+        one = OneParFamily("prop2", A1)
+        assert one == OneParFamily("prop2", A1) and hash(one) == hash(
+            OneParFamily("prop2", A1))
+        assert repr(fam).endswith(
+            "params={'p': Fraction(2, 1), 'q': Fraction(3, 1)})")
+
+    def test_pickles_and_copies(self, A1):
+        # also once the family has cached its integer triple
+        fam = ColoredFamily("thm1", A1, {"p": 2, "q": Fraction(3)})
+        t = fam.integer_triple(3, 1)
+        for twin in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam),
+                     copy.copy(fam)):
+            assert twin == fam and twin.op(3, 1) == fam.op(3, 1)
+            assert twin.integer_triple(3, 1) == t
+            with pytest.raises(TypeError):
+                twin.params["p"] = 7

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, linear_coeffs,
-                      matrix_algebra, scipy_nelder_mead, sparse_left_product)
+from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, bad_unit_algebra,
+                      linear_coeffs, matrix_algebra, scipy_nelder_mead,
+                      sparse_left_product)
 from dense_reference import (_perm23, identity_mat, identity_op2,
                              kron, mat_mul, mat_scale, mat_transpose,
                              max_abs_entry)
@@ -34,13 +35,13 @@ from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, SpanReport, _Echelon,
                        in_span, pq_limit_relations, rtt_residual,
                        rtt_span_report, span_dimension, span_membership)
 from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
-                          eval_onepar_system, scale_triple)
+                          eval_onepar_system, leg_colours, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
 from ybops.scalars import rational
 from ybops.search import (MAX_ITER, _compile_step, _insert,
                           _make_objective, _nelder_mead, _start)
 from ybops.tensorop import (Op2, _chain_numerators, _max_abs,
-                            _qybe_numerators, braid_residual,
+                            _qybe_numerators, _solves_system, braid_residual,
                             colored_qybe_residual, freeze, mat_sub,
                             onepar_qybe_residual, op_to_json,
                             yb_commutator)
@@ -864,6 +865,97 @@ class TestSystemShortcut:
                 SimpleNamespace(op=fam.op, phi=fam.phi), *xz)
         assert got == want and type(got) is type(want) is Fraction
         assert solves or not on_component
+
+
+# --- integer triples of the affine families -----------------------------------
+
+# the table's families whose colours are not exponents, and two coloured
+# ones with a constant term (thm1's forms have none): prop2 and remark_x at
+# the colours their composition maps pick, alpha = v and beta = u
+_AFFINE = {**{k: F for k, F in FAMILIES.items() if not F.integer_colours},
+           **{F.name: F for F in (
+               Family("prop2_coloured", (), coeffs=lambda u, v: (v, 1, 1)),
+               Family("remark_x_coloured", (),
+                      coeffs=lambda u, v: (1, u, 1)))}}
+_scalar_kinds = (st.integers(-6, 6), fractions,
+                 st.floats(min_value=-4, max_value=4, allow_nan=False))
+
+
+@st.composite
+def _affine_points(draw):
+    """A family whose colours are not exponents, an algebra (the family
+    acts on its dual coalgebra where its kind says so), int, Fraction or
+    float parameters, and colours: all int, all Fraction or all float, or
+    all zero, or all equal."""
+    kind = draw(st.sampled_from(sorted(_AFFINE)))
+    F = _AFFINE[kind]
+    A, _ = draw(_valid_carriers())
+    params = {name: draw(draw(st.sampled_from(_scalar_kinds)))
+              for name in F.params}
+    k = 3 if F.phi is None else 2
+    values = draw(st.sampled_from(_scalar_kinds))
+    colours = draw(st.lists(values, min_size=k, max_size=k))
+    how = draw(st.sampled_from(("drawn", "zero", "equal")))
+    if how != "drawn":
+        colours = [0 if how == "zero" else colours[0]] * k
+    return kind, A, params, colours
+
+
+def _positive_multiple(got, exact):
+    """Whether the triple ``got`` is c * ``exact`` for some rational c > 0."""
+    c = next((Fraction(g) / e for g, e in zip(got, exact) if e), None)
+    if c is None:
+        return not any(got)
+    return c > 0 and all(g == c * e for g, e in zip(got, exact))
+
+
+class TestIntegerTriples:
+    """Each family whose colours are not exponents gives, at any colours,
+    an integer triple that is a positive multiple of its exact triple, and
+    the five-equation decision on those integers is the one on the exact
+    triples.  Budget about 0.5 s."""
+
+    @settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
+    @given(case=_affine_points())
+    @example(case=("thm1", quadratic_algebra(2), {"p": 0.1, "q": 0.3},
+                   [0.1, 0.2, 0.7]))
+    @example(case=("prop1", quadratic_algebra(2), {"q": 1}, [0, 0]))
+    def test_a_positive_multiple_with_the_same_decision(self, case):
+        kind, A, params, colours = case
+        F = _AFFINE[kind]
+        with patch.dict(FAMILIES, _AFFINE):
+            Family = ColoredFamily if F.phi is None else OneParFamily
+            fam = Family(kind, dual_coalgebra(A) if F.coalgebra else A,
+                         params)
+            legs = leg_colours(getattr(fam, "phi", None), *colours)
+            exact = [fam.exact_triple(*c) for c in legs]
+            got = [fam.integer_triple(*c) for c in legs]
+            view = SimpleNamespace(exact_triple=fam.exact_triple, op=fam.op)
+            if F.phi is None:
+                residual = colored_qybe_residual
+            else:
+                view.phi, residual = fam.phi, onepar_qybe_residual
+            res, want = residual(fam, *colours), residual(view, *colours)
+        for g, e in zip(got, exact):
+            assert all(type(x) is int for x in g)
+            assert _positive_multiple(g, tuple(map(Fraction, e)))
+        assert _solves_system(iter(got)) is _solves_system(iter(exact))
+        assert res == want == 0 and type(res) is type(want) is Fraction
+
+    def test_none_where_the_exact_triple_is(self):
+        A = bad_unit_algebra()
+        for kind in sorted(k for k, F in FAMILIES.items()
+                           if not F.integer_colours):
+            F = FAMILIES[kind]
+            Family = ColoredFamily if F.phi is None else OneParFamily
+            fam = Family(kind, Coalgebra(A) if F.coalgebra else A,
+                         dict.fromkeys(F.params, 2))
+            colours = (1, 2)[:len(F.colours)]
+            assert fam.exact_triple(*colours) is None
+            assert fam.integer_triple(*colours) is None
+        for kind in ("thm2", "remark2"):
+            fam = ColoredFamily(kind, A1, {"p": 2, "q": 3, "s": 5})
+            assert fam.integer_triple is None
 
 
 # --- float input is read as its exact rational ---------------------------------

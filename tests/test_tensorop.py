@@ -300,6 +300,30 @@ class TestSystemRoute:
         if case == "invalid":
             assert got[0] != 0
 
+    def test_affine_routes_do_no_fraction_arithmetic(self, monkeypatch):
+        # once a family has read its integer forms, at its first sample,
+        # thm1 and prop1 samples take no Fraction product or difference
+        # but prop1's one phi(x, z) = x * z
+        A = quadratic_algebra(3)
+        thm1 = ColoredFamily("thm1", A, {"p": Fraction(2, 3), "q": 5})
+        prop1 = OneParFamily("prop1", A, {"q": Fraction(-7, 4)})
+        samples = [(Fraction(1, 2), Fraction(-2), Fraction(3, 7)),
+                   (1, Fraction(5, 3), 4), (0.5, 0.25, -1)]
+        colored_qybe_residual(thm1, 1, 2, 3)
+        onepar_qybe_residual(prop1, 1, 2)
+        calls = []
+        for name in ("__mul__", "__rmul__", "__sub__", "__rsub__"):
+            def spy(a, b, real=getattr(Fraction, name), name=name):
+                calls.append(name)
+                return real(a, b)
+            monkeypatch.setattr(Fraction, name, spy)
+        for u, v, w in samples:
+            assert colored_qybe_residual(thm1, u, v, w) == 0
+        assert calls == []
+        for x, z, _ in samples:
+            assert onepar_qybe_residual(prop1, x, z) == 0
+        assert calls == ["__mul__"] * len(samples)
+
     def test_hand_built_wxz_system_takes_the_kernel(self, kernel_calls):
         S = thm3_system(quadratic_algebra(3), 2, 5)
         res = wxz_residuals(WXZSystem(W=S.W, X=S.X, Z=S.Z))
