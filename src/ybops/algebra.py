@@ -15,26 +15,13 @@ then the associativity and unit laws of ``C.algebra``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .errors import DimensionMismatchError, InvalidStructureError
-from .scalars import (Scalar, format_scalar, over_one_denominator,
-                      parse_scalar, rational)
-
-
-def _check_shape(n: int, cube, vector) -> None:
-    if type(n) is not int:  # a bool or a float is no dimension
-        raise DimensionMismatchError(f"dim must be an integer, got {n!r}")
-    if len(vector) != n or len(cube) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane)
-            for plane in cube):
-        raise DimensionMismatchError(
-            f"structure tensor must be {n}x{n}x{n} and the (co)unit of "
-            f"length {n}")
+from .scalars import Scalar, over_one_denominator, rational
 
 
 @dataclass(frozen=True)
@@ -47,7 +34,15 @@ class Algebra:
     unit: tuple  # coordinates of 1
 
     def __post_init__(self):
-        _check_shape(self.dim, self.structconst, self.unit)
+        n, cube = self.dim, self.structconst
+        if type(n) is not int:  # a bool or a float is no dimension
+            raise DimensionMismatchError(f"dim must be an integer, got {n!r}")
+        if len(self.unit) != n or len(cube) != n or any(
+                len(plane) != n or any(len(row) != n for row in plane)
+                for plane in cube):
+            raise DimensionMismatchError(
+                f"structure tensor must be {n}x{n}x{n} and the unit of "
+                f"length {n}")
         object.__setattr__(self, "structconst", tuple(
             tuple(tuple(map(rational, row)) for row in plane)
             for plane in self.structconst))
@@ -218,76 +213,3 @@ def require_valid(A: Algebra) -> Algebra:
 def dual_coalgebra(A: Algebra) -> Coalgebra:
     """Dual coalgebra of A; raises if A itself is not a valid algebra."""
     return Coalgebra(require_valid(A))
-
-
-# --- JSON interface ---------------------------------------------------------
-
-def _to_json(n, cube_key, cube, vector_key, vector) -> str:
-    return json.dumps({
-        "dim": n,
-        cube_key: [[[format_scalar(x) for x in row] for row in plane]
-                   for plane in cube],
-        vector_key: [format_scalar(x) for x in vector],
-        "field": "rational",
-    })
-
-
-def _array(x) -> list:
-    # a string would otherwise be read as one scalar per character
-    if not isinstance(x, list):
-        raise DimensionMismatchError(f"expected a JSON array, got {x!r}")
-    return x
-
-
-def _scalar(x):
-    # a string or a number; JSON true and false would read as 1 and 0
-    if isinstance(x, (str, int, float)) and not isinstance(x, bool):
-        try:
-            return parse_scalar(x)
-        except (ValueError, ArithmeticError):
-            pass
-    raise InvalidStructureError(f"not a rational scalar: {json.dumps(x)}")
-
-
-def _from_json(text, cube_key, vector_key):
-    """(dim, n x n x n tensor, length-n vector), shape-checked."""
-    try:
-        data = json.loads(text)
-    except RecursionError:
-        raise InvalidStructureError(
-            "the document is nested too deeply to read") from None
-    if not isinstance(data, dict):
-        raise InvalidStructureError("the document must be a JSON object")
-    missing = [k for k in ("dim", cube_key, vector_key) if k not in data]
-    if missing:
-        raise InvalidStructureError(f"missing key(s): {', '.join(missing)}")
-    if data.get("field", "rational") != "rational":
-        raise InvalidStructureError(
-            f'"field" must be "rational", got {json.dumps(data["field"])}')
-    cube = tuple(tuple(tuple(map(_scalar, _array(row)))
-                       for row in _array(plane))
-                 for plane in _array(data[cube_key]))
-    vector = tuple(map(_scalar, _array(data[vector_key])))
-    _check_shape(data["dim"], cube, vector)
-    return data["dim"], cube, vector
-
-
-def algebra_to_json(A: Algebra) -> str:
-    return _to_json(A.dim, "structconst", A.structconst, "unit", A.unit)
-
-
-def algebra_from_json(text: str) -> Algebra:
-    n, c, unit = _from_json(text, "structconst", "unit")
-    return Algebra(dim=n, structconst=c, unit=unit)
-
-
-def coalgebra_to_json(C: Coalgebra) -> str:
-    return _to_json(C.dim, "comult", C.comult, "counit", C.counit)
-
-
-def coalgebra_from_json(text: str) -> Coalgebra:
-    n, d, counit = _from_json(text, "comult", "counit")
-    # the dual algebra: e_i * e_j has coefficient comult[k][i][j] at e_k
-    struct = tuple(tuple(tuple(d[k][i][j] for k in range(n))
-                         for j in range(n)) for i in range(n))
-    return Coalgebra(Algebra(dim=n, structconst=struct, unit=counit))

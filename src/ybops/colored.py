@@ -21,20 +21,21 @@ and a colour of an exponential family that is not an integer raises
 ``NonIntegerExponentError``.
 
 A genuine residual is decided by the five equations on integer triples
-(:func:`ybops.tensorop.colored_qybe_residual`).  The six families whose
-colours are not exponents (thm1, coalgebra_thm1, prop1, prop1_coalgebra,
-prop2, remark_x) have coefficients affine in the colours: their
-``integer_triple`` evaluates integer affine forms on the colours'
-numerators, with no ``Fraction`` arithmetic.  thm2 and remark2 give their
-``exact_triple``, which the decision clears over the lcm of its
-denominators.  Both are exact: each is a positive integer multiple of the
-exact triple, and every equation is trilinear in the three triples.
+(:func:`ybops.tensorop.colored_qybe_residual`), which every family gives
+as its ``integer_triple``.  The six families whose colours are not
+exponents (thm1, coalgebra_thm1, prop1, prop1_coalgebra, prop2, remark_x)
+have coefficients affine in the colours: their triple evaluates integer
+affine forms on the colours' numerators, with no ``Fraction`` arithmetic.
+thm2 and remark2 evaluate their table entry and clear it over the lcm of
+its denominators.  Both are exact: each triple is a positive integer
+multiple of the table's coefficients, and every equation is trilinear in
+the three triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .algebra import Algebra, Coalgebra
@@ -80,6 +81,21 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
     return Op2(n=n, cols=cols, den=d * d_A * d_U)
 
 
+@lru_cache
+def _affine_forms(F, params) -> tuple:
+    """The integer rows c0, c1 (, c2) of a table entry ``F`` affine in its
+    colours, at a family's ``params``: its coefficients c0 + c1 u (+ c2 v)
+    times the lcm L of their denominators, read once per (entry, params)."""
+    args, k = F.args(params), len(F.colours)
+    # the coefficients at the zero colours, then at each unit colour
+    c0, *at_units = (F.coeffs(*args, *(int(i == j) for j in range(k)))
+                     for i in range(-1, k))
+    rows = [c0, *([x - y for x, y in zip(t, c0)] for t in at_units)]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in rows)
+
+
 class _Params(dict):
     """A family's parameters, name -> exact rational: a dict that cannot
     change, hashable, so that a family is."""
@@ -100,7 +116,7 @@ class _Params(dict):
 @dataclass(frozen=True)
 class _TableFamily:
     """A family of :data:`ybops.funceq.FAMILIES` on a carrier at fixed
-    parameters, evaluated at colours: its operator, its exact coefficients
+    parameters, evaluated at colours: its operator, its integer triple
     and its inverse.  A coalgebra family's operator is the transpose of the
     ansatz on the carrier's algebra, and every inverse is the ansatz on the
     opposite algebra.  The parameters are read as exact rationals once,
@@ -131,39 +147,32 @@ class _TableFamily:
         R = ansatz_op(A.opposite if opposite else A, *coeffs)
         return _transpose(R) if F.coalgebra else R
 
-    def exact_triple(self, *colours):
-        """The ansatz coefficients (alpha, beta, gamma) that ``op`` builds
-        at these colours, when the algebra ``op`` builds on is associative
-        and unital (``A.valid``, computed once per algebra); None otherwise.
-        The coefficients are evaluated first, as ``op`` does, so they raise
-        the same errors."""
-        F, coeffs = self._coeffs(colours)
-        return coeffs if self._algebra(F).valid else None
-
     @cached_property
     def integer_triple(self):
-        """``colours -> (a, b, c)``, a positive integer multiple of
-        ``exact_triple(*colours)`` and None where that is None; or None for
-        a family whose colours are exponents.
+        """``colours -> (a, b, c)``, ints: a positive multiple of the
+        coefficients ``op`` builds at these colours where its algebra is
+        associative and unital (``A.valid``, computed once per algebra),
+        else None.  The colours, and an exponential family's coefficients,
+        are evaluated first, so they raise the same errors as ``op``.
 
-        Every other family's coefficients are affine in the colours.  Their
-        forms c0 + c1 u (+ c2 v) are read once off the table's ``coeffs`` at
-        the zero and the unit colours and cleared over one denominator L.
-        At colours U/D (, V/D) over their common denominator D, the triple
-        c0 D + c1 U (+ c2 V) is L D times the exact one.  The colours are
-        read as exact rationals first, so they raise the same errors."""
+        An exponential family clears its table entry over the lcm of its
+        denominators.  At colours U/D (, V/D) over their common denominator
+        D, any other family gives c0 D + c1 U (+ c2 V) on its
+        :func:`_affine_forms`, L D times the table's triple."""
         F = family(self.kind)
-        if F.integer_colours:
-            return None
-        args, k = F.args(self.params), len(F.colours)
-        # the coefficients at the zero colours, then at each unit colour
-        c0, *at_units = (F.coeffs(*args, *(int(i == j) for j in range(k)))
-                         for i in range(-1, k))
-        rows = [c0, *([x - y for x, y in zip(t, c0)] for t in at_units)]
-        den = lcm(*(x.denominator for row in rows for x in row))
-        (a0, b0, g0), (a1, b1, g1), *c2 = (
-            [x.numerator * (den // x.denominator) for x in row] for row in rows)
         A = self._algebra(F)
+        if F.integer_colours:
+            args = F.args(self.params)
+
+            def triple(*colours):
+                t = F.coeffs(*args, *map(rational, colours))
+                if not A.valid:
+                    return None
+                den = lcm(*(x.denominator for x in t))
+                return tuple(x.numerator * (den // x.denominator) for x in t)
+            return triple
+        (a0, b0, g0), (a1, b1, g1), *c2 = _affine_forms(
+            F, self.params)
         if not c2:
             def triple(x):
                 x = rational(x)

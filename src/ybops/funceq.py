@@ -97,9 +97,10 @@ class Family:
     is valid wherever ``singular`` is false.  ``coalgebra`` families act on
     a coalgebra carrier by the transposed operator.  ``integer_colours``
     marks families whose colours are exponents, so exact checks sample
-    integers; every other family's coefficients are affine in its colours,
-    which its integer forms (``integer_triple`` of
-    :class:`ybops.colored.ColoredFamily`) rely on.  ``shorthand`` names
+    integers and a family's ``integer_triple``
+    (:class:`ybops.colored.ColoredFamily`) clears its coefficients; every
+    other family's coefficients are affine in its colours, which its
+    ``integer_triple`` reads as integer forms.  ``shorthand`` names
     parameter combinations reported beside the matrix form.
     """
 

@@ -9,6 +9,8 @@ converts exactly, unrounded.  Floats only appear in the numerical search.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -54,9 +56,20 @@ def format_scalar(x: Scalar) -> str:
     return str(x) if isinstance(x, Fraction) else repr(x)
 
 
+# the exponent of a decimal literal, as Fraction reads one
+_EXPONENT = re.compile(
+    r"\A\s*[-+]?(?=\.?\d)[\d_]*(?:\.[\d_]*)?[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_scalar(s) -> Fraction:
-    """Inverse of :func:`format_scalar`: a 'num/den' string or a number
-    reads as ``Fraction(s)``."""
+    """Inverse of :func:`format_scalar`: ``Fraction(s)``.  A decimal
+    exponent of magnitude at least ``sys.get_int_max_str_digits()``, where
+    that limit is set, is refused, as the power written out would be."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponent = limit and isinstance(s, str) and _EXPONENT.search(s)
+    if exponent and abs(int(exponent[1])) >= limit:
+        raise ValueError(f"decimal exponent out of range in {s!r}: its "
+                         f"magnitude must be below {limit}")
     try:
         return Fraction(s)
     except ZeroDivisionError:

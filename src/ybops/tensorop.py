@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
 from math import lcm, prod
 
 from .errors import DimensionMismatchError
@@ -223,27 +223,18 @@ def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
 # the coalgebra transfer the residual is minus the transpose of the algebra's.
 
 def _solves_system(triples) -> bool:
-    """True when each of the three exact triples, drawn in turn from the
+    """True when each of the three integer triples, drawn in turn from the
     iterable ``triples``, is not None and together they solve the five
     equations.  Stops at the first None, so a lazy iterable evaluates no
     further.
 
-    The equations are evaluated on integers: a triple of ints (a table
-    family's ``integer_triple``) is taken as it is, and any other triple is
-    cleared over the lcm of its three denominators.  Each e_k is trilinear,
-    every monomial taking one factor from each of t12, t13 and t23, so
-    scaling each triple by a positive integer scales it by their non-zero
-    product and the e_k that vanish are the same."""
-    drawn = []
-    for t in triples:
-        if t is None:
-            return False
-        a, b, c = t
-        if not (a.__class__ is b.__class__ is c.__class__ is int):
-            den = lcm(*(x.denominator for x in t))
-            t = tuple(x.numerator * (den // x.denominator) for x in t)
-        drawn.append(t)
-    return not any(_system(*drawn))
+    A table family's ``integer_triple`` is a positive integer multiple of
+    its coefficients.  Each e_k is trilinear, every monomial taking one
+    factor from each of t12, t13 and t23, so scaling each triple by a
+    positive integer scales it by their non-zero product and the e_k that
+    vanish are the same."""
+    drawn = list(takewhile(lambda t: t is not None, triples))
+    return len(drawn) == 3 and not any(_system(*drawn))
 
 
 def colored_qybe_residual(family, u, v, w):
@@ -253,14 +244,13 @@ def colored_qybe_residual(family, u, v, w):
     coloured Yang-Baxter operators.
 
     A table family (:class:`ybops.colored.ColoredFamily`) also exposes
-    ``exact_triple(u, v)``, the coefficients of ``op(u, v)`` on a valid
-    algebra (``A.valid``), else None, and ``integer_triple``, a function
-    giving a positive integer multiple of them where the coefficients are
-    affine in the colours.  When the three triples solve the five-equation
-    system the residual is ``Fraction(0)`` by the identity above, and no
-    operator is built.  Every other input (an invalid carrier, a family
-    exposing only ``op``) goes to the sparse kernel, and so does a non-zero
-    equation: a non-zero residual keeps its value.
+    ``integer_triple(u, v)``, a positive integer multiple of the
+    coefficients of ``op(u, v)`` on a valid algebra (``A.valid``), else
+    None.  When the three triples solve the five-equation system the
+    residual is ``Fraction(0)`` by the identity above, and no operator is
+    built.  Every other input (an invalid carrier, a family exposing only
+    ``op``) goes to the sparse kernel, and so does a non-zero equation: a
+    non-zero residual keeps its value.
     """
     return _family_residual(family, leg_colours(None, u, v, w))
 
@@ -270,7 +260,7 @@ def onepar_qybe_residual(family, x, z):
 
     ``family`` must expose ``op(x) -> Op2`` and ``phi(x, z) -> scalar``; the
     composition map is attached to the family so checks cannot mix a family
-    with the wrong phi.  A family that also exposes ``exact_triple(x)``
+    with the wrong phi.  A family that also exposes ``integer_triple(x)``
     (:class:`ybops.onepar.OneParFamily`) is decided by the five-equation
     system at x, phi(x,z), z, as in :func:`colored_qybe_residual`.
     ``phi(x, z)`` is evaluated before any operator or triple is built.
@@ -281,10 +271,8 @@ def onepar_qybe_residual(family, x, z):
 def _family_residual(family, colours):
     """The QYBE residual of ``family.op(*c)`` on legs 12, 13, 23 for the
     three argument tuples c in ``colours``, decided by the triples
-    ``family.integer_triple(*c)`` when the family has that function, else
-    by ``family.exact_triple(*c)`` when it has those."""
-    triple = (getattr(family, "integer_triple", None)
-              or getattr(family, "exact_triple", None))
+    ``family.integer_triple(*c)`` when the family has that function."""
+    triple = getattr(family, "integer_triple", None)
     return _decided((None,) if triple is None else
                     (triple(*c) for c in colours),
                     (family.op(*c) for c in colours))

@@ -23,7 +23,7 @@ class WXZSystem:
     W: Op2
     X: Op2
     Z: Op2
-    # the ansatz coefficients of W, X and Z, set only by thm3_system; a
+    # the integer triples of W, X and Z, set only by thm3_system; a
     # system built or replace()d from operators has none
     triples: Optional[tuple] = field(default=None, init=False, repr=False,
                                      compare=False)
@@ -37,14 +37,13 @@ class WXZSystem:
 
 def thm3_system(A: Algebra, lam, mu) -> WXZSystem:
     """W = prop2 at lam, X = prop2 at 1 and Z = remark_x at mu, keeping
-    their table triples (:meth:`ybops.onepar.OneParFamily.exact_triple`);
-    lam and mu are read as exact rationals."""
+    their ``integer_triple``s; lam and mu are read as exact rationals."""
     require_valid(A)
-    builds = [(OneParFamily(kind, A), x) for kind, x in
-              (("prop2", lam), ("prop2", 1), ("remark_x", mu))]
+    prop2, remark_x = OneParFamily("prop2", A), OneParFamily("remark_x", A)
+    builds = ((prop2, lam), (prop2, 1), (remark_x, mu))
     S = WXZSystem(*(fam.op(x) for fam, x in builds))
     object.__setattr__(S, "triples", tuple(
-        fam.exact_triple(x) for fam, x in builds))
+        fam.integer_triple(x) for fam, x in builds))
     return S
 
 
@@ -53,9 +52,9 @@ def wxz_residuals(S: WXZSystem) -> tuple:
     genuine systems.
 
     A commutator whose three triples from :func:`thm3_system` solve the
-    five-equation system is ``Fraction(0)`` without the kernel, as in :func:`ybops.tensorop.colored_qybe_residual`; every
-    other commutator, and every one of a system without triples, goes to
-    the kernel.
+    five-equation system is ``Fraction(0)`` without the kernel, as in
+    :func:`ybops.tensorop.colored_qybe_residual`; every other commutator,
+    and every one of a system without triples, goes to the kernel.
     """
     ops, triples = (S.W, S.X, S.Z), S.triples or (None,) * 3
     return tuple(_decided((triples[k] for k in legs),

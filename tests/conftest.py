@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from unittest import mock
 import pytest
 
 from ybops.algebra import Algebra, cubic_algebra, quadratic_algebra, validate
+from ybops.funceq import FAMILIES
 from ybops.onepar import OneParFamily
 from ybops.search import MAX_ITER
 
@@ -77,6 +79,22 @@ def both_routes(fam):
         view.phi = fam.phi
     return fam, view
 
+
+
+def cleared(triple):
+    """A rational triple times the lcm of its denominators, as ints."""
+    den = math.lcm(*(Fraction(x).denominator for x in triple))
+    return tuple(int(x * den) for x in triple)
+
+
+def table_triple(fam, *colours):
+    """The coefficients (alpha, beta, gamma) of ``fam.op(*colours)`` read
+    off the table, ``FAMILIES[fam.kind].coeffs``, at the family's
+    parameters and the colours as exact rationals: the reference of which
+    ``integer_triple`` is a positive multiple."""
+    F = FAMILIES[fam.kind]
+    return F.coeffs(*(fam.params[name] for name in F.params),
+                    *map(Fraction, colours))
 
 
 def sparse_left_product(*mats):

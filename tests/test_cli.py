@@ -426,6 +426,12 @@ EXIT_CODES = [
         id="campaign-zero-denominator"),
     pytest.param(["verify", "--family", "thm1", "--sigma", "abc"], None, 2,
                  None, id="bad-rational"),
+    # a decimal exponent at the int digit limit is refused before its
+    # power of ten is computed, as the power written out is
+    pytest.param(["matrix", "--family", "thm1", "--u", "1e999999999"], None,
+                 2, "error: decimal exponent out of range in '1e999999999': "
+                 f"its magnitude must be below {sys.get_int_max_str_digits()}",
+                 id="huge-decimal-exponent"),
     # a rational option is parsed even where the family or algebra
     # ignores it
     pytest.param(["verify", "--family", "thm1", "--sigma", "abc", "--eps",

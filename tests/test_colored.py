@@ -16,7 +16,7 @@ from ybops.funceq import FAMILIES, catalogue
 from ybops.onepar import OneParFamily
 from ybops.scalars import scalar_pow
 from ybops.tensorop import colored_qybe_residual, tensor_basis_labels
-from conftest import both_routes, rand_fraction
+from conftest import both_routes, rand_fraction, table_triple
 from dense_reference import identity_mat, mat_mul, mat_transpose
 
 
@@ -147,7 +147,8 @@ class TestScalarPow:
         A = quadratic_algebra(1)
         floats = ColoredFamily("thm2", A, {"p": -2.0, "q": 1.0, "s": 1})
         exact = ColoredFamily("thm2", A, {"p": -2, "q": 1, "s": 1})
-        assert floats.exact_triple(3.0, 1) == (-8, -8, -8)
+        assert table_triple(floats, 3.0, 1) == (-8, -8, -8)
+        assert floats.integer_triple(3.0, 1) == (-8, -8, -8)
         assert floats.op(3.0, 1) == exact.op(3, 1)
         with pytest.raises(NonIntegerExponentError):
             floats.op(0.5, 1)

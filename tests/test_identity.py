@@ -20,7 +20,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import LINEAR_COMPONENTS, linear_coeffs
+from conftest import LINEAR_COMPONENTS, cleared, linear_coeffs
 from ybops.funceq import _system
 from ybops.tensorop import _solves_system
 
@@ -207,10 +207,11 @@ def _exact_triples(draw):
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(drawn=_exact_triples())
 def test_cleared_decision_equals_the_rational_one(drawn):
-    # budget well under 1 s
+    # each triple is cleared over the lcm of its denominators here, so the
+    # decision sees ints only; budget well under 1 s
     triples, on_component = drawn
     want = not any(_system(*triples))
-    assert _solves_system(iter(triples)) is want
+    assert _solves_system(map(cleared, triples)) is want
     assert want or not on_component
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, bad_unit_algebra,
                       linear_coeffs, matrix_algebra, scipy_nelder_mead,
-                      sparse_left_product)
+                      sparse_left_product, table_triple)
 from dense_reference import (_perm23, identity_mat, identity_op2,
                              kron, mat_mul, mat_scale, mat_transpose,
                              max_abs_entry)
@@ -34,8 +35,9 @@ from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, SpanReport, _Echelon,
                        _relations, claimed_relations, exchange_closure,
                        in_span, pq_limit_relations, rtt_residual,
                        rtt_span_report, span_dimension, span_membership)
-from ybops.funceq import (FAMILIES, Family, catalogue, eval_colored_system,
-                          eval_onepar_system, leg_colours, scale_triple)
+from ybops.funceq import (FAMILIES, Family, _system, catalogue,
+                          eval_colored_system, eval_onepar_system,
+                          leg_colours, scale_triple)
 from ybops.onepar import OneParFamily, prop1_op
 from ybops.scalars import rational
 from ybops.search import (MAX_ITER, _compile_step, _insert,
@@ -867,33 +869,32 @@ class TestSystemShortcut:
         assert solves or not on_component
 
 
-# --- integer triples of the affine families -----------------------------------
+# --- integer triples of the table families ------------------------------------
 
-# the table's families whose colours are not exponents, and two coloured
-# ones with a constant term (thm1's forms have none): prop2 and remark_x at
-# the colours their composition maps pick, alpha = v and beta = u
-_AFFINE = {**{k: F for k, F in FAMILIES.items() if not F.integer_colours},
-           **{F.name: F for F in (
-               Family("prop2_coloured", (), coeffs=lambda u, v: (v, 1, 1)),
-               Family("remark_x_coloured", (),
-                      coeffs=lambda u, v: (1, u, 1)))}}
+# the table's families, and two coloured ones with a constant term (thm1's
+# forms have none): prop2 and remark_x at the colours their composition
+# maps pick, alpha = v and beta = u
+_TABLE = {**FAMILIES, **{F.name: F for F in (
+    Family("prop2_coloured", (), coeffs=lambda u, v: (v, 1, 1)),
+    Family("remark_x_coloured", (), coeffs=lambda u, v: (1, u, 1)))}}
 _scalar_kinds = (st.integers(-6, 6), fractions,
                  st.floats(min_value=-4, max_value=4, allow_nan=False))
 
 
 @st.composite
-def _affine_points(draw):
-    """A family whose colours are not exponents, an algebra (the family
-    acts on its dual coalgebra where its kind says so), int, Fraction or
-    float parameters, and colours: all int, all Fraction or all float, or
-    all zero, or all equal."""
-    kind = draw(st.sampled_from(sorted(_AFFINE)))
-    F = _AFFINE[kind]
+def _table_points(draw):
+    """A table family, an algebra (the family acts on its dual coalgebra
+    where its kind says so), int, Fraction or float parameters, and
+    colours: all int, all Fraction or all float, or all zero, or all equal.
+    Colours that are exponents are integers, and their bases non-zero."""
+    kind = draw(st.sampled_from(sorted(_TABLE)))
+    F = _TABLE[kind]
     A, _ = draw(_valid_carriers())
-    params = {name: draw(draw(st.sampled_from(_scalar_kinds)))
-              for name in F.params}
+    params = {name: draw(draw(st.sampled_from(_scalar_kinds)).filter(
+        lambda x: x or not F.integer_colours)) for name in F.params}
     k = 3 if F.phi is None else 2
-    values = draw(st.sampled_from(_scalar_kinds))
+    values = (st.integers(-4, 4) if F.integer_colours
+              else draw(st.sampled_from(_scalar_kinds)))
     colours = draw(st.lists(values, min_size=k, max_size=k))
     how = draw(st.sampled_from(("drawn", "zero", "equal")))
     if how != "drawn":
@@ -909,53 +910,68 @@ def _positive_multiple(got, exact):
     return c > 0 and all(g == c * e for g, e in zip(got, exact))
 
 
+def _table_family(kind, carrier, params):
+    F = FAMILIES[kind]
+    Family = ColoredFamily if F.phi is None else OneParFamily
+    return Family(kind, Coalgebra(carrier) if F.coalgebra else carrier,
+                  params)
+
+
 class TestIntegerTriples:
-    """Each family whose colours are not exponents gives, at any colours,
-    an integer triple that is a positive multiple of its exact triple, and
-    the five-equation decision on those integers is the one on the exact
-    triples.  Budget about 0.5 s."""
+    """Each table family gives, at any colours, an integer triple that is a
+    positive multiple of its table coefficients, and the five-equation
+    decision on those integers is the one on the table's rationals.
+    Budget about 1 s."""
 
     @settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
-    @given(case=_affine_points())
+    @given(case=_table_points())
     @example(case=("thm1", quadratic_algebra(2), {"p": 0.1, "q": 0.3},
                    [0.1, 0.2, 0.7]))
     @example(case=("prop1", quadratic_algebra(2), {"q": 1}, [0, 0]))
+    @example(case=("thm2", _M2_OPPOSITE, {"p": Fraction(-2, 3), "q": 0.5,
+                                          "s": 3}, [-2, 0, 3]))
+    @example(case=("remark2", _M2, {"p": 4, "q": Fraction(1, 3),
+                                    "s": -0.25}, [-1, 2, -3]))
     def test_a_positive_multiple_with_the_same_decision(self, case):
         kind, A, params, colours = case
-        F = _AFFINE[kind]
-        with patch.dict(FAMILIES, _AFFINE):
-            Family = ColoredFamily if F.phi is None else OneParFamily
-            fam = Family(kind, dual_coalgebra(A) if F.coalgebra else A,
-                         params)
+        with patch.dict(FAMILIES, _TABLE):
+            fam = _table_family(kind, A, params)
             legs = leg_colours(getattr(fam, "phi", None), *colours)
-            exact = [fam.exact_triple(*c) for c in legs]
+            exact = [table_triple(fam, *c) for c in legs]
             got = [fam.integer_triple(*c) for c in legs]
-            view = SimpleNamespace(exact_triple=fam.exact_triple, op=fam.op)
-            if F.phi is None:
+            view = SimpleNamespace(op=fam.op)
+            if FAMILIES[kind].phi is None:
                 residual = colored_qybe_residual
             else:
                 view.phi, residual = fam.phi, onepar_qybe_residual
             res, want = residual(fam, *colours), residual(view, *colours)
         for g, e in zip(got, exact):
-            assert all(type(x) is int for x in g)
+            assert type(g) is tuple and all(type(x) is int for x in g)
             assert _positive_multiple(g, tuple(map(Fraction, e)))
-        assert _solves_system(iter(got)) is _solves_system(iter(exact))
+        assert _solves_system(iter(got)) is not any(_system(*exact))
         assert res == want == 0 and type(res) is type(want) is Fraction
 
-    def test_none_where_the_exact_triple_is(self):
+    def test_none_on_an_invalid_carrier(self):
         A = bad_unit_algebra()
-        for kind in sorted(k for k, F in FAMILIES.items()
-                           if not F.integer_colours):
-            F = FAMILIES[kind]
-            Family = ColoredFamily if F.phi is None else OneParFamily
-            fam = Family(kind, Coalgebra(A) if F.coalgebra else A,
-                         dict.fromkeys(F.params, 2))
-            colours = (1, 2)[:len(F.colours)]
-            assert fam.exact_triple(*colours) is None
-            assert fam.integer_triple(*colours) is None
-        for kind in ("thm2", "remark2"):
-            fam = ColoredFamily(kind, A1, {"p": 2, "q": 3, "s": 5})
-            assert fam.integer_triple is None
+        for kind, F in FAMILIES.items():
+            fam = _table_family(kind, A, dict.fromkeys(F.params, 2))
+            assert fam.integer_triple(*(1, 2)[:len(F.colours)]) is None
+
+    @pytest.mark.parametrize("kind", ["thm2", "remark2"])
+    def test_exponent_errors_are_the_tables(self, kind):
+        # the colours and the table entry are read before A.valid, so an
+        # invalid carrier raises the same errors
+        for A in (A1, bad_unit_algebra()):
+            for params, colours, error in (
+                    ({"p": 2, "q": 3, "s": 5}, (Fraction(1, 2), 1),
+                     NonIntegerExponentError),
+                    ({"p": 0, "q": 3, "s": 5}, (-1, 1),
+                     SingularParameterError)):
+                fam = ColoredFamily(kind, A, params)
+                for evaluate in (fam.integer_triple, fam.op,
+                                 partial(table_triple, fam)):
+                    with pytest.raises(error):
+                        evaluate(*colours)
 
 
 # --- float input is read as its exact rational ---------------------------------
@@ -1347,8 +1363,11 @@ class TestReportJson:
     @example(value=[2 ** 64 + 1, True, False, None, -0.0, 1e-300, math.nan,
                     math.inf, -math.inf])
     def test_equals_json_dumps(self, value):
+        # a lone surrogate, which st.characters() may draw, has no UTF-8
+        # form; surrogatepass gives it one, so every text compares as bytes
         want = json.dumps(value, indent=2, ensure_ascii=False)
-        assert _report_json(value).encode() == want.encode()
+        assert (_report_json(value).encode("utf-8", "surrogatepass")
+                == want.encode("utf-8", "surrogatepass"))
 
     @pytest.mark.parametrize("value", [Fraction(1, 2), {"a": [b"x"]},
                                        [{1, 2}]])

@@ -1,16 +1,13 @@
-"""A scalar's text: format_scalar, and parse_scalar as the JSON reader
-uses it."""
+"""A scalar's text: format_scalar, and parse_scalar, which reads it."""
 
-import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybops.algebra import algebra_from_json
-from ybops.errors import InvalidStructureError
-from ybops.scalars import format_scalar
+from ybops.scalars import format_scalar, parse_scalar
 
 
 class TestFormat:
@@ -31,28 +28,30 @@ class TestFormat:
         assert format_scalar(x) == want
 
 
-def _read(x, field):
-    """The one structure constant of a one-dimensional JSON algebra whose
-    product entry is ``x``, in ``field`` (no field key when None)."""
-    data = {"dim": 1, "structconst": [[[x]]], "unit": ["1"]}
-    if field is not None:
-        data["field"] = field
-    return algebra_from_json(json.dumps(data)).structconst[0][0][0]
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestParse:
-    # parse_scalar reads each scalar of a JSON structure.  The one field
-    # is "rational", named or left out, and a JSON number reads as its
-    # exact value.
-    @pytest.mark.parametrize("text,field,want", [
-        ("-3/2", "rational", Fraction(-3, 2)), ("1/4", None, Fraction(1, 4)),
-        (0.1, "rational", Fraction(0.1))])
-    def test_reads_in_its_field(self, text, field, want):
-        got = _read(text, field)
+    @pytest.mark.parametrize("text,want", [
+        ("-3/2", Fraction(-3, 2)), ("1/4", Fraction(1, 4)), ("7", 7),
+        (0.1, Fraction(0.1)), ("1e4299", Fraction(10) ** 4299)])
+    def test_reads_its_exact_rational(self, text, want):
+        got = parse_scalar(text)
         assert got == want and type(got) is Fraction
 
-    def test_unknown_field(self):
-        for field in ("float64", "decimal"):
-            with pytest.raises(InvalidStructureError,
-                               match=f'must be "rational", got "{field}"'):
-                _read("1", field)
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            parse_scalar("1/0")
+
+    @pytest.mark.skipif(not _LIMIT, reason="no int digit limit is set")
+    @pytest.mark.parametrize("text", [
+        f"1e{_LIMIT}", f"-2.5E-{_LIMIT}", "1e999999999", f"1e+00_{_LIMIT}"])
+    def test_exponent_at_the_digit_limit(self, text):
+        # refused before 10**|e| is computed, as the power written out
+        # with more than sys.get_int_max_str_digits() digits is
+        with pytest.raises(ValueError, match="decimal exponent out of range"):
+            parse_scalar(text)
+
+    def test_a_word_with_an_exponent_is_no_literal(self):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            parse_scalar("abce99999")

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import bad_unit_algebra, both_routes, sparse_left_product
+from conftest import (bad_unit_algebra, both_routes, cleared,
+                      sparse_left_product)
 from dense_reference import (_perm23, flip_op2, identity_mat, identity_op2,
                              kron, mat_mul, max_abs_entry)
 from ybops import tensorop
@@ -265,13 +266,21 @@ class TestSystemRoute:
                    for r in (col, coal, one, *wxz))
 
     def test_a_non_solution_takes_the_kernel(self, kernel_calls):
-        # a family exposing an exact triple that solves no system
+        # a family exposing an integer triple that solves no system
         A = quadratic_algebra(3)
-        fam = SimpleNamespace(
-            exact_triple=lambda u, v: (u + 2 * v, u * v - 1, Fraction(3)))
-        fam.op = lambda u, v: ansatz_op(A, *fam.exact_triple(u, v))
+
+        drawn = []
+
+        def coeffs(u, v):
+            return u + 2 * v, u * v - 1, Fraction(3)
+
+        def integer_triple(u, v):
+            drawn.append((u, v))
+            return cleared(coeffs(u, v))
+        fam = SimpleNamespace(integer_triple=integer_triple,
+                              op=lambda u, v: ansatz_op(A, *coeffs(u, v)))
         res = colored_qybe_residual(fam, *self.UVW)
-        assert kernel_calls == [3]
+        assert len(drawn) == 3 and kernel_calls == [3]
         assert res != 0 and res == colored_qybe_residual(
             both_routes(fam)[1], *self.UVW)
 

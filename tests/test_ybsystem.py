@@ -27,15 +27,17 @@ class TestThm3System:
         S = thm3_system(Bc, 3, 5)
         assert wxz_residuals(S) == (0, 0, 0, 0)
 
-    # a float lam or mu reads as its exact rational
+    # a float lam or mu reads as its exact rational; the triples are the
+    # families' integer triples, W's (-7/2, 1, 1) cleared to (-7, 2, 2)
     @pytest.mark.parametrize("lam,mu,W,Z", [
-        (Fraction(-7, 2), 5, (Fraction(-7, 2), 1, 1), (1, 5, 1)),
+        (Fraction(-7, 2), 5, (-7, 2, 2), (1, 5, 1)),
         (2.0, 5, (2, 1, 1), (1, 5, 1)), (2, 5.0, (2, 1, 1), (1, 5, 1))])
     def test_triples_are_the_families(self, Aq, lam, mu, W, Z):
         S = thm3_system(Aq, lam, mu)
         assert S.triples == (W, (1, 1, 1), Z)
+        assert all(type(x) is int for t in S.triples for x in t)
         assert S.triples == tuple(
-            OneParFamily(kind, Aq).exact_triple(x) for kind, x in
+            OneParFamily(kind, Aq).integer_triple(x) for kind, x in
             (("prop2", lam), ("prop2", 1), ("remark_x", mu)))
 
     def test_invalid_algebra_rejected(self, A1):
