@@ -15,10 +15,10 @@ then the associativity and unit laws of ``C.algebra``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .errors import DimensionMismatchError, InvalidStructureError
 from .scalars import Scalar, over_one_denominator, rational
@@ -37,9 +37,11 @@ class Algebra:
         n, cube = self.dim, self.structconst
         if type(n) is not int:  # a bool or a float is no dimension
             raise DimensionMismatchError(f"dim must be an integer, got {n!r}")
-        if len(self.unit) != n or len(cube) != n or any(
-                len(plane) != n or any(len(row) != n for row in plane)
-                for plane in cube):
+
+        def fits(x):  # n entries, and no string read one per character
+            return isinstance(x, Sized) and len(x) == n and type(x) is not str
+        if not (fits(self.unit) and fits(cube) and all(
+                fits(plane) and all(map(fits, plane)) for plane in cube)):
             raise DimensionMismatchError(
                 f"structure tensor must be {n}x{n}x{n} and the unit of "
                 f"length {n}")

@@ -22,14 +22,14 @@ and a colour of an exponential family that is not an integer raises
 
 A genuine residual is decided by the five equations on integer triples
 (:func:`ybops.tensorop.colored_qybe_residual`), which every family gives
-as its ``integer_triple``.  The six families whose colours are not
-exponents (thm1, coalgebra_thm1, prop1, prop1_coalgebra, prop2, remark_x)
-have coefficients affine in the colours: their triple evaluates integer
-affine forms on the colours' numerators, with no ``Fraction`` arithmetic.
-thm2 and remark2 evaluate their table entry and clear it over the lcm of
-its denominators.  Both are exact: each triple is a positive integer
-multiple of the table's coefficients, and every equation is trilinear in
-the three triples.
+as its ``integer_triple``, with no ``Fraction`` arithmetic.  The six
+families whose colours are not exponents (thm1, coalgebra_thm1, prop1,
+prop1_coalgebra, prop2, remark_x) have coefficients affine in the colours:
+their triple evaluates integer affine forms on the colours' numerators.
+thm2 and remark2 are log-affine, each coefficient k x^u y^v: their triple
+raises the integer numerators and denominators of x and y to the integer
+colours.  Both are exact: each triple is a positive integer multiple of
+the table's coefficients, and every equation is trilinear in the triples.
 """
 
 from __future__ import annotations
@@ -82,15 +82,20 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
 
 
 @lru_cache
-def _affine_forms(F, params) -> tuple:
-    """The integer rows c0, c1 (, c2) of a table entry ``F`` affine in its
-    colours, at a family's ``params``: its coefficients c0 + c1 u (+ c2 v)
-    times the lcm L of their denominators, read once per (entry, params)."""
+def _forms(F, params) -> tuple:
+    """A table entry ``F`` at ``params``, read once off its coefficients c0
+    at zero colours and c_j at unit colours: affine, the rows c0, c_j - c0
+    times the lcm L of their denominators; exponential (k x^u y^v), the
+    pairs (numerator, denominator > 0) of k = c0, x = c1/c0, y = c2/c0."""
     args, k = F.args(params), len(F.colours)
     # the coefficients at the zero colours, then at each unit colour
     c0, *at_units = (F.coeffs(*args, *(int(i == j) for j in range(k)))
                      for i in range(-1, k))
-    rows = [c0, *([x - y for x, y in zip(t, c0)] for t in at_units)]
+    rows = [c0, *([rational(x) / y if F.integer_colours else x - y
+                   for x, y in zip(t, c0)] for t in at_units)]
+    if F.integer_colours:
+        return tuple(tuple(x.as_integer_ratio() for x in entry)
+                     for entry in zip(*rows))
     den = lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                  for row in rows)
@@ -155,24 +160,39 @@ class _TableFamily:
         else None.  The colours, and an exponential family's coefficients,
         are evaluated first, so they raise the same errors as ``op``.
 
-        An exponential family clears its table entry over the lcm of its
-        denominators.  At colours U/D (, V/D) over their common denominator
-        D, any other family gives c0 D + c1 U (+ c2 V) on its
-        :func:`_affine_forms`, L D times the table's triple."""
+        An exponential family raises the integer pairs of its
+        :func:`_forms` to the colours (reversed for a negative colour) and
+        clears each k x^u y^v over one lcm.  At colours U/D (, V/D) over
+        their common denominator D, any other family gives c0 D + c1 U
+        (+ c2 V) on its :func:`_forms`, L D times the table's triple."""
         F = family(self.kind)
         A = self._algebra(F)
         if F.integer_colours:
-            args = F.args(self.params)
+            args, entries = F.args(self.params), _forms(F, self.params)
 
-            def triple(*colours):
-                t = F.coeffs(*args, *map(rational, colours))
+            def triple(u, v):
+                # an int colour is read as it is, any other as its rational
+                u, v = (c if type(c) is int else rational(c) for c in (u, v))
+                t = []
+                if u.denominator == v.denominator == 1:
+                    u, v = u.numerator, v.numerator
+                    U, V = abs(u), abs(v)
+                    for (n, d), x, y in entries:
+                        (xn, xd), (yn, yd) = (x[::-1] if u < 0 else x,
+                                              y[::-1] if v < 0 else y)
+                        n, d = n * xn ** U * yn ** V, d * xd ** U * yd ** V
+                        t.append((n, d))
+                if not (t and all(d for _, d in t)):
+                    # a colour that is no integer, or a zero base to a
+                    # negative colour: the table entry raises its error
+                    t = [x.as_integer_ratio() for x in F.coeffs(*args, u, v)]
                 if not A.valid:
                     return None
-                den = lcm(*(x.denominator for x in t))
-                return tuple(x.numerator * (den // x.denominator) for x in t)
+                (a, da), (b, db), (g, dg) = t
+                den = lcm(da, db, dg)
+                return a * (den // da), b * (den // db), g * (den // dg)
             return triple
-        (a0, b0, g0), (a1, b1, g1), *c2 = _affine_forms(
-            F, self.params)
+        (a0, b0, g0), (a1, b1, g1), *c2 = _forms(F, self.params)
         if not c2:
             def triple(x):
                 x = rational(x)

@@ -97,8 +97,9 @@ class Family:
     is valid wherever ``singular`` is false.  ``coalgebra`` families act on
     a coalgebra carrier by the transposed operator.  ``integer_colours``
     marks families whose colours are exponents, so exact checks sample
-    integers and a family's ``integer_triple``
-    (:class:`ybops.colored.ColoredFamily`) clears its coefficients; every
+    integers; each coefficient is then log-affine, k x^u y^v, and a
+    family's ``integer_triple`` (:class:`ybops.colored.ColoredFamily`)
+    raises integer numerators and denominators to the colours.  Every
     other family's coefficients are affine in its colours, which its
     ``integer_triple`` reads as integer forms.  ``shorthand`` names
     parameter combinations reported beside the matrix form.

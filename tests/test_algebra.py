@@ -159,3 +159,24 @@ class TestShapeChecks:
                 (True, (((1,),),), (1,))):
             with pytest.raises(DimensionMismatchError):
                 Algebra(dim=dim, structconst=cube, unit=vector)
+
+    def test_strings_and_scalars_are_no_rows(self, A1):
+        # a string of n characters is no row of n entries, and a scalar is
+        # no plane or row: each is a dimension error, not a character-wise
+        # read or a bare TypeError; budget ~1 ms
+        c, unit = A1.structconst, A1.unit
+        for cube, vector in (
+                ((c[0], ("01", "10")), unit),  # string rows
+                ((c[0], "01"), unit),  # a string plane
+                ((c[0], (c[1][0], "10")), unit),  # one string row
+                (c, "10"),  # a string unit
+                ((c[0], 5), unit),  # a scalar plane
+                ((c[0], (c[1][0], 5)), unit),  # a scalar row
+                (5, unit),  # a scalar tensor
+                (c, 1)):  # a scalar unit
+            with pytest.raises(DimensionMismatchError):
+                Algebra(dim=2, structconst=cube, unit=vector)
+        # a row of strings is n entries, each read as its rational
+        rows = tuple(tuple(tuple(str(x) for x in row) for row in plane)
+                     for plane in c)
+        assert Algebra(dim=2, structconst=rows, unit=unit) == A1

@@ -932,6 +932,20 @@ class TestIntegerTriples:
                                           "s": 3}, [-2, 0, 3]))
     @example(case=("remark2", _M2, {"p": 4, "q": Fraction(1, 3),
                                     "s": -0.25}, [-1, 2, -3]))
+    # zero bases, which the draw leaves out, at colours >= 0: 0^0 = 1, so
+    # a triple is zero or partly zero
+    @example(case=("thm2", quadratic_algebra(2), {"p": 0, "q": 3, "s": 5},
+                   [0, 1, 2]))
+    @example(case=("thm2", _M2, {"p": 2, "q": 0, "s": 0}, [1, 0, 3]))
+    @example(case=("remark2", _M2_OPPOSITE, {"p": 0, "q": 0, "s": 5},
+                   [2, 0, 0]))
+    @example(case=("remark2", quadratic_algebra(2),
+                   {"p": Fraction(1, 2), "q": -3, "s": 0}, [0, 1, 3]))
+    # negative bases at odd and at even negative colours
+    @example(case=("thm2", _M2, {"p": Fraction(-2, 3), "q": -3,
+                                 "s": Fraction(-5, 7)}, [-1, -3, -2]))
+    @example(case=("remark2", _M2, {"p": -2, "q": Fraction(-3, 4),
+                                    "s": -0.5}, [-2, -4, -1]))
     def test_a_positive_multiple_with_the_same_decision(self, case):
         kind, A, params, colours = case
         with patch.dict(FAMILIES, _TABLE):
@@ -966,7 +980,13 @@ class TestIntegerTriples:
                     ({"p": 2, "q": 3, "s": 5}, (Fraction(1, 2), 1),
                      NonIntegerExponentError),
                     ({"p": 0, "q": 3, "s": 5}, (-1, 1),
-                     SingularParameterError)):
+                     SingularParameterError),
+                    # the table raises p^u's error before reading v, and
+                    # v's before remark2's s^u
+                    ({"p": 0, "q": 3, "s": 5}, (-1, Fraction(1, 2)),
+                     SingularParameterError),
+                    ({"p": 2, "q": 3, "s": 0}, (-1, Fraction(1, 2)),
+                     NonIntegerExponentError)):
                 fam = ColoredFamily(kind, A, params)
                 for evaluate in (fam.integer_triple, fam.op,
                                  partial(table_triple, fam)):

@@ -26,6 +26,18 @@ from ybops.tensorop import (Op2, Op3, colored_qybe_residual, embed_leg,
 from ybops.ybsystem import WXZSystem, thm3_system, wxz_residuals
 
 
+def _fraction_calls(monkeypatch, *names):
+    """The list to which each later call of the named binary ``Fraction``
+    methods appends its name."""
+    calls = []
+    for name in names:
+        def spy(a, b, real=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return real(a, b)
+        monkeypatch.setattr(Fraction, name, spy)
+    return calls
+
+
 def random_op2(rng, n):
     mat = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             for _ in range(n * n)] for _ in range(n * n)]
@@ -320,18 +332,32 @@ class TestSystemRoute:
                    (1, Fraction(5, 3), 4), (0.5, 0.25, -1)]
         colored_qybe_residual(thm1, 1, 2, 3)
         onepar_qybe_residual(prop1, 1, 2)
-        calls = []
-        for name in ("__mul__", "__rmul__", "__sub__", "__rsub__"):
-            def spy(a, b, real=getattr(Fraction, name), name=name):
-                calls.append(name)
-                return real(a, b)
-            monkeypatch.setattr(Fraction, name, spy)
+        calls = _fraction_calls(monkeypatch, "__mul__", "__rmul__",
+                                "__sub__", "__rsub__")
         for u, v, w in samples:
             assert colored_qybe_residual(thm1, u, v, w) == 0
         assert calls == []
         for x, z, _ in samples:
             assert onepar_qybe_residual(prop1, x, z) == 0
         assert calls == ["__mul__"] * len(samples)
+
+    @pytest.mark.parametrize("kind", ["thm2", "remark2"])
+    def test_exponential_routes_do_no_fraction_arithmetic(self, kind,
+                                                          monkeypatch):
+        # once a family has read its bases, at its first sample, thm2 and
+        # remark2 samples raise integers only: a negative rational base at
+        # negative colours, given as int, Fraction and float; budget ~10 ms
+        A = quadratic_algebra(3)
+        fam = ColoredFamily(kind, A, {"p": Fraction(-2, 3), "q": 3,
+                                      "s": Fraction(5, -7)})
+        samples = [(-1, -2, -3), (Fraction(-3), 2, Fraction(-1)),
+                   (-2.0, -1, 4), (0, -4, 1)]
+        colored_qybe_residual(fam, 1, 2, 3)
+        calls = _fraction_calls(monkeypatch, "__mul__", "__rmul__", "__sub__",
+                                "__rsub__", "__truediv__", "__pow__")
+        for u, v, w in samples:
+            assert colored_qybe_residual(fam, u, v, w) == 0
+        assert calls == []
 
     def test_hand_built_wxz_system_takes_the_kernel(self, kernel_calls):
         S = thm3_system(quadratic_algebra(3), 2, 5)
