@@ -38,8 +38,9 @@ class Algebra:
         if type(n) is not int:  # a bool or a float is no dimension
             raise DimensionMismatchError(f"dim must be an integer, got {n!r}")
 
-        def fits(x):  # n entries, and no string read one per character
-            return isinstance(x, Sized) and len(x) == n and type(x) is not str
+        def fits(x):  # n entries, and no text or bytes read one per item
+            return isinstance(x, Sized) and len(x) == n and not isinstance(
+                x, (str, bytes, bytearray, memoryview))
         if not (fits(self.unit) and fits(cube) and all(
                 fits(plane) and all(map(fits, plane)) for plane in cube)):
             raise DimensionMismatchError(

@@ -222,10 +222,12 @@ def cmd_ybsystem(args):
 
 def cmd_compare(args):
     q, x, y = (parse_scalar(getattr(args, n)) for n in ("q", "x", "y"))
-    okado = compare_mod.BraidFamily(kind="okado", q=q)
-    twisted = compare_mod.BraidFamily(kind="twisted_prop1", q=q)
-    res_ok = braid_residual(okado, x, y)
-    res_tw = braid_residual(twisted, x, y)
+    res_ok = braid_residual(compare_mod.BraidFamily(kind="okado", q=q), x, y)
+    # tau times prop1 at sigma = 0 solves the braid equation at (x, y) where
+    # prop1 solves the QYBE at (y, x*y, x) (tensorop.braid_residual): its
+    # five equations decide that, and no operator is built
+    res_tw = onepar_qybe_residual(
+        OneParFamily("prop1", quadratic_algebra(0), {"q": q}), y, x)
     report = {"command": "compare", "q": args.q, "x": args.x, "y": args.y,
               "okado_braid_residual": format_scalar(res_ok),
               "twisted_prop1_braid_residual": format_scalar(res_tw),

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, takewhile
-from math import lcm, prod
 
 from .errors import DimensionMismatchError
 from .funceq import _system, leg_colours
@@ -106,15 +105,16 @@ def mat_sub(A, B):
 
 # --- the residual kernel -----------------------------------------------------
 #
-# Every residual is P - Q for two products P, Q of leg operators on V^(x)3.
-# Both are applied to each basis vector e_a(x)e_b(x)e_c through the sparse
-# columns of the two-site operators, never as dense n^3 x n^3 matrices: an
-# ansatz column has at most 2n+1 non-zeros, so a column of P costs about
+# Every residual is R12 R13 R23 - R23 R13 R12 on V^(x)3; a braid residual
+# is one too, by the identity in :func:`braid_residual`.  Both chains are
+# applied to each basis vector e_a(x)e_b(x)e_c through the sparse columns of
+# the two-site operators, never as dense n^3 x n^3 matrices: an ansatz
+# column has at most 2n+1 non-zeros, so a chain's column costs about
 # (2n+1)^3 products instead of the n^6 of a dense triple product.  The
-# operators enter as their integer numerators; the product of a chain's
-# denominators, made common to both chains, is the denominator of the
-# difference, and the residual callers divide by it once, after taking the
-# max-abs numerator.
+# operators enter as their integer numerators; both chains hold the same
+# three operators, so the product of their denominators is the denominator
+# of the difference, and the residual callers divide by it once, after
+# taking the max-abs numerator.
 
 def _leg_columns(cols: list, n: int, legs: int) -> list:
     """Sparse columns of a two-site operator on legs 12, 13 or 23 of V^(x)3,
@@ -151,44 +151,28 @@ def _apply(cols, vec: dict, out: dict, f=1) -> dict:
     return out
 
 
-def _chain_numerators(lhs, rhs):
-    """P - Q, where P and Q are the products of the leg operators in ``lhs``
-    and ``rhs``: sequences of at least two ``(Op2, legs)`` read as written,
-    so the last factor acts first.  Column j of a product starts as column
-    j of its first factor and takes the chain's scale at its last.
+def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
+    """R12 R13 R23 - R23 R13 R12 on V^(x)3, the one chain pair of the
+    kernel.  Each operator is embedded once on its legs; column j of each
+    chain starts as column j of the factor that acts first.
 
-    Returns ``(cols, den)`` in the convention of :class:`Op2`: ``den`` is a
-    positive integer, ``cols[j]`` maps each row i with a non-zero
-    (P - Q)[i][j] to its integer numerator over ``den``, and the others
-    are 0.
+    Returns ``(cols, den)`` in the convention of :class:`Op2`: ``den`` is
+    the positive integer ``R12.den * R13.den * R23.den``, the denominator
+    of both chains, ``cols[j]`` maps each row i with a non-zero entry
+    [i][j] of the difference to its integer numerator over ``den``, and
+    the others are 0.
     """
-    ops = {id(R): R for R, _ in (*lhs, *rhs)}
-    n = next(iter(ops.values())).n
-    if any(R.n != n for R in ops.values()):
+    n = R12.n
+    if R13.n != n or R23.n != n:
         raise DimensionMismatchError("operators live on different base spaces")
-    # each distinct (operator, legs) pair is embedded once: a QYBE chain's
-    # right-hand side reuses the left-hand side's three
-    embedded = {(k, l): _leg_columns(ops[k].cols, n, l) for k, l in
-                dict.fromkeys((id(R), l) for R, l in (*lhs, *rhs))}
-    chains = [[embedded[id(R), l] for R, l in reversed(chain)]
-              for chain in (lhs, rhs)]
-    dl, dr = (prod(R.den for R, _ in chain) for chain in (lhs, rhs))
-    common = lcm(dl, dr)
+    L12, L13, L23 = (_leg_columns(R.cols, n, legs)
+                     for R, legs in ((R12, 12), (R13, 13), (R23, 23)))
     out = []
     for j in range(n ** 3):
-        acc = {}
-        for chain, f in zip(chains, (common // dl, -(common // dr))):
-            vec = dict(chain[0][j])
-            for cols in chain[1:-1]:
-                vec = _apply(cols, vec, {})
-            _apply(chain[-1], vec, acc, f)
+        acc = _apply(L12, _apply(L13, dict(L23[j]), {}), {})
+        _apply(L23, _apply(L13, dict(L12[j]), {}), acc, -1)
         out.append({i: x for i, x in acc.items() if x})
-    return out, common
-
-
-def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
-    return _chain_numerators(((R12, 12), (R13, 13), (R23, 23)),
-                             ((R23, 23), (R13, 13), (R12, 12)))
+    return out, R12.den * R13.den * R23.den
 
 
 def _max_abs(diff):
@@ -311,15 +295,24 @@ def _transpose(R: Op2) -> Op2:
 def braid_residual(rhat, x, y):
     """Braid residual with multiplicative parameter composition.
 
-    Computes Rh12(x) Rh23(x*y) Rh12(y) - Rh23(y) Rh12(x*y) Rh23(x) where
-    ``rhat`` is a callable x -> Op2.  The composition mirrors phi(x,z)=x*z of
-    the one-parameter families and is confirmed by the brute-force oracle.
-    x and y are read as rationals first, so x*y is exact.
+    The max-abs entry of Rh12(x) Rh23(x*y) Rh12(y) - Rh23(y) Rh12(x*y)
+    Rh23(x), where ``rhat`` is a callable x -> Op2.  The composition
+    mirrors phi(x,z)=x*z of the one-parameter families and is confirmed by
+    the brute-force oracle.  x and y are read as rationals first, so x*y is
+    exact, and ``rhat`` is called at x, x*y and y in that order.
+
+    With R = tau Rhat and P13 the swap of the first and third factors,
+    P12 P23 P12 = P13 gives
+
+        Rh12(x) Rh23(xy) Rh12(y) - Rh23(y) Rh12(xy) Rh23(x)
+            = -P13 [R12(y) R13(xy) R23(x) - R23(x) R13(xy) R12(y)],
+
+    and P13 permutes entries, so the braid residual is the QYBE residual
+    of tau Rhat at (y, xy, x), taken by the one kernel.
     """
     x, y = rational(x), rational(y)
     Rx, Rxy, Ry = rhat(x), rhat(x * y), rhat(y)
-    return _max_abs(_chain_numerators(((Rx, 12), (Rxy, 23), (Ry, 12)),
-                                      ((Ry, 23), (Rxy, 12), (Rx, 23))))
+    return _max_abs(_qybe_numerators(*map(twist_compose, (Ry, Rxy, Rx))))
 
 
 # --- basis labels and emitters ------------------------------------------------

@@ -1,5 +1,5 @@
-"""Dense matrix products, identities, the twist map, the (2 3) factor swap
-of V^(x)3 and the Kronecker product: the tests' references for the sparse
+"""Dense matrix products, identities, the twist map, the (2 3) and (1 3)
+factor swaps of V^(x)3 and the Kronecker product: the tests' references for the sparse
 kernel, built independently of it from the plain matrix definitions.  No
 library path calls them.  Tests only."""
 
@@ -54,6 +54,17 @@ def _perm23(n):
         for b in range(n):
             for c in range(n):
                 P[(a * n + c) * n + b][(a * n + b) * n + c] = Fraction(1)
+    return P
+
+
+def _perm13(n):
+    """Permutation matrix swapping tensor factors 1 and 3 of V^(x)3."""
+    m = n ** 3
+    P = [[Fraction(0)] * m for _ in range(m)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                P[(c * n + b) * n + a][(a * n + b) * n + c] = Fraction(1)
     return P
 
 

@@ -161,15 +161,22 @@ class TestShapeChecks:
                 Algebra(dim=dim, structconst=cube, unit=vector)
 
     def test_strings_and_scalars_are_no_rows(self, A1):
-        # a string of n characters is no row of n entries, and a scalar is
-        # no plane or row: each is a dimension error, not a character-wise
-        # read or a bare TypeError; budget ~1 ms
+        # a string of n characters or a bytes-like object of n bytes is no
+        # row of n entries, and a scalar is no plane or row: each is a
+        # dimension error, not a character- or byte-wise read or a bare
+        # TypeError; budget ~1 ms
         c, unit = A1.structconst, A1.unit
         for cube, vector in (
                 ((c[0], ("01", "10")), unit),  # string rows
                 ((c[0], "01"), unit),  # a string plane
                 ((c[0], (c[1][0], "10")), unit),  # one string row
                 (c, "10"),  # a string unit
+                ((c[0], (b"01", b"10")), unit),  # bytes rows
+                ((c[0], (c[1][0], bytearray(b"10"))), unit),  # a bytearray
+                ((c[0], (c[1][0], memoryview(b"10"))), unit),  # a memoryview
+                ((c[0], b"01"), unit),  # a bytes plane
+                (c, b"\x01\x00"),  # a bytes unit
+                (c, bytearray(2)),  # a bytearray unit
                 ((c[0], 5), unit),  # a scalar plane
                 ((c[0], (c[1][0], 5)), unit),  # a scalar row
                 (5, unit),  # a scalar tensor

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, bad_unit_algebra,
                       linear_coeffs, matrix_algebra, scipy_nelder_mead,
                       sparse_left_product, table_triple)
-from dense_reference import (_perm23, identity_mat, identity_op2,
-                             kron, mat_mul, mat_scale, mat_transpose,
-                             max_abs_entry)
+from dense_reference import (_perm13, _perm23, flip_op2, identity_mat,
+                             identity_op2, kron, mat_mul, mat_scale,
+                             mat_transpose, max_abs_entry)
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
 from frt_reference import exchange_closure as reference_closure, subset
 from frt_reference import template_relation
@@ -42,10 +42,10 @@ from ybops.onepar import OneParFamily, prop1_op
 from ybops.scalars import rational
 from ybops.search import (MAX_ITER, _compile_step, _insert,
                           _make_objective, _nelder_mead, _start)
-from ybops.tensorop import (Op2, _chain_numerators, _max_abs,
-                            _qybe_numerators, _solves_system, braid_residual,
+from ybops.tensorop import (Op2, _max_abs, _qybe_numerators,
+                            _solves_system, braid_residual,
                             colored_qybe_residual, freeze, mat_sub,
-                            onepar_qybe_residual, op_to_json,
+                            onepar_qybe_residual, op_to_json, twist_compose,
                             yb_commutator)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -579,11 +579,17 @@ class TestResidualKernel:
     @settings(max_examples=6, deadline=None, phases=_NO_SHRINK)
     @given(ops=_dense_ops())
     def test_braid_chain_matches_dense(self, ops):
+        # the kernel's QYBE numerators on tau Rh(y), tau Rh(xy), tau Rh(x),
+        # tau applied densely, are -P13 times the dense braid-chain
+        # difference, entry by entry
+        n = ops[0].n
         want = _dense_difference(*_braid_chains(*ops))
-        cols, den = _chain_numerators(*_braid_chains(*ops))
+        tau = flip_op2(n).mat
+        cols, den = _qybe_numerators(*(Op2(n=n, mat=mat_mul(tau, R.mat))
+                                       for R in reversed(ops)))
         m = len(cols)
         assert [[Fraction(cols[j].get(i, 0), den) for j in range(m)]
-                for i in range(m)] == want
+                for i in range(m)] == mat_scale(-1, mat_mul(_perm13(n), want))
         table = dict(zip((2, 6, 3), ops))  # x = 2, y = 3, x*y = 6
         res = braid_residual(table.__getitem__, 2, 3)
         assert res == max_abs_entry(want) and type(res) is Fraction
@@ -598,16 +604,16 @@ class TestResidualKernel:
 
     def test_max_abs_reduces_over_the_denominator(self):
         # R's denominator is 12, so both chains' is 12^3; the largest
-        # numerator shares a factor with it and Fraction(top, den) reduces
+        # numerator shares a factor with it and Fraction(top, den) reduces.
+        # The braid residual is the kernel's on tau R, whose den is R's
         R = ansatz_op(A0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
-        for chains, numerators, residual in (
-                (_qybe_chains, _qybe_numerators,
+        for chains, ops, residual in (
+                (_qybe_chains, (R, R, R),
                  lambda: colored_qybe_residual(
                      SimpleNamespace(op=lambda u, v: R), 0, 1, 2)),
-                (_braid_chains, lambda *ops: _chain_numerators(
-                    *_braid_chains(*ops)),
+                (_braid_chains, (twist_compose(R),) * 3,
                  lambda: braid_residual(lambda x: R, 2, 3))):
-            cols, den = numerators(R, R, R)
+            cols, den = _qybe_numerators(*ops)
             top = max(abs(x) for col in cols for x in col.values())
             assert math.gcd(top, den) > 1
             want = max_abs_entry(_dense_difference(*chains(R, R, R)))
@@ -635,6 +641,49 @@ class TestResidualKernel:
             res = colored_qybe_residual(
                 SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
             assert res == want != 0 and type(res) is type(want) is Fraction
+
+
+# --- the braid residual as the QYBE residual of tau Rhat ------------------------
+
+@st.composite
+def _braid_inputs(draw):
+    """(ops, x, y): colours x and y and one ansatz operator, with random
+    coefficients, per distinct colour among x, x*y and y, on a polynomial
+    quotient with n = 1..3 or on the 2x2 matrices."""
+    n = draw(st.integers(0, 3))
+    A = _M2 if n == 0 else poly_quotient(
+        draw(st.lists(fractions, min_size=n, max_size=n)) + [1])
+    x, y = draw(fractions), draw(fractions)
+    triples = st.tuples(_coefficients, _coefficients, _coefficients)
+    return ({c: ansatz_op(A, *draw(triples))
+             for c in dict.fromkeys((x, x * y, y))}, x, y)
+
+
+class TestBraidIsTwistedQybe:
+    """Rh12(x) Rh23(xy) Rh12(y) - Rh23(y) Rh12(xy) Rh23(x) is -P13 times
+    the QYBE difference of tau Rh at (y, xy, x), so the two max-abs
+    residuals agree; budget under 2 s for both properties."""
+
+    @settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
+    @given(case=_braid_inputs())
+    def test_braid_is_qybe_of_the_twist(self, case):
+        ops, x, y = case
+        twisted = SimpleNamespace(op=lambda t: twist_compose(ops[t]),
+                                  phi=lambda a, b: a * b)
+        want = onepar_qybe_residual(twisted, y, x)
+        res = braid_residual(ops.__getitem__, x, y)
+        assert res == want and type(res) is Fraction
+
+    @settings(max_examples=25, deadline=None)
+    @given(q=fractions, x=fractions, y=fractions)
+    def test_compare_route_matches_twisted_braid(self, q, x, y):
+        # the twisted residual of ``ybops compare``: prop1's five equations
+        # at (y, x), against the braid kernel on tau prop1 at sigma = 0
+        five = onepar_qybe_residual(OneParFamily("prop1", A0, {"q": q}),
+                                    y, x)
+        braid = braid_residual(BraidFamily(kind="twisted_prop1", q=q), x, y)
+        assert five == braid == 0
+        assert type(five) is type(braid) is Fraction
 
 
 # --- the sparse ansatz build against the dense n^4 definition ----------------

@@ -5,11 +5,13 @@ top-level name is named somewhere outside its own definition, every private
 top-level name is named in src/ybops itself, every file ybops writes goes
 through ``cli._write``, indented JSON text comes only from
 ``cli._report_json`` (no call passes ``indent=`` to a ``json`` function),
-and only ``colored.py`` builds the ansatz.
+only ``colored.py`` builds the ansatz, and every function that
+``perfbench/spans.py`` traces is where its recorder looks for it.
 """
 
 import ast
 import functools
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -192,3 +194,24 @@ def test_one_ansatz_builder():
             if name in builders:
                 bad.append(f"{_where(path, n)}: {name}")
     assert not bad, "\n".join(bad)
+
+
+def test_traced_names_resolve():
+    # every SPANS target, read off the syntax tree of perfbench/spans.py,
+    # is an attribute in its owner's own __dict__, where
+    # Recorder.installed reads it: deleting or moving a traced function
+    # fails here, not only in the benchmark's traced run and self-check
+    spans = next(ast.literal_eval(n.value)
+                 for n in _trees()[ROOT / "perfbench" / "spans.py"].body
+                 if isinstance(n, ast.Assign)
+                 and [ast.unparse(t) for t in n.targets] == ["SPANS"])
+    bad = []
+    for target in (t for targets in spans.values() for t in targets):
+        mod_name, _, qual = target.partition(":")
+        owner = importlib.import_module(mod_name)
+        *path, attr = qual.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if attr not in getattr(owner, "__dict__", {}):
+            bad.append(target)
+    assert spans and not bad, "\n".join(bad)

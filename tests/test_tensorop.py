@@ -10,7 +10,7 @@ from conftest import (bad_unit_algebra, both_routes, cleared,
                       sparse_left_product)
 from dense_reference import (_perm23, flip_op2, identity_mat, identity_op2,
                              kron, mat_mul, max_abs_entry)
-from ybops import tensorop
+from ybops import cli, tensorop
 from ybops.algebra import (Algebra, dual_coalgebra, poly_quotient,
                            quadratic_algebra)
 from ybops.colored import ColoredFamily, ansatz_op
@@ -68,8 +68,9 @@ class TestEmbedLeg:
 
 
 class TestEmbedOnce:
-    """The kernel embeds each distinct (operator, legs) pair of its two
-    chains once; a spy on ``_leg_columns`` records the legs of each call."""
+    """The kernel embeds each of its three operators once, on its legs,
+    for both chains; a spy on ``_leg_columns`` records the legs of each
+    call."""
 
     @pytest.fixture
     def leg_calls(self, monkeypatch):
@@ -88,11 +89,12 @@ class TestEmbedOnce:
         tensorop._qybe_numerators(*(random_op2(rng, n) for _ in range(3)))
         assert sorted(leg_calls) == [12, 13, 23]
 
-    def test_braid_chains_embed_six(self, leg_calls):
-        # Rh12(x) Rh23(xy) Rh12(y) - Rh23(y) Rh12(xy) Rh23(x): six pairs
+    def test_braid_chains_embed_three(self, leg_calls):
+        # Rh12(x) Rh23(xy) Rh12(y) - Rh23(y) Rh12(xy) Rh23(x) is decided as
+        # the QYBE difference of tau Rh at (y, xy, x): three pairs
         tensorop.braid_residual(BraidFamily(kind="okado", q=Fraction(2)),
                                 Fraction(3), Fraction(5))
-        assert sorted(leg_calls) == [12, 12, 12, 23, 23, 23]
+        assert sorted(leg_calls) == [12, 13, 23]
 
 
 class TestFlip:
@@ -276,6 +278,16 @@ class TestSystemRoute:
         assert kernel_calls == []
         assert all(r == 0 and type(r) is Fraction
                    for r in (col, coal, one, *wxz))
+
+    def test_compare_runs_the_kernel_once(self, kernel_calls, capsys):
+        # Okado's braid residual is the one kernel call; the twisted prop1
+        # residual is decided by prop1's five equations
+        assert cli.main(["compare", "--q", "-3/2", "--x", "1/2",
+                         "--y", "4"]) == 0
+        assert kernel_calls == [3]
+        report = json.loads(capsys.readouterr().out)
+        assert report["okado_braid_residual"] == "0"
+        assert report["twisted_prop1_braid_residual"] == "0"
 
     def test_a_non_solution_takes_the_kernel(self, kernel_calls):
         # a family exposing an integer triple that solves no system
