@@ -21,8 +21,10 @@ and a colour of an exponential family that is not an integer raises
 ``NonIntegerExponentError``.
 
 A genuine residual is decided by the five equations on integer triples
-(:func:`ybops.tensorop.colored_qybe_residual`), which every family gives
-as its ``integer_triple``, with no ``Fraction`` arithmetic.  The six
+(:func:`ybops.tensorop.colored_qybe_residual`), which every family on an
+associative unital carrier gives as its ``integer_triple``, with no
+``Fraction`` arithmetic; on any other carrier ``integer_triple`` is None,
+decided once per family, and the kernel decides.  The six
 families whose colours are not exponents (thm1, coalgebra_thm1, prop1,
 prop1_coalgebra, prop2, remark_x) have coefficients affine in the colours:
 their triple evaluates integer affine forms on the colours' numerators.
@@ -126,13 +128,31 @@ class _TableFamily:
     ansatz on the carrier's algebra, and every inverse is the ansatz on the
     opposite algebra.  The parameters are read as exact rationals once,
     here, into a read-only ``params``, and the colours at each
-    evaluation."""
+    evaluation.
+
+    Each subclass names its ``system``, "coloured" or "one-parameter",
+    and gives ``op``.  A kind of the other system raises
+    ``UnknownFamilyError``; a carrier of the wrong kind (a ``Coalgebra``
+    exactly for a coalgebra family, else an ``Algebra``) and parameter
+    names other than the table's raise ``TypeError``."""
 
     kind: str
     carrier: object  # Algebra, or Coalgebra for a coalgebra family
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        F = family(self.kind)
+        if ("coloured" if F.phi is None else "one-parameter") != self.system:
+            raise UnknownFamilyError(
+                f"{self.kind!r} is not a {self.system} family")
+        carrier = Coalgebra if F.coalgebra else Algebra
+        if not isinstance(self.carrier, carrier):
+            raise TypeError(f"{self.kind!r} needs a carrier of type "
+                            f"{carrier.__name__}, not "
+                            f"{type(self.carrier).__name__}")
+        if set(self.params) != set(F.params):
+            raise TypeError(f"{self.kind!r} takes the parameters "
+                            f"{F.params}, got {tuple(self.params)}")
         object.__setattr__(self, "params", _Params(
             (k, rational(x)) for k, x in self.params.items()))
 
@@ -155,10 +175,11 @@ class _TableFamily:
     @cached_property
     def integer_triple(self):
         """``colours -> (a, b, c)``, ints: a positive multiple of the
-        coefficients ``op`` builds at these colours where its algebra is
-        associative and unital (``A.valid``, computed once per algebra),
-        else None.  The colours, and an exponential family's coefficients,
-        are evaluated first, so they raise the same errors as ``op``.
+        coefficients ``op`` builds at these colours.  None where the
+        algebra is not associative and unital (``A.valid``, computed once
+        per algebra), since no triple proves a residual there; decided
+        once, at the first read.  A colour that ``op`` refuses raises the
+        same error here.
 
         An exponential family raises the integer pairs of its
         :func:`_forms` to the colours (reversed for a negative colour) and
@@ -166,7 +187,8 @@ class _TableFamily:
         their common denominator D, any other family gives c0 D + c1 U
         (+ c2 V) on its :func:`_forms`, L D times the table's triple."""
         F = family(self.kind)
-        A = self._algebra(F)
+        if not self._algebra(F).valid:
+            return None
         if F.integer_colours:
             args, entries = F.args(self.params), _forms(F, self.params)
 
@@ -186,8 +208,6 @@ class _TableFamily:
                     # a colour that is no integer, or a zero base to a
                     # negative colour: the table entry raises its error
                     t = [x.as_integer_ratio() for x in F.coeffs(*args, u, v)]
-                if not A.valid:
-                    return None
                 (a, da), (b, db), (g, dg) = t
                 den = lcm(da, db, dg)
                 return a * (den // da), b * (den // db), g * (den // dg)
@@ -196,8 +216,6 @@ class _TableFamily:
         if not c2:
             def triple(x):
                 x = rational(x)
-                if not A.valid:
-                    return None
                 d, X = x.denominator, x.numerator
                 return a0 * d + a1 * X, b0 * d + b1 * X, g0 * d + g1 * X
             return triple
@@ -205,8 +223,6 @@ class _TableFamily:
 
         def triple(u, v):
             u, v = rational(u), rational(v)
-            if not A.valid:
-                return None
             du, dv = u.denominator, v.denominator
             d = lcm(du, dv)
             U, V = u.numerator * (d // du), v.numerator * (d // dv)
@@ -260,14 +276,10 @@ def coalgebra_colored_op(C: Coalgebra, p, q, u, v) -> Op2:
     return ColoredFamily("coalgebra_thm1", C, {"p": p, "q": q}).op(u, v)
 
 
-@dataclass(frozen=True)
 class ColoredFamily(_TableFamily):
     """Immutable evaluator (u,v) -> Op2 for one of the coloured families."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if family(self.kind).phi is not None:
-            raise UnknownFamilyError(f"{self.kind!r} is not a coloured family")
+    system = "coloured"
 
     def op(self, u, v) -> Op2:
         return self._build(*self._coeffs((u, v)))

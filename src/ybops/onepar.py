@@ -7,11 +7,8 @@ with the wrong composition map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Algebra, Coalgebra
 from .colored import _TableFamily
-from .errors import UnknownFamilyError
 from .funceq import family
 from .scalars import rational
 from .tensorop import Op2
@@ -47,7 +44,6 @@ def remark_x_op(A: Algebra, x) -> Op2:
     return OneParFamily("remark_x", A).op(x)
 
 
-@dataclass(frozen=True)
 class OneParFamily(_TableFamily):
     """Immutable evaluator x -> Op2 with the family's composition map phi.
 
@@ -56,11 +52,7 @@ class OneParFamily(_TableFamily):
     evaluates the family at x, phi(x,z) and z.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
-        if family(self.kind).phi is None:
-            raise UnknownFamilyError(
-                f"{self.kind!r} is not a one-parameter family")
+    system = "one-parameter"
 
     def op(self, x) -> Op2:
         return self._build(*self._coeffs((x,)))

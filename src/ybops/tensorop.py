@@ -10,9 +10,8 @@ the image of basis element ``j``.  The tensor basis is lexicographic, so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, takewhile
+from itertools import product
 
 from .errors import DimensionMismatchError
 from .funceq import _system, leg_colours
@@ -28,9 +27,9 @@ class Op2:
     ``mat``.  ``den`` is a positive integer and ``cols[j]`` lists the
     ``(row, numerator)`` pairs of the non-zero entries of column j in row
     order, each entry being ``Fraction(numerator, den)``; an unlisted entry
-    is ``Fraction(0)``.  Built from ``cols`` and ``den`` (1 unless given),
-    ``mat`` is made on first read and cached.  Operators are equal when
-    ``n`` and ``mat`` are.
+    is ``Fraction(0)``.  Built from ``cols`` and ``den`` (1 unless given;
+    ``ValueError`` unless a positive ``int``), ``mat`` is made on first
+    read and cached.  Operators are equal when ``n`` and ``mat`` are.
     """
 
     __slots__ = ("n", "cols", "den", "_mat")
@@ -46,6 +45,8 @@ class Op2:
                  for col in zip(*mat)])
         elif cols is None or len(cols) != m:
             raise DimensionMismatchError("Op2 needs n^2 columns")
+        elif type(den) is not int or den < 1:
+            raise ValueError(f"Op2 den must be a positive int, got {den!r}")
         for name, value in (("n", n), ("cols", cols), ("den", den),
                             ("_mat", mat)):
             object.__setattr__(self, name, value)
@@ -71,17 +72,6 @@ class Op2:
 
     def __repr__(self):
         return f"Op2(n={self.n!r}, mat={self.mat!r})"
-
-
-@dataclass(frozen=True)
-class Op3:
-    n: int  # base dimension; matrix is n^3 x n^3
-    mat: tuple
-
-    def __post_init__(self):
-        m = self.n ** 3
-        if len(self.mat) != m or any(len(row) != m for row in self.mat):
-            raise DimensionMismatchError("Op3 matrix must be n^3 x n^3")
 
 
 def freeze(mat) -> tuple:
@@ -128,10 +118,10 @@ def _leg_columns(cols: list, n: int, legs: int) -> list:
             for site in product(range(n), repeat=3)]
 
 
-def embed_leg(R: Op2, legs: int) -> Op3:
-    """The dense view of a two-site operator on the given pair of factors of
-    V^(x)3: the kernel's :func:`_leg_columns` of every entry of ``R.mat``,
-    and ``Fraction(0)`` off the listed cells.
+def embed_leg(R: Op2, legs: int) -> tuple:
+    """The frozen n^3 x n^3 rows of a two-site operator on the given pair of
+    factors of V^(x)3: the kernel's :func:`_leg_columns` of every entry of
+    ``R.mat``, and ``Fraction(0)`` off the listed cells.
 
     R12 = R(x)I, R23 = I(x)R, and R13 is R(x)I conjugated by the (2 3)
     factor swap; the tests hold it to those dense definitions.
@@ -139,7 +129,7 @@ def embed_leg(R: Op2, legs: int) -> Op3:
     if legs not in (12, 13, 23):
         raise ValueError(f"legs must be one of 12, 13, 23, got {legs}")
     cols = [list(enumerate(col)) for col in zip(*R.mat)]
-    return Op3(n=R.n, mat=_dense_view(_leg_columns(cols, R.n, legs)))
+    return _dense_view(_leg_columns(cols, R.n, legs))
 
 
 def _apply(cols, vec: dict, out: dict, f=1) -> dict:
@@ -185,12 +175,12 @@ def _max_abs(diff):
                         default=0), den)
 
 
-def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
+def yb_commutator(R: Op2, S: Op2, T: Op2) -> tuple:
     """Yang-Baxter commutator [R,S,T] = R12 S13 T23 - T23 S13 R12, the
-    dense view of the kernel's ``(cols, den)``."""
+    frozen rows of the kernel's ``(cols, den)``."""
     cols, den = _qybe_numerators(R, S, T)
-    return Op3(n=R.n, mat=_dense_view(
-        [[(i, Fraction(x, den)) for i, x in col.items()] for col in cols]))
+    return _dense_view(
+        [[(i, Fraction(x, den)) for i, x in col.items()] for col in cols])
 
 
 # --- the five-equation system as a proof --------------------------------------
@@ -206,21 +196,6 @@ def yb_commutator(R: Op2, S: Op2, T: Op2) -> Op3:
 # unital algebra: where all five e_k vanish, every residual entry is 0.  On
 # the coalgebra transfer the residual is minus the transpose of the algebra's.
 
-def _solves_system(triples) -> bool:
-    """True when each of the three integer triples, drawn in turn from the
-    iterable ``triples``, is not None and together they solve the five
-    equations.  Stops at the first None, so a lazy iterable evaluates no
-    further.
-
-    A table family's ``integer_triple`` is a positive integer multiple of
-    its coefficients.  Each e_k is trilinear, every monomial taking one
-    factor from each of t12, t13 and t23, so scaling each triple by a
-    positive integer scales it by their non-zero product and the e_k that
-    vanish are the same."""
-    drawn = list(takewhile(lambda t: t is not None, triples))
-    return len(drawn) == 3 and not any(_system(*drawn))
-
-
 def colored_qybe_residual(family, u, v, w):
     """Max-abs-entry of R12(u,v) R13(u,w) R23(v,w) - R23(v,w) R13(u,w) R12(u,v).
 
@@ -228,13 +203,14 @@ def colored_qybe_residual(family, u, v, w):
     coloured Yang-Baxter operators.
 
     A table family (:class:`ybops.colored.ColoredFamily`) also exposes
-    ``integer_triple(u, v)``, a positive integer multiple of the
-    coefficients of ``op(u, v)`` on a valid algebra (``A.valid``), else
-    None.  When the three triples solve the five-equation system the
-    residual is ``Fraction(0)`` by the identity above, and no operator is
-    built.  Every other input (an invalid carrier, a family exposing only
-    ``op``) goes to the sparse kernel, and so does a non-zero equation: a
-    non-zero residual keeps its value.
+    ``integer_triple``: on a valid algebra (``A.valid``) a function
+    ``(u, v) -> (a, b, c)``, a positive integer multiple of the
+    coefficients of ``op(u, v)``; on any other, None.  When the three
+    triples solve the five-equation system the residual is ``Fraction(0)``
+    by the identity above, and no operator is built.  Every other input
+    (an invalid carrier, a family exposing only ``op``) goes to the sparse
+    kernel, and so does a non-zero equation: a non-zero residual keeps its
+    value.
     """
     return _family_residual(family, leg_colours(None, u, v, w))
 
@@ -244,9 +220,10 @@ def onepar_qybe_residual(family, x, z):
 
     ``family`` must expose ``op(x) -> Op2`` and ``phi(x, z) -> scalar``; the
     composition map is attached to the family so checks cannot mix a family
-    with the wrong phi.  A family that also exposes ``integer_triple(x)``
-    (:class:`ybops.onepar.OneParFamily`) is decided by the five-equation
-    system at x, phi(x,z), z, as in :func:`colored_qybe_residual`.
+    with the wrong phi.  A family whose ``integer_triple`` is a function
+    ``x -> (a, b, c)`` (:class:`ybops.onepar.OneParFamily` on a valid
+    algebra) is decided by the five-equation system at x, phi(x,z), z, as
+    in :func:`colored_qybe_residual`.
     ``phi(x, z)`` is evaluated before any operator or triple is built.
     """
     return _family_residual(family, leg_colours(family.phi, x, z))
@@ -255,19 +232,25 @@ def onepar_qybe_residual(family, x, z):
 def _family_residual(family, colours):
     """The QYBE residual of ``family.op(*c)`` on legs 12, 13, 23 for the
     three argument tuples c in ``colours``, decided by the triples
-    ``family.integer_triple(*c)`` when the family has that function."""
+    ``family.integer_triple(*c)`` when the family has that function and
+    it is not None; they are all drawn before any operator is built."""
     triple = getattr(family, "integer_triple", None)
-    return _decided((None,) if triple is None else
-                    (triple(*c) for c in colours),
+    return _decided(triple and [triple(*c) for c in colours],
                     (family.op(*c) for c in colours))
 
 
 def _decided(triples, ops):
-    """``Fraction(0)`` when the triples drawn from ``triples`` solve the
-    five equations (:func:`_solves_system`), else the max-abs entry of the
-    kernel's QYBE difference of the three operators in ``ops``, which a
-    lazy iterable builds only then."""
-    if _solves_system(triples):
+    """``Fraction(0)`` when ``triples``, three integer triples or None,
+    solve the five equations, else the max-abs entry of the kernel's QYBE
+    difference of the three operators in ``ops``, which a lazy iterable
+    builds only then.
+
+    A table family's ``integer_triple`` is a positive integer multiple of
+    its coefficients.  Each e_k is trilinear, every monomial taking one
+    factor from each of t12, t13 and t23, so scaling each triple by a
+    positive integer scales it by their non-zero product and the e_k that
+    vanish are the same."""
+    if triples is not None and not any(_system(*triples)):
         return Fraction(0)
     return _max_abs(_qybe_numerators(*ops))
 

@@ -56,7 +56,7 @@ def wxz_residuals(S: WXZSystem) -> tuple:
     :func:`ybops.tensorop.colored_qybe_residual`; every other commutator,
     and every one of a system without triples, goes to the kernel.
     """
-    ops, triples = (S.W, S.X, S.Z), S.triples or (None,) * 3
-    return tuple(_decided((triples[k] for k in legs),
+    ops, triples = (S.W, S.X, S.Z), S.triples
+    return tuple(_decided(triples and [triples[k] for k in legs],
                           (ops[k] for k in legs))
                  for legs in ((0, 0, 0), (2, 2, 2), (0, 1, 1), (1, 1, 2)))

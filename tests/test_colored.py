@@ -225,6 +225,30 @@ class TestFamilyAndMatrixForm:
             cls(kind, A1)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("cls,kind,params", [
+        (ColoredFamily, "thm1", {"p": 1, "q": 2}),
+        (ColoredFamily, "coalgebra_thm1", {"p": 1, "q": 2}),
+        (OneParFamily, "prop1", {"q": 2}),
+        (OneParFamily, "prop1_coalgebra", {"q": 2})])
+    def test_carrier_of_the_wrong_kind_rejected(self, A1, cls, kind, params):
+        # a coalgebra family needs a Coalgebra and every other an Algebra;
+        # built on the wrong one, a family would fail with a bare
+        # AttributeError at its first evaluation
+        wrong = A1 if FAMILIES[kind].coalgebra else dual_coalgebra(A1)
+        with pytest.raises(TypeError, match="carrier"):
+            cls(kind, wrong, params)
+
+    @pytest.mark.parametrize("cls,kind,params", [
+        (ColoredFamily, "thm1", {"p": 1}),
+        (ColoredFamily, "thm1", {"p": 1, "q": 3, "z": 3}),
+        (ColoredFamily, "thm2", {}),
+        (OneParFamily, "prop2", {"x": 1})])
+    def test_parameter_names_are_the_tables(self, A1, cls, kind, params):
+        # a missing name would fail with a KeyError at the first
+        # evaluation, and an extra one would be kept and change equality
+        with pytest.raises(TypeError, match="parameters"):
+            cls(kind, A1, params)
+
     def test_the_two_systems_stay_apart(self, A1):
         col = ColoredFamily("thm1", A1, {"p": 1, "q": 2})
         # no one-parameter family can have a coloured kind, so its twin

@@ -39,12 +39,12 @@ class TestProp1:
         from ybops.tensorop import embed_leg, mat_sub
         bad_mid = Fraction(5)  # z, not x*z, for x=2, z=5
         x, z = Fraction(2), Fraction(5)
-        l = mat_mul(mat_mul(embed_leg(fam.op(x), 12).mat,
-                            embed_leg(fam.op(bad_mid), 13).mat),
-                    embed_leg(fam.op(z), 23).mat)
-        r = mat_mul(mat_mul(embed_leg(fam.op(z), 23).mat,
-                            embed_leg(fam.op(bad_mid), 13).mat),
-                    embed_leg(fam.op(x), 12).mat)
+        l = mat_mul(mat_mul(embed_leg(fam.op(x), 12),
+                            embed_leg(fam.op(bad_mid), 13)),
+                    embed_leg(fam.op(z), 23))
+        r = mat_mul(mat_mul(embed_leg(fam.op(z), 23),
+                            embed_leg(fam.op(bad_mid), 13)),
+                    embed_leg(fam.op(x), 12))
         assert max_abs_entry(mat_sub(l, r)) != 0
 
     def test_inverse_two_sided(self, Aq, M2, rng):

@@ -14,8 +14,8 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, bad_unit_algebra,
-                      linear_coeffs, matrix_algebra, scipy_nelder_mead,
-                      sparse_left_product, table_triple)
+                      both_routes, linear_coeffs, matrix_algebra,
+                      scipy_nelder_mead, sparse_left_product, table_triple)
 from dense_reference import (_perm13, _perm23, flip_op2, identity_mat,
                              identity_op2, kron, mat_mul, mat_scale,
                              mat_transpose, max_abs_entry)
@@ -42,8 +42,7 @@ from ybops.onepar import OneParFamily, prop1_op
 from ybops.scalars import rational
 from ybops.search import (MAX_ITER, _compile_step, _insert,
                           _make_objective, _nelder_mead, _start)
-from ybops.tensorop import (Op2, _max_abs, _qybe_numerators,
-                            _solves_system, braid_residual,
+from ybops.tensorop import (Op2, _max_abs, _qybe_numerators, braid_residual,
                             colored_qybe_residual, freeze, mat_sub,
                             onepar_qybe_residual, op_to_json, twist_compose,
                             yb_commutator)
@@ -569,7 +568,7 @@ class TestResidualKernel:
     def test_qybe_chain_matches_dense(self, ops):
         R, S, T = ops
         want = _dense_difference(*_qybe_chains(R, S, T))
-        got = yb_commutator(R, S, T).mat
+        got = yb_commutator(R, S, T)
         assert got == freeze(want) and _all_fractions(got)
         table = {(0, 1): R, (0, 2): S, (1, 2): T}
         fam = SimpleNamespace(op=lambda u, v: table[u, v])
@@ -812,10 +811,10 @@ class TestSparseBuild:
             assert _same_mat(R.mat, D.mat)
         # the kernel gives the same entries on both builds, and on an
         # operator rebuilt from the dense view of the integer build
-        got, want = yb_commutator(*sparse).mat, yb_commutator(*dense).mat
+        got, want = yb_commutator(*sparse), yb_commutator(*dense)
         assert _same_mat(got, want)
         rebuilt = [Op2(n=R.n, mat=R.mat) for R in sparse]
-        assert _same_mat(yb_commutator(*rebuilt).mat, got)
+        assert _same_mat(yb_commutator(*rebuilt), got)
         table = dict(zip(((0, 1), (0, 2), (1, 2)), sparse))
         res = colored_qybe_residual(
             SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
@@ -1011,19 +1010,28 @@ class TestIntegerTriples:
         for g, e in zip(got, exact):
             assert type(g) is tuple and all(type(x) is int for x in g)
             assert _positive_multiple(g, tuple(map(Fraction, e)))
-        assert _solves_system(iter(got)) is not any(_system(*exact))
+        assert (not any(_system(*got))) is (not any(_system(*exact)))
         assert res == want == 0 and type(res) is type(want) is Fraction
 
     def test_none_on_an_invalid_carrier(self):
+        # no triple proves a residual on a carrier that is not associative
+        # and unital, so the kernel decides, as for a view with only op
         A = bad_unit_algebra()
         for kind, F in FAMILIES.items():
             fam = _table_family(kind, A, dict.fromkeys(F.params, 2))
-            assert fam.integer_triple(*(1, 2)[:len(F.colours)]) is None
+            assert fam.integer_triple is None
+            if F.phi is None:
+                residual, colours = colored_qybe_residual, (2, 3, -1)
+            else:
+                residual, colours = onepar_qybe_residual, (2, 3)
+            fam, view = both_routes(fam)
+            assert residual(fam, *colours) == residual(view, *colours)
 
     @pytest.mark.parametrize("kind", ["thm2", "remark2"])
     def test_exponent_errors_are_the_tables(self, kind):
-        # the colours and the table entry are read before A.valid, so an
-        # invalid carrier raises the same errors
+        # the integer triple, the operator and the residual raise the
+        # table's errors; on the invalid carrier, which has no triple, the
+        # residual raises them from the operators it builds
         for A in (A1, bad_unit_algebra()):
             for params, colours, error in (
                     ({"p": 2, "q": 3, "s": 5}, (Fraction(1, 2), 1),
@@ -1037,8 +1045,12 @@ class TestIntegerTriples:
                     ({"p": 2, "q": 3, "s": 0}, (-1, Fraction(1, 2)),
                      NonIntegerExponentError)):
                 fam = ColoredFamily(kind, A, params)
-                for evaluate in (fam.integer_triple, fam.op,
-                                 partial(table_triple, fam)):
+                # the residual's first leg is at the colours (u, v)
+                evaluations = [fam.op, partial(table_triple, fam),
+                               partial(colored_qybe_residual, fam, w=1)]
+                if fam.integer_triple is not None:
+                    evaluations.append(fam.integer_triple)
+                for evaluate in evaluations:
                     with pytest.raises(error):
                         evaluate(*colours)
 

@@ -68,7 +68,7 @@ class TestWXZSystem:
         A = quadratic_algebra(3)
         bad = ansatz_op(A, 1, 2, 7)
         S = replace(thm3_system(A, 2, 5), Z=bad)
-        kernel = tuple(max_abs_entry(yb_commutator(*ops).mat) for ops in (
+        kernel = tuple(max_abs_entry(yb_commutator(*ops)) for ops in (
             (S.W,) * 3, (bad,) * 3, (S.W, S.X, S.X), (S.X, S.X, bad)))
         assert wxz_residuals(S) == kernel and kernel[1] != 0
 
