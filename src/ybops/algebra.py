@@ -19,6 +19,7 @@ from collections.abc import Sequence, Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import DimensionMismatchError, InvalidStructureError
 from .scalars import Scalar, over_one_denominator, rational
@@ -129,21 +130,24 @@ def poly_quotient(coeffs: Sequence[Scalar]) -> Algebra:
         raise InvalidStructureError("polynomial must have degree >= 1")
     if coeffs[-1] != 1:
         raise InvalidStructureError("polynomial must be monic")
-    # x^n = -(c_0 + c_1 x + ... + c_{n-1} x^{n-1});  extend to x^(2n-2)
-    reps = [[Fraction(int(i == m)) for i in range(n)] for m in range(n)]
-    top = [-c for c in coeffs[:n]]
-    for m in range(n, 2 * n - 1):
-        prev = reps[m - 1]
-        shifted = [Fraction(0)] + prev[: n - 1]
-        overflow = prev[n - 1]
-        reps.append([shifted[i] + overflow * top[i] for i in range(n)])
-    # structconst orientation: c[i][j][k] = coeff of e_k in e_i * e_j
-    struct = tuple(tuple(tuple(reps[i + j]) for j in range(n))
-                   for i in range(n))
-    unit = tuple(Fraction(int(i == 0)) for i in range(n))
-    A = Algebra(dim=n, structconst=struct, unit=unit)
-    # k[X]/(f) is associative and unital by construction
-    object.__setattr__(A, "valid", True)
+    # x^n = -(c_0 + c_1 x + ... + c_{n-1} x^{n-1}) = top / d, on integers;
+    # each power x^m up to x^(2n-2) is x times the one before, nums / den
+    d = lcm(*(c.denominator for c in coeffs))
+    top = [-c.numerator * (d // c.denominator) for c in coeffs[:n]]
+    zero, one = Fraction(0), Fraction(1)
+    reps = [(zero,) * m + (one,) + (zero,) * (n - 1 - m) for m in range(n)]
+    nums, den = [0] * (n - 1) + [1], 1
+    for _ in range(n - 1):
+        nums = [d * x + nums[-1] * t for x, t in zip([0] + nums[:-1], top)]
+        den *= d
+        reps.append(tuple(Fraction(x, den) if x else zero for x in nums))
+    # structconst orientation: c[i][j][k] = coeff of e_k in e_i * e_j;
+    # every entry is already a Fraction in place, so the algebra's checks
+    # and reading are skipped, and k[X]/(f) is associative and unital by
+    # construction
+    A = object.__new__(Algebra)
+    vars(A).update(dim=n, unit=reps[0], valid=True, structconst=tuple(
+        tuple(reps[i + j] for j in range(n)) for i in range(n)))
     return A
 
 

@@ -70,9 +70,10 @@ def _report_json(value, indent="\n"):
                  for k, v in value.items()]
     elif isinstance(value, (list, tuple)):
         ends = "[]"
-        items = (map(encode_basestring, value)
-                 if all(isinstance(x, str) for x in value) else
-                 [_report_json(x, inner) for x in value])
+        try:  # a list of str only, in one call per item
+            items = list(map(encode_basestring, value))
+        except TypeError:
+            items = [_report_json(x, inner) for x in value]
     else:
         return json.dumps(value)
     if not value:
@@ -199,12 +200,22 @@ def cmd_frt(args):
         "entry_span_dim": rep.entry_span_dim,
         "relation_span_dim": rep.relation_span_dim,
         "uv_symmetric": rep.same_span,
-        "membership": [list(map(format_scalar, m)) if m is not None else None
-                       for m in rep.members],
+        "membership": [None if rest else _member_texts(rep.size, s, y)
+                       for s, rest, y in rep.reduced],
     }
     if args.report:
         _write(args.report, _report_json(report))
     return rep.same_span, report
+
+
+def _member_texts(size, scale, comb):
+    """The member -comb/scale on ``size`` relations as ``format_scalar``
+    writes its Fractions, from the integers (:class:`ybops.frt.SpanReport`)."""
+    texts = ["0"] * size
+    for j, c in comb.items():
+        g = math.gcd(c, scale) if scale > 0 else -math.gcd(c, scale)
+        texts[j] = str(-c // g) if g == scale else f"{-c // g}/{scale // g}"
+    return texts
 
 
 def cmd_ybsystem(args):

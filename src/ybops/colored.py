@@ -214,9 +214,10 @@ class _TableFamily:
             return triple
         (a0, b0, g0), (a1, b1, g1), *c2 = _forms(F, self.params)
         if not c2:
-            def triple(x):
-                x = rational(x)
-                d, X = x.denominator, x.numerator
+            def triple(X, d=None):
+                # the colour X, or X / d for ints X and d > 0
+                if d is None:
+                    X, d = rational(X).as_integer_ratio()
                 return a0 * d + a1 * X, b0 * d + b1 * X, g0 * d + g1 * X
             return triple
         [(a2, b2, g2)] = c2

@@ -2,9 +2,10 @@
 
 Expands the entries of R(u,v) T1u T2v - T2v T1u R(u,v) as noncommutative
 quadratic polynomials in the eight coloured generators a_u .. d_v and checks,
-by exact linear algebra per parameter sample, that they span the same space
-as the relation list r1-r12 (resp. its p=q limit), on integer rows as
-stored, over one denominator per polynomial.
+by one fraction-free elimination per parameter sample, that they span the
+same space as the relation list r1-r12 (resp. its p=q limit), each relation
+from its label's compiled integer code: integers from template to report,
+whose members are integer combinations until read.
 
 The list gives one representative per u <-> v exchange orbit, so a
 RelationSet is read symmetrically in the colour pair: the RTT report closes
@@ -233,14 +234,16 @@ _TEMPLATES = _relation_templates()
 
 
 @cache
-def _compiled(label: str) -> dict:
-    """``{word: ((monomial, integer), ...)}`` for the relation a label
-    names.  ``rN~`` names the u <-> v exchange of ``rN``: its template at
-    (v, u) with the generator tags swapped back.  The template runs once,
-    on the scalars u, v, p, q, sigma as letters of tag "#"; a monomial is
-    the bitmask of the scalars in a term, by index.  Every template is
-    multilinear in the scalars, which stand left of the generators, with
-    integer coefficients."""
+def _evaluator(label: str):
+    """The relation a label names, compiled at the first use into one
+    straight-line function of the monomial values x of :func:`_relations`
+    that keeps each word's integer combination of x where it is non-zero.
+    ``rN~`` names the u <-> v exchange of ``rN``: its template at (v, u)
+    with the generator tags swapped back."""
+    # The template runs once, on the scalars u, v, p, q, sigma as letters
+    # of tag "#"; a monomial is the bitmask of the scalars in a term, by
+    # index.  Every template is multilinear in the scalars, which stand
+    # left of the generators, with integer coefficients.
     x = [NCPoly.gen(i, "#") for i in range(5)]
     g, h = _U, _V
     if label.endswith("~"):
@@ -253,33 +256,33 @@ def _compiled(label: str) -> dict:
         assert {t for t, _ in scalars} <= {"#"} and "#" not in (y[0], z[0])
         row = table.setdefault((y, z), {})
         row[mono] = row.get(mono, 0) + c.numerator
-    return {w: tuple(row.items()) for w, row in table.items()}
+    lines = ["def relation(x):", "    out = {}"]
+    for word, row in table.items():
+        c = " + ".join(f"{k} * x[{m}]" for m, k in row.items())
+        lines += [f"    if c := {c}:", f"        out[{word!r}] = c"]
+    exec(compile("\n".join(lines + ["    return out"]), f"<relation {label}>",
+                 "exec"), namespace := {})
+    return namespace["relation"]
 
 
 def _relations(labels: Iterable[str], u, v, p, q, sigma) -> tuple:
-    """The relations the labels name, at the given scalars.  With D the
+    """The relations the labels name, at the given rationals.  With D the
     product of the five denominators, a monomial times D is the product of
     the numerators it holds and the denominators it lacks, so every
     coefficient is an integer over D, and each relation is stored so."""
     values = [1]  # monomial -> its value times D
-    for x in map(rational, (u, v, p, q, sigma)):
+    for x in (u, v, p, q, sigma):
         values = ([c * x.denominator for c in values]
                   + [c * x.numerator for c in values])
-    out = []
-    for label in labels:
-        terms = {}
-        for word, row in _compiled(label).items():
-            if c := sum(k * values[m] for m, k in row):
-                terms[word] = c
-        out.append(NCPoly._of(terms, values[0]))
-    return tuple(out)
+    return tuple(NCPoly._of(_evaluator(label)(values), values[0])
+                 for label in labels)
 
 
 def _instantiate(labels: Iterable[str], u, v, p, q, sigma) -> RelationSet:
-    u, v, p, q, sigma = (rational(x) for x in (u, v, p, q, sigma))
-    return RelationSet(relations=_relations(labels, u, v, p, q, sigma),
-                       labels=tuple(labels),
-                       params={"u": u, "v": v, "p": p, "q": q, "sigma": sigma})
+    params = dict(zip(("u", "v", "p", "q", "sigma"),
+                      map(rational, (u, v, p, q, sigma))))
+    return RelationSet(relations=_relations(labels, **params),
+                       labels=tuple(labels), params=params)
 
 
 def claimed_relations(u, v, p, q, sigma) -> RelationSet:
@@ -303,18 +306,12 @@ def exchange_closure(rels: RelationSet) -> RelationSet:
     Original relations keep their positions, so coefficient vectors reported
     against the closure agree with the plain list on the first entries.
     """
-    p = rels.params
-    have = set(rels.labels)
-    extra = []
-    for label in rels.labels:
-        partner = label[:-1] if label.endswith("~") else label + "~"
-        if partner not in have:
-            have.add(partner)
-            extra.append(partner)
-    return RelationSet(
-        relations=rels.relations + _relations(
-            extra, p["u"], p["v"], p["p"], p["q"], p["sigma"]),
-        labels=rels.labels + tuple(extra), params=dict(p))
+    p, have = rels.params, set(rels.labels)
+    extra = tuple(label for label in dict.fromkeys(
+        l[:-1] if l.endswith("~") else l + "~" for l in rels.labels)
+        if label not in have)
+    return RelationSet(relations=rels.relations + _relations(extra, **p),
+                       labels=rels.labels + extra, params=dict(p))
 
 
 # the words of (T1u T2v)[k][j] and (T2v T1u)[i][k], T = [[a, b], [c, d]] in
@@ -374,7 +371,7 @@ class _Echelon:
     integer multiple of the one a Fraction elimination leaves, with the
     same least word.  Only inputs independent of the ones before them
     enter, so a member is written on the leftmost independent inputs, where
-    it is unique; Fractions are built only for what :meth:`solve` returns.
+    it is unique; only :meth:`solve` and a report's reads build Fractions.
     """
 
     def __init__(self, polys):
@@ -404,15 +401,17 @@ class _Echelon:
     def solve(self, poly: NCPoly):
         """``(coefficients, None)`` for a member, else ``(None, residue)``:
         the canonical normal form of ``poly``, free of pivot words."""
-        return self._solution(*self._reduce(poly))
-
-    def _solution(self, scale, rest, comb):
-        """:meth:`solve`'s result from :meth:`_reduce`'s."""
+        scale, rest, comb = self._reduce(poly)
         if rest:
             return None, NCPoly._of(rest, scale)
-        zero = Fraction(0)
-        return [Fraction(-comb[j], scale) if j in comb else zero
-                for j in range(self.size)], None
+        return _coefficients(self.size, scale, comb), None
+
+
+def _coefficients(size: int, scale: int, comb: dict) -> list:
+    # the member -comb/scale on ``size`` inputs, as Fractions
+    zero = Fraction(0)
+    return [Fraction(-comb[j], scale) if j in comb else zero
+            for j in range(size)]
 
 
 def _rank(vectors) -> int:
@@ -441,14 +440,31 @@ def in_span(poly: NCPoly, basis) -> Optional[list]:
 
 @dataclass(frozen=True)
 class SpanReport:
-    members: tuple  # per entry: coefficient tuple, or None
-    residues: tuple  # per entry: NCPoly left over when not a member, else None
+    """Entry i's reduction ``reduced[i] = (s, rest, y)`` on integers
+    (:meth:`_Echelon._reduce`): a member iff ``rest`` is empty, at -y[j]/s
+    on basis polynomial j of ``size``.  Members and residues build on read."""
+
+    reduced: tuple
+    size: int
     entry_span_dim: int
     relation_span_dim: int
 
+    @cached_property
+    def members(self) -> tuple:  # per entry: its coefficients, or None
+        return tuple(None if rest else tuple(_coefficients(self.size, s, y))
+                     for s, rest, y in self.reduced)
+
+    @cached_property
+    def residues(self) -> tuple:  # per entry: the NCPoly left, or None
+        return tuple(NCPoly._of(rest, s) if rest else None
+                     for s, rest, _ in self.reduced)
+
+    def __hash__(self):  # of the values read, equal for equal reductions
+        return hash((self.members, self.residues, self.entry_span_dim))
+
     @property
     def all_members(self) -> bool:
-        return all(m is not None for m in self.members)
+        return not any(rest for _, rest, _ in self.reduced)
 
     @property
     def same_span(self) -> bool:
@@ -464,12 +480,10 @@ def span_membership(entries, basis) -> SpanReport:
     on independent basis polynomials; else :func:`span_dimension`."""
     entries = list(entries)
     echelon = _Echelon(basis)
-    reduced = [echelon._reduce(e) for e in entries]
-    solved = [echelon._solution(*r) for r in reduced]
+    reduced = tuple(map(echelon._reduce, entries))
     combs = [comb for _, rest, comb in reduced if not rest]
     return SpanReport(
-        members=tuple(None if m is None else tuple(m) for m, _ in solved),
-        residues=tuple(r for _, r in solved),
+        reduced=reduced, size=echelon.size,
         entry_span_dim=(_rank(combs) if len(combs) == len(entries)
                         else span_dimension(entries)),
         relation_span_dim=len(echelon.rows))

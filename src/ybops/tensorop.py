@@ -212,7 +212,10 @@ def colored_qybe_residual(family, u, v, w):
     kernel, and so does a non-zero equation: a non-zero residual keeps its
     value.
     """
-    return _family_residual(family, leg_colours(None, u, v, w))
+    colours = leg_colours(None, u, v, w)
+    triple = getattr(family, "integer_triple", None)
+    return _decided(triple and [triple(*c) for c in colours],
+                    (family.op(*c) for c in colours))
 
 
 def onepar_qybe_residual(family, x, z):
@@ -220,23 +223,18 @@ def onepar_qybe_residual(family, x, z):
 
     ``family`` must expose ``op(x) -> Op2`` and ``phi(x, z) -> scalar``; the
     composition map is attached to the family so checks cannot mix a family
-    with the wrong phi.  A family whose ``integer_triple`` is a function
-    ``x -> (a, b, c)`` (:class:`ybops.onepar.OneParFamily` on a valid
-    algebra) is decided by the five-equation system at x, phi(x,z), z, as
-    in :func:`colored_qybe_residual`.
-    ``phi(x, z)`` is evaluated before any operator or triple is built.
+    with the wrong phi.  A family with ``integer_legs``
+    (:class:`ybops.onepar.OneParFamily`) gives the triples at x, phi(x,z),
+    z, which decide it by the five-equation system as in
+    :func:`colored_qybe_residual` when they are not None.  Otherwise
+    ``phi(x, z)`` is evaluated before any operator is built.
     """
-    return _family_residual(family, leg_colours(family.phi, x, z))
+    legs = getattr(family, "integer_legs", None)
 
-
-def _family_residual(family, colours):
-    """The QYBE residual of ``family.op(*c)`` on legs 12, 13, 23 for the
-    three argument tuples c in ``colours``, decided by the triples
-    ``family.integer_triple(*c)`` when the family has that function and
-    it is not None; they are all drawn before any operator is built."""
-    triple = getattr(family, "integer_triple", None)
-    return _decided(triple and [triple(*c) for c in colours],
-                    (family.op(*c) for c in colours))
+    def ops():
+        for c in leg_colours(family.phi, x, z):
+            yield family.op(*c)
+    return _decided(legs and legs(x, z), ops())
 
 
 def _decided(triples, ops):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bad_unit_algebra, both_routes
 from ybops import algebra
@@ -50,6 +52,41 @@ class TestPolyQuotient:
         # a float converts exactly: 1e-13 must not round to 0
         assert rational(1e-13) == Fraction(1e-13)
         assert quadratic_algebra(1e-13) != quadratic_algebra(0)
+
+
+def reference_poly_quotient(coeffs):
+    """``(structconst, unit)`` of k[X]/(f) by plain Fraction arithmetic:
+    x^n = -(c_0 + ... + c_{n-1} x^{n-1}), and each power up to x^(2n-2)
+    shifted from the one before."""
+    coeffs = [Fraction(c) for c in coeffs]
+    n = len(coeffs) - 1
+    reps = [[Fraction(int(i == m)) for i in range(n)] for m in range(n)]
+    for m in range(n, 2 * n - 1):
+        prev = reps[m - 1]
+        shifted = [Fraction(0)] + prev[:n - 1]
+        reps.append([s - prev[n - 1] * c for s, c in zip(shifted, coeffs)])
+    return (tuple(tuple(tuple(reps[i + j]) for j in range(n))
+                  for i in range(n)), tuple(reps[0]))
+
+
+class TestPolyQuotientOnIntegers:
+    # ~0.4 s: 100 monic polynomials of degree 1..5, zero coefficients,
+    # integers and rationals of mixed denominators among them
+    @settings(max_examples=100, deadline=None)
+    @given(lower=st.lists(st.one_of(
+        st.just(0), st.integers(-5, 5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+        min_size=1, max_size=5))
+    @example(lower=[Fraction(-1, 2), 0])  # x^2 = 1/2, as sigma = 1/2 gives
+    @example(lower=[Fraction(1, 3), Fraction(-2, 5), 0, 0, Fraction(6, 7)])
+    def test_matches_fraction_reference(self, lower):
+        A = poly_quotient(lower + [1])
+        structconst, unit = reference_poly_quotient(lower + [1])
+        assert A.structconst == structconst and A.unit == unit
+        assert all(type(x) is Fraction for plane in A.structconst
+                   for row in plane for x in row)
+        assert A == Algebra(dim=A.dim, structconst=structconst, unit=unit)
+        assert A.valid
 
 
 class TestValidate:

@@ -82,6 +82,25 @@ class TestFrt:
         assert data["entry_span_dim"] == data["relation_span_dim"] == 16
         assert len(data["membership"]) == 16
 
+    def test_membership_written_from_integers(self, tmp_path, monkeypatch):
+        # the membership texts come from the report's integer combinations:
+        # no member coefficient is built as a Fraction, and format_scalar
+        # writes the five parameters only, none of the 384 coefficients;
+        # the bytes are the pinned ones (test_report_bytes_pinned)
+        def refuse(*args):
+            raise AssertionError("member Fractions built")
+        monkeypatch.setattr(frt, "_coefficients", refuse)
+        written = []
+        monkeypatch.setattr(cli, "format_scalar",
+                            lambda x, real=cli.format_scalar:
+                            written.append(x) or real(x))
+        report = tmp_path / "frt.json"
+        assert main(["frt", "--p", "1", "--q", "3", "--u", "2", "--v", "1",
+                     "--sigma", "0", "--report", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "8e2ef0217a9da5e519dc88597e1f7328fb4cf0f5da706efdcae190ad35d5dfc0")
+        assert len(written) == 5
+
     def test_single_pass(self, monkeypatch):
         # the report and uv_symmetric come from one RTT expansion and one
         # elimination of the relations
@@ -894,15 +913,16 @@ def test_search_attribute_is_the_module():
 
 
 def test_frt_tables_compile_on_first_use():
-    # importing the CLI compiles no relation template; the first claimed
-    # list compiles its twelve
+    # importing the CLI compiles no relation evaluator: the evaluator cache
+    # is empty; the first claimed list compiles its twelve, and its
+    # exchange closure the twelve partners
     code = ("import ybops.cli; from ybops import frt; "
-            "print(frt._compiled.cache_info().currsize); "
-            "frt.claimed_relations(2, 1, 1, 3, 0); "
-            "print(frt._compiled.cache_info().currsize)")
+            "size = lambda: print(frt._evaluator.cache_info().currsize); "
+            "size(); rels = frt.claimed_relations(2, 1, 1, 3, 0); size(); "
+            "frt.exchange_closure(rels); size()")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_ENV, timeout=120, check=True)
-    assert proc.stdout.split() == ["0", "12"]
+    assert proc.stdout.split() == ["0", "12", "24"]
 
 
 def test_search_objectives_compile_on_first_use():

@@ -246,7 +246,7 @@ class TestCompiledReports:
         got = rtt_span_report(claimed_relations(*point))
         want = template_span_report(
             template_relations([f"r{i}" for i in range(1, 13)], *point))
-        assert got == want
+        assert got == want and hash(got) == hash(want)
         assert got.same_span == (point[0] != point[1])
 
     def test_pq_limit_list(self):

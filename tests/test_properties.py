@@ -26,12 +26,13 @@ from search_reference import reference_objective
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            poly_quotient, quadratic_algebra, require_valid,
                            validate)
+from ybops import cli
 from ybops.cli import _report_json
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
 from ybops.compare import BraidFamily
 from ybops.errors import NonIntegerExponentError, SingularParameterError
-from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, SpanReport, _Echelon,
+from ybops.frt import (_TEMPLATES, LETTERS, NCPoly, _Echelon,
                        _relations, claimed_relations, exchange_closure,
                        in_span, pq_limit_relations, rtt_residual,
                        rtt_span_report, span_dimension, span_membership)
@@ -363,10 +364,16 @@ class TestCompiledRelations:
     @given(point=_relation_points())
     @example(point=(Fraction(1), Fraction(3), Fraction(3), Fraction(1),
                     Fraction(2)))  # pu = qv, where the R-matrix degenerates
+    @example(point=(Fraction(0),) * 5)  # every coefficient but pq's vanishes
     def test_matches_templates(self, point):
+        """Each relation's compiled integer code, r1-r12, pq1-pq9 and their
+        exchanges, gives its template's polynomial, over the product of the
+        five denominators, with no zero coefficient kept."""
         got = _relations(_ORIENTATIONS, *point)
         for label, poly in zip(_ORIENTATIONS, got):
             assert poly == template_relation(label, *point), label
+            assert all(poly.num.values()), label
+            assert poly.den == math.prod(x.denominator for x in point)
 
 
 # the 32 words of one generator of each colour, either colour first
@@ -471,12 +478,14 @@ class TestIntegerStore:
 
 @st.composite
 def _report_cases(draw):
-    """The claimed list at a point with p = q drawn often, and in half the
-    cases one relation dropped, so that entries may fall outside."""
+    """The claimed list at a point with p = 0, u = v and p = q each drawn
+    often, off the generic locus, where some entries fall outside the span;
+    and in half the cases one relation dropped."""
     u, v, p, q, s = (draw(st.one_of(fractions, st.integers(-3, 3)))
                      for _ in range(5))
-    rels = claimed_relations(u, v, p, draw(st.one_of(st.just(p), st.just(q))),
-                             s)
+    p = draw(st.one_of(st.just(p), st.just(0)))
+    rels = claimed_relations(u, draw(st.one_of(st.just(v), st.just(u))), p,
+                             draw(st.one_of(st.just(p), st.just(q))), s)
     if draw(st.booleans()):
         drop = draw(st.sampled_from(rels.labels))
         rels = subset(rels, [l for l in rels.labels if l != drop])
@@ -484,26 +493,41 @@ def _report_cases(draw):
 
 
 class TestIntegerReport:
-    # ~0.4 s: two Fraction eliminations per draw
+    # ~0.6 s: two Fraction eliminations and one frt command per draw
     @settings(max_examples=30, deadline=None)
     @given(rels=_report_cases())
+    # p = 0 and u = v: entries fall outside, and the entry rank is the rank
+    # of the entries themselves
+    @example(rels=claimed_relations(2, 1, 0, 3, 1))
+    @example(rels=claimed_relations(2, 2, 1, 3, 0))
     def test_matches_fraction_elimination(self, rels):
         """The report on integer rows, with the entry rank from the
-        combinations, equals the one the Fraction elimination gives."""
+        combinations, equals the one the Fraction elimination gives, read
+        as members, residues and both dimensions; and the frt command
+        writes each member as format_scalar writes the Fraction one."""
+        p = rels.params
         try:
+            entries = rtt_residual(thm1_op(quadratic_algebra(
+                p["sigma"]), p["p"], p["q"], p["u"], p["v"]))
             got = rtt_span_report(rels)
         except SingularParameterError:
             assume(False)
-        p = rels.params
-        entries = rtt_residual(thm1_op(quadratic_algebra(p["sigma"]), p["p"],
-                                       p["q"], p["u"], p["v"]))
-        echelon = FractionEchelon(exchange_closure(rels).relations)
+        closed = exchange_closure(rels).relations
+        echelon = FractionEchelon(closed)
         solved = [echelon.solve(e) for e in entries]
-        assert got == SpanReport(
-            members=tuple(None if m is None else tuple(m) for m, _ in solved),
-            residues=tuple(r for _, r in solved),
-            entry_span_dim=len(FractionEchelon(entries).rows),
-            relation_span_dim=len(echelon.rows))
+        members = tuple(None if m is None else tuple(m) for m, _ in solved)
+        want = (members, tuple(r for _, r in solved),
+                len(FractionEchelon(entries).rows), len(echelon.rows))
+        for rep in (got, span_membership(entries, closed)):
+            assert (rep.members, rep.residues, rep.entry_span_dim,
+                    rep.relation_span_dim) == want
+            assert rep.all_members == all(m is not None for m in members)
+        if len(rels.labels) == 12:
+            args = SimpleNamespace(report=None, **{
+                k: str(x) for k, x in p.items()})
+            texts = cli.cmd_frt(args)[1]["membership"]
+            assert texts == [None if m is None else list(map(str, m))
+                             for m in members]
 
 
 # --- the residual kernel against dense leg embeddings ------------------------
@@ -1001,16 +1025,21 @@ class TestIntegerTriples:
             legs = leg_colours(getattr(fam, "phi", None), *colours)
             exact = [table_triple(fam, *c) for c in legs]
             got = [fam.integer_triple(*c) for c in legs]
+            # the one-parameter legs read phi(x, z) off the numerators and
+            # the denominators, and are positive multiples too
+            both = [got] + ([fam.integer_legs(*colours)]
+                            if FAMILIES[kind].phi is not None else [])
             view = SimpleNamespace(op=fam.op)
             if FAMILIES[kind].phi is None:
                 residual = colored_qybe_residual
             else:
                 view.phi, residual = fam.phi, onepar_qybe_residual
             res, want = residual(fam, *colours), residual(view, *colours)
-        for g, e in zip(got, exact):
-            assert type(g) is tuple and all(type(x) is int for x in g)
-            assert _positive_multiple(g, tuple(map(Fraction, e)))
-        assert (not any(_system(*got))) is (not any(_system(*exact)))
+        for got in both:
+            for g, e in zip(got, exact):
+                assert type(g) is tuple and all(type(x) is int for x in g)
+                assert _positive_multiple(g, tuple(map(Fraction, e)))
+            assert (not any(_system(*got))) is (not any(_system(*exact)))
         assert res == want == 0 and type(res) is type(want) is Fraction
 
     def test_none_on_an_invalid_carrier(self):

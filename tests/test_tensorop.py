@@ -339,23 +339,29 @@ class TestSystemRoute:
 
     def test_affine_routes_do_no_fraction_arithmetic(self, monkeypatch):
         # once a family has read its integer forms, at its first sample,
-        # thm1 and prop1 samples take no Fraction product or difference
-        # but prop1's one phi(x, z) = x * z
+        # thm1 and prop1 samples take no Fraction arithmetic at all: prop1
+        # reads phi(x, z) = x * z off the numerators and the denominators,
+        # at colours that are no integers
         A = quadratic_algebra(3)
         thm1 = ColoredFamily("thm1", A, {"p": Fraction(2, 3), "q": 5})
         prop1 = OneParFamily("prop1", A, {"q": Fraction(-7, 4)})
+        coalgebra = OneParFamily("prop1_coalgebra", dual_coalgebra(A),
+                                 {"q": Fraction(3, 5)})
         samples = [(Fraction(1, 2), Fraction(-2), Fraction(3, 7)),
-                   (1, Fraction(5, 3), 4), (0.5, 0.25, -1)]
+                   (1, Fraction(5, 3), 4), (0.5, 0.25, -1),
+                   (Fraction(-3, 4), Fraction(2, 9), 0)]
         colored_qybe_residual(thm1, 1, 2, 3)
         onepar_qybe_residual(prop1, 1, 2)
+        onepar_qybe_residual(coalgebra, 1, 2)
         calls = _fraction_calls(monkeypatch, "__mul__", "__rmul__",
-                                "__sub__", "__rsub__")
+                                "__sub__", "__rsub__", "__add__", "__radd__",
+                                "__truediv__", "__rtruediv__")
         for u, v, w in samples:
             assert colored_qybe_residual(thm1, u, v, w) == 0
-        assert calls == []
         for x, z, _ in samples:
             assert onepar_qybe_residual(prop1, x, z) == 0
-        assert calls == ["__mul__"] * len(samples)
+            assert onepar_qybe_residual(coalgebra, x, z) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ["thm2", "remark2"])
     def test_exponential_routes_do_no_fraction_arithmetic(self, kind,
