@@ -22,7 +22,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import DimensionMismatchError, InvalidStructureError
-from .scalars import Scalar, over_one_denominator, rational
+from .scalars import Scalar, rational
 
 
 @dataclass(frozen=True)
@@ -53,22 +53,33 @@ class Algebra:
         object.__setattr__(self, "unit", tuple(map(rational, self.unit)))
 
     @cached_property
-    def cleared(self):
-        """The structure constants and the unit over integers.
-
-        ``(den, products, unit_den, unit)``: ``products[i][j]`` lists the
-        ``(k, m)`` such that e_i e_j has the non-zero coefficient m / den at
-        e_k, and ``unit`` lists the ``(k, m)`` such that 1 has the non-zero
-        coordinate m / unit_den at e_k.
-        """
+    def ansatz_template(self):
+        """The ansatz of :func:`ybops.colored.ansatz_op` on integers, before
+        its coefficients, built at the first read: ``(den, cols)``, where
+        ``cols[i*n + j]`` lists in row order the ``(row, ca, cb, cg)`` whose
+        entry of the image of e_i(x)e_j is alpha ca + beta cb + gamma cg
+        over den = d_A d_U."""
+        # d_A and d_U clear the structure constants and the unit; ca and cb
+        # come from 1(x)e_ie_j and e_ie_j(x)1, and cg is -den at row j*n+i
         n = self.dim
-        rows = [row for plane in self.structconst for row in plane]
-        den, rows = over_one_denominator(
-            [[(k, x) for k, x in enumerate(row) if x] for row in rows])
-        unit_den, (unit,) = over_one_denominator(
-            [[(k, x) for k, x in enumerate(self.unit) if x]])
-        return (den, [rows[i * n:(i + 1) * n] for i in range(n)],
-                unit_den, unit)
+
+        def ratios(v):  # (k, numerator, denominator) of each non-zero v[k]
+            return [(k, *x.as_integer_ratio()) for k, x in enumerate(v) if x]
+        rows = [ratios(row) for plane in self.structconst for row in plane]
+        unit = ratios(self.unit)
+        d_A = lcm(*(d for row in rows for _, _, d in row))
+        d_U = lcm(*(d for _, _, d in unit))
+        unit = [(c, m * (d_U // d)) for c, m, d in unit]
+        cols = []
+        for ij, row in enumerate(rows):
+            acc = {(ij % n) * n + ij // n: [0, 0, -d_A * d_U]}
+            for k, m, d in row:
+                m *= d_A // d
+                for c, x in unit:  # no two terms share a row and a slot
+                    acc.setdefault(c * n + k, [0, 0, 0])[0] = x * m
+                    acc.setdefault(k * n + c, [0, 0, 0])[1] = x * m
+            cols.append([(r, *acc[r]) for r in sorted(acc)])
+        return d_A * d_U, cols
 
     @cached_property
     def valid(self) -> bool:

@@ -50,37 +50,21 @@ from .tensorop import Op2, _transpose
 def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
     """Operator a(x)b -> alpha 1(x)ab + beta ab(x)1 - gamma b(x)a on A(x)A.
 
-    The coefficients are read as exact rationals.  Column i*n+j is written
-    straight from the non-zeros of the unit and of e_i e_j (``A.cleared``),
-    at most 2n+1 entries for a unit basis element, with integer
-    multiply-adds over the one denominator
-    lcm(den alpha, den beta, den gamma) * d_A * d_U of the coefficients,
-    the structure constants and the unit."""
+    The coefficients are read as exact rationals, and cleared to integers
+    a, b, g over d = lcm(den alpha, den beta, den gamma).  Each column is
+    written from the algebra's integer template
+    (:attr:`ybops.algebra.Algebra.ansatz_template`, built once per
+    algebra): an entry is a ca + b cb + g cg over d d_A d_U, one
+    multiply-add per term, at most 2n+1 non-zeros for a unit basis
+    element."""
     alpha, beta, gamma = map(rational, (alpha, beta, gamma))
-    n = A.dim
-    d_A, products, d_U, units = A.cleared
+    den, template = A.ansatz_template
     d = lcm(alpha.denominator, beta.denominator, gamma.denominator)
     a, b, g = (x.numerator * (d // x.denominator)
                for x in (alpha, beta, gamma))
-    g *= d_A * d_U
-    alpha_units = [(k * n, a * x) for k, x in units]
-    beta_units = [(k, b * x) for k, x in units]
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            nonzero = products[i][j]
-            acc = {}
-            for r, x in alpha_units:
-                for k, y in nonzero:
-                    acc[r + k] = x * y
-            for k, y in nonzero:
-                for c, x in beta_units:
-                    r = k * n + c
-                    acc[r] = acc.get(r, 0) + y * x
-            r = j * n + i
-            acc[r] = acc.get(r, 0) - g
-            cols.append([(r, x) for r, x in sorted(acc.items()) if x])
-    return Op2(n=n, cols=cols, den=d * d_A * d_U)
+    return Op2(n=A.dim, den=d * den, cols=[
+        [(r, x) for r, ca, cb, cg in col if (x := a * ca + b * cb + g * cg)]
+        for col in template])
 
 
 @lru_cache

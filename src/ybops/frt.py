@@ -442,7 +442,8 @@ def in_span(poly: NCPoly, basis) -> Optional[list]:
 class SpanReport:
     """Entry i's reduction ``reduced[i] = (s, rest, y)`` on integers
     (:meth:`_Echelon._reduce`): a member iff ``rest`` is empty, at -y[j]/s
-    on basis polynomial j of ``size``.  Members and residues build on read."""
+    on basis polynomial j of ``size``.  Members and residues build on read.
+    Reports are equal, and hash alike, when the values read are equal."""
 
     reduced: tuple
     size: int
@@ -459,8 +460,17 @@ class SpanReport:
         return tuple(NCPoly._of(rest, s) if rest else None
                      for s, rest, _ in self.reduced)
 
-    def __hash__(self):  # of the values read, equal for equal reductions
-        return hash((self.members, self.residues, self.entry_span_dim))
+    def _read(self) -> tuple:  # the values read: equality and hash
+        return (self.members, self.residues, self.entry_span_dim,
+                self.relation_span_dim)
+
+    def __eq__(self, other):
+        if other.__class__ is not SpanReport:
+            return NotImplemented
+        return self._read() == other._read()
+
+    def __hash__(self):
+        return hash(self._read())
 
     @property
     def all_members(self) -> bool:

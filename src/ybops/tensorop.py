@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product
 
 from .errors import DimensionMismatchError
 from .funceq import _system, leg_colours
@@ -100,22 +99,31 @@ def mat_sub(A, B):
 # applied to each basis vector e_a(x)e_b(x)e_c through the sparse columns of
 # the two-site operators, never as dense n^3 x n^3 matrices: an ansatz
 # column has at most 2n+1 non-zeros, so a chain's column costs about
-# (2n+1)^3 products instead of the n^6 of a dense triple product.  The
-# operators enter as their integer numerators; both chains hold the same
-# three operators, so the product of their denominators is the denominator
-# of the difference, and the residual callers divide by it once, after
-# taking the max-abs numerator.
+# (2n+1)^3 products instead of the n^6 of a dense triple product.  Each
+# leg's columns are one per-operator base list, offset once per index of
+# the spectator site.  One pass per basis vector takes chain 1, then chain
+# 2 into the same accumulator, chain 2's sign folded into its last step.
+# The operators enter as their integer numerators; both chains hold the
+# same three operators, so the product of their denominators is the
+# denominator of the difference, and the residual callers divide by it
+# once, after taking the max-abs numerator.
 
 def _leg_columns(cols: list, n: int, legs: int) -> list:
     """Sparse columns of a two-site operator on legs 12, 13 or 23 of V^(x)3,
     from its own sparse columns ``[(row, entry), ...]``."""
-    stride = {1: n * n, 2: n, 3: 1}
-    s, t = divmod(legs, 10)
-    r = 6 - s - t  # the site the operator does not act on
-    rows = [(i // n) * stride[s] + (i % n) * stride[t] for i in range(n * n)]
-    return [[(rows[i] + site[r - 1] * stride[r], x)
-             for i, x in cols[site[s - 1] * n + site[t - 1]]]
-            for site in product(range(n), repeat=3)]
+    # index a*n + b of V(x)V goes to a*s + b*t, s and t the strides of the
+    # two legs; spectator index e adds e*r, r the third stride, to the
+    # column and to every row of the base list
+    m = n * n
+    s, t = {12: (m, n), 13: (m, 1), 23: (n, 1)}[legs]
+    r = m + n + 1 - s - t
+    at = [(i // n) * s + (i % n) * t for i in range(m)]
+    out = [None] * (m * n)
+    for k, col in enumerate(cols):
+        out[at[k]] = base = [(at[i], x) for i, x in col]
+        for e in range(r, n * r, r):
+            out[at[k] + e] = [(i + e, x) for i, x in base]
+    return out
 
 
 def embed_leg(R: Op2, legs: int) -> tuple:
@@ -132,19 +140,11 @@ def embed_leg(R: Op2, legs: int) -> tuple:
     return _dense_view(_leg_columns(cols, R.n, legs))
 
 
-def _apply(cols, vec: dict, out: dict, f=1) -> dict:
-    """out += f (the operator with sparse columns ``cols``) vec."""
-    for k, c in vec.items():
-        c *= f
-        for i, m in cols[k]:
-            out[i] = out.get(i, 0) + c * m
-    return out
-
-
 def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
     """R12 R13 R23 - R23 R13 R12 on V^(x)3, the one chain pair of the
     kernel.  Each operator is embedded once on its legs; column j of each
-    chain starts as column j of the factor that acts first.
+    chain starts as column j of the factor that acts first, and both
+    chains of column j add into one accumulator.
 
     Returns ``(cols, den)`` in the convention of :class:`Op2`: ``den`` is
     the positive integer ``R12.den * R13.den * R23.den``, the denominator
@@ -159,8 +159,20 @@ def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
                      for R, legs in ((R12, 12), (R13, 13), (R23, 23)))
     out = []
     for j in range(n ** 3):
-        acc = _apply(L12, _apply(L13, dict(L23[j]), {}), {})
-        _apply(L23, _apply(L13, dict(L12[j]), {}), acc, -1)
+        acc, mid = {}, {}
+        for k, c in L23[j]:
+            for i, x in L13[k]:
+                mid[i] = mid.get(i, 0) + c * x
+        for k, c in mid.items():
+            for i, x in L12[k]:
+                acc[i] = acc.get(i, 0) + c * x
+        mid = {}
+        for k, c in L12[j]:
+            for i, x in L13[k]:
+                mid[i] = mid.get(i, 0) + c * x
+        for k, c in mid.items():
+            for i, x in L23[k]:
+                acc[i] = acc.get(i, 0) - c * x
         out.append({i: x for i, x in acc.items() if x})
     return out, R12.den * R13.den * R23.den
 

@@ -1,5 +1,6 @@
 """RTT residual expansion and exact span arithmetic."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -256,3 +257,33 @@ class TestCompiledReports:
         want = template_span_report(
             template_relations(labels, u, v, 1, 1, sigma))
         assert got == want and got.same_span
+
+
+class TestReportEquality:
+    """A report compares and hashes by the values read: members, residues
+    and both span dimensions, whatever integer scale each entry is stored
+    at."""
+
+    @pytest.mark.parametrize("p", [1, 0], ids=["members", "residues"])
+    def test_equal_across_integer_scales(self, p):
+        u, v, q, sigma = 2, 1, 3, 0
+        R = thm1_op(quadratic_algebra(sigma), p, q, u, v)
+        basis = exchange_closure(
+            claimed_relations(u, v, p, q, sigma)).relations
+        entries = rtt_residual(R)
+        # the same polynomials, each stored at three times its scale
+        scaled = [NCPoly._of({w: 3 * c for w, c in e.num.items()}, 3 * e.den)
+                  for e in entries]
+        assert scaled == entries
+        want = span_membership(entries, basis)
+        got = span_membership(scaled, basis)
+        assert got.reduced != want.reduced
+        assert got == want and hash(got) == hash(want)
+        assert got.all_members == (p != 0)
+
+    def test_unequal_span_dimension(self):
+        # equal members and residues, another relation span: unequal
+        report = rtt_span_report(claimed_relations(2, 1, 1, 3, 0))
+        other = dataclasses.replace(
+            report, relation_span_dim=report.relation_span_dim + 1)
+        assert other != report and report != "report"

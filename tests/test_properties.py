@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -51,6 +55,7 @@ from ybops.tensorop import (Op2, _max_abs, _qybe_numerators, braid_residual,
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 nonzero_fractions = fractions.filter(lambda f: f != 0)
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 A0 = quadratic_algebra(0)
 A1 = quadratic_algebra(1)
 
@@ -855,6 +860,76 @@ class TestSparseBuild:
             A, *FAMILIES["thm1"].coeffs(*args)).mat)
         got = coalgebra_colored_op(Coalgebra(A), *args).mat
         assert _same_mat(got, freeze(want))
+
+
+# --- the per-algebra ansatz template ---------------------------------------------
+
+# ints, Fractions and floats; a float is read as its exact rational
+_any_coefficients = st.one_of(
+    _coefficients, st.integers(-32, 32).map(lambda k: k / 8),
+    st.floats(min_value=-4, max_value=4, allow_nan=False))
+
+
+def _fresh(A):
+    """An algebra equal to A with no template built yet."""
+    return Algebra(dim=A.dim, structconst=A.structconst, unit=A.unit)
+
+
+class TestAnsatzTemplate:
+    """``ansatz_op`` writes its columns from a template cached on the
+    algebra; budget under 1.5 s for the class."""
+
+    @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+    @given(A=_carriers(), coeffs=st.lists(st.tuples(
+        _any_coefficients, _any_coefficients, _any_coefficients),
+        min_size=2, max_size=2))
+    def test_warm_fresh_and_dense_agree(self, A, coeffs):
+        # the carrier and its opposite share a dimension, and so does every
+        # carrier drawn before: a template of another algebra would show
+        C = ColoredFamily("coalgebra_thm1", Coalgebra(A),
+                          {"p": 1, "q": 2})
+        F = FAMILIES["coalgebra_thm1"]
+        for B in (A, A.opposite):
+            B.ansatz_template  # warm before the first build
+            for c in coeffs:
+                warm, fresh = ansatz_op(B, *c), ansatz_op(_fresh(B), *c)
+                assert (warm.cols, warm.den) == (fresh.cols, fresh.den)
+                dense = _dense_ansatz(B, *map(Fraction, c))
+                assert _same_mat(warm.mat, dense.mat)
+                # the coalgebra transfer, and its inverse on the opposite
+                got = C._build(F, c, opposite=B is not A)
+                assert _same_mat(got.mat, freeze(mat_transpose(dense.mat)))
+
+    def test_built_once_per_algebra(self, monkeypatch):
+        prop = Algebra.__dict__["ansatz_template"]
+        calls = []
+        monkeypatch.setattr(prop, "func",
+                            lambda A, real=prop.func: calls.append(A)
+                            or real(A))
+        A = _upper_triangular()
+        B = _fresh(A)
+        for coeffs in ((1, 2, 3), (Fraction(1, 2), -1, 0.25), (0, 0, 1)):
+            for C in (A, A.opposite, B):
+                ansatz_op(C, *coeffs)
+        assert [id(C) for C in calls] == [id(A), id(A.opposite), id(B)]
+
+    def test_not_built_at_import(self):
+        # a fresh interpreter imports every module with the template's
+        # builder spied on: no algebra built at import reads it
+        code = (
+            "from ybops.algebra import Algebra\n"
+            "prop, calls = Algebra.__dict__['ansatz_template'], []\n"
+            "prop.func = lambda A, f=prop.func: calls.append(A) or f(A)\n"
+            "import ybops.cli, ybops.compare, ybops.frt, ybops.search\n"
+            "import ybops.ybsystem, ybops.colored, ybops.onepar\n"
+            "assert not calls, calls\n"
+            "ybops.colored.thm1_op(ybops.algebra.quadratic_algebra(1),"
+            " 1, 2, 3, 1)\n"
+            "assert len(calls) == 1, calls\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                       timeout=120)
 
 
 # --- the five-equation system against the kernel ---------------------------------
