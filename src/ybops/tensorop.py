@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, islice
 
 from .errors import DimensionMismatchError
 from .funceq import _system, leg_colours
@@ -101,12 +103,26 @@ def mat_sub(A, B):
 # column has at most 2n+1 non-zeros, so a chain's column costs about
 # (2n+1)^3 products instead of the n^6 of a dense triple product.  Each
 # leg's columns are one per-operator base list, offset once per index of
-# the spectator site.  One pass per basis vector takes chain 1, then chain
-# 2 into the same accumulator, chain 2's sign folded into its last step.
-# The operators enter as their integer numerators; both chains hold the
-# same three operators, so the product of their denominators is the
+# the spectator site.
+#
+# Which products a column takes depends only on where the operators'
+# non-zeros are, not on their values.  So the chains are walked once per
+# sparsity pattern, over the positions of the entries, and each column of
+# the difference becomes one straight-line function of the three operators'
+# numerator lists: a local per intermediate entry, then one integer sum per
+# accumulator row, chain 1 added and chain 2 subtracted, the rows in the
+# walk's first-touch order.  A pattern is compiled at its first call and
+# kept in a bounded cache; nothing is compiled at import.  Both chains hold
+# the same three operators, so the product of their denominators is the
 # denominator of the difference, and the residual callers divide by it
 # once, after taking the max-abs numerator.
+
+# patterns kept compiled at once.  At n = 5 an ansatz pattern (at most
+# 2n+1 non-zeros per column) compiles in ~0.1-0.2 s and keeps ~1.6 MB of
+# code, so eight keep ~13 MB; a fully dense one takes ~4.4 s and ~97 MB,
+# so the worst case at n = 5 is ~780 MB
+_PATTERNS = 8
+
 
 def _leg_columns(cols: list, n: int, legs: int) -> list:
     """Sparse columns of a two-site operator on legs 12, 13 or 23 of V^(x)3,
@@ -140,51 +156,80 @@ def embed_leg(R: Op2, legs: int) -> tuple:
     return _dense_view(_leg_columns(cols, R.n, legs))
 
 
-def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
-    """R12 R13 R23 - R23 R13 R12 on V^(x)3, the one chain pair of the
-    kernel.  Each operator is embedded once on its legs; column j of each
-    chain starts as column j of the factor that acts first, and both
-    chains of column j add into one accumulator.
+@lru_cache(maxsize=_PATTERNS)
+def _compiled(pattern: tuple):
+    """``(rows, columns)`` of a sparsity pattern ``(n, lengths, rows, ...)``:
+    each operator's column lengths and the rows of its entries in column
+    order, for R12, R13 and R23.  ``columns[j](a, b, c)``, given their
+    numerators in the same order, returns the numerators of column j of
+    the difference at the rows ``rows[j]``."""
+    n, legs = pattern[0], []
+    for name, lens, rows, leg in zip("abc", pattern[1::2], pattern[2::2],
+                                     (12, 13, 23)):
+        at = iter(enumerate(rows))
+        legs.append(_leg_columns([[(i, f"{name}[{p}]") for p, i in
+                                   islice(at, k)] for k in lens], n, leg))
+    L12, L13, L23 = legs
+    rows, columns = [], []
+    for j in range(n ** 3):
+        lines, acc = ["def column(a, b, c):"], {}
+        for first, last, sign in ((L23, L12, "+"), (L12, L23, "-")):
+            mid = {}
+            for k, c in first[j]:
+                for i, x in L13[k]:
+                    mid.setdefault(i, []).append(f"{c}*{x}")
+            for k, terms in mid.items():
+                if last[k]:
+                    m = f"m{len(lines)}"
+                    lines.append(f" {m}={'+'.join(terms)}")
+                for i, x in last[k]:
+                    acc.setdefault(i, []).append(f"{sign}{m}*{x}")
+        exprs = ("".join(t).removeprefix("+") + "," for t in acc.values())
+        lines.append(f" return ({''.join(exprs)})")
+        exec(compile("\n".join(lines), f"<qybe column {j}>", "exec"),
+             namespace := {})
+        rows.append(tuple(acc))
+        columns.append(namespace["column"])
+    return tuple(rows), tuple(columns)
 
-    Returns ``(cols, den)`` in the convention of :class:`Op2`: ``den`` is
-    the positive integer ``R12.den * R13.den * R23.den``, the denominator
-    of both chains, ``cols[j]`` maps each row i with a non-zero entry
-    [i][j] of the difference to its integer numerator over ``den``, and
-    the others are 0.
-    """
+
+def _qybe_columns(R12: Op2, R13: Op2, R23: Op2):
+    """R12 R13 R23 - R23 R13 R12 on V^(x)3, the one entry point of the
+    kernel: ``(rows, values, den)``, where column j of the difference has
+    ``Fraction(values[j][t], den)`` at row ``rows[j][t]`` and 0 at every
+    other row, ``den`` being the positive integer
+    ``R12.den * R13.den * R23.den``; a listed value may be 0."""
     n = R12.n
     if R13.n != n or R23.n != n:
         raise DimensionMismatchError("operators live on different base spaces")
-    L12, L13, L23 = (_leg_columns(R.cols, n, legs)
-                     for R, legs in ((R12, 12), (R13, 13), (R23, 23)))
-    out = []
-    for j in range(n ** 3):
-        acc, mid = {}, {}
-        for k, c in L23[j]:
-            for i, x in L13[k]:
-                mid[i] = mid.get(i, 0) + c * x
-        for k, c in mid.items():
-            for i, x in L12[k]:
-                acc[i] = acc.get(i, 0) + c * x
-        mid = {}
-        for k, c in L12[j]:
-            for i, x in L13[k]:
-                mid[i] = mid.get(i, 0) + c * x
-        for k, c in mid.items():
-            for i, x in L23[k]:
-                acc[i] = acc.get(i, 0) - c * x
-        out.append({i: x for i, x in acc.items() if x})
-    return out, R12.den * R13.den * R23.den
+    pattern, values = [n], []
+    for R in (R12, R13, R23):
+        # lists, not iterators, feed zip and tuple: CPython builds a tuple
+        # from an iterator at a guessed size and resizes it; released, it
+        # goes on the free list of its final size, which such builds never
+        # draw from, so the free lists would fill (about 0.7 MB of peak RSS
+        # on verify-dims)
+        rows, vals = [*zip(*[*chain.from_iterable(R.cols)])] or ((), ())
+        pattern += tuple([len(col) for col in R.cols]), rows
+        values.append(vals)
+    rows, columns = _compiled(tuple(pattern))
+    return rows, [f(*values) for f in columns], R12.den * R13.den * R23.den
 
 
-def _max_abs(diff):
-    """The max-abs entry of a kernel result ``(cols, den)``, taken over the
-    integer numerators: one ``Fraction(top, den)`` is built, ``Fraction(0)``
-    when no entry is left.  ``den`` is positive, so the largest numerator
-    is the largest entry."""
-    cols, den = diff
-    return Fraction(max((abs(x) for col in cols for x in col.values()),
-                        default=0), den)
+def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
+    """The kernel's difference as ``(cols, den)``: ``cols[j]`` maps each row
+    i of a non-zero entry [i][j] to its numerator, in the kernel's order."""
+    rows, values, den = _qybe_columns(R12, R13, R23)
+    return [{i: x for i, x in zip(r, v) if x}
+            for r, v in zip(rows, values)], den
+
+
+def _qybe_max_abs(R12: Op2, R13: Op2, R23: Op2) -> Fraction:
+    """The max-abs entry of the kernel's difference: one ``Fraction(top,
+    den)``, top the largest numerator in absolute value (``den`` > 0)."""
+    _, values, den = _qybe_columns(R12, R13, R23)
+    return Fraction(max(map(abs, chain.from_iterable(values)), default=0),
+                    den)
 
 
 def yb_commutator(R: Op2, S: Op2, T: Op2) -> tuple:
@@ -262,7 +307,7 @@ def _decided(triples, ops):
     vanish are the same."""
     if triples is not None and not any(_system(*triples)):
         return Fraction(0)
-    return _max_abs(_qybe_numerators(*ops))
+    return _qybe_max_abs(*ops)
 
 
 def twist_compose(R: Op2) -> Op2:
@@ -305,7 +350,7 @@ def braid_residual(rhat, x, y):
     """
     x, y = rational(x), rational(y)
     Rx, Rxy, Ry = rhat(x), rhat(x * y), rhat(y)
-    return _max_abs(_qybe_numerators(*map(twist_compose, (Ry, Rxy, Rx))))
+    return _qybe_max_abs(*map(twist_compose, (Ry, Rxy, Rx)))
 
 
 # --- basis labels and emitters ------------------------------------------------

@@ -1,12 +1,14 @@
 """Dense matrix products, identities, the twist map, the (2 3) and (1 3)
 factor swaps of V^(x)3 and the Kronecker product: the tests' references for the sparse
-kernel, built independently of it from the plain matrix definitions.  No
-library path calls them.  Tests only."""
+kernel, built independently of it from the plain matrix definitions.  Also
+the kernel's chains as a direct dict-accumulating loop, the reference for
+the compiled kernel's values and row order, and the max-abs reader of its
+``(cols, den)``.  No library path calls them.  Tests only."""
 
 from fractions import Fraction
 
 from ybops.errors import DimensionMismatchError
-from ybops.tensorop import Op2
+from ybops.tensorop import Op2, _leg_columns
 
 
 def mat_mul(A, B):
@@ -72,3 +74,38 @@ def kron(A, B):
     na, nb = len(A), len(B)
     return [[A[i // nb][j // nb] * B[i % nb][j % nb]
              for j in range(na * nb)] for i in range(na * nb)]
+
+
+def loop_numerators(R12, R13, R23):
+    """R12 R13 R23 - R23 R13 R12 as ``(cols, den)``, interpreted: both
+    chains of column j add into one dict accumulator, rows in first-touch
+    order, zeros dropped at the end."""
+    n = R12.n
+    L12, L13, L23 = (_leg_columns(R.cols, n, legs)
+                     for R, legs in ((R12, 12), (R13, 13), (R23, 23)))
+    out = []
+    for j in range(n ** 3):
+        acc, mid = {}, {}
+        for k, c in L23[j]:
+            for i, x in L13[k]:
+                mid[i] = mid.get(i, 0) + c * x
+        for k, c in mid.items():
+            for i, x in L12[k]:
+                acc[i] = acc.get(i, 0) + c * x
+        mid = {}
+        for k, c in L12[j]:
+            for i, x in L13[k]:
+                mid[i] = mid.get(i, 0) + c * x
+        for k, c in mid.items():
+            for i, x in L23[k]:
+                acc[i] = acc.get(i, 0) - c * x
+        out.append({i: x for i, x in acc.items() if x})
+    return out, R12.den * R13.den * R23.den
+
+
+def _max_abs(diff):
+    """The max-abs entry of a kernel result ``(cols, den)``: one
+    ``Fraction(top, den)`` over the integer numerators."""
+    cols, den = diff
+    return Fraction(max((abs(x) for col in cols for x in col.values()),
+                        default=0), den)

@@ -925,6 +925,24 @@ def test_frt_tables_compile_on_first_use():
     assert proc.stdout.split() == ["0", "12", "24"]
 
 
+def test_qybe_kernels_compile_on_first_use():
+    # importing the CLI compiles no QYBE kernel: the pattern cache is empty;
+    # Okado's braid check compiles its generic pattern once, another q
+    # reuses it, and q = 1, where q^2 - 1 = 0 drops entries, compiles a
+    # second pattern
+    code = ("import contextlib, io, ybops.cli\n"
+            "from ybops import cli, tensorop\n"
+            "sizes = [tensorop._compiled.cache_info().currsize]\n"
+            "for q in ('2', '-3/2', '1'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(['compare', '--q', q, '--x', '3', '--y', '5'])\n"
+            "    sizes.append(tensorop._compiled.cache_info().currsize)\n"
+            "print(*sizes)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_ENV, timeout=120, check=True)
+    assert proc.stdout.split() == ["0", "1", "1", "2"]
+
+
 def test_search_objectives_compile_on_first_use():
     # importing the CLI compiles no objective and no Nelder-Mead step; a
     # search compiles its mode's objective and the step for n = 6 only

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, bad_unit_algebra,
                       both_routes, linear_coeffs, matrix_algebra,
                       scipy_nelder_mead, sparse_left_product, table_triple)
-from dense_reference import (_perm13, _perm23, flip_op2, identity_mat,
-                             identity_op2, kron, mat_mul, mat_scale,
+from dense_reference import (_max_abs, _perm13, _perm23, flip_op2,
+                             identity_mat, identity_op2, kron,
+                             loop_numerators, mat_mul, mat_scale,
                              mat_transpose, max_abs_entry)
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
 from frt_reference import exchange_closure as reference_closure, subset
@@ -30,7 +31,7 @@ from search_reference import reference_objective
 from ybops.algebra import (Algebra, Coalgebra, dual_coalgebra,
                            poly_quotient, quadratic_algebra, require_valid,
                            validate)
-from ybops import cli
+from ybops import cli, tensorop
 from ybops.cli import _report_json
 from ybops.colored import (ColoredFamily, ansatz_op, coalgebra_colored_op,
                            thm1_op)
@@ -47,7 +48,7 @@ from ybops.onepar import OneParFamily, prop1_op
 from ybops.scalars import rational
 from ybops.search import (MAX_ITER, _compile_step, _insert,
                           _make_objective, _nelder_mead, _start)
-from ybops.tensorop import (Op2, _max_abs, _qybe_numerators, braid_residual,
+from ybops.tensorop import (Op2, _qybe_numerators, braid_residual,
                             colored_qybe_residual, freeze, mat_sub,
                             onepar_qybe_residual, op_to_json, twist_compose,
                             yb_commutator)
@@ -669,6 +670,112 @@ class TestResidualKernel:
             res = colored_qybe_residual(
                 SimpleNamespace(op=lambda u, v: table[u, v]), 0, 1, 2)
             assert res == want != 0 and type(res) is type(want) is Fraction
+
+
+# --- the kernel compiled per sparsity pattern -----------------------------------
+
+@st.composite
+def _sparse_triples(draw, n=None):
+    """Three operators on one carrier, n = 1..3 unless given, each over its
+    own denominator: about a third of the entries non-zero, half of them
+    small, so that entries of the difference cancel, and half with up to
+    30 digits; some columns are empty."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        if rng.random() < 2 / 3:
+            return 0
+        return rng.choice((rng.randint(-3, 3), rng.randint(-10 ** 30,
+                                                           10 ** 30)))
+    return [Op2(n=n, cols=[[(i, x) for i in range(n * n) if (x := entry())]
+                           for _ in range(n * n)],
+                den=rng.randint(1, 50)) for _ in range(3)]
+
+
+def _with_cols(R, cols):
+    return Op2(n=R.n, cols=cols, den=R.den)
+
+
+def _pattern(ops):
+    """n and the rows of every column of the three operators."""
+    return (ops[0].n, *(tuple(tuple(i for i, _ in col) for col in R.cols)
+                        for R in ops))
+
+
+def _numerator_leg(R, legs):
+    """R's integer numerators on legs 12, 13 or 23 of V^(x)3, densely by
+    the definition: entry (I, J), I and J index triples, is R's entry at
+    the two indices of the legs where the third indices agree, else 0."""
+    n, m = R.n, R.n * R.n
+    N = [[0] * m for _ in range(m)]
+    for j, col in enumerate(R.cols):
+        for i, x in col:
+            N[i][j] = x
+    s, t = {12: (0, 1), 13: (0, 2), 23: (1, 2)}[legs]
+    r = 3 - s - t
+    idx = list(product(range(n), repeat=3))
+    return [[N[I[s] * n + I[t]][J[s] * n + J[t]] if I[r] == J[r] else 0
+             for J in idx] for I in idx]
+
+
+def _integer_product(A, B):
+    """The integer matrix product A B, skipping the zeros of A."""
+    return [[sum(x * B[k][j] for k, x in row) for j in range(len(B[0]))]
+            for row in ([(k, x) for k, x in enumerate(r) if x] for r in A)]
+
+
+class TestCompiledKernel:
+    """The kernel compiles one function per column of a sparsity pattern
+    and runs every call, the first included, through it.  Calls alternate
+    between two triples, one of them at new values on its pattern, and
+    then take it with one entry of each operator in turn made 0, a new
+    pattern each; budget ~0.5 s."""
+
+    @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+    @given(ops=_sparse_triples(), data=st.data())
+    def test_matches_the_loop_and_the_dense_product(self, ops, data):
+        n = ops[0].n
+        other = data.draw(_sparse_triples(n))
+        k = data.draw(st.integers(2, 10 ** 6))
+        rescaled = [_with_cols(R, [[(i, k * x) for i, x in col]
+                                   for col in R.cols]) for R in ops]
+        calls = [ops, other, rescaled, other]
+        for t, R in enumerate(ops):
+            listed = [(j, p) for j, col in enumerate(R.cols)
+                      for p in range(len(col))]
+            if listed:
+                j, p = data.draw(st.sampled_from(listed))
+                zeroed = [list(col) for col in R.cols]
+                del zeroed[j][p]
+                calls.append(ops[:t] + [_with_cols(R, zeroed)] + ops[t + 1:])
+        calls.append(ops)
+        tensorop._compiled.cache_clear()
+        embedded = []
+        real = tensorop._leg_columns
+        with patch.object(tensorop, "_leg_columns",
+                          lambda *a: embedded.append(a[2]) or real(*a)):
+            for triple in calls:
+                got = _qybe_numerators(*triple)
+                want = loop_numerators(*triple)
+                assert got == want
+                assert [list(col) for col in got[0]] == [
+                    list(col) for col in want[0]]
+                assert all(type(x) is int for col in got[0]
+                           for x in col.values())
+                # the dense integer products of both chains, over the
+                # product of the three denominators
+                cols, den = got
+                assert den == math.prod(R.den for R in triple)
+                R12, R13, R23 = (_numerator_leg(R, legs) for R, legs in
+                                 zip(triple, (12, 13, 23)))
+                lhs = _integer_product(_integer_product(R12, R13), R23)
+                rhs = _integer_product(_integer_product(R23, R13), R12)
+                assert [[col.get(i, 0) for col in cols]
+                        for i in range(n ** 3)] == [
+                    [a - b for a, b in zip(x, y)] for x, y in zip(lhs, rhs)]
+        # each pattern embeds its three legs once, at its first call
+        assert len(embedded) == 3 * len(set(map(_pattern, calls)))
 
 
 # --- the braid residual as the QYBE residual of tau Rhat ------------------------

@@ -69,8 +69,9 @@ class TestEmbedLeg:
 
 class TestEmbedOnce:
     """The kernel embeds each of its three operators once, on its legs,
-    for both chains; a spy on ``_leg_columns`` records the legs of each
-    call."""
+    when it compiles a sparsity pattern, and not at all on a later call
+    with the same pattern; a spy on ``_leg_columns`` records the legs of
+    each call, and the pattern cache starts empty."""
 
     @pytest.fixture
     def leg_calls(self, monkeypatch):
@@ -81,19 +82,30 @@ class TestEmbedOnce:
             calls.append(legs)
             return real(cols, n, legs)
         monkeypatch.setattr(tensorop, "_leg_columns", counted)
+        tensorop._compiled.cache_clear()
         return calls
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_qybe_chains_share_three(self, rng, n, leg_calls):
-        # R12 R13 R23 - R23 R13 R12: the right chain reuses the left's pairs
-        tensorop._qybe_numerators(*(random_op2(rng, n) for _ in range(3)))
+        # R12 R13 R23 - R23 R13 R12: the right chain reuses the left's
+        # pairs; new values on the same pattern embed nothing
+        ops = [random_op2(rng, n) for _ in range(3)]
+        tensorop._qybe_numerators(*ops)
+        assert sorted(leg_calls) == [12, 13, 23]
+        scaled = [Op2(n=n, cols=[[(i, 7 * x) for i, x in col]
+                                 for col in R.cols], den=R.den) for R in ops]
+        tensorop._qybe_numerators(*scaled)
         assert sorted(leg_calls) == [12, 13, 23]
 
     def test_braid_chains_embed_three(self, leg_calls):
         # Rh12(x) Rh23(xy) Rh12(y) - Rh23(y) Rh12(xy) Rh23(x) is decided as
-        # the QYBE difference of tau Rh at (y, xy, x): three pairs
+        # the QYBE difference of tau Rh at (y, xy, x): three pairs; Okado's
+        # operator at another q and other colours has the same pattern
         tensorop.braid_residual(BraidFamily(kind="okado", q=Fraction(2)),
                                 Fraction(3), Fraction(5))
+        assert sorted(leg_calls) == [12, 13, 23]
+        tensorop.braid_residual(BraidFamily(kind="okado", q=Fraction(-3, 2)),
+                                Fraction(1, 2), Fraction(4))
         assert sorted(leg_calls) == [12, 13, 23]
 
 
@@ -258,12 +270,12 @@ class TestSystemRoute:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls = []
-        real = tensorop._qybe_numerators
+        real = tensorop._qybe_columns
 
         def counted(*ops):
             calls.append(len(ops))
             return real(*ops)
-        monkeypatch.setattr(tensorop, "_qybe_numerators", counted)
+        monkeypatch.setattr(tensorop, "_qybe_columns", counted)
         return calls
 
     PARAMS = {"p": Fraction(1), "q": Fraction(3)}
