@@ -20,18 +20,12 @@ an :class:`ybops.algebra.Algebra` its entries; a float converts exactly,
 and a colour of an exponential family that is not an integer raises
 ``NonIntegerExponentError``.
 
-A genuine residual is decided by the five equations on integer triples
-(:func:`ybops.tensorop.colored_qybe_residual`), which every family on an
-associative unital carrier gives as its ``integer_triple``, with no
-``Fraction`` arithmetic; on any other carrier ``integer_triple`` is None,
-decided once per family, and the kernel decides.  The six
-families whose colours are not exponents (thm1, coalgebra_thm1, prop1,
-prop1_coalgebra, prop2, remark_x) have coefficients affine in the colours:
-their triple evaluates integer affine forms on the colours' numerators.
-thm2 and remark2 are log-affine, each coefficient k x^u y^v: their triple
-raises the integer numerators and denominators of x and y to the integer
-colours.  Both are exact: each triple is a positive integer multiple of
-the table's coefficients, and every equation is trilinear in the triples.
+A genuine residual is decided by the five equations on the integer
+triples of its three legs, from one call to a family's ``integer_legs``
+(None off an associative unital carrier, decided once per family): affine
+forms on the colours' numerators, or integer powers of the bases of each
+k x^u y^v for thm2 and remark2.  Each triple is a positive integer
+multiple of the table's coefficients; the equations are trilinear.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from math import lcm
 
 from .algebra import Algebra, Coalgebra
 from .errors import UnknownFamilyError
-from .funceq import family
+from .funceq import family, leg_colours
 from .scalars import rational
 from .tensorop import Op2, _transpose
 
@@ -67,7 +61,6 @@ def ansatz_op(A: Algebra, alpha, beta, gamma) -> Op2:
         for col in template])
 
 
-@lru_cache
 def _forms(F, params) -> tuple:
     """A table entry ``F`` at ``params``, read once off its coefficients c0
     at zero colours and c_j at unit colours: affine, the rows c0, c_j - c0
@@ -85,6 +78,90 @@ def _forms(F, params) -> tuple:
     den = lcm(*(x.denominator for row in rows for x in row))
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                  for row in rows)
+
+
+def _power(base, c):
+    """A pair (n, d) to the int c: (n^c, d^c), or (d^-c, n^-c) if c < 0."""
+    n, d = base
+    return (n ** c, d ** c) if c >= 0 else (d ** -c, n ** -c)
+
+
+def _cleared(quotients):
+    """Three pairs (n, d) as ints over the lcm of the d; None if a d is 0."""
+    (a, da), (b, db), (g, dg) = quotients
+    if da and db and dg:
+        den = lcm(da, db, dg)
+        return a * (den // da), b * (den // db), g * (den // dg)
+
+
+@lru_cache
+def _integer_closures(F, params) -> tuple:
+    """``(triple, legs)`` of a table entry ``F`` at ``params``, from its
+    :func:`_forms`: affine forms on the colours' numerators over one
+    denominator, or each base raised to each integer colour once; where
+    that fails, the table entry, leg by leg, raises what ``op`` raises."""
+    forms, args = _forms(F, params), F.args(params)
+    if F.integer_colours:
+        def table(*colours):
+            return _cleared([x.as_integer_ratio() for x in
+                             F.coeffs(*args, *map(rational, colours))])
+
+        def triple(u, v):
+            (U, du), (V, dv) = (rational(u).as_integer_ratio(),
+                                rational(v).as_integer_ratio())
+            t = du == dv == 1 and _cleared([
+                (kn * a * c, kd * b * d) for (kn, kd), x, y in forms
+                for (a, b), (c, d) in [(_power(x, U), _power(y, V))]])
+            return t or table(u, v)
+
+        def legs(u, v, w):
+            try:
+                (U, du), (V, dv), (W, dw) = (rational(u).as_integer_ratio(),
+                                             rational(v).as_integer_ratio(),
+                                             rational(w).as_integer_ratio())
+            except (ArithmeticError, TypeError, ValueError):
+                du = dv = dw = 0  # the table raises on the first failing leg
+            if du == dv == dw == 1:
+                t12, t13, t23 = quotients = [], [], []
+                for (kn, kd), x, y in forms:
+                    # x^u = a/b, x^v = c/d, y^v = e/f, y^w = g/h
+                    (a, b), (c, d) = _power(x, U), _power(x, V)
+                    (e, f), (g, h) = _power(y, V), _power(y, W)
+                    t12.append((kn * a * e, kd * b * f))
+                    t13.append((kn * a * g, kd * b * h))
+                    t23.append((kn * c * g, kd * d * h))
+                t = [*map(_cleared, quotients)]
+                if None not in t:
+                    return t
+            return [table(*c) for c in leg_colours(None, u, v, w)]
+        return triple, legs
+    (a0, b0, g0), (a1, b1, g1), *c2 = forms
+    if not c2:
+        phi = F.phi
+
+        def form(X, d):
+            return a0 * d + a1 * X, b0 * d + b1 * X, g0 * d + g1 * X
+
+        def legs(x, z):
+            (X, dx), (Z, dz) = (rational(x).as_integer_ratio(),
+                                rational(z).as_integer_ratio())
+            return [form(X, dx), form(phi(X, Z), phi(dx, dz)), form(Z, dz)]
+        return lambda x: form(*rational(x).as_integer_ratio()), legs
+    [(a2, b2, g2)] = c2
+
+    def form(d, U, V):
+        return (a0 * d + a1 * U + a2 * V, b0 * d + b1 * U + b2 * V,
+                g0 * d + g1 * U + g2 * V)
+
+    def legs(u, v, w):
+        (U, du), (V, dv), (W, dw) = (rational(u).as_integer_ratio(),
+                                     rational(v).as_integer_ratio(),
+                                     rational(w).as_integer_ratio())
+        d = lcm(du, dv, dw)
+        U, V, W = U * (d // du), V * (d // dv), W * (d // dw)
+        return [form(d, U, V), form(d, U, W), form(d, V, W)]
+    # the triple at (u, v) is the first leg at (u, v, w), for any w
+    return lambda u, v: legs(u, v, v)[0], legs
 
 
 class _Params(dict):
@@ -107,12 +184,12 @@ class _Params(dict):
 @dataclass(frozen=True)
 class _TableFamily:
     """A family of :data:`ybops.funceq.FAMILIES` on a carrier at fixed
-    parameters, evaluated at colours: its operator, its integer triple
-    and its inverse.  A coalgebra family's operator is the transpose of the
-    ansatz on the carrier's algebra, and every inverse is the ansatz on the
-    opposite algebra.  The parameters are read as exact rationals once,
-    here, into a read-only ``params``, and the colours at each
-    evaluation.
+    parameters, evaluated at colours: its operator, its integer triple,
+    the integer triples of a QYBE's three legs, and its inverse.  A
+    coalgebra family's operator is the transpose of the ansatz on the
+    carrier's algebra, and every inverse is the ansatz on the opposite
+    algebra.  The parameters are read as exact rationals once, here, into
+    a read-only ``params``, and the colours at each evaluation.
 
     Each subclass names its ``system``, "coloured" or "one-parameter",
     and gives ``op``.  A kind of the other system raises
@@ -159,65 +236,25 @@ class _TableFamily:
     @cached_property
     def integer_triple(self):
         """``colours -> (a, b, c)``, ints: a positive multiple of the
-        coefficients ``op`` builds at these colours.  None where the
-        algebra is not associative and unital (``A.valid``, computed once
-        per algebra), since no triple proves a residual there; decided
-        once, at the first read.  A colour that ``op`` refuses raises the
-        same error here.
-
-        An exponential family raises the integer pairs of its
-        :func:`_forms` to the colours (reversed for a negative colour) and
-        clears each k x^u y^v over one lcm.  At colours U/D (, V/D) over
-        their common denominator D, any other family gives c0 D + c1 U
-        (+ c2 V) on its :func:`_forms`, L D times the table's triple."""
+        coefficients ``op`` builds there, raising what ``op`` raises.  None,
+        decided once, where the algebra is not associative and unital
+        (``A.valid``), since no triple proves a residual there."""
         F = family(self.kind)
-        if not self._algebra(F).valid:
-            return None
-        if F.integer_colours:
-            args, entries = F.args(self.params), _forms(F, self.params)
+        return (_integer_closures(F, self.params)[0]
+                if self._algebra(F).valid else None)
 
-            def triple(u, v):
-                # an int colour is read as it is, any other as its rational
-                u, v = (c if type(c) is int else rational(c) for c in (u, v))
-                t = []
-                if u.denominator == v.denominator == 1:
-                    u, v = u.numerator, v.numerator
-                    U, V = abs(u), abs(v)
-                    for (n, d), x, y in entries:
-                        (xn, xd), (yn, yd) = (x[::-1] if u < 0 else x,
-                                              y[::-1] if v < 0 else y)
-                        n, d = n * xn ** U * yn ** V, d * xd ** U * yd ** V
-                        t.append((n, d))
-                if not (t and all(d for _, d in t)):
-                    # a colour that is no integer, or a zero base to a
-                    # negative colour: the table entry raises its error
-                    t = [x.as_integer_ratio() for x in F.coeffs(*args, u, v)]
-                (a, da), (b, db), (g, dg) = t
-                den = lcm(da, db, dg)
-                return a * (den // da), b * (den // db), g * (den // dg)
-            return triple
-        (a0, b0, g0), (a1, b1, g1), *c2 = _forms(F, self.params)
-        if not c2:
-            def triple(X, d=None):
-                # the colour X, or X / d for ints X and d > 0
-                if d is None:
-                    X, d = rational(X).as_integer_ratio()
-                return a0 * d + a1 * X, b0 * d + b1 * X, g0 * d + g1 * X
-            return triple
-        [(a2, b2, g2)] = c2
-
-        def triple(u, v):
-            u, v = rational(u), rational(v)
-            du, dv = u.denominator, v.denominator
-            d = lcm(du, dv)
-            U, V = u.numerator * (d // du), v.numerator * (d // dv)
-            return (a0 * d + a1 * U + a2 * V, b0 * d + b1 * U + b2 * V,
-                    g0 * d + g1 * U + g2 * V)
-        return triple
+    @cached_property
+    def integer_legs(self):
+        """``colours -> [t12, t13, t23]``, the integer triples at the legs
+        of :func:`ybops.funceq.leg_colours` from one call, or None exactly
+        where ``integer_triple`` is; errors are ``op``'s, first leg first."""
+        return self.integer_triple and _integer_closures(
+            family(self.kind), self.params)[1]
 
     def __getstate__(self):
-        # the cached integer_triple is a closure, rebuilt at its first use
-        return {k: x for k, x in vars(self).items() if k != "integer_triple"}
+        # the cached closures are rebuilt at their first use
+        return {k: x for k, x in vars(self).items()
+                if k not in ("integer_triple", "integer_legs")}
 
     def inv(self, *colours) -> Op2:
         """Inverse of ``op``; SingularParameterError off its domain."""

@@ -60,11 +60,3 @@ class OneParFamily(_TableFamily):
     def phi(self, x, z):
         """phi at x and z read as exact rationals, as the colours are."""
         return family(self.kind).phi(rational(x), rational(z))
-
-    def integer_legs(self, x, z):
-        """The integer triples at x, phi(x, z), z, or None: a table phi, a
-        monomial, is phi of the numerators over phi of the denominators."""
-        t, phi = self.integer_triple, family(self.kind).phi
-        x, z = rational(x), rational(z)
-        return t and [t(x), t(phi(x.numerator, z.numerator),
-                              phi(x.denominator, z.denominator)), t(z)]

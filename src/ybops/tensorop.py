@@ -257,22 +257,18 @@ def colored_qybe_residual(family, u, v, w):
     """Max-abs-entry of R12(u,v) R13(u,w) R23(v,w) - R23(v,w) R13(u,w) R12(u,v).
 
     ``family`` must expose ``op(u, v) -> Op2``.  Zero exactly for genuine
-    coloured Yang-Baxter operators.
-
-    A table family (:class:`ybops.colored.ColoredFamily`) also exposes
-    ``integer_triple``: on a valid algebra (``A.valid``) a function
-    ``(u, v) -> (a, b, c)``, a positive integer multiple of the
-    coefficients of ``op(u, v)``; on any other, None.  When the three
-    triples solve the five-equation system the residual is ``Fraction(0)``
-    by the identity above, and no operator is built.  Every other input
-    (an invalid carrier, a family exposing only ``op``) goes to the sparse
-    kernel, and so does a non-zero equation: a non-zero residual keeps its
-    value.
+    coloured Yang-Baxter operators.  A table family
+    (:class:`ybops.colored.ColoredFamily`) also exposes ``integer_legs``:
+    None off a valid algebra (``A.valid``), else ``(u, v, w) -> [t12, t13,
+    t23]``, positive integer multiples of the coefficients of ``op`` at
+    (u,v), (u,w) and (v,w).  Legs that solve the five equations give
+    ``Fraction(0)`` by the identity above, and no operator is built; every
+    other input goes to the sparse kernel, so a non-zero residual keeps
+    its value.
     """
-    colours = leg_colours(None, u, v, w)
-    triple = getattr(family, "integer_triple", None)
-    return _decided(triple and [triple(*c) for c in colours],
-                    (family.op(*c) for c in colours))
+    legs = getattr(family, "integer_legs", None)
+    return _decided(legs and legs(u, v, w), lambda: [
+        family.op(*c) for c in leg_colours(None, u, v, w)])
 
 
 def onepar_qybe_residual(family, x, z):
@@ -280,34 +276,30 @@ def onepar_qybe_residual(family, x, z):
 
     ``family`` must expose ``op(x) -> Op2`` and ``phi(x, z) -> scalar``; the
     composition map is attached to the family so checks cannot mix a family
-    with the wrong phi.  A family with ``integer_legs``
-    (:class:`ybops.onepar.OneParFamily`) gives the triples at x, phi(x,z),
-    z, which decide it by the five-equation system as in
-    :func:`colored_qybe_residual` when they are not None.  Otherwise
-    ``phi(x, z)`` is evaluated before any operator is built.
+    with the wrong phi.  Its ``integer_legs``, if any, give the triples at
+    x, phi(x,z) and z and decide it as in :func:`colored_qybe_residual`;
+    where the kernel decides, ``phi(x, z)`` is evaluated before any
+    operator is built.
     """
     legs = getattr(family, "integer_legs", None)
+    return _decided(legs and legs(x, z), lambda: [
+        family.op(*c) for c in leg_colours(family.phi, x, z)])
 
-    def ops():
-        for c in leg_colours(family.phi, x, z):
-            yield family.op(*c)
-    return _decided(legs and legs(x, z), ops())
+
+# the one decided zero, shared: a Fraction cannot change
+_ZERO = Fraction(0)
 
 
 def _decided(triples, ops):
     """``Fraction(0)`` when ``triples``, three integer triples or None,
-    solve the five equations, else the max-abs entry of the kernel's QYBE
-    difference of the three operators in ``ops``, which a lazy iterable
-    builds only then.
-
-    A table family's ``integer_triple`` is a positive integer multiple of
-    its coefficients.  Each e_k is trilinear, every monomial taking one
-    factor from each of t12, t13 and t23, so scaling each triple by a
-    positive integer scales it by their non-zero product and the e_k that
-    vanish are the same."""
+    solve the five equations, else the kernel's max-abs QYBE entry of the
+    three operators that ``ops()`` builds, called only then.  Each e_k is
+    trilinear, every monomial taking one factor from each triple, so
+    positive integer multiples of the coefficients vanish where the
+    coefficients do."""
     if triples is not None and not any(_system(*triples)):
-        return Fraction(0)
-    return _qybe_max_abs(*ops)
+        return _ZERO
+    return _qybe_max_abs(*ops())
 
 
 def twist_compose(R: Op2) -> Op2:

@@ -58,5 +58,5 @@ def wxz_residuals(S: WXZSystem) -> tuple:
     """
     ops, triples = (S.W, S.X, S.Z), S.triples
     return tuple(_decided(triples and [triples[k] for k in legs],
-                          (ops[k] for k in legs))
+                          lambda: [ops[k] for k in legs])
                  for legs in ((0, 0, 0), (2, 2, 2), (0, 1, 1), (1, 1, 2)))

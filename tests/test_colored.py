@@ -319,12 +319,23 @@ class TestReadOnlyParams:
             "params={'p': Fraction(2, 1), 'q': Fraction(3, 1)})")
 
     def test_pickles_and_copies(self, A1):
-        # also once the family has cached its integer triple
+        # also once the family has cached its integer triple and legs,
+        # closures that the state leaves out and a twin rebuilds
         fam = ColoredFamily("thm1", A1, {"p": 2, "q": Fraction(3)})
-        t = fam.integer_triple(3, 1)
-        for twin in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam),
-                     copy.copy(fam)):
+        t, legs = fam.integer_triple(3, 1), fam.integer_legs(3, 1, -2)
+        one = OneParFamily("prop1", A1, {"q": Fraction(-2, 3)})
+        one_legs = one.integer_legs(Fraction(1, 2), 5)
+        closures = {"integer_triple", "integer_legs"}
+        assert closures <= set(vars(fam)) and closures <= set(vars(one))
+        assert not closures & set(fam.__getstate__())
+        assert not closures & set(one.__getstate__())
+        for copied in (lambda f: pickle.loads(pickle.dumps(f)),
+                       copy.deepcopy, copy.copy):
+            twin, one_twin = copied(fam), copied(one)
             assert twin == fam and twin.op(3, 1) == fam.op(3, 1)
             assert twin.integer_triple(3, 1) == t
+            assert twin.integer_legs(3, 1, -2) == legs
+            assert one_twin == one
+            assert one_twin.integer_legs(Fraction(1, 2), 5) == one_legs
             with pytest.raises(TypeError):
                 twin.params["p"] = 7

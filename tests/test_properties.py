@@ -8,7 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -1264,6 +1264,99 @@ class TestIntegerTriples:
                 for evaluate in evaluations:
                     with pytest.raises(error):
                         evaluate(*colours)
+
+
+@st.composite
+def _leg_points(draw):
+    """A table family on a quotient with n = 1..3 and rational structure
+    constants (on its dual coalgebra where its kind says so), rational
+    parameters, non-zero where they are bases, and colours: ints in -4..4
+    or rationals, integral where they are exponents."""
+    kind = draw(st.sampled_from(sorted(FAMILIES)))
+    F = FAMILIES[kind]
+    n = draw(st.integers(1, 3))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    A = poly_quotient(draw(st.lists(small, min_size=n, max_size=n)) + [1])
+    Family = ColoredFamily if F.phi is None else OneParFamily
+    fam = Family(kind, dual_coalgebra(A) if F.coalgebra else A, {
+        name: draw(nonzero_fractions if F.integer_colours else fractions)
+        for name in F.params})
+    ints = st.integers(-4, 4)
+    colour = ints | (ints.map(Fraction) if F.integer_colours else fractions)
+    return fam, draw(st.lists(colour, min_size=3 if F.phi is None else 2,
+                              max_size=3 if F.phi is None else 2))
+
+
+def _first_leg_error(fam, colours):
+    """The error ``fam.op`` raises on the first leg that fails."""
+    for c in leg_colours(getattr(fam, "phi", None), *colours):
+        try:
+            fam.op(*c)
+        except Exception as error:
+            return error
+    raise AssertionError(f"no leg fails at {colours}")
+
+
+class TestIntegerLegs:
+    """A family's ``integer_legs``, one call for the three legs, gives
+    positive multiples of the table's coefficients at each leg, and the
+    five-equation decision of the per-leg ``integer_triple``, in every
+    order of the legs; off its integer path it raises what ``op`` raises
+    on the first leg that fails.  Budget at most 1 s."""
+
+    @settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
+    @given(case=_leg_points())
+    # distinct bases at distinct colours, of which some are negative: the
+    # three legs of an exponential kind differ by more than a scale
+    @example(case=(ColoredFamily("thm2", poly_quotient([Fraction(1, 2), 1]),
+                                 {"p": Fraction(-2, 3), "q": 3, "s": 5}),
+                   [1, -2, 3]))
+    @example(case=(ColoredFamily("remark2", poly_quotient(
+        [Fraction(-1, 3), 2, Fraction(3, 2), 1]),
+        {"p": 2, "q": Fraction(-3, 4), "s": 5}), [-3, 2, 1]))
+    @example(case=(OneParFamily("prop1_coalgebra", dual_coalgebra(
+        poly_quotient([Fraction(2, 3), 1])), {"q": Fraction(-1, 2)}),
+        [Fraction(3, 4), Fraction(-5, 3)]))
+    def test_positive_multiples_with_the_per_leg_decision(self, case):
+        fam, colours = case
+        at = leg_colours(getattr(fam, "phi", None), *colours)
+        legs = fam.integer_legs(*colours)
+        per_leg = [fam.integer_triple(*c) for c in at]
+        for t, c in zip(legs, at):
+            assert type(t) is tuple and all(type(x) is int for x in t)
+            assert _positive_multiple(
+                t, tuple(map(Fraction, table_triple(fam, *c))))
+        # the table's triples solve the system; the legs out of order do
+        # not in general, and vanish where the per-leg triples vanish
+        for order in permutations(range(3)):
+            got = _system(*(legs[i] for i in order))
+            want = _system(*(per_leg[i] for i in order))
+            assert [e == 0 for e in got] == [e == 0 for e in want]
+
+    @pytest.mark.parametrize("kind, params, colours", [
+        # a colour that is no integer, in each of the three positions
+        ("thm2", {"p": 2, "q": 3, "s": 5}, (Fraction(1, 2), 1, 2)),
+        ("remark2", {"p": 2, "q": 3, "s": 5}, (1, Fraction(-1, 2), 2)),
+        ("thm2", {"p": 2, "q": 3, "s": 5}, (1, 2, 0.5)),
+        # a zero base to a negative colour: p^v on the third leg, then
+        # q^v on the first
+        ("thm2", {"p": 0, "q": 3, "s": 5}, (1, -1, 2)),
+        ("remark2", {"p": 3, "q": 0, "s": 5}, (2, -1, 1)),
+        # unparsable colours, alone and after a failing first leg
+        ("thm1", {"p": 2, "q": 3}, (1, 2, "x")),
+        ("remark2", {"p": 2, "q": 3, "s": 5}, (1, "1/0", 2)),
+        ("thm2", {"p": 2, "q": 3, "s": 5}, (Fraction(1, 2), 1, "x")),
+        ("thm2", {"p": 0, "q": 3, "s": 5}, (-1, 1, None)),
+    ])
+    def test_errors_are_ops_on_the_first_failing_leg(self, kind, params,
+                                                     colours):
+        fam = ColoredFamily(kind, A1, params)
+        want = _first_leg_error(fam, colours)
+        for evaluate in (fam.integer_legs,
+                         partial(colored_qybe_residual, fam)):
+            with pytest.raises(type(want)) as got:
+                evaluate(*colours)
+            assert str(got.value) == str(want)
 
 
 # --- float input is read as its exact rational ---------------------------------

@@ -305,10 +305,11 @@ class TestSystemRoute:
         assert report["okado_braid_residual"] == "0"
         assert report["twisted_prop1_braid_residual"] == "0"
 
-    def test_a_non_solution_takes_the_kernel(self, kernel_calls):
-        # a family exposing an integer triple that solves no system
-        A = quadratic_algebra(3)
-
+    @staticmethod
+    def _non_solution(A):
+        """A duck-typed family whose triples solve no system, exposing
+        ``op`` alone, and the list of the colours its triples were read at,
+        one entry per call."""
         drawn = []
 
         def coeffs(u, v):
@@ -317,10 +318,31 @@ class TestSystemRoute:
         def integer_triple(u, v):
             drawn.append((u, v))
             return cleared(coeffs(u, v))
-        fam = SimpleNamespace(integer_triple=integer_triple,
-                              op=lambda u, v: ansatz_op(A, *coeffs(u, v)))
+
+        def integer_legs(u, v, w):
+            drawn.append((u, v, w))
+            return [integer_triple(*c) for c in ((u, v), (u, w), (v, w))]
+        fam = SimpleNamespace(op=lambda u, v: ansatz_op(A, *coeffs(u, v)))
+        return fam, drawn, integer_triple, integer_legs
+
+    def test_a_non_solution_takes_the_kernel(self, kernel_calls):
+        # its integer legs, read in one call, solve no system
+        A = quadratic_algebra(3)
+        fam, drawn, _, fam.integer_legs = self._non_solution(A)
         res = colored_qybe_residual(fam, *self.UVW)
-        assert len(drawn) == 3 and kernel_calls == [3]
+        u, v, w = self.UVW
+        assert drawn == [(u, v, w), (u, v), (u, w), (v, w)]
+        assert kernel_calls == [3]
+        assert res != 0 and res == colored_qybe_residual(
+            both_routes(fam)[1], *self.UVW)
+
+    def test_a_triple_alone_takes_the_kernel(self, kernel_calls):
+        # a family that exposes an integer triple but no integer legs is
+        # decided by the kernel, at the exact value of its op-only view
+        A = quadratic_algebra(3)
+        fam, drawn, fam.integer_triple, _ = self._non_solution(A)
+        res = colored_qybe_residual(fam, *self.UVW)
+        assert drawn == [] and kernel_calls == [3]
         assert res != 0 and res == colored_qybe_residual(
             both_routes(fam)[1], *self.UVW)
 
