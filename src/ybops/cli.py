@@ -44,7 +44,7 @@ from .search import _PHI_SHAPES, search as run_search
 from .tensorop import (braid_residual, colored_qybe_residual,
                        onepar_qybe_residual, op_to_csv, op_to_json,
                        op_to_latex, tensor_basis_labels)
-from .ybsystem import thm3_system, wxz_residuals
+from .ybsystem import thm3_residuals, thm3_system
 
 # What a command raises for bad input: exit 2 with a one-line message.
 _USAGE_ERRORS = (YbopsError, ValueError, ZeroDivisionError, OSError)
@@ -220,8 +220,8 @@ def _member_texts(size, scale, comb):
 
 def cmd_ybsystem(args):
     A = _algebra(args)
-    S = thm3_system(A, parse_scalar(args.lam), parse_scalar(args.mu))
-    residuals = wxz_residuals(S)
+    lam, mu = parse_scalar(args.lam), parse_scalar(args.mu)
+    S, residuals = thm3_system(A, lam, mu), thm3_residuals(A, lam, mu)
     emit = _emitter(args.emit)
     report = {"command": "ybsystem",
               "lambda": args.lam, "mu": args.mu,

@@ -95,24 +95,16 @@ def _cleared(quotients):
 
 
 @lru_cache
-def _integer_closures(F, params) -> tuple:
-    """``(triple, legs)`` of a table entry ``F`` at ``params``, from its
-    :func:`_forms`: affine forms on the colours' numerators over one
-    denominator, or each base raised to each integer colour once; where
+def _integer_legs(F, params):
+    """``colours -> [t12, t13, t23]`` of a table entry ``F`` at ``params``,
+    from its :func:`_forms`: affine forms on the colours' numerators over
+    one denominator, or each base raised to each integer colour once; where
     that fails, the table entry, leg by leg, raises what ``op`` raises."""
     forms, args = _forms(F, params), F.args(params)
     if F.integer_colours:
         def table(*colours):
             return _cleared([x.as_integer_ratio() for x in
                              F.coeffs(*args, *map(rational, colours))])
-
-        def triple(u, v):
-            (U, du), (V, dv) = (rational(u).as_integer_ratio(),
-                                rational(v).as_integer_ratio())
-            t = du == dv == 1 and _cleared([
-                (kn * a * c, kd * b * d) for (kn, kd), x, y in forms
-                for (a, b), (c, d) in [(_power(x, U), _power(y, V))]])
-            return t or table(u, v)
 
         def legs(u, v, w):
             try:
@@ -134,7 +126,7 @@ def _integer_closures(F, params) -> tuple:
                 if None not in t:
                     return t
             return [table(*c) for c in leg_colours(None, u, v, w)]
-        return triple, legs
+        return legs
     (a0, b0, g0), (a1, b1, g1), *c2 = forms
     if not c2:
         phi = F.phi
@@ -146,7 +138,7 @@ def _integer_closures(F, params) -> tuple:
             (X, dx), (Z, dz) = (rational(x).as_integer_ratio(),
                                 rational(z).as_integer_ratio())
             return [form(X, dx), form(phi(X, Z), phi(dx, dz)), form(Z, dz)]
-        return lambda x: form(*rational(x).as_integer_ratio()), legs
+        return legs
     [(a2, b2, g2)] = c2
 
     def form(d, U, V):
@@ -160,8 +152,7 @@ def _integer_closures(F, params) -> tuple:
         d = lcm(du, dv, dw)
         U, V, W = U * (d // du), V * (d // dv), W * (d // dw)
         return [form(d, U, V), form(d, U, W), form(d, V, W)]
-    # the triple at (u, v) is the first leg at (u, v, w), for any w
-    return lambda u, v: legs(u, v, v)[0], legs
+    return legs
 
 
 class _Params(dict):
@@ -184,12 +175,12 @@ class _Params(dict):
 @dataclass(frozen=True)
 class _TableFamily:
     """A family of :data:`ybops.funceq.FAMILIES` on a carrier at fixed
-    parameters, evaluated at colours: its operator, its integer triple,
-    the integer triples of a QYBE's three legs, and its inverse.  A
-    coalgebra family's operator is the transpose of the ansatz on the
-    carrier's algebra, and every inverse is the ansatz on the opposite
-    algebra.  The parameters are read as exact rationals once, here, into
-    a read-only ``params``, and the colours at each evaluation.
+    parameters, evaluated at colours: its operator, the integer triples of
+    a QYBE's three legs, and its inverse.  A coalgebra family's operator
+    is the transpose of the ansatz on the carrier's algebra, and every
+    inverse is the ansatz on the opposite algebra.  The parameters are
+    read as exact rationals once, here, into a read-only ``params``, and
+    the colours at each evaluation.
 
     Each subclass names its ``system``, "coloured" or "one-parameter",
     and gives ``op``.  A kind of the other system raises
@@ -234,27 +225,20 @@ class _TableFamily:
         return _transpose(R) if F.coalgebra else R
 
     @cached_property
-    def integer_triple(self):
-        """``colours -> (a, b, c)``, ints: a positive multiple of the
-        coefficients ``op`` builds there, raising what ``op`` raises.  None,
-        decided once, where the algebra is not associative and unital
-        (``A.valid``), since no triple proves a residual there."""
-        F = family(self.kind)
-        return (_integer_closures(F, self.params)[0]
-                if self._algebra(F).valid else None)
-
-    @cached_property
     def integer_legs(self):
-        """``colours -> [t12, t13, t23]``, the integer triples at the legs
-        of :func:`ybops.funceq.leg_colours` from one call, or None exactly
-        where ``integer_triple`` is; errors are ``op``'s, first leg first."""
-        return self.integer_triple and _integer_closures(
-            family(self.kind), self.params)[1]
+        """``colours -> [t12, t13, t23]``, ints: positive multiples of the
+        coefficients ``op`` builds at the legs of
+        :func:`ybops.funceq.leg_colours`, from one call, raising what ``op``
+        raises on the first failing leg.  None, decided once, where the
+        algebra is not associative and unital (``A.valid``), since no
+        triple proves a residual there."""
+        F = family(self.kind)
+        return (_integer_legs(F, self.params) if self._algebra(F).valid
+                else None)
 
     def __getstate__(self):
-        # the cached closures are rebuilt at their first use
-        return {k: x for k, x in vars(self).items()
-                if k not in ("integer_triple", "integer_legs")}
+        # the cached closure is rebuilt at its first use
+        return {k: x for k, x in vars(self).items() if k != "integer_legs"}
 
     def inv(self, *colours) -> Op2:
         """Inverse of ``op``; SingularParameterError off its domain."""

@@ -371,7 +371,7 @@ class _Echelon:
     integer multiple of the one a Fraction elimination leaves, with the
     same least word.  Only inputs independent of the ones before them
     enter, so a member is written on the leftmost independent inputs, where
-    it is unique; only :meth:`solve` and a report's reads build Fractions.
+    it is unique; only a report's reads build Fractions.
     """
 
     def __init__(self, polys):
@@ -398,14 +398,6 @@ class _Echelon:
                 scale *= a
         return scale, rest, comb
 
-    def solve(self, poly: NCPoly):
-        """``(coefficients, None)`` for a member, else ``(None, residue)``:
-        the canonical normal form of ``poly``, free of pivot words."""
-        scale, rest, comb = self._reduce(poly)
-        if rest:
-            return None, NCPoly._of(rest, scale)
-        return _coefficients(self.size, scale, comb), None
-
 
 def _coefficients(size: int, scale: int, comb: dict) -> list:
     # the member -comb/scale on ``size`` inputs, as Fractions
@@ -429,13 +421,6 @@ def _rank(vectors) -> int:
 def span_dimension(polys) -> int:
     """Dimension of the span of ``polys``: the rank of their numerators."""
     return _rank(poly.num for poly in polys)
-
-
-def in_span(poly: NCPoly, basis) -> Optional[list]:
-    """Coefficients writing ``poly`` on ``basis``, by one exact elimination,
-    or None; they sit on the leftmost independent basis polynomials and are
-    zero elsewhere."""
-    return _Echelon(basis).solve(poly)[0]
 
 
 @dataclass(frozen=True)
@@ -497,6 +482,14 @@ def span_membership(entries, basis) -> SpanReport:
         entry_span_dim=(_rank(combs) if len(combs) == len(entries)
                         else span_dimension(entries)),
         relation_span_dim=len(echelon.rows))
+
+
+def in_span(poly: NCPoly, basis) -> Optional[list]:
+    """Coefficients writing ``poly`` on ``basis``, by one exact elimination,
+    or None; they sit on the leftmost independent basis polynomials and are
+    zero elsewhere: :func:`span_membership`'s member."""
+    member = span_membership([poly], basis).members[0]
+    return None if member is None else list(member)
 
 
 def rtt_span_report(rels: RelationSet) -> SpanReport:

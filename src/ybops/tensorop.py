@@ -252,6 +252,13 @@ def yb_commutator(R: Op2, S: Op2, T: Op2) -> tuple:
 # unital algebra map, and F<a,b,c> maps onto e_a, e_b, e_c of any associative
 # unital algebra: where all five e_k vanish, every residual entry is 0.  On
 # the coalgebra transfer the residual is minus the transpose of the algebra's.
+# Each e_k is trilinear, every monomial taking one factor from each triple,
+# so positive integer multiples of the coefficients vanish where the
+# coefficients do.
+
+# the one decided zero, shared: a Fraction cannot change
+_ZERO = Fraction(0)
+
 
 def colored_qybe_residual(family, u, v, w):
     """Max-abs-entry of R12(u,v) R13(u,w) R23(v,w) - R23(v,w) R13(u,w) R12(u,v).
@@ -267,8 +274,10 @@ def colored_qybe_residual(family, u, v, w):
     its value.
     """
     legs = getattr(family, "integer_legs", None)
-    return _decided(legs and legs(u, v, w), lambda: [
-        family.op(*c) for c in leg_colours(None, u, v, w)])
+    if legs is not None and not any(_system(*legs(u, v, w))):
+        return _ZERO
+    return _qybe_max_abs(*[family.op(*c)
+                           for c in leg_colours(None, u, v, w)])
 
 
 def onepar_qybe_residual(family, x, z):
@@ -282,24 +291,10 @@ def onepar_qybe_residual(family, x, z):
     operator is built.
     """
     legs = getattr(family, "integer_legs", None)
-    return _decided(legs and legs(x, z), lambda: [
-        family.op(*c) for c in leg_colours(family.phi, x, z)])
-
-
-# the one decided zero, shared: a Fraction cannot change
-_ZERO = Fraction(0)
-
-
-def _decided(triples, ops):
-    """``Fraction(0)`` when ``triples``, three integer triples or None,
-    solve the five equations, else the kernel's max-abs QYBE entry of the
-    three operators that ``ops()`` builds, called only then.  Each e_k is
-    trilinear, every monomial taking one factor from each triple, so
-    positive integer multiples of the coefficients vanish where the
-    coefficients do."""
-    if triples is not None and not any(_system(*triples)):
+    if legs is not None and not any(_system(*legs(x, z))):
         return _ZERO
-    return _qybe_max_abs(*ops())
+    return _qybe_max_abs(*[family.op(*c)
+                           for c in leg_colours(family.phi, x, z)])
 
 
 def twist_compose(R: Op2) -> Op2:

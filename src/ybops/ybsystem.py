@@ -9,13 +9,12 @@ coefficients (lambda, 1, 1), X is prop2 at 1, the constant operator
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .algebra import Algebra, require_valid
 from .errors import DimensionMismatchError
 from .onepar import OneParFamily
-from .tensorop import Op2, _decided
+from .tensorop import Op2, _qybe_max_abs, onepar_qybe_residual
 
 
 @dataclass(frozen=True)
@@ -23,10 +22,6 @@ class WXZSystem:
     W: Op2
     X: Op2
     Z: Op2
-    # the integer triples of W, X and Z, set only by thm3_system; a
-    # system built or replace()d from operators has none
-    triples: Optional[tuple] = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     def __post_init__(self):
         # the defining commutators only pair W with X and X with Z, but the
@@ -36,27 +31,31 @@ class WXZSystem:
 
 
 def thm3_system(A: Algebra, lam, mu) -> WXZSystem:
-    """W = prop2 at lam, X = prop2 at 1 and Z = remark_x at mu, keeping
-    their ``integer_triple``s; lam and mu are read as exact rationals."""
+    """W = prop2 at lam, X = prop2 at 1 and Z = remark_x at mu; lam and mu
+    are read as exact rationals."""
+    require_valid(A)
+    prop2 = OneParFamily("prop2", A)
+    return WXZSystem(prop2.op(lam), prop2.op(1),
+                     OneParFamily("remark_x", A).op(mu))
+
+
+def thm3_residuals(A: Algebra, lam, mu) -> tuple:
+    """:func:`wxz_residuals` of ``thm3_system(A, lam, mu)``, as the
+    one-parameter residuals they are: prop2 at (lam, lam) and (lam, 1), and
+    remark_x at (mu, mu) and (1, mu), in the order [W,W,W], [Z,Z,Z],
+    [W,X,X], [X,X,Z].  Each is decided by its family's ``integer_legs``,
+    so no operator is built."""
     require_valid(A)
     prop2, remark_x = OneParFamily("prop2", A), OneParFamily("remark_x", A)
-    builds = ((prop2, lam), (prop2, 1), (remark_x, mu))
-    S = WXZSystem(*(fam.op(x) for fam, x in builds))
-    object.__setattr__(S, "triples", tuple(
-        fam.integer_triple(x) for fam, x in builds))
-    return S
+    return (onepar_qybe_residual(prop2, lam, lam),
+            onepar_qybe_residual(remark_x, mu, mu),
+            onepar_qybe_residual(prop2, lam, 1),
+            onepar_qybe_residual(remark_x, 1, mu))
 
 
 def wxz_residuals(S: WXZSystem) -> tuple:
-    """Max-abs entries of [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z]; all zero for
-    genuine systems.
-
-    A commutator whose three triples from :func:`thm3_system` solve the
-    five-equation system is ``Fraction(0)`` without the kernel, as in
-    :func:`ybops.tensorop.colored_qybe_residual`; every other commutator,
-    and every one of a system without triples, goes to the kernel.
-    """
-    ops, triples = (S.W, S.X, S.Z), S.triples
-    return tuple(_decided(triples and [triples[k] for k in legs],
-                          lambda: [ops[k] for k in legs])
-                 for legs in ((0, 0, 0), (2, 2, 2), (0, 1, 1), (1, 1, 2)))
+    """Max-abs entries of [W,W,W], [Z,Z,Z], [W,X,X], [X,X,Z], each from the
+    sparse kernel on S's operators; all zero for genuine systems."""
+    W, X, Z = S.W, S.X, S.Z
+    return tuple(_qybe_max_abs(*ops) for ops in
+                 ((W, W, W), (Z, Z, Z), (W, X, X), (X, X, Z)))

@@ -7,6 +7,7 @@ from unittest import mock
 
 import pytest
 
+from ybops import tensorop
 from ybops.algebra import Algebra, cubic_algebra, quadratic_algebra, validate
 from ybops.funceq import FAMILIES
 from ybops.onepar import OneParFamily
@@ -91,7 +92,7 @@ def table_triple(fam, *colours):
     """The coefficients (alpha, beta, gamma) of ``fam.op(*colours)`` read
     off the table, ``FAMILIES[fam.kind].coeffs``, at the family's
     parameters and the colours as exact rationals: the reference of which
-    ``integer_triple`` is a positive multiple."""
+    each leg of ``integer_legs`` is a positive multiple."""
     F = FAMILIES[fam.kind]
     return F.coeffs(*(fam.params[name] for name in F.params),
                     *map(Fraction, colours))
@@ -143,6 +144,21 @@ def rand_fraction(rng, lo=-9, hi=9, den=5, nonzero=False):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A spy on the kernel's integer entry point, which every residual
+    caller goes through: the list of its calls, one entry per call, the
+    number of operators it was given."""
+    calls = []
+    real = tensorop._qybe_columns
+
+    def counted(*ops):
+        calls.append(len(ops))
+        return real(*ops)
+    monkeypatch.setattr(tensorop, "_qybe_columns", counted)
+    return calls
 
 
 # (shape, system, phi shape) of the five search modes

@@ -7,11 +7,11 @@ t12, t13, t23.  Then R12 R13 R23 - R23 R13 R12 maps a(x)b(x)c to
     e1 1(x)abc(x)1 + e2 bc(x)1(x)a + e3 1(x)bc(x)a - e4 c(x)ab(x)1
     - e5 c(x)1(x)ab,   (e1, ..., e5) = funceq._system(t12, t13, t23).
 
-``colored_qybe_residual``, ``onepar_qybe_residual`` and ``wxz_residuals``
-return 0 without the kernel on the strength of this computation, done here
-exactly with nine commuting symbols and words in a, b, c.  They evaluate the
-system on each triple cleared to integers, which the trilinearity of every
-e_k allows; that rule is checked here too.
+``colored_qybe_residual`` and ``onepar_qybe_residual``, and so
+``thm3_residuals``, return 0 without the kernel on the strength of this
+computation, done here exactly with nine commuting symbols and words in a,
+b, c.  They evaluate the system on each triple cleared to integers, which
+the trilinearity of every e_k allows; that rule is checked here too.
 """
 
 from fractions import Fraction

@@ -436,17 +436,19 @@ class TestFractionFreeEchelon:
     @example(case=([_AB + _CD, _CD], [_AB]))
     def test_matches_fraction_elimination(self, case):
         inputs, targets = case
-        got, want = _Echelon(inputs), FractionEchelon(inputs)
-        assert set(got.rows) == set(want.rows)
+        want = FractionEchelon(inputs)
+        assert set(_Echelon(inputs).rows) == set(want.rows)
         assert span_dimension(inputs) == len(want.rows)
-        for t in inputs + targets:
-            (coeffs, residue), (want_coeffs, want_residue) = (
-                got.solve(t), want.solve(t))
-            assert coeffs == want_coeffs
+        rep = span_membership(inputs + targets, inputs)
+        for t, coeffs, residue in zip(inputs + targets, rep.members,
+                                      rep.residues):
+            want_coeffs, want_residue = want.solve(t)
+            assert coeffs == (None if want_coeffs is None
+                              else tuple(want_coeffs))
             assert (residue is None) == (want_residue is None)
             if residue is not None:
                 assert residue.terms == want_residue.terms
-            exact = (coeffs or []) + list((residue or NCPoly()).terms.values())
+            exact = [*(coeffs or ()), *(residue or NCPoly()).terms.values()]
             assert all(type(x) is Fraction for x in exact)
 
 
@@ -473,11 +475,14 @@ class TestIntegerStore:
         # a common factor, of either sign, cancels
         scaled = NCPoly._of({w: g * c for w, c in num.items()}, g * den)
         assert scaled == poly and hash(scaled) == hash(poly)
-        # a residue and a membership coefficient are Fractions
-        _, residue = _Echelon([]).solve(scaled)
-        coeffs, _ = _Echelon([poly]).solve(scaled)
+        # a residue and a membership coefficient are Fractions, as the
+        # Fraction elimination's
+        [residue] = span_membership([scaled], []).residues
+        [coeffs] = span_membership([scaled], [poly]).members
+        assert residue == FractionEchelon([]).solve(scaled)[1]
+        assert list(coeffs) == FractionEchelon([poly]).solve(scaled)[0]
         if num:
-            assert residue == poly and coeffs == [1]
+            assert residue == poly and coeffs == (1,)
             assert all(type(c) is Fraction for c in residue.terms.values())
         assert all(type(c) is Fraction for c in coeffs)
 
@@ -1136,12 +1141,12 @@ _scalar_kinds = (st.integers(-6, 6), fractions,
 
 
 @st.composite
-def _table_points(draw):
-    """A table family, an algebra (the family acts on its dual coalgebra
-    where its kind says so), int, Fraction or float parameters, and
-    colours: all int, all Fraction or all float, or all zero, or all equal.
-    Colours that are exponents are integers, and their bases non-zero."""
-    kind = draw(st.sampled_from(sorted(_TABLE)))
+def _table_points(draw, kind):
+    """A family of the table's ``kind``, an algebra (the family acts on its
+    dual coalgebra where its kind says so), int, Fraction or float
+    parameters, and colours: all int, all Fraction or all float, or all
+    zero, or all equal.  Colours that are exponents are integers, and their
+    bases non-zero."""
     F = _TABLE[kind]
     A, _ = draw(_valid_carriers())
     params = {name: draw(draw(st.sampled_from(_scalar_kinds)).filter(
@@ -1172,56 +1177,61 @@ def _table_family(kind, carrier, params):
 
 
 class TestIntegerTriples:
-    """Each table family gives, at any colours, an integer triple that is a
-    positive multiple of its table coefficients, and the five-equation
-    decision on those integers is the one on the table's rationals.
-    Budget about 1 s."""
+    """Each table family gives, at any colours, integer legs that are
+    positive multiples of its table coefficients, and the five-equation
+    decision on those integers is the one on the table's rationals.  Each
+    of the ten kinds draws 15 examples, 150 in all; budget about 2 s."""
 
-    @settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
-    @given(case=_table_points())
-    @example(case=("thm1", quadratic_algebra(2), {"p": 0.1, "q": 0.3},
-                   [0.1, 0.2, 0.7]))
-    @example(case=("prop1", quadratic_algebra(2), {"q": 1}, [0, 0]))
-    @example(case=("thm2", _M2_OPPOSITE, {"p": Fraction(-2, 3), "q": 0.5,
-                                          "s": 3}, [-2, 0, 3]))
-    @example(case=("remark2", _M2, {"p": 4, "q": Fraction(1, 3),
-                                    "s": -0.25}, [-1, 2, -3]))
-    # zero bases, which the draw leaves out, at colours >= 0: 0^0 = 1, so
-    # a triple is zero or partly zero
-    @example(case=("thm2", quadratic_algebra(2), {"p": 0, "q": 3, "s": 5},
-                   [0, 1, 2]))
-    @example(case=("thm2", _M2, {"p": 2, "q": 0, "s": 0}, [1, 0, 3]))
-    @example(case=("remark2", _M2_OPPOSITE, {"p": 0, "q": 0, "s": 5},
-                   [2, 0, 0]))
-    @example(case=("remark2", quadratic_algebra(2),
-                   {"p": Fraction(1, 2), "q": -3, "s": 0}, [0, 1, 3]))
-    # negative bases at odd and at even negative colours
-    @example(case=("thm2", _M2, {"p": Fraction(-2, 3), "q": -3,
-                                 "s": Fraction(-5, 7)}, [-1, -3, -2]))
-    @example(case=("remark2", _M2, {"p": -2, "q": Fraction(-3, 4),
-                                    "s": -0.5}, [-2, -4, -1]))
-    def test_a_positive_multiple_with_the_same_decision(self, case):
-        kind, A, params, colours = case
+    @pytest.mark.parametrize("kind", sorted(_TABLE))
+    @settings(max_examples=15, deadline=None, phases=_NO_SHRINK)
+    @given(data=st.data())
+    def test_a_positive_multiple_with_the_same_decision(self, kind, data):
+        self._check(*data.draw(_table_points(kind)))
+
+    @pytest.mark.parametrize("case", [
+        ("thm1", quadratic_algebra(2), {"p": 0.1, "q": 0.3}, [0.1, 0.2, 0.7]),
+        ("prop1", quadratic_algebra(2), {"q": 1}, [0, 0]),
+        ("thm2", _M2_OPPOSITE, {"p": Fraction(-2, 3), "q": 0.5, "s": 3},
+         [-2, 0, 3]),
+        ("remark2", _M2, {"p": 4, "q": Fraction(1, 3), "s": -0.25},
+         [-1, 2, -3]),
+        # zero bases, which the draw leaves out, at colours >= 0: 0^0 = 1,
+        # so a triple is zero or partly zero
+        ("thm2", quadratic_algebra(2), {"p": 0, "q": 3, "s": 5}, [0, 1, 2]),
+        ("thm2", _M2, {"p": 2, "q": 0, "s": 0}, [1, 0, 3]),
+        ("remark2", _M2_OPPOSITE, {"p": 0, "q": 0, "s": 5}, [2, 0, 0]),
+        ("remark2", quadratic_algebra(2),
+         {"p": Fraction(1, 2), "q": -3, "s": 0}, [0, 1, 3]),
+        # negative bases at odd and at even negative colours
+        ("thm2", _M2, {"p": Fraction(-2, 3), "q": -3, "s": Fraction(-5, 7)},
+         [-1, -3, -2]),
+        ("remark2", _M2, {"p": -2, "q": Fraction(-3, 4), "s": -0.5},
+         [-2, -4, -1]),
+    ], ids=lambda case: case[0])
+    def test_pinned_points(self, case):
+        self._check(*case)
+
+    @staticmethod
+    def _check(kind, A, params, colours):
         with patch.dict(FAMILIES, _TABLE):
             fam = _table_family(kind, A, params)
-            legs = leg_colours(getattr(fam, "phi", None), *colours)
-            exact = [table_triple(fam, *c) for c in legs]
-            got = [fam.integer_triple(*c) for c in legs]
+            phi = getattr(fam, "phi", None)
+            exact = [tuple(map(Fraction, table_triple(fam, *c)))
+                     for c in leg_colours(phi, *colours)]
             # the one-parameter legs read phi(x, z) off the numerators and
-            # the denominators, and are positive multiples too
-            both = [got] + ([fam.integer_legs(*colours)]
-                            if FAMILIES[kind].phi is not None else [])
+            # the denominators
+            got = fam.integer_legs(*colours)
             view = SimpleNamespace(op=fam.op)
-            if FAMILIES[kind].phi is None:
+            if phi is None:
                 residual = colored_qybe_residual
             else:
-                view.phi, residual = fam.phi, onepar_qybe_residual
+                view.phi, residual = phi, onepar_qybe_residual
             res, want = residual(fam, *colours), residual(view, *colours)
-        for got in both:
-            for g, e in zip(got, exact):
-                assert type(g) is tuple and all(type(x) is int for x in g)
-                assert _positive_multiple(g, tuple(map(Fraction, e)))
-            assert (not any(_system(*got))) is (not any(_system(*exact)))
+        assert len(got) == 3
+        for g, e in zip(got, exact):
+            assert type(g) is tuple and all(type(x) is int for x in g)
+            assert _positive_multiple(g, e)
+        assert (not any(_system(*got))) is (not any(_system(*exact)))
         assert res == want == 0 and type(res) is type(want) is Fraction
 
     def test_none_on_an_invalid_carrier(self):
@@ -1230,7 +1240,7 @@ class TestIntegerTriples:
         A = bad_unit_algebra()
         for kind, F in FAMILIES.items():
             fam = _table_family(kind, A, dict.fromkeys(F.params, 2))
-            assert fam.integer_triple is None
+            assert fam.integer_legs is None
             if F.phi is None:
                 residual, colours = colored_qybe_residual, (2, 3, -1)
             else:
@@ -1240,8 +1250,8 @@ class TestIntegerTriples:
 
     @pytest.mark.parametrize("kind", ["thm2", "remark2"])
     def test_exponent_errors_are_the_tables(self, kind):
-        # the integer triple, the operator and the residual raise the
-        # table's errors; on the invalid carrier, which has no triple, the
+        # the integer legs, the operator and the residual raise the
+        # table's errors; on the invalid carrier, which has no legs, the
         # residual raises them from the operators it builds
         for A in (A1, bad_unit_algebra()):
             for params, colours, error in (
@@ -1259,20 +1269,19 @@ class TestIntegerTriples:
                 # the residual's first leg is at the colours (u, v)
                 evaluations = [fam.op, partial(table_triple, fam),
                                partial(colored_qybe_residual, fam, w=1)]
-                if fam.integer_triple is not None:
-                    evaluations.append(fam.integer_triple)
+                if fam.integer_legs is not None:
+                    evaluations.append(partial(fam.integer_legs, w=1))
                 for evaluate in evaluations:
                     with pytest.raises(error):
                         evaluate(*colours)
 
 
 @st.composite
-def _leg_points(draw):
-    """A table family on a quotient with n = 1..3 and rational structure
-    constants (on its dual coalgebra where its kind says so), rational
-    parameters, non-zero where they are bases, and colours: ints in -4..4
-    or rationals, integral where they are exponents."""
-    kind = draw(st.sampled_from(sorted(FAMILIES)))
+def _leg_points(draw, kind):
+    """A family of the table's ``kind`` on a quotient with n = 1..3 and
+    rational structure constants (on its dual coalgebra where its kind says
+    so), rational parameters, non-zero where they are bases, and colours:
+    ints in -4..4 or rationals, integral where they are exponents."""
     F = FAMILIES[kind]
     n = draw(st.integers(1, 3))
     small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -1300,37 +1309,46 @@ def _first_leg_error(fam, colours):
 class TestIntegerLegs:
     """A family's ``integer_legs``, one call for the three legs, gives
     positive multiples of the table's coefficients at each leg, and the
-    five-equation decision of the per-leg ``integer_triple``, in every
-    order of the legs; off its integer path it raises what ``op`` raises
-    on the first leg that fails.  Budget at most 1 s."""
+    five-equation decision of the table's coefficients, in every order of
+    the legs; off its integer path it raises what ``op`` raises on the
+    first leg that fails.  Each of the eight kinds draws 13 examples, 104
+    in all; budget at most 1 s."""
 
-    @settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
-    @given(case=_leg_points())
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    @settings(max_examples=13, deadline=None, phases=_NO_SHRINK)
+    @given(data=st.data())
+    def test_positive_multiples_with_the_per_leg_decision(self, kind, data):
+        self._check(*data.draw(_leg_points(kind)))
+
     # distinct bases at distinct colours, of which some are negative: the
     # three legs of an exponential kind differ by more than a scale
-    @example(case=(ColoredFamily("thm2", poly_quotient([Fraction(1, 2), 1]),
-                                 {"p": Fraction(-2, 3), "q": 3, "s": 5}),
-                   [1, -2, 3]))
-    @example(case=(ColoredFamily("remark2", poly_quotient(
-        [Fraction(-1, 3), 2, Fraction(3, 2), 1]),
-        {"p": 2, "q": Fraction(-3, 4), "s": 5}), [-3, 2, 1]))
-    @example(case=(OneParFamily("prop1_coalgebra", dual_coalgebra(
-        poly_quotient([Fraction(2, 3), 1])), {"q": Fraction(-1, 2)}),
-        [Fraction(3, 4), Fraction(-5, 3)]))
-    def test_positive_multiples_with_the_per_leg_decision(self, case):
-        fam, colours = case
+    @pytest.mark.parametrize("case", [
+        (ColoredFamily("thm2", poly_quotient([Fraction(1, 2), 1]),
+                       {"p": Fraction(-2, 3), "q": 3, "s": 5}), [1, -2, 3]),
+        (ColoredFamily("remark2", poly_quotient(
+            [Fraction(-1, 3), 2, Fraction(3, 2), 1]),
+            {"p": 2, "q": Fraction(-3, 4), "s": 5}), [-3, 2, 1]),
+        (OneParFamily("prop1_coalgebra", dual_coalgebra(
+            poly_quotient([Fraction(2, 3), 1])), {"q": Fraction(-1, 2)}),
+         [Fraction(3, 4), Fraction(-5, 3)]),
+    ], ids=lambda case: case[0].kind)
+    def test_pinned_points(self, case):
+        self._check(*case)
+
+    @staticmethod
+    def _check(fam, colours):
         at = leg_colours(getattr(fam, "phi", None), *colours)
         legs = fam.integer_legs(*colours)
-        per_leg = [fam.integer_triple(*c) for c in at]
-        for t, c in zip(legs, at):
+        exact = [tuple(map(Fraction, table_triple(fam, *c))) for c in at]
+        assert len(legs) == 3
+        for t, e in zip(legs, exact):
             assert type(t) is tuple and all(type(x) is int for x in t)
-            assert _positive_multiple(
-                t, tuple(map(Fraction, table_triple(fam, *c))))
+            assert _positive_multiple(t, e)
         # the table's triples solve the system; the legs out of order do
-        # not in general, and vanish where the per-leg triples vanish
+        # not in general, and vanish where the table's triples vanish
         for order in permutations(range(3)):
             got = _system(*(legs[i] for i in order))
-            want = _system(*(per_leg[i] for i in order))
+            want = _system(*(exact[i] for i in order))
             assert [e == 0 for e in got] == [e == 0 for e in want]
 
     @pytest.mark.parametrize("kind, params, colours", [

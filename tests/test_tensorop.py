@@ -23,7 +23,8 @@ from ybops.tensorop import (Op2, colored_qybe_residual, embed_leg,
                             freeze, mat_sub, onepar_qybe_residual, op_to_csv,
                             op_to_json, op_to_latex, power_basis_labels,
                             tensor_basis_labels, twist_compose, yb_commutator)
-from ybops.ybsystem import WXZSystem, thm3_system, wxz_residuals
+from ybops.ybsystem import (WXZSystem, thm3_residuals, thm3_system,
+                            wxz_residuals)
 
 
 def _fraction_calls(monkeypatch, *names):
@@ -264,19 +265,7 @@ class TestLargeCarrier:
 
 class TestSystemRoute:
     """Which residuals the five-equation system decides and which go to the
-    sparse kernel; a spy on the kernel's integer entry point, which every
-    residual caller goes through, counts its calls."""
-
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        calls = []
-        real = tensorop._qybe_columns
-
-        def counted(*ops):
-            calls.append(len(ops))
-            return real(*ops)
-        monkeypatch.setattr(tensorop, "_qybe_columns", counted)
-        return calls
+    sparse kernel, counted by the ``kernel_calls`` spy."""
 
     PARAMS = {"p": Fraction(1), "q": Fraction(3)}
     UVW = (Fraction(1, 2), Fraction(-2), Fraction(3))
@@ -290,7 +279,7 @@ class TestSystemRoute:
             *self.UVW)
         one = onepar_qybe_residual(OneParFamily("prop1", A, {"q": 2}),
                                    Fraction(2, 3), Fraction(-5))
-        wxz = wxz_residuals(thm3_system(A, Fraction(-1, 2), 4))
+        wxz = thm3_residuals(A, Fraction(-1, 2), 4)
         assert kernel_calls == []
         assert all(r == 0 and type(r) is Fraction
                    for r in (col, coal, one, *wxz))
@@ -305,44 +294,22 @@ class TestSystemRoute:
         assert report["okado_braid_residual"] == "0"
         assert report["twisted_prop1_braid_residual"] == "0"
 
-    @staticmethod
-    def _non_solution(A):
-        """A duck-typed family whose triples solve no system, exposing
-        ``op`` alone, and the list of the colours its triples were read at,
-        one entry per call."""
-        drawn = []
+    def test_a_non_solution_takes_the_kernel(self, kernel_calls):
+        # a duck-typed family whose integer legs, read in one call, solve
+        # no system
+        A, drawn = quadratic_algebra(3), []
 
         def coeffs(u, v):
             return u + 2 * v, u * v - 1, Fraction(3)
 
-        def integer_triple(u, v):
-            drawn.append((u, v))
-            return cleared(coeffs(u, v))
-
         def integer_legs(u, v, w):
             drawn.append((u, v, w))
-            return [integer_triple(*c) for c in ((u, v), (u, w), (v, w))]
-        fam = SimpleNamespace(op=lambda u, v: ansatz_op(A, *coeffs(u, v)))
-        return fam, drawn, integer_triple, integer_legs
-
-    def test_a_non_solution_takes_the_kernel(self, kernel_calls):
-        # its integer legs, read in one call, solve no system
-        A = quadratic_algebra(3)
-        fam, drawn, _, fam.integer_legs = self._non_solution(A)
+            return [cleared(coeffs(*c)) for c in ((u, v), (u, w), (v, w))]
+        fam = SimpleNamespace(op=lambda u, v: ansatz_op(A, *coeffs(u, v)),
+                              integer_legs=integer_legs)
         res = colored_qybe_residual(fam, *self.UVW)
-        u, v, w = self.UVW
-        assert drawn == [(u, v, w), (u, v), (u, w), (v, w)]
+        assert drawn == [self.UVW]
         assert kernel_calls == [3]
-        assert res != 0 and res == colored_qybe_residual(
-            both_routes(fam)[1], *self.UVW)
-
-    def test_a_triple_alone_takes_the_kernel(self, kernel_calls):
-        # a family that exposes an integer triple but no integer legs is
-        # decided by the kernel, at the exact value of its op-only view
-        A = quadratic_algebra(3)
-        fam, drawn, fam.integer_triple, _ = self._non_solution(A)
-        res = colored_qybe_residual(fam, *self.UVW)
-        assert drawn == [] and kernel_calls == [3]
         assert res != 0 and res == colored_qybe_residual(
             both_routes(fam)[1], *self.UVW)
 
@@ -362,7 +329,7 @@ class TestSystemRoute:
         x, z = Fraction(2, 3), Fraction(-5)
         got = (colored_qybe_residual(fam, *self.UVW),
                onepar_qybe_residual(one, x, z))
-        # an exact algebra built by hand is validated at its first triple
+        # an exact algebra built by hand is validated at its first legs
         # and then decided by the five equations
         assert kernel_calls == ([] if case == "unvalidated" else [3, 3])
         want = (colored_qybe_residual(fam_view, *self.UVW),
@@ -416,19 +383,22 @@ class TestSystemRoute:
         assert calls == []
 
     def test_hand_built_wxz_system_takes_the_kernel(self, kernel_calls):
+        # a system is its three operators: built by hand or by
+        # thm3_system, its commutators come from the kernel
         S = thm3_system(quadratic_algebra(3), 2, 5)
-        res = wxz_residuals(WXZSystem(W=S.W, X=S.X, Z=S.Z))
-        assert kernel_calls == [3] * 4 and res == (0, 0, 0, 0)
+        for T in (WXZSystem(W=S.W, X=S.X, Z=S.Z), S):
+            assert wxz_residuals(T) == (0, 0, 0, 0)
+        assert kernel_calls == [3] * 8
 
     def test_float_parameters_decide_wxz_by_the_system(self, kernel_calls):
         # a float lambda and mu read as exact rationals, so all four
-        # commutators have exact triples that solve the system
-        got = wxz_residuals(thm3_system(quadratic_algebra(3), 2.0, 5.0))
+        # commutators have exact integer legs that solve the system
+        got = thm3_residuals(quadratic_algebra(3), 2.0, 5.0)
         assert kernel_calls == []
         assert all(r == 0 and type(r) is Fraction for r in got)
 
     def test_same_errors_as_the_kernel(self):
-        # the triples are evaluated in the order the operators are built, so
+        # the legs are evaluated in the order the operators are built, so
         # bad input raises what the builds raise: a non-integer exponent
         # at (u, w); phi(x, z) is evaluated before either, so where the
         # build at x and phi both fail, phi's error is raised: its colours

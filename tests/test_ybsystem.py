@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,8 @@ from ybops.errors import DimensionMismatchError, InvalidStructureError
 from ybops.onepar import OneParFamily, prop2_op, remark_x_op
 from ybops.tensorop import (Op2, freeze, onepar_qybe_residual,
                             yb_commutator)
-from ybops.ybsystem import WXZSystem, thm3_system, wxz_residuals
+from ybops.ybsystem import (WXZSystem, thm3_residuals, thm3_system,
+                            wxz_residuals)
 
 
 class TestThm3System:
@@ -27,18 +29,21 @@ class TestThm3System:
         S = thm3_system(Bc, 3, 5)
         assert wxz_residuals(S) == (0, 0, 0, 0)
 
-    # a float lam or mu reads as its exact rational; the triples are the
-    # families' integer triples, W's (-7/2, 1, 1) cleared to (-7, 2, 2)
+    # a float lam or mu reads as its exact rational; the triples that
+    # decide thm3_residuals are the families' integer legs, W's
+    # (-7/2, 1, 1) cleared to (-7, 2, 2)
     @pytest.mark.parametrize("lam,mu,W,Z", [
         (Fraction(-7, 2), 5, (-7, 2, 2), (1, 5, 1)),
         (2.0, 5, (2, 1, 1), (1, 5, 1)), (2, 5.0, (2, 1, 1), (1, 5, 1))])
     def test_triples_are_the_families(self, Aq, lam, mu, W, Z):
-        S = thm3_system(Aq, lam, mu)
-        assert S.triples == (W, (1, 1, 1), Z)
-        assert all(type(x) is int for t in S.triples for x in t)
-        assert S.triples == tuple(
-            OneParFamily(kind, Aq).integer_triple(x) for kind, x in
-            (("prop2", lam), ("prop2", 1), ("remark_x", mu)))
+        prop2, remark_x = (OneParFamily(kind, Aq).integer_legs
+                           for kind in ("prop2", "remark_x"))
+        X = (1, 1, 1)
+        legs = (prop2(lam, lam), remark_x(mu, mu), prop2(lam, 1),
+                remark_x(1, mu))
+        assert legs == ([W, W, W], [Z, Z, Z], [W, X, X], [X, X, Z])
+        assert all(type(x) is int for leg in legs for t in leg for x in t)
+        assert thm3_residuals(Aq, lam, mu) == (0, 0, 0, 0)
 
     def test_invalid_algebra_rejected(self, A1):
         c = [[[x for x in row] for row in plane] for plane in A1.structconst]
@@ -48,6 +53,8 @@ class TestThm3System:
                       unit=A1.unit)
         with pytest.raises(InvalidStructureError):
             thm3_system(bad, 1, 1)
+        with pytest.raises(InvalidStructureError):
+            thm3_residuals(bad, 1, 1)
 
 
 class TestWXZSystem:
@@ -64,7 +71,7 @@ class TestWXZSystem:
         assert any(r != 0 for r in wxz_residuals(S))
 
     def test_replaced_operator_goes_to_the_kernel(self):
-        # a replace()d system keeps no triples of the operators it replaced
+        # a replace()d system is its new operators, through the kernel
         A = quadratic_algebra(3)
         bad = ansatz_op(A, 1, 2, 7)
         S = replace(thm3_system(A, 2, 5), Z=bad)
@@ -73,9 +80,11 @@ class TestWXZSystem:
         assert wxz_residuals(S) == kernel and kernel[1] != 0
 
     def test_triples_are_not_an_argument(self):
+        # a system is its three operators and nothing else
         S = thm3_system(quadratic_algebra(3), 2, 5)
         with pytest.raises(TypeError):
-            WXZSystem(W=S.W, X=S.X, Z=S.Z, triples=S.triples)
+            WXZSystem(W=S.W, X=S.X, Z=S.Z, triples=((1, 1, 1),) * 3)
+        assert vars(S) == {"W": S.W, "X": S.X, "Z": S.Z}
 
 
 class TestThm3Identification:
@@ -83,9 +92,12 @@ class TestThm3Identification:
     1 (also remark_x at 1) and Z is remark_x at mu, so each commutator is a
     one-parameter residual of prop2 or remark_x."""
 
-    @pytest.mark.parametrize("carrier", [
-        lambda: quadratic_algebra(3), lambda: cubic_algebra(2, 5),
+    CARRIERS = pytest.mark.parametrize("carrier", [
+        lambda: quadratic_algebra(3),
+        lambda: cubic_algebra(Fraction(-1, 2), Fraction(3, 4)),
         matrix_algebra], ids=["quadratic", "cubic", "M2"])
+
+    @CARRIERS
     def test_operators_and_residuals(self, carrier):
         A, lam, mu = carrier(), Fraction(-7, 2), 5
         S = thm3_system(A, lam, mu)
@@ -101,4 +113,19 @@ class TestThm3Identification:
                    onepar_qybe_residual(prop2, lam, 1),
                    onepar_qybe_residual(remark_x, 1, mu))
             assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+
+    @CARRIERS
+    def test_both_routes(self, carrier, kernel_calls):
+        # thm3_residuals decides on the families' integer legs and builds
+        # no operator; wxz_residuals takes the kernel on the operators of
+        # thm3_system, once per commutator; the two agree in value and type
+        A = carrier()
+        for lam, mu in product((0, 1, Fraction(-7, 2), 2.0), repeat=2):
+            kernel_calls.clear()
+            got = thm3_residuals(A, lam, mu)
+            assert kernel_calls == []
+            want = wxz_residuals(thm3_system(A, lam, mu))
+            assert kernel_calls == [3] * 4
+            assert got == want == (0, 0, 0, 0)
             assert list(map(type, got)) == list(map(type, want))
