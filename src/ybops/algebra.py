@@ -207,16 +207,17 @@ def validate(A: Algebra) -> ValidationReport:
                     rhs = sum(c[j][k][m] * c[i][m][l] for m in range(n))
                     if lhs != rhs:
                         bad.append(("associativity", (i, j, k, l), lhs - rhs))
-    basis = [tuple(Fraction(int(t == i)) for t in range(n)) for i in range(n)]
+    # 1*e_i and e_i*1, read off the structure constants
+    unit = list(enumerate(A.unit))
     for i in range(n):
-        left = multiply(A, A.unit, basis[i])
-        right = multiply(A, basis[i], A.unit)
         for k in range(n):
             want = Fraction(int(k == i))
-            if left[k] != want:
-                bad.append(("left-unit", (i, k), left[k] - want))
-            if right[k] != want:
-                bad.append(("right-unit", (i, k), right[k] - want))
+            left = sum(u * c[a][i][k] for a, u in unit)
+            right = sum(u * c[i][a][k] for a, u in unit)
+            if left != want:
+                bad.append(("left-unit", (i, k), left - want))
+            if right != want:
+                bad.append(("right-unit", (i, k), right - want))
     return ValidationReport(violations=tuple(bad))
 
 

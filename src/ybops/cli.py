@@ -233,7 +233,7 @@ def cmd_ybsystem(args):
 
 def cmd_compare(args):
     q, x, y = (parse_scalar(getattr(args, n)) for n in ("q", "x", "y"))
-    res_ok = braid_residual(compare_mod.BraidFamily(kind="okado", q=q), x, y)
+    res_ok = braid_residual(functools.partial(compare_mod.okado_rhat, q), x, y)
     # tau times prop1 at sigma = 0 solves the braid equation at (x, y) where
     # prop1 solves the QYBE at (y, x*y, x) (tensorop.braid_residual): its
     # five equations decide that, and no operator is built

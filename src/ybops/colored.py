@@ -97,9 +97,10 @@ def _cleared(quotients):
 @lru_cache
 def _integer_legs(F, params):
     """``colours -> [t12, t13, t23]`` of a table entry ``F`` at ``params``,
-    from its :func:`_forms`: affine forms on the colours' numerators over
-    one denominator, or each base raised to each integer colour once; where
-    that fails, the table entry, leg by leg, raises what ``op`` raises."""
+    from its :func:`_forms`: affine forms on each leg's two colours cleared
+    over the product of their denominators, or each base raised to each
+    integer colour once; where that fails, the table entry, leg by leg,
+    raises what ``op`` raises."""
     forms, args = _forms(F, params), F.args(params)
     if F.integer_colours:
         def table(*colours):
@@ -149,9 +150,8 @@ def _integer_legs(F, params):
         (U, du), (V, dv), (W, dw) = (rational(u).as_integer_ratio(),
                                      rational(v).as_integer_ratio(),
                                      rational(w).as_integer_ratio())
-        d = lcm(du, dv, dw)
-        U, V, W = U * (d // du), V * (d // dv), W * (d // dw)
-        return [form(d, U, V), form(d, U, W), form(d, V, W)]
+        return [form(du * dv, U * dv, V * du), form(du * dw, U * dw, W * du),
+                form(dv * dw, V * dw, W * dv)]
     return legs
 
 

@@ -29,10 +29,10 @@ def okado_rhat(q, x) -> Op2:
     return Op2(n=2, mat=mat)
 
 
-def twisted_prop1_rhat(q, sigma, x) -> Op2:
-    """Twist-composed one-parameter matrix: tau times the prop1 matrix."""
-    A = quadratic_algebra(sigma)
-    return twist_compose(prop1_op(A, q, x))
+def twisted_prop1_rhat(q, x) -> Op2:
+    """Twist-composed one-parameter matrix: tau times the prop1 matrix at
+    sigma = 0."""
+    return twist_compose(prop1_op(quadratic_algebra(0), q, x))
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class BraidFamily:
     def __call__(self, x) -> Op2:
         if self.kind == "okado":
             return okado_rhat(self.q, x)
-        return twisted_prop1_rhat(self.q, 0, x)
+        return twisted_prop1_rhat(self.q, x)
 
 
 def compare_q1() -> dict:
@@ -76,7 +76,7 @@ def _q1_samples():
     rows = []
     for x in (1, 2, 3):
         ok = okado_rhat(1, x)
-        tw = twisted_prop1_rhat(1, 0, x)
+        tw = twisted_prop1_rhat(1, x)
         verdict = "identical" if ok.mat == tw.mat else "differ"
         rows.append((format_scalar(x), text(ok.mat), text(tw.mat),
                      text(mat_sub(ok.mat, tw.mat)), verdict))

@@ -41,6 +41,11 @@ def _system(uv, uw, vw):
 
     Each argument is a triple (alpha, beta, gamma) at one of the three leg
     arguments of :func:`leg_colours`, which alone tells the systems apart.
+
+    ``search._compile_objective`` traces this function into the search's
+    float objective, so a rewrite must keep every float operation's
+    operands and their order: a product reused as computed here keeps the
+    bits, a reassociated sum does not, and the search reports pin them.
     """
     a_uv, b_uv, g_uv = uv
     a_uw, b_uw, g_uw = uw

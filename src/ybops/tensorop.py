@@ -144,15 +144,15 @@ def _leg_columns(cols: list, n: int, legs: int) -> list:
 
 def embed_leg(R: Op2, legs: int) -> tuple:
     """The frozen n^3 x n^3 rows of a two-site operator on the given pair of
-    factors of V^(x)3: the kernel's :func:`_leg_columns` of every entry of
-    ``R.mat``, and ``Fraction(0)`` off the listed cells.
+    factors of V^(x)3: the kernel's :func:`_leg_columns` of ``R.cols``, each
+    entry over ``R.den``, and ``Fraction(0)`` off the listed cells.
 
     R12 = R(x)I, R23 = I(x)R, and R13 is R(x)I conjugated by the (2 3)
     factor swap; the tests hold it to those dense definitions.
     """
     if legs not in (12, 13, 23):
         raise ValueError(f"legs must be one of 12, 13, 23, got {legs}")
-    cols = [list(enumerate(col)) for col in zip(*R.mat)]
+    cols = [[(i, Fraction(x, R.den)) for i, x in col] for col in R.cols]
     return _dense_view(_leg_columns(cols, R.n, legs))
 
 
@@ -216,14 +216,6 @@ def _qybe_columns(R12: Op2, R13: Op2, R23: Op2):
     return rows, [f(*values) for f in columns], R12.den * R13.den * R23.den
 
 
-def _qybe_numerators(R12: Op2, R13: Op2, R23: Op2):
-    """The kernel's difference as ``(cols, den)``: ``cols[j]`` maps each row
-    i of a non-zero entry [i][j] to its numerator, in the kernel's order."""
-    rows, values, den = _qybe_columns(R12, R13, R23)
-    return [{i: x for i, x in zip(r, v) if x}
-            for r, v in zip(rows, values)], den
-
-
 def _qybe_max_abs(R12: Op2, R13: Op2, R23: Op2) -> Fraction:
     """The max-abs entry of the kernel's difference: one ``Fraction(top,
     den)``, top the largest numerator in absolute value (``den`` > 0)."""
@@ -234,10 +226,10 @@ def _qybe_max_abs(R12: Op2, R13: Op2, R23: Op2) -> Fraction:
 
 def yb_commutator(R: Op2, S: Op2, T: Op2) -> tuple:
     """Yang-Baxter commutator [R,S,T] = R12 S13 T23 - T23 S13 R12, the
-    frozen rows of the kernel's ``(cols, den)``."""
-    cols, den = _qybe_numerators(R, S, T)
-    return _dense_view(
-        [[(i, Fraction(x, den)) for i, x in col.items()] for col in cols])
+    frozen rows of the kernel's non-zero values over its ``den``."""
+    rows, values, den = _qybe_columns(R, S, T)
+    return _dense_view([[(i, Fraction(x, den)) for i, x in zip(r, v) if x]
+                        for r, v in zip(rows, values)])
 
 
 # --- the five-equation system as a proof --------------------------------------

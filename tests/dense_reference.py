@@ -2,13 +2,14 @@
 factor swaps of V^(x)3 and the Kronecker product: the tests' references for the sparse
 kernel, built independently of it from the plain matrix definitions.  Also
 the kernel's chains as a direct dict-accumulating loop, the reference for
-the compiled kernel's values and row order, and the max-abs reader of its
-``(cols, den)``.  No library path calls them.  Tests only."""
+the compiled kernel's values and row order, the compiled kernel's result
+in that ``(cols, den)`` form, and the max-abs reader of it.  No library
+path calls them.  Tests only."""
 
 from fractions import Fraction
 
 from ybops.errors import DimensionMismatchError
-from ybops.tensorop import Op2, _leg_columns
+from ybops.tensorop import Op2, _leg_columns, _qybe_columns
 
 
 def mat_mul(A, B):
@@ -101,6 +102,15 @@ def loop_numerators(R12, R13, R23):
                 acc[i] = acc.get(i, 0) - c * x
         out.append({i: x for i, x in acc.items() if x})
     return out, R12.den * R13.den * R23.den
+
+
+def _qybe_numerators(R12, R13, R23):
+    """The compiled kernel's difference as ``(cols, den)``: ``cols[j]`` maps
+    each row i of a non-zero entry [i][j] to its numerator, in the kernel's
+    order."""
+    rows, values, den = _qybe_columns(R12, R13, R23)
+    return [{i: x for i, x in zip(r, v) if x}
+            for r, v in zip(rows, values)], den
 
 
 def _max_abs(diff):

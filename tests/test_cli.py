@@ -17,13 +17,15 @@ from hypothesis import strategies as st
 
 from cli_reference import parse_task
 from conftest import SEARCH_MODES
-from ybops import cli, frt, search, tensorop
+from ybops import cli, compare, frt, search, tensorop
 from ybops.cli import main
 
-# The dense views of the kernel that stay in tensorop, never called by a
-# subcommand; the dense products the tests check them against live in
+# The dense views of the kernel that stay in tensorop, and the braid-family
+# dispatcher that stays in compare, never called by a subcommand; the dense
+# products the tests check the views against live in
 # tests/dense_reference.py, which no ybops module imports.
-DENSE_HELPERS = ("yb_commutator", "embed_leg")
+DENSE_HELPERS = ((tensorop, "yb_commutator"), (tensorop, "embed_leg"),
+                 (compare, "BraidFamily"))
 
 
 class TestVerify:
@@ -217,9 +219,10 @@ class TestReportBytes:
 class TestNoDenseHelpers:
     @pytest.fixture
     def trapped(self, monkeypatch):
-        """Every binding of a dense helper, in tensorop and in each ybops
-        module that imported it, replaced by a function that fails."""
-        originals = {id(getattr(tensorop, n)): n for n in DENSE_HELPERS}
+        """Every binding of a dense helper or of ``BraidFamily``, in its
+        module and in each ybops module that imported it, replaced by a
+        function that fails."""
+        originals = {id(getattr(module, n)): n for module, n in DENSE_HELPERS}
         for name, module in list(sys.modules.items()):
             if name != "ybops" and not name.startswith("ybops."):
                 continue

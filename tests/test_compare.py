@@ -50,7 +50,7 @@ class TestMatrices:
     def test_twist_structure(self):
         # tau moves the ab->(x)1 part of the one-parameter matrix into the
         # off-diagonal block; spot-check one entry against a hand expansion
-        R = twisted_prop1_rhat(Fraction(2), Fraction(0), Fraction(3))
+        R = twisted_prop1_rhat(Fraction(2), Fraction(3))
         # R(1(x)1) = (x-1) 1(x)1 + q(x-1) 1(x)1 - (x-q) 1(x)1, then flip
         assert R.mat[0][0] == (3 - 1) + 2 * (3 - 1) - (3 - 2)
 
@@ -113,7 +113,7 @@ class TestQ1ClosedForm:
             assert ok == tuple(tuple(c * e for e in row) for row in _FLIP)
             negated = [list(row) for row in ok]
             negated[3][3] = -negated[3][3]
-            twisted = twisted_prop1_rhat(1, 0, x).mat
+            twisted = twisted_prop1_rhat(1, x).mat
             assert twisted == tuple(map(tuple, negated))
             # compare_q1's verdict: identical exactly at x=1
             assert (twisted == ok) == (x == 1)

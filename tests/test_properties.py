@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from conftest import (LINEAR_COMPONENTS, SEARCH_MODES, bad_unit_algebra,
                       both_routes, linear_coeffs, matrix_algebra,
                       scipy_nelder_mead, sparse_left_product, table_triple)
-from dense_reference import (_max_abs, _perm13, _perm23, flip_op2,
-                             identity_mat, identity_op2, kron,
+from dense_reference import (_max_abs, _perm13, _perm23, _qybe_numerators,
+                             flip_op2, identity_mat, identity_op2, kron,
                              loop_numerators, mat_mul, mat_scale,
                              mat_transpose, max_abs_entry)
 from frt_reference import _Echelon as FractionEchelon, dense_rtt_residual
@@ -48,10 +48,9 @@ from ybops.onepar import OneParFamily, prop1_op
 from ybops.scalars import rational
 from ybops.search import (MAX_ITER, _compile_step, _insert,
                           _make_objective, _nelder_mead, _start)
-from ybops.tensorop import (Op2, _qybe_numerators, braid_residual,
-                            colored_qybe_residual, freeze, mat_sub,
-                            onepar_qybe_residual, op_to_json, twist_compose,
-                            yb_commutator)
+from ybops.tensorop import (Op2, braid_residual, colored_qybe_residual,
+                            freeze, mat_sub, onepar_qybe_residual, op_to_json,
+                            twist_compose, yb_commutator)
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 nonzero_fractions = fractions.filter(lambda f: f != 0)

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import (bad_unit_algebra, both_routes, cleared,
                       sparse_left_product)
-from dense_reference import (_perm23, flip_op2, identity_mat, identity_op2,
-                             kron, mat_mul, max_abs_entry)
+from dense_reference import (_perm23, _qybe_numerators, flip_op2,
+                             identity_mat, identity_op2, kron, mat_mul,
+                             max_abs_entry)
 from ybops import cli, tensorop
 from ybops.algebra import (Algebra, dual_coalgebra, poly_quotient,
                            quadratic_algebra)
@@ -91,11 +92,11 @@ class TestEmbedOnce:
         # R12 R13 R23 - R23 R13 R12: the right chain reuses the left's
         # pairs; new values on the same pattern embed nothing
         ops = [random_op2(rng, n) for _ in range(3)]
-        tensorop._qybe_numerators(*ops)
+        _qybe_numerators(*ops)
         assert sorted(leg_calls) == [12, 13, 23]
         scaled = [Op2(n=n, cols=[[(i, 7 * x) for i, x in col]
                                  for col in R.cols], den=R.den) for R in ops]
-        tensorop._qybe_numerators(*scaled)
+        _qybe_numerators(*scaled)
         assert sorted(leg_calls) == [12, 13, 23]
 
     def test_braid_chains_embed_three(self, leg_calls):
